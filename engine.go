@@ -464,12 +464,16 @@ func (e *Engine) acquireBroker(table *dataset.Table, q Query) (dataset.DrawSourc
 		once.Do(func() {
 			e.brokerMu.Lock()
 			ent.refs--
-			if ent.refs == 0 {
+			last := ent.refs == 0
+			if last {
 				e.brokerDrawn.Add(b.Drawn())
 				e.brokerServed.Add(b.Served())
 				delete(e.brokers, key)
 			}
 			e.brokerMu.Unlock()
+			if last {
+				b.Release()
+			}
 		})
 	}
 	return b, release

@@ -17,10 +17,12 @@ import (
 // with-replacement runs over them never terminate on their own, which the
 // cancellation and round-cap tests rely on.
 func equalMeanGroups(n int) []rapidviz.Group {
-	r := xrand.New(40)
 	groups := make([]rapidviz.Group, n)
 	for i := range groups {
 		name := string(rune('a' + i))
+		// A generator per group: the round driver draws distinct groups
+		// from different goroutines.
+		r := xrand.New(40 + uint64(i))
 		groups[i] = rapidviz.GroupFromFunc(name, 1_000_000, func() float64 { return r.Float64() * 100 })
 	}
 	return groups

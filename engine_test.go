@@ -122,11 +122,7 @@ func TestTopTWrapperEquivalence(t *testing.T) {
 // sampling), so only the deadline can end it — and Run must return
 // promptly with the context's error.
 func TestRunCancellation(t *testing.T) {
-	r := xrand.New(40)
-	mk := func(name string) rapidviz.Group {
-		return rapidviz.GroupFromFunc(name, 1_000_000, func() float64 { return r.Float64() * 100 })
-	}
-	groups := []rapidviz.Group{mk("a"), mk("b")}
+	groups := equalMeanGroups(2)
 	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
 	defer cancel()
 
@@ -177,10 +173,12 @@ func TestStream(t *testing.T) {
 // TestStreamCancellation: a canceled stream must still terminate and close
 // the channel.
 func TestStreamCancellation(t *testing.T) {
-	r := xrand.New(43)
+	// One generator per group: the round driver draws distinct groups from
+	// different goroutines.
+	ra, rb := xrand.New(43), xrand.New(44)
 	groups := []rapidviz.Group{
-		rapidviz.GroupFromFunc("a", 1_000_000, func() float64 { return r.Float64() * 100 }),
-		rapidviz.GroupFromFunc("b", 1_000_000, func() float64 { return r.Float64() * 100 }),
+		rapidviz.GroupFromFunc("a", 1_000_000, func() float64 { return ra.Float64() * 100 }),
+		rapidviz.GroupFromFunc("b", 1_000_000, func() float64 { return rb.Float64() * 100 }),
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
 	defer cancel()

@@ -55,21 +55,19 @@ type Sampler struct {
 	// actually being estimated.
 	autoObserve bool
 
-	// kernels, when enabled, holds the per-group devirtualized block-draw
-	// kernels: the concrete group type behind each index, resolved once by
-	// EnableBlockKernels so DrawBlockSum can walk the backing slice
-	// directly instead of dispatching through the Group interfaces per
-	// block (see kernel.go).
-	kernels []blockKernel
+	// kernels, when enabled, holds each group's staged draw pipeline (nil
+	// for groups without one), resolved once by EnableBlockKernels so
+	// DrawBlockSum can draw into the group's own value scratch (kernel.go).
+	kernels []*drawCore
 }
 
 // NewSampler returns a sampler over u whose draws all consume the one
 // shared generator rng, in draw order. If withoutReplacement is true,
 // groups implementing WithoutReplacementGroup are consumed without
-// replacement — starting from a fresh permutation: any draw state left on
-// the groups by a previous run is reset, so reusing one Universe across
-// consecutive runs cannot silently continue (or exhaust) an earlier run's
-// permutation.
+// replacement — starting from the identity arrangement: any draw state
+// left on the groups by a previous run is reset, so reusing one Universe
+// across consecutive runs replays the same streams instead of silently
+// continuing (or exhausting) an earlier run's permutation.
 //
 // Because the shared stream is consumed in draw order, a shared-RNG
 // sampler must be drawn from sequentially. The parallel round driver uses

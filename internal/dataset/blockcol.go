@@ -219,9 +219,8 @@ func (w *blockWindow) at(row int) float64 {
 	return w.curV[abs-int64(b)*int64(w.col.blockLen)]
 }
 
-// gatherKeys fills dst from sorted gather keys (row<<32 | slot, ascending —
-// the same key layout SliceGroup.gatherRows builds): ascending rows visit
-// each block once through the memo.
+// gatherKeys fills dst from drawCore.gather's sorted keys (row<<32 | slot,
+// ascending): ascending rows visit each block once through the memo.
 func (w *blockWindow) gatherKeys(keys []uint64, dst []float64) {
 	for _, k := range keys {
 		dst[uint32(k)] = w.at(int(int32(k >> 32)))
@@ -244,30 +243,6 @@ func (w *blockWindow) scan(fn func(v float64)) {
 		}
 		abs = int64(b)*bl + end
 	}
-}
-
-// gatherSorted reads rows (window-local, unsorted) into dst in slot order
-// while visiting the column in ascending row order, via the same packed-key
-// sort the segment SliceGroup uses. keyBuf is the caller's reusable
-// scratch.
-func (w *blockWindow) gatherSorted(rows []int32, dst []float64, keyBuf *[]uint64) {
-	if len(rows) <= 1 {
-		for i, row := range rows {
-			dst[i] = w.at(int(row))
-		}
-		return
-	}
-	keys := *keyBuf
-	if cap(keys) < len(rows) {
-		keys = make([]uint64, len(rows))
-	}
-	keys = keys[:len(rows)]
-	for pos, row := range rows {
-		keys[pos] = uint64(uint32(row))<<32 | uint64(uint32(pos))
-	}
-	slices.Sort(keys)
-	*keyBuf = keys
-	w.gatherKeys(keys, dst)
 }
 
 // zoneRelation classifies what a [min,max] zone can say about op/c:

@@ -110,6 +110,12 @@ func growCap(cur, need int64) int64 {
 	return c
 }
 
+// Release hands the broker's draw state back for reuse
+// (Universe.ReleaseDraws over its private group set). The registry that
+// owns the broker calls it when it drops it, after the last subscriber has
+// departed: the streams cannot be extended afterwards.
+func (b *Broker) Release() { b.sampler.u.ReleaseDraws() }
+
 // Drawn returns the number of samples the broker has physically drawn —
 // the memory-traffic cost actually paid, summed over groups.
 func (b *Broker) Drawn() int64 { return b.sampler.Total() }

@@ -18,7 +18,6 @@ package dataset
 import (
 	"fmt"
 	"math"
-	"slices"
 
 	"repro/internal/xrand"
 )
@@ -44,8 +43,8 @@ type WithoutReplacementGroup interface {
 	// DrawWithoutReplacement returns the next element of a uniformly random
 	// permutation of the multiset, and false once the group is exhausted.
 	DrawWithoutReplacement(r *xrand.RNG) (float64, bool)
-	// ResetDraws restarts without-replacement sampling with a fresh
-	// permutation.
+	// ResetDraws restarts without-replacement sampling from the group's
+	// initial arrangement: the same RNG stream then replays the same draws.
 	ResetDraws()
 }
 
@@ -78,44 +77,15 @@ type Scannable interface {
 	Scan(fn func(v float64)) int64
 }
 
-// SliceGroup is a fully materialized group.
+// SliceGroup is a fully materialized group: a name, the statistics tracked
+// at construction, and the shared draw machinery (drawCore, kernel.go) over
+// its column — a heap slice, an mmapped segment chunk, or a compressed
+// block window.
 type SliceGroup struct {
-	name   string
-	values []float64
-	// next indexes into the lazily built without-replacement permutation:
-	// values[perm[0..next)] have been consumed. The permutation is built
-	// incrementally by an inside-out Fisher–Yates so that consuming only a
-	// few samples from a huge group costs O(samples), not O(n).
-	perm []int32
-	next int
-
+	name string
 	mean float64
 	maxv float64
-
-	// seg marks the group segment-backed (values alias an mmapped column
-	// chunk): block draws stage their row indices first and gather the
-	// values in ascending row order, so a round touches its O(batch) pages
-	// with page-cache-friendly locality instead of faulting them in random
-	// order. The value stream is unchanged — rows are chosen by the exact
-	// same Fisher–Yates / Intn sequence and folded in draw order.
-	seg bool
-	// win replaces values for compressed (v2) segments: reads go through a
-	// block-decoding cursor instead of a flat slice. win-backed groups are
-	// always seg, and batch draws route through the same staged/gathered
-	// path so each batch decodes every touched block once.
-	win *blockWindow
-	// sparse switches the without-replacement permutation to the sparse
-	// map form: disp records only the displaced entries (perm[i] != i),
-	// identity elsewhere. Same arrangement and RNG discipline as the dense
-	// array, O(draws) memory instead of O(rows) — what lets a group far
-	// larger than RAM be sampled without replacement. Only segment-backed
-	// groups past sparsePermGate use it.
-	sparse bool
-	disp   map[int32]int32
-
-	rowBuf []int32  // staged block rows, draw order
-	keyBuf []uint64 // (row<<32 | slot) sort keys for the page-ordered gather
-	valBuf []float64
+	drawCore
 }
 
 // sparsePermGate is the row count above which a segment-backed group
@@ -131,7 +101,7 @@ func NewSliceGroup(name string, values []float64) *SliceGroup {
 	if len(values) == 0 {
 		panic(fmt.Sprintf("dataset: group %q has no values", name))
 	}
-	g := &SliceGroup{name: name, values: values, maxv: values[0]}
+	g := &SliceGroup{name: name, maxv: values[0], drawCore: newDrawCore(values, nil, nil)}
 	sum := 0.0
 	for _, v := range values {
 		sum += v
@@ -145,19 +115,17 @@ func NewSliceGroup(name string, values []float64) *SliceGroup {
 
 // newSegmentSliceGroup returns a group over an mmapped column chunk whose
 // mean and max were recorded in the segment manifest at write time — no
-// construction scan, so opening a table faults in zero data pages.
+// construction scan, so opening a table faults in zero data pages. Block
+// draws gather such a column in ascending row order, and a group past
+// sparsePermGate keeps its permutation sparse.
 func newSegmentSliceGroup(name string, values []float64, mean, maxv float64) *SliceGroup {
 	if len(values) == 0 {
 		panic(fmt.Sprintf("dataset: group %q has no values", name))
 	}
-	return &SliceGroup{
-		name:   name,
-		values: values,
-		mean:   mean,
-		maxv:   maxv,
-		seg:    true,
-		sparse: len(values) > sparsePermGate,
-	}
+	g := &SliceGroup{name: name, mean: mean, maxv: maxv, drawCore: newDrawCore(values, nil, nil)}
+	g.seg = true
+	g.sparse = g.total > sparsePermGate
+	return g
 }
 
 // newBlockSliceGroup returns a group over a compressed column window
@@ -167,29 +135,16 @@ func newBlockSliceGroup(name string, win *blockWindow, mean, maxv float64) *Slic
 	if win.n == 0 {
 		panic(fmt.Sprintf("dataset: group %q has no values", name))
 	}
-	return &SliceGroup{
-		name:   name,
-		win:    win,
-		mean:   mean,
-		maxv:   maxv,
-		seg:    true,
-		sparse: win.n > sparsePermGate,
-	}
-}
-
-// n returns the group's row count regardless of backing (slice or window).
-func (g *SliceGroup) n() int {
-	if g.win != nil {
-		return g.win.n
-	}
-	return len(g.values)
+	g := &SliceGroup{name: name, mean: mean, maxv: maxv, drawCore: newDrawCore(nil, win, nil)}
+	g.sparse = g.total > sparsePermGate
+	return g
 }
 
 // Name returns the group's name.
 func (g *SliceGroup) Name() string { return g.name }
 
 // Size returns the number of values.
-func (g *SliceGroup) Size() int64 { return int64(g.n()) }
+func (g *SliceGroup) Size() int64 { return int64(g.total) }
 
 // TrueMean returns the exact mean of the values.
 func (g *SliceGroup) TrueMean() float64 { return g.mean }
@@ -198,227 +153,16 @@ func (g *SliceGroup) TrueMean() float64 { return g.mean }
 // bookkeeping (table views, filters) never rescans the column.
 func (g *SliceGroup) MaxValue() float64 { return g.maxv }
 
-// Draw samples uniformly with replacement.
-func (g *SliceGroup) Draw(r *xrand.RNG) float64 {
-	if g.win != nil {
-		return g.win.at(r.Intn(g.win.n))
-	}
-	return g.values[r.Intn(len(g.values))]
-}
-
-// DrawBatch fills dst with uniform with-replacement samples in one call.
-// Window-backed groups always stage (even single draws) so reads hit the
-// block cursor in sorted order.
-func (g *SliceGroup) DrawBatch(r *xrand.RNG, dst []float64) {
-	if g.seg && (len(dst) > 1 || g.win != nil) {
-		g.stageBatchWR(r, len(dst))
-		g.gatherRows(g.rowBuf, dst)
-		return
-	}
-	vals := g.values
-	n := len(vals)
-	for i := range dst {
-		dst[i] = vals[r.Intn(n)]
-	}
-}
-
-// stageBatchWR fills rowBuf with count with-replacement row picks, consuming
-// the RNG exactly as the direct loop would.
-func (g *SliceGroup) stageBatchWR(r *xrand.RNG, count int) {
-	if cap(g.rowBuf) < count {
-		g.rowBuf = make([]int32, count)
-	}
-	rows := g.rowBuf[:count]
-	n := g.n()
-	for i := range rows {
-		rows[i] = int32(r.Intn(n))
-	}
-	g.rowBuf = rows
-}
-
-// valScratch returns the reusable value-staging buffer sized to n.
-func (g *SliceGroup) valScratch(n int) []float64 {
-	if cap(g.valBuf) < n {
-		g.valBuf = make([]float64, n)
-	}
-	g.valBuf = g.valBuf[:n]
-	return g.valBuf
-}
-
-// gatherRows copies values[rows[i]] into dst[i] for every i, but performs
-// the reads in ascending row order: keys pack (row<<32 | slot) so a single
-// sort yields both the page-friendly visit order and where each value
-// belongs in the draw-order output. On an mmapped column this turns a
-// random page walk into a short sorted sweep — the round touches O(batch)
-// pages, clustered, and sequential enough for OS readahead to help.
-func (g *SliceGroup) gatherRows(rows []int32, dst []float64) {
-	if g.win != nil {
-		g.win.gatherSorted(rows, dst, &g.keyBuf)
-		return
-	}
-	if len(rows) <= 1 {
-		for i, row := range rows {
-			dst[i] = g.values[row]
-		}
-		return
-	}
-	if cap(g.keyBuf) < len(rows) {
-		g.keyBuf = make([]uint64, len(rows))
-	}
-	keys := g.keyBuf[:len(rows)]
-	for pos, row := range rows {
-		keys[pos] = uint64(uint32(row))<<32 | uint64(uint32(pos))
-	}
-	slices.Sort(keys)
-	g.keyBuf = keys
-	vals := g.values
-	for _, k := range keys {
-		dst[uint32(k)] = vals[int32(k>>32)]
-	}
-}
-
-// DrawWithoutReplacement returns the next element of a uniform random
-// permutation, building the permutation lazily.
-func (g *SliceGroup) DrawWithoutReplacement(r *xrand.RNG) (float64, bool) {
-	if g.next >= g.n() {
-		return 0, false
-	}
-	row := g.permStep(r)
-	if g.win != nil {
-		return g.win.at(int(row)), true
-	}
-	return g.values[row], true
-}
-
-// permStep performs one inside-out Fisher–Yates step — choose the next
-// element uniformly from the unconsumed suffix [next, n) — and returns the
-// row it lands on. Dense and sparse permutations consume the RNG
-// identically, so the drawn row sequence is bit-for-bit the same either
-// way.
-func (g *SliceGroup) permStep(r *xrand.RNG) int32 {
-	next := g.next
-	j := next + r.Intn(g.n()-next)
-	g.next++
-	if g.sparse {
-		pn := g.permAt(int32(next))
-		if j != next {
-			// Swap perm[next] and perm[j]: both displaced entries must be
-			// recorded so the retained arrangement stays a valid permutation
-			// across ResetDraws.
-			pj := g.permAt(int32(j))
-			if g.disp == nil {
-				g.disp = make(map[int32]int32)
-			}
-			g.disp[int32(next)] = pj
-			g.disp[int32(j)] = pn
-			pn = pj
-		}
-		return pn
-	}
-	g.ensurePerm()
-	g.perm[next], g.perm[j] = g.perm[j], g.perm[next]
-	return g.perm[next]
-}
-
-// permAt reads the sparse permutation at index i: displaced entries live in
-// disp, everything else is identity.
-func (g *SliceGroup) permAt(i int32) int32 {
-	if g.disp != nil {
-		if v, ok := g.disp[i]; ok {
-			return v
-		}
-	}
-	return i
-}
-
-// DrawBatchWithoutReplacement consumes up to len(dst) further permutation
-// elements in one tight Fisher–Yates loop, returning how many it produced.
-func (g *SliceGroup) DrawBatchWithoutReplacement(r *xrand.RNG, dst []float64) int {
-	n := g.n()
-	if g.next >= n {
-		return 0
-	}
-	if g.seg && (len(dst) > 1 || g.win != nil) {
-		taken := g.stageBatchWOR(r, len(dst))
-		g.gatherRows(g.rowBuf[:taken], dst[:taken])
-		return taken
-	}
-	g.ensurePerm()
-	perm, vals := g.perm, g.values
-	taken := 0
-	for taken < len(dst) && g.next < n {
-		j := g.next + r.Intn(n-g.next)
-		perm[g.next], perm[j] = perm[j], perm[g.next]
-		dst[taken] = vals[perm[g.next]]
-		g.next++
-		taken++
-	}
-	return taken
-}
-
-// stageBatchWOR runs up to count Fisher–Yates steps, recording the drawn
-// rows in rowBuf without touching the value column, and returns how many
-// steps ran before exhaustion.
-func (g *SliceGroup) stageBatchWOR(r *xrand.RNG, count int) int {
-	if cap(g.rowBuf) < count {
-		g.rowBuf = make([]int32, count)
-	}
-	rows := g.rowBuf[:count]
-	n := g.n()
-	taken := 0
-	for taken < count && g.next < n {
-		rows[taken] = g.permStep(r)
-		taken++
-	}
-	g.rowBuf = rows
-	return taken
-}
-
-// ensurePerm lazily builds the identity permutation the Fisher–Yates
-// suffix consumption shuffles in place.
-func (g *SliceGroup) ensurePerm() {
-	if g.perm == nil {
-		g.perm = make([]int32, g.n())
-		for i := range g.perm {
-			g.perm[i] = int32(i)
-		}
-	}
-}
-
-// ResetDraws restarts without-replacement sampling. The permutation array
-// is kept: restarting the Fisher–Yates suffix consumption from position 0
-// over any arrangement yields a fresh uniform permutation, so the reset is
-// O(1) rather than O(n). The new run's sample stream is therefore uniform
-// but not a replay of the previous run's.
-func (g *SliceGroup) ResetDraws() { g.next = 0 }
-
-// resetView clears all per-view draw state: the permutation (dense and
-// sparse), the consumption cursor, and the staging buffers. Views copy a
-// group by value, so without this the copy would share (and corrupt) the
-// original's permutation arrays.
-func (g *SliceGroup) resetView() {
-	g.perm = nil
-	g.disp = nil
-	g.next = 0
-	g.rowBuf = nil
-	g.keyBuf = nil
-	g.valBuf = nil
-	if g.win != nil {
-		// The block cursor memoizes draw position; views need their own.
-		g.win = g.win.clone()
-	}
-}
-
 // Scan visits every value.
 func (g *SliceGroup) Scan(fn func(v float64)) int64 {
 	if g.win != nil {
 		g.win.scan(fn)
-		return int64(g.win.n)
+	} else {
+		for _, v := range g.values {
+			fn(v)
+		}
 	}
-	for _, v := range g.values {
-		fn(v)
-	}
-	return int64(len(g.values))
+	return int64(g.total)
 }
 
 // Values exposes the backing slice for storage engines that materialize the
@@ -486,6 +230,24 @@ func NewUniverse(c float64, groups ...Group) *Universe {
 
 // K returns the number of groups.
 func (u *Universe) K() int { return len(u.Groups) }
+
+// ReleaseDraws ends a run's use of the groups' draw state: table- and
+// slice-backed groups restore their permutation to the identity, in
+// O(draws), and hand it and their staging buffers back to the
+// pool their views share, so the next query over the same rows allocates
+// O(batch) rather than 4 B × rows. The groups stay usable — the next draw
+// takes scratch from the pool again. Callers that never release lose
+// nothing but the recycling.
+func (u *Universe) ReleaseDraws() {
+	if u == nil {
+		return
+	}
+	for _, g := range u.Groups {
+		if bd, ok := g.(blockDrawer); ok {
+			bd.core().releaseDraws()
+		}
+	}
+}
 
 // TotalSize returns the summed group sizes (0 if any is unknown).
 func (u *Universe) TotalSize() int64 {

@@ -16,7 +16,6 @@ import (
 	"fmt"
 
 	"repro/internal/bitmap"
-	"repro/internal/xrand"
 )
 
 // selectionDenseMin is the survivor density (count/groupRows) at and above
@@ -96,14 +95,7 @@ func (v *View) View() []Group {
 		switch fg := g.(type) {
 		case *FilteredGroup:
 			cp := *fg
-			cp.perm = nil
-			cp.next = 0
-			cp.rows = nil
-			cp.keys = nil
-			cp.vals = nil
-			if cp.win != nil {
-				cp.win = cp.win.clone()
-			}
+			cp.resetView()
 			fresh[i] = &cp
 		case *TableGroup:
 			cp := *fg
@@ -174,15 +166,11 @@ func (t *Table) Filter(preds ...Predicate) (*View, error) {
 		case sel.count == hi-lo:
 			v.addWhole(t, gi)
 		default:
-			fg := &FilteredGroup{
-				name: t.names[gi],
-				sel:  sel,
-				mean: sum / float64(sel.count),
-			}
+			fg := &FilteredGroup{name: t.names[gi], mean: sum / float64(sel.count)}
 			if t.bcols != nil {
-				fg.win = newBlockWindow(t.bcols[0], int64(lo), hi-lo)
+				fg.drawCore = newDrawCore(nil, newBlockWindow(t.bcols[0], int64(lo), hi-lo), sel)
 			} else {
-				fg.col = t.col[lo:hi]
+				fg.drawCore = newDrawCore(t.col[lo:hi], nil, sel)
 			}
 			v.groups = append(v.groups, fg)
 			v.rows += int64(sel.count)
@@ -346,213 +334,41 @@ func (t *Table) filterGroupBlocks(gi int, preds []resolvedPredicate) (*selection
 }
 
 // FilteredGroup is one group of a View: a zero-copy column segment plus a
-// selection vector over it. It supports every draw mode SliceGroup does —
-// with-replacement (scalar and block), exact without-replacement via a
-// lazily built Fisher–Yates permutation over selection ranks, and full
-// scans — and consumes its RNG stream exactly as an equal-sized SliceGroup
-// would (one Intn per draw), so a filtered run is bit-for-bit identical to
-// the same run over a pre-materialized table of the surviving rows.
+// selection vector over it, drawn through the same drawCore as SliceGroup —
+// every draw mode, and the RNG stream consumed exactly as an equal-sized
+// SliceGroup would (one Intn per draw) — so a filtered run is bit-for-bit
+// identical to the same run over a pre-materialized table of the surviving
+// rows.
 type FilteredGroup struct {
 	name string
-	col  []float64 // the group's full column segment (local row indexing)
-	// win replaces col on compressed tables: reads decode through the
-	// table's block cache, and batch draws gather in ascending row order so
-	// each batch decodes every touched block once.
-	win  *blockWindow
-	sel  *selection
 	mean float64
-
-	perm []int32
-	next int
-	// rows is per-query scratch for staged block draws (ranks, then
-	// positions). Like perm it is draw state: never shared across the
-	// copies View() hands out — as are keys and vals, the window path's
-	// gather-key and value scratch.
-	rows []int32
-	keys []uint64
-	vals []float64
-}
-
-// val reads one selected row through whichever backing the group has.
-func (g *FilteredGroup) val(row int) float64 {
-	if g.win != nil {
-		return g.win.at(row)
-	}
-	return g.col[row]
-}
-
-// valScratch returns the group's reusable value buffer with length n.
-func (g *FilteredGroup) valScratch(n int) []float64 {
-	if cap(g.vals) < n {
-		g.vals = make([]float64, n)
-	}
-	g.vals = g.vals[:n]
-	return g.vals
-}
-
-// gather fills dst[i] from local row rows[i]: a direct loop on a plain
-// column, a block-sorted gather on a window (each touched block decoded
-// once per batch).
-func (g *FilteredGroup) gather(rows []int32, dst []float64) {
-	if g.win != nil {
-		g.win.gatherSorted(rows, dst, &g.keys)
-		return
-	}
-	for i, row := range rows {
-		dst[i] = g.col[row]
-	}
+	drawCore
 }
 
 // Name returns the group's name.
 func (g *FilteredGroup) Name() string { return g.name }
 
 // Size returns the selection cardinality.
-func (g *FilteredGroup) Size() int64 { return int64(g.sel.count) }
+func (g *FilteredGroup) Size() int64 { return int64(g.total) }
 
 // TrueMean returns the exact mean of the selected rows (computed during
 // the filter pass; verification oracle only).
 func (g *FilteredGroup) TrueMean() float64 { return g.mean }
 
-// Draw samples a selected row uniformly with replacement: one rank draw,
-// one rank→row map, no rejection.
-func (g *FilteredGroup) Draw(r *xrand.RNG) float64 {
-	return g.val(g.sel.row(r.Intn(g.sel.count)))
-}
-
-// DrawBatch fills dst with uniform with-replacement samples. The block is
-// staged — draw every rank, map all ranks to rows at once, then gather —
-// so on the bitmap representation the rank→row searches and the column
-// loads run as independent chains the CPU can overlap, instead of one
-// long serial latency chain per draw. RNG consumption is identical to the
-// per-draw loop (one Intn per sample, in order), so results are
-// bit-for-bit unchanged.
-func (g *FilteredGroup) DrawBatch(r *xrand.RNG, dst []float64) {
-	n := g.sel.count
-	if g.sel.bits == nil {
-		if g.win != nil {
-			rows := g.rowScratch(len(dst))
-			for i := range rows {
-				rows[i] = g.sel.idx[r.Intn(n)]
-			}
-			g.gather(rows, dst)
-			return
-		}
-		for i := range dst {
-			dst[i] = g.col[g.sel.idx[r.Intn(n)]]
-		}
-		return
-	}
-	rows := g.rowScratch(len(dst))
-	for i := range rows {
-		rows[i] = int32(r.Intn(n))
-	}
-	if err := g.sel.bits.SelectBatch(rows); err != nil {
-		panic(err) // ranks < count by construction
-	}
-	g.gather(rows, dst)
-}
-
-// rowScratch returns the group's staging buffer with length n.
-func (g *FilteredGroup) rowScratch(n int) []int32 {
-	if cap(g.rows) < n {
-		g.rows = make([]int32, n)
-	}
-	g.rows = g.rows[:n]
-	return g.rows
-}
-
-// DrawWithoutReplacement consumes a uniform random permutation of the
-// selected rows, built lazily over selection ranks.
-func (g *FilteredGroup) DrawWithoutReplacement(r *xrand.RNG) (float64, bool) {
-	n := g.sel.count
-	if g.next >= n {
-		return 0, false
-	}
-	g.ensurePerm()
-	j := g.next + r.Intn(n-g.next)
-	g.perm[g.next], g.perm[j] = g.perm[j], g.perm[g.next]
-	v := g.val(g.sel.row(int(g.perm[g.next])))
-	g.next++
-	return v, true
-}
-
-// DrawBatchWithoutReplacement consumes up to len(dst) further permutation
-// elements, returning how many it produced. Like DrawBatch, the block is
-// staged: the Fisher–Yates steps (inherently sequential) run first, then
-// the rank→row mapping and column gather proceed as overlappable batches.
-func (g *FilteredGroup) DrawBatchWithoutReplacement(r *xrand.RNG, dst []float64) int {
-	n := g.sel.count
-	if g.next >= n {
-		return 0
-	}
-	g.ensurePerm()
-	taken := 0
-	if g.sel.bits != nil {
-		rows := g.rowScratch(len(dst))
-		for taken < len(dst) && g.next < n {
-			j := g.next + r.Intn(n-g.next)
-			g.perm[g.next], g.perm[j] = g.perm[j], g.perm[g.next]
-			rows[taken] = g.perm[g.next]
-			g.next++
-			taken++
-		}
-		rows = rows[:taken]
-		if err := g.sel.bits.SelectBatch(rows); err != nil {
-			panic(err) // permutation ranks < count by construction
-		}
-		g.gather(rows, dst[:taken])
-		return taken
-	}
-	if g.win != nil {
-		rows := g.rowScratch(len(dst))
-		for taken < len(dst) && g.next < n {
-			j := g.next + r.Intn(n-g.next)
-			g.perm[g.next], g.perm[j] = g.perm[j], g.perm[g.next]
-			rows[taken] = g.sel.idx[g.perm[g.next]]
-			g.next++
-			taken++
-		}
-		g.gather(rows[:taken], dst[:taken])
-		return taken
-	}
-	for taken < len(dst) && g.next < n {
-		j := g.next + r.Intn(n-g.next)
-		g.perm[g.next], g.perm[j] = g.perm[j], g.perm[g.next]
-		dst[taken] = g.col[g.sel.idx[g.perm[g.next]]]
-		g.next++
-		taken++
-	}
-	return taken
-}
-
-func (g *FilteredGroup) ensurePerm() {
-	if g.perm == nil {
-		g.perm = make([]int32, g.sel.count)
-		for i := range g.perm {
-			g.perm[i] = int32(i)
-		}
-	}
-}
-
-// ResetDraws restarts without-replacement sampling (O(1), like
-// SliceGroup: resuming suffix consumption over any arrangement yields a
-// fresh uniform permutation).
-func (g *FilteredGroup) ResetDraws() { g.next = 0 }
-
 // Scan visits every selected value, enabling bound inference and the SCAN
 // baseline on filtered data.
 func (g *FilteredGroup) Scan(fn func(v float64)) int64 {
-	// Both representations visit rows ascending, so the window path (val)
+	// Both representations visit rows ascending, so the window path (at)
 	// decodes each touched block once through the cursor memo.
 	if g.sel.bits != nil {
 		g.sel.bits.ForEach(func(pos int) bool {
-			fn(g.val(pos))
+			fn(g.at(pos))
 			return true
 		})
 	} else {
 		for _, r := range g.sel.idx {
-			fn(g.val(int(r)))
+			fn(g.at(int(r)))
 		}
 	}
-	return int64(g.sel.count)
+	return int64(g.total)
 }

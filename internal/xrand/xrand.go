@@ -10,7 +10,10 @@
 // well-studied statistical properties.
 package xrand
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 // RNG is a deterministic pseudo-random number generator (xoshiro256**).
 // It is not safe for concurrent use; use Split to derive independent
@@ -126,24 +129,11 @@ func (r *RNG) Int64n(n int64) int64 {
 	un := uint64(n)
 	for {
 		v := r.Uint64()
-		hi, lo := mul64(v, un)
+		hi, lo := bits.Mul64(v, un)
 		if lo >= un || lo >= (-un)%un {
 			return int64(hi)
 		}
 	}
-}
-
-// mul64 returns the 128-bit product of a and b as (hi, lo).
-func mul64(a, b uint64) (hi, lo uint64) {
-	const mask32 = 1<<32 - 1
-	a0, a1 := a&mask32, a>>32
-	b0, b1 := b&mask32, b>>32
-	w0 := a0 * b0
-	t := a1*b0 + w0>>32
-	w1 := t&mask32 + a0*b1
-	hi = a1*b1 + t>>32 + w1>>32
-	lo = a * b
-	return
 }
 
 // NormFloat64 returns a standard normal variate using the Marsaglia polar
