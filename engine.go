@@ -78,10 +78,9 @@ type EngineConfig struct {
 
 // Engine executes Queries over groups. It is cheap to construct, safe for
 // concurrent use, and reusable across any number of queries: construct one
-// per service (or use the package-level default via the top-level
-// functions) and call Run from as many goroutines as you like — the
-// bounded worker pool keeps heavy concurrent traffic from oversubscribing
-// the host.
+// per service (or use DefaultEngine) and call Run from as many goroutines
+// as you like — the bounded worker pool keeps heavy concurrent traffic
+// from oversubscribing the host.
 type Engine struct {
 	cfg EngineConfig
 	sem chan struct{}
@@ -190,8 +189,7 @@ func NewEngine(cfg EngineConfig) (*Engine, error) {
 	}, nil
 }
 
-// defaultEngine backs the package-level convenience functions and the
-// deprecated wrappers.
+// defaultEngine is the engine DefaultEngine returns, built on first use.
 var defaultEngine = sync.OnceValue(func() *Engine {
 	e, err := NewEngine(EngineConfig{})
 	if err != nil {
@@ -200,8 +198,8 @@ var defaultEngine = sync.OnceValue(func() *Engine {
 	return e
 })
 
-// DefaultEngine returns the shared engine with default configuration that
-// backs the package-level functions.
+// DefaultEngine returns a shared engine with the zero EngineConfig, for
+// callers that need no configuration of their own.
 func DefaultEngine() *Engine { return defaultEngine() }
 
 // Run executes q over groups and returns the complete result. It blocks
@@ -251,10 +249,10 @@ func (e *Engine) Stream(ctx context.Context, q Query, groups []Group) <-chan Eve
 	return ch
 }
 
-// run is the one execution path behind Run, Stream, and every deprecated
-// wrapper: resolve any Where filter to a (cached) table view, normalize
-// and validate the query, acquire a worker slot, build the universe, and
-// dispatch through core.Run.
+// run is the one execution path behind Run and Stream: resolve any Where
+// filter to a (cached) table view, normalize and validate the query,
+// acquire a worker slot, build the universe, and dispatch through
+// core.Run.
 func (e *Engine) run(ctx context.Context, q Query, groups []Group, onPartial func(name string, i int, est float64, round int, eps float64)) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -343,10 +341,10 @@ func (e *Engine) run(ctx context.Context, q Query, groups []Group, onPartial fun
 		// explicitly asks for workers. BatchSize 0 (the auto-batch
 		// doubling schedule) and RoundGrowth qualify because their blocks
 		// grow dense within a few rounds. The worker count sizes a cap,
-		// not a commitment: the core driver's per-round volume gate and
-		// timing probe still fall back to the sequential loop whenever
-		// fan-out would not pay, so handing workers to a query that turns
-		// out to run small rounds costs nothing.
+		// not a commitment: the core driver's per-round volume gate still
+		// runs rounds of fewer than 1024 planned draws inline, so handing
+		// workers to a query that turns out to run small rounds costs
+		// nothing.
 		spec.Workers = e.idleWorkers()
 	}
 	// Attach to (or create) the table's shared draw stream when the query
@@ -851,15 +849,14 @@ func (e *Engine) spec(q Query, u *dataset.Universe, groups []Group) (core.Spec, 
 		// batch scales the interval-check cadence — a result-changing
 		// knob, so it keeps the scalar default; the exact scan, IREFINE,
 		// and cell runs ignore BatchSize either way. Queries that need
-		// the paper's one-sample rounds ask for BatchSize=1 explicitly
-		// (the deprecated free functions do).
+		// the paper's one-sample rounds ask for BatchSize=1 explicitly.
 		opts.BatchSize = core.BatchAuto
 	}
 	opts.RoundGrowth = q.RoundGrowth
 	opts.Bound = conc.Kind(q.ConfidenceBound)
 	if q.OnRound != nil {
 		hook := q.OnRound
-		opts.Tracer = core.GroupTracerFunc(func(m int, eps float64, epsByGroup []float64, active []bool, estimates []float64, total int64) {
+		opts.OnRound = func(m int, eps float64, epsByGroup []float64, active []bool, estimates []float64, total int64) {
 			hook(RoundTrace{
 				Round:         m,
 				Epsilon:       eps,
@@ -868,7 +865,7 @@ func (e *Engine) spec(q Query, u *dataset.Universe, groups []Group) (core.Spec, 
 				Estimates:     estimates,
 				TotalSamples:  total,
 			})
-		})
+		}
 	}
 
 	spec := core.Spec{

@@ -12,111 +12,6 @@ import (
 	"repro/internal/xrand"
 )
 
-// TestWrapperQueryEquivalence pins the compatibility contract of the API
-// redesign: every deprecated free function must produce seed-for-seed
-// identical Estimates, SampleCounts, and TotalSamples to its Query
-// equivalent run through Engine.Run. Groups are rebuilt identically for
-// each run because materialized groups carry without-replacement sampling
-// state.
-func TestWrapperQueryEquivalence(t *testing.T) {
-	means := []float64{20, 45, 70, 90}
-	build := func() []rapidviz.Group { return mkGroups(means, 20_000, 31) }
-	opts := rapidviz.Options{Bound: 100, Seed: 32}
-
-	cases := []struct {
-		name    string
-		wrapper func([]rapidviz.Group) (*rapidviz.Result, error)
-		query   rapidviz.Query
-	}{
-		{"Order", func(g []rapidviz.Group) (*rapidviz.Result, error) { return rapidviz.Order(g, opts) },
-			rapidviz.Query{}},
-		{"RoundRobin", func(g []rapidviz.Group) (*rapidviz.Result, error) { return rapidviz.RoundRobin(g, opts) },
-			rapidviz.Query{Algorithm: rapidviz.AlgoRoundRobin}},
-		{"Refine", func(g []rapidviz.Group) (*rapidviz.Result, error) { return rapidviz.Refine(g, opts) },
-			rapidviz.Query{Algorithm: rapidviz.AlgoIRefine}},
-		{"Exact", func(g []rapidviz.Group) (*rapidviz.Result, error) { return rapidviz.Exact(g, opts) },
-			rapidviz.Query{Algorithm: rapidviz.AlgoScan}},
-		{"Trend", func(g []rapidviz.Group) (*rapidviz.Result, error) { return rapidviz.Trend(g, opts) },
-			rapidviz.Query{Guarantee: rapidviz.GuaranteeTrend}},
-		{"TopT", func(g []rapidviz.Group) (*rapidviz.Result, error) {
-			r, err := rapidviz.TopT(g, 2, opts)
-			if err != nil {
-				return nil, err
-			}
-			return &r.Result, nil
-		}, rapidviz.Query{Guarantee: rapidviz.GuaranteeTopT, T: 2}},
-		{"OrderWithValues", func(g []rapidviz.Group) (*rapidviz.Result, error) { return rapidviz.OrderWithValues(g, 3, opts) },
-			rapidviz.Query{Guarantee: rapidviz.GuaranteeValues, MaxError: 3}},
-		{"OrderAllowingMistakes", func(g []rapidviz.Group) (*rapidviz.Result, error) {
-			return rapidviz.OrderAllowingMistakes(g, 0.8, opts)
-		},
-			rapidviz.Query{Guarantee: rapidviz.GuaranteeMistakes, CorrectPairs: 0.8}},
-		{"Sum", func(g []rapidviz.Group) (*rapidviz.Result, error) { return rapidviz.Sum(g, opts) },
-			rapidviz.Query{Aggregate: rapidviz.AggSum}},
-	}
-
-	eng, err := rapidviz.NewEngine(rapidviz.EngineConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			legacy, err := tc.wrapper(build())
-			if err != nil {
-				t.Fatal(err)
-			}
-			q := tc.query
-			q.Bound, q.Seed = opts.Bound, opts.Seed
-			// The deprecated wrappers promise scalar-cadence identity with
-			// the paper-faithful originals, so they pin BatchSize to 1; the
-			// Query side must match rather than pick up the auto default.
-			q.BatchSize = 1
-			modern, err := eng.Run(context.Background(), q, build())
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(legacy.Estimates) != len(modern.Estimates) {
-				t.Fatalf("estimate lengths differ: %d vs %d", len(legacy.Estimates), len(modern.Estimates))
-			}
-			for i := range legacy.Estimates {
-				if legacy.Estimates[i] != modern.Estimates[i] {
-					t.Fatalf("estimate %d differs: %v vs %v", i, legacy.Estimates[i], modern.Estimates[i])
-				}
-				if legacy.SampleCounts[i] != modern.SampleCounts[i] {
-					t.Fatalf("sample count %d differs: %d vs %d", i, legacy.SampleCounts[i], modern.SampleCounts[i])
-				}
-			}
-			if legacy.TotalSamples != modern.TotalSamples {
-				t.Fatalf("total samples differ: %d vs %d", legacy.TotalSamples, modern.TotalSamples)
-			}
-		})
-	}
-}
-
-// TestTopTWrapperEquivalence checks the top-t selection itself matches.
-func TestTopTWrapperEquivalence(t *testing.T) {
-	means := []float64{10, 80, 30, 90, 50}
-	opts := rapidviz.Options{Bound: 100, Seed: 13}
-	legacy, err := rapidviz.TopT(mkGroups(means, 20_000, 12), 2, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	modern, err := rapidviz.DefaultEngine().Run(context.Background(),
-		rapidviz.Query{Guarantee: rapidviz.GuaranteeTopT, T: 2, Bound: 100, Seed: 13},
-		mkGroups(means, 20_000, 12))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(legacy.Top) != len(modern.Top) {
-		t.Fatalf("top lengths differ: %v vs %v", legacy.Top, modern.Top)
-	}
-	for i := range legacy.Top {
-		if legacy.Top[i] != modern.Top[i] {
-			t.Fatalf("top differs: %v vs %v", legacy.Top, modern.Top)
-		}
-	}
-}
-
 // TestRunCancellation pins the context contract: a query over groups whose
 // means are exactly equal never terminates on its own (with-replacement
 // sampling), so only the deadline can end it — and Run must return

@@ -50,9 +50,10 @@ func ExampleEngine_Run() {
 	// filter
 }
 
-// ExampleOrder demonstrates the core workflow: build groups, run the
-// ordering-guaranteed estimator, read the bars back in ranked order.
-func ExampleOrder() {
+// ExampleEngine_Run_order demonstrates the core workflow: build groups,
+// run the ordering-guaranteed estimator, read the bars back in ranked
+// order.
+func ExampleEngine_Run_order() {
 	r := xrand.New(2015)
 	group := func(name string, mean float64) rapidviz.Group {
 		d := xrand.TruncNormal{Mu: mean, Sigma: 10, Lo: 0, Hi: 100}
@@ -67,7 +68,8 @@ func ExampleOrder() {
 		group("filter", 38),
 		group("decaf", 20),
 	}
-	res, err := rapidviz.Order(groups, rapidviz.Options{Bound: 100, Seed: 7})
+	res, err := rapidviz.DefaultEngine().Run(context.Background(),
+		rapidviz.Query{Bound: 100, Seed: 7, BatchSize: 1}, groups)
 	if err != nil {
 		fmt.Println(err)
 		return
@@ -91,9 +93,9 @@ func ExampleOrder() {
 	// decaf
 }
 
-// ExampleTopT finds the two best-rated products out of many without
-// resolving the order of the also-rans.
-func ExampleTopT() {
+// ExampleEngine_Run_topT finds the two best-rated products out of many
+// without resolving the order of the also-rans.
+func ExampleEngine_Run_topT() {
 	r := xrand.New(99)
 	var groups []rapidviz.Group
 	means := []float64{41, 87, 55, 93, 30, 62, 48, 71}
@@ -105,7 +107,13 @@ func ExampleTopT() {
 		}
 		groups = append(groups, rapidviz.GroupFromValues(fmt.Sprintf("p%d", i), vals))
 	}
-	res, err := rapidviz.TopT(groups, 2, rapidviz.Options{Bound: 100, Seed: 5})
+	res, err := rapidviz.DefaultEngine().Run(context.Background(), rapidviz.Query{
+		Guarantee: rapidviz.GuaranteeTopT,
+		T:         2,
+		Bound:     100,
+		Seed:      5,
+		BatchSize: 1,
+	}, groups)
 	if err != nil {
 		fmt.Println(err)
 		return

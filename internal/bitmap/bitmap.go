@@ -180,9 +180,9 @@ func (b *Bitmap) absCum(w int) int64 {
 // matter the density), a short binary search pins the word, and the bit
 // within it falls out of branchless popcount descent. (The previous
 // single-level index scanned up to selectBlockWords words per call and
-// cleared bits one by one inside the word: on dense filters that walk,
-// repeated once per drawn sample, was the 2.3x filtered-draw slowdown in
-// BENCH_core.json.)
+// cleared bits one by one inside the word: that walk, repeated once per
+// drawn sample, made dense filtered draws 2.3x slower in
+// BenchmarkFilteredDraw.)
 func (b *Bitmap) Select(rank int) (int, error) {
 	if b.super == nil {
 		b.buildIndex()

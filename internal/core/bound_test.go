@@ -256,14 +256,14 @@ func TestBernsteinPartialWidths(t *testing.T) {
 	}
 }
 
-// TestGroupTracerWidths: a GroupTracer sees per-group widths that are
-// positive for active groups, frozen for settled ones, and consistent
-// with the scalar eps (the max over live radii).
+// TestGroupTracerWidths: under a variance-adaptive bound, OnRound sees
+// per-group widths that are non-negative and consistent with the scalar
+// eps (the max over live radii).
 func TestGroupTracerWidths(t *testing.T) {
 	u := lowVarUniverse(60_000)
 	rounds := 0
 	opts := bernsteinOpts(conc.KindBernstein, 16, 1)
-	opts.Tracer = GroupTracerFunc(func(m int, eps float64, epsByGroup []float64, active []bool, est []float64, total int64) {
+	opts.OnRound = func(m int, eps float64, epsByGroup []float64, active []bool, est []float64, total int64) {
 		rounds++
 		if len(epsByGroup) != u.K() {
 			t.Fatalf("round %d: %d widths for %d groups", m, len(epsByGroup), u.K())
@@ -283,21 +283,70 @@ func TestGroupTracerWidths(t *testing.T) {
 		if maxLive > eps {
 			t.Fatalf("round %d: live width %v above scalar eps %v", m, maxLive, eps)
 		}
-	})
+	}
 	if _, err := IFocus(u, xrand.New(5), opts); err != nil {
 		t.Fatal(err)
 	}
 	if rounds == 0 {
-		t.Fatal("tracer never fired")
+		t.Fatal("OnRound never fired")
 	}
-	// The scalar TracerFunc adapter keeps working on the same run.
-	fired := false
-	opts.Tracer = TracerFunc(func(m int, eps float64, active []bool, est []float64, total int64) { fired = true })
-	if _, err := IFocus(lowVarUniverse(60_000), xrand.New(5), opts); err != nil {
-		t.Fatal(err)
+}
+
+// TestOnRoundGroupWidths: every algorithm that reports rounds hands
+// OnRound one width per group under the default Hoeffding schedule too.
+// The round driver and IREFINE report a settled group at the width it
+// froze at and an active one at eps. NOINDEX never settles a group, so it
+// reports each group live at its own count's width, the widest being eps.
+func TestOnRoundGroupWidths(t *testing.T) {
+	runs := []struct {
+		name string
+		run  func(opts Options) error
+	}{
+		{"ifocus", func(opts Options) error { _, err := IFocus(pinUniverse(), xrand.New(7), opts); return err }},
+		{"roundrobin", func(opts Options) error { _, err := RoundRobin(pinUniverse(), xrand.New(7), opts); return err }},
+		{"trend", func(opts Options) error { _, err := Trend(pinUniverse(), xrand.New(7), opts); return err }},
+		{"irefine", func(opts Options) error { _, err := IRefine(pinUniverse(), xrand.New(7), opts); return err }},
+		{"noindex", func(opts Options) error {
+			_, err := NoIndex(NewUniverseTupleSource(pinUniverse()), xrand.New(7), opts, 0)
+			return err
+		}},
 	}
-	if !fired {
-		t.Fatal("scalar tracer adapter never fired")
+	for _, r := range runs {
+		t.Run(r.name, func(t *testing.T) {
+			k := pinUniverse().K()
+			frozen := make(map[int]float64)
+			events := 0
+			opts := DefaultOptions()
+			opts.OnRound = func(m int, eps float64, epsByGroup []float64, active []bool, _ []float64, _ int64) {
+				events++
+				if len(epsByGroup) != k {
+					t.Fatalf("round %d: %d widths for %d groups", m, len(epsByGroup), k)
+				}
+				widest := 0.0
+				for i, w := range epsByGroup {
+					widest = math.Max(widest, w)
+					switch {
+					case r.name == "noindex":
+					case !active[i]:
+						if f, ok := frozen[i]; ok && w != f {
+							t.Fatalf("round %d: settled group %d width moved from %v to %v", m, i, f, w)
+						}
+						frozen[i] = w
+					case w != eps:
+						t.Fatalf("round %d: active group %d width %v, want eps %v", m, i, w, eps)
+					}
+				}
+				if r.name == "noindex" && widest != eps {
+					t.Fatalf("round %d: widest width %v, want eps %v", m, widest, eps)
+				}
+			}
+			if err := r.run(opts); err != nil {
+				t.Fatal(err)
+			}
+			if events == 0 {
+				t.Fatal("OnRound never fired")
+			}
+		})
 	}
 }
 

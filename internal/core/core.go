@@ -95,13 +95,11 @@ type Options struct {
 	// cross-group decisions run after the draw barrier in deterministic
 	// group order — so Workers is purely a throughput knob, safe to leave
 	// on everywhere. 0 sizes the pool to runtime.GOMAXPROCS; any value is
-	// clamped to GOMAXPROCS and the group count, and the fan-out is
-	// adaptive on top: rounds too small to amortize the pool dispatch run
-	// inline, and a periodic timing probe falls back to the sequential
-	// loop whenever parallelism does not pay on the current hardware
-	// (timing only ever picks *how* the same draws execute, never what
-	// they are, so results stay deterministic). 1 always draws inline.
-	// Negative values are invalid.
+	// clamped to GOMAXPROCS and the group count. A round fans out only
+	// when it plans at least 1024 draws across two or more groups; smaller
+	// rounds, which cannot amortize the pool dispatch, run inline. The
+	// choice depends on the round's plan alone, never on a clock. 1 always
+	// draws inline. Negative values are invalid.
 	Workers int
 	// Draws, when non-nil, feeds the run from a shared offset-addressed
 	// draw source (dataset.Broker) instead of private per-group streams:
@@ -114,9 +112,14 @@ type Options struct {
 	// paths can be fed this way; Run rejects specs with custom draw hooks
 	// (pair draws, normalized draws, tuple sampling).
 	Draws dataset.DrawSource
-	// Tracer, when non-nil, observes every round (used by the convergence
-	// experiments behind Figures 5(c) and 6(a)).
-	Tracer Tracer
+	// OnRound, when non-nil, observes every round (Query.OnRound and the
+	// convergence experiments behind Figures 5(c) and 6(a)). It receives
+	// the round number m, the widest live half-width eps, each group's
+	// half-width — its live radius while active (eps under the default
+	// schedule), the width it was frozen at once settled — the active
+	// flags, the current estimates, and the cumulative sample count. The
+	// slices are reused between rounds; copy them to retain them.
+	OnRound func(m int, eps float64, epsByGroup []float64, active []bool, estimates []float64, totalSamples int64)
 	// OnPartial, when non-nil, is invoked the moment a group's estimate
 	// settles (it becomes inactive), implementing the partial-results
 	// extension of §6.2.2. Arguments are the group index, its estimate,
@@ -226,50 +229,6 @@ func (o *Options) validate(u *dataset.Universe) error {
 		return fmt.Errorf("core: without-replacement sampling requires known group sizes")
 	}
 	return nil
-}
-
-// Tracer observes algorithm execution round by round.
-type Tracer interface {
-	// OnRound is called after each sampling round with the round number m,
-	// the current interval half-width eps (the widest live radius when
-	// per-group widths differ), the active flags, the current estimates,
-	// and the cumulative sample count.
-	OnRound(m int, eps float64, active []bool, estimates []float64, totalSamples int64)
-}
-
-// GroupTracer extends Tracer with the per-group interval half-widths:
-// active groups report their live radius (all equal to eps under the
-// default schedule, per-group under variance-adaptive bounds), settled
-// groups the width their interval was frozen at. Tracers implementing it
-// receive OnRoundGroups instead of OnRound. The epsByGroup slice is reused
-// between rounds; implementations must copy it to retain it.
-type GroupTracer interface {
-	Tracer
-	OnRoundGroups(m int, eps float64, epsByGroup []float64, active []bool, estimates []float64, totalSamples int64)
-}
-
-// TracerFunc adapts a function with the original scalar-eps signature to
-// the Tracer interface, keeping every pre-pluggable-bound tracer working
-// unchanged; per-group widths go to GroupTracerFunc instead.
-type TracerFunc func(m int, eps float64, active []bool, estimates []float64, totalSamples int64)
-
-// OnRound implements Tracer.
-func (f TracerFunc) OnRound(m int, eps float64, active []bool, estimates []float64, totalSamples int64) {
-	f(m, eps, active, estimates, totalSamples)
-}
-
-// GroupTracerFunc adapts a function to the GroupTracer interface.
-type GroupTracerFunc func(m int, eps float64, epsByGroup []float64, active []bool, estimates []float64, totalSamples int64)
-
-// OnRound implements Tracer: the adapter for algorithms (or rounds) that
-// report only the scalar width — epsByGroup arrives nil.
-func (f GroupTracerFunc) OnRound(m int, eps float64, active []bool, estimates []float64, totalSamples int64) {
-	f(m, eps, nil, active, estimates, totalSamples)
-}
-
-// OnRoundGroups implements GroupTracer.
-func (f GroupTracerFunc) OnRoundGroups(m int, eps float64, epsByGroup []float64, active []bool, estimates []float64, totalSamples int64) {
-	f(m, eps, epsByGroup, active, estimates, totalSamples)
 }
 
 // Result reports the outcome of a sampling run.

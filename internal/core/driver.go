@@ -4,7 +4,6 @@ import (
 	"math"
 	"runtime"
 	"sync"
-	"time"
 
 	"repro/internal/conc"
 	"repro/internal/dataset"
@@ -124,21 +123,10 @@ type roundLoop struct {
 	drawN   []int       // matching per-group block sizes
 	bufs    [][]float64 // per-worker block draw buffers
 
-	// Adaptive fan-out state. Rounds dense enough to clear the volume gate
-	// run a two-round timing probe (one sequential, one parallel) and then
-	// lock whichever loop was faster per draw, re-probing periodically so
-	// a run that outlives a load shift can switch. Timing only ever picks
-	// how the same planned draws execute — worker invariance makes the
-	// results identical either way — so the probe is result-safe.
-	parMode      int8
-	seqNsPerDraw float64
-	parNsPerDraw float64
-	parRounds    int // gated rounds since the last probe concluded
-
 	ivsBuf   []interval // scratch for the unequal-width sweep
 	orderBuf []int      // the isolation sweeps' sort permutation, carried across rounds
 	orderFor int8       // which sweep family orderBuf belongs to
-	traceEps []float64  // scratch per-group widths handed to GroupTracer
+	traceEps []float64  // scratch per-group widths handed to OnRound
 
 	// scratch is the pooled arena behind every per-run buffer above that
 	// does not escape into the Result (estimates and settledR do escape and
@@ -231,14 +219,6 @@ func (lp *roundLoop) release() {
 	loopScratchPool.Put(sc)
 }
 
-// parMode values: the fan-out decision state machine.
-const (
-	parProbeSeq int8 = iota // next gated round runs sequentially, timed
-	parProbePar             // next gated round runs parallel, timed
-	parLockSeq              // probe concluded: sequential loop wins
-	parLockPar              // probe concluded: parallel fan-out wins
-)
-
 // orderFor values: which call family the carried orderBuf permutation
 // belongs to. Sweeps only carry the order across rounds of the same
 // family; a kind switch (impossible within one run today, since the bound
@@ -249,19 +229,11 @@ const (
 	orderGeneral
 )
 
-// Adaptive fan-out tuning. minParallelRoundDraws is the planned draw
-// volume below which a round always runs inline: dispatching the pool
-// costs on the order of microseconds, so scalar and near-scalar rounds
-// (one block per group, tiny blocks) never pay for it. reprobeRounds is
-// how many gated rounds a locked decision holds before the probe runs
-// again. parWinFactor is how much faster per draw the parallel probe
-// must be to win — a strict improvement, so ties keep the cheaper
-// sequential loop.
-const (
-	minParallelRoundDraws = 1024
-	reprobeRounds         = 64
-	parWinFactor          = 0.9
-)
+// minParallelRoundDraws is the planned draw volume below which a round
+// always runs inline: dispatching the pool costs on the order of
+// microseconds, so scalar and near-scalar rounds (one block per group,
+// tiny blocks) never pay for it.
+const minParallelRoundDraws = 1024
 
 // newRoundLoop builds the loop state. opts must already be validated. The
 // run's RNG discipline is fixed here: one word is taken from rng and every
@@ -274,8 +246,8 @@ func newRoundLoop(u *dataset.Universe, rng *xrand.RNG, opts *Options, algo round
 	// request is clamped to GOMAXPROCS (goroutines beyond the schedulable
 	// parallelism only add handoff cost — the measured 25% workers=8 tax
 	// on a single core) and to the group count. Whether a given round
-	// actually fans out is decided per round by the volume gate and the
-	// timing probe in drawRound.
+	// actually fans out is decided per round by the volume gate in
+	// drawRound.
 	maxPar := runtime.GOMAXPROCS(0)
 	workers := opts.Workers
 	if workers == 0 {
@@ -321,7 +293,7 @@ func newRoundLoop(u *dataset.Universe, rng *xrand.RNG, opts *Options, algo round
 		}
 	}
 	var traceEps []float64
-	if opts.Tracer != nil {
+	if opts.OnRound != nil {
 		traceEps = f64Scratch(sc.traceEps, k)
 	}
 	nb := max(1, workers)
@@ -514,58 +486,14 @@ func (lp *roundLoop) drawRound(fresh int) {
 		planned += n
 	}
 	if lp.workers <= 1 || len(lp.drawIdx) <= 1 || planned < minParallelRoundDraws {
-		// Below the volume gate the pool dispatch costs more than the
-		// draws it would spread; scalar and near-scalar rounds always run
-		// inline, deterministically, with no timing involved.
-		lp.drawSequential()
+		for j, i := range lp.drawIdx {
+			lp.drawGroup(0, i, lp.drawN[j])
+		}
 		return
 	}
-	switch lp.parMode {
-	case parProbeSeq:
-		start := time.Now()
-		lp.drawSequential()
-		lp.seqNsPerDraw = float64(time.Since(start)) / float64(planned)
-		lp.parMode = parProbePar
-	case parProbePar:
-		start := time.Now()
-		lp.drawParallel()
-		lp.parNsPerDraw = float64(time.Since(start)) / float64(planned)
-		if lp.parNsPerDraw < lp.seqNsPerDraw*parWinFactor {
-			lp.parMode = parLockPar
-		} else {
-			lp.parMode = parLockSeq
-		}
-		lp.parRounds = 0
-	case parLockSeq:
-		lp.drawSequential()
-		lp.bumpReprobe()
-	case parLockPar:
-		lp.drawParallel()
-		lp.bumpReprobe()
-	}
-}
-
-// drawSequential runs the planned draws inline on the calling goroutine.
-func (lp *roundLoop) drawSequential() {
-	for j, i := range lp.drawIdx {
-		lp.drawGroup(0, i, lp.drawN[j])
-	}
-}
-
-// drawParallel fans the planned draws across the worker pool.
-func (lp *roundLoop) drawParallel() {
 	ParallelForWorkers(len(lp.drawIdx), lp.workers, func(w, j int) {
 		lp.drawGroup(w, lp.drawIdx[j], lp.drawN[j])
 	})
-}
-
-// bumpReprobe re-arms the timing probe after enough gated rounds have run
-// on the locked decision.
-func (lp *roundLoop) bumpReprobe() {
-	lp.parRounds++
-	if lp.parRounds >= reprobeRounds {
-		lp.parMode = parProbeSeq
-	}
 }
 
 // drawGroup folds n fresh samples into group i's running mean, using
@@ -753,12 +681,11 @@ func (lp *roundLoop) settleAllRemaining(notify bool) {
 	}
 }
 
-// trace emits one tracer event, honoring the algorithm's display and flag
-// overrides. A GroupTracer additionally receives the per-group widths:
-// frozen for settled groups, the live radius (eps under the default
-// schedule) for active ones.
+// trace emits one OnRound event, honoring the algorithm's display and
+// flag overrides. The per-group widths are frozen for settled groups and
+// the live radius (eps under the default schedule) for active ones.
 func (lp *roundLoop) trace(m int, eps float64) {
-	if lp.opts.Tracer == nil {
+	if lp.opts.OnRound == nil {
 		return
 	}
 	flags := lp.active
@@ -769,24 +696,17 @@ func (lp *roundLoop) trace(m int, eps float64) {
 	if lp.algo.display != nil {
 		est = lp.algo.display
 	}
-	if gt, ok := lp.opts.Tracer.(GroupTracer); ok {
-		if lp.traceEps == nil {
-			lp.traceEps = make([]float64, lp.k)
+	for i := 0; i < lp.k; i++ {
+		switch {
+		case !lp.active[i]:
+			lp.traceEps[i] = lp.frozenEps[i]
+		case lp.bound != nil:
+			lp.traceEps[i] = lp.epsG[i]
+		default:
+			lp.traceEps[i] = eps
 		}
-		for i := 0; i < lp.k; i++ {
-			switch {
-			case !lp.active[i]:
-				lp.traceEps[i] = lp.frozenEps[i]
-			case lp.bound != nil:
-				lp.traceEps[i] = lp.epsG[i]
-			default:
-				lp.traceEps[i] = eps
-			}
-		}
-		gt.OnRoundGroups(m, eps, lp.traceEps, flags, est, lp.sampler.Total())
-		return
 	}
-	lp.opts.Tracer.OnRound(m, eps, flags, est, lp.sampler.Total())
+	lp.opts.OnRound(m, eps, lp.traceEps, flags, est, lp.sampler.Total())
 }
 
 // result assembles the common Result shape and returns the run's scratch

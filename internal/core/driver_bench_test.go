@@ -84,9 +84,7 @@ func BenchmarkIFocus(b *testing.B) {
 // fixed-work IFOCUS run at batch=256 with the per-group block draws fanned
 // across increasing worker counts. Results are bit-identical at every
 // worker count (TestWorkerInvariance), so samples/sec is directly
-// comparable across sub-benchmarks; the CI bench job records workers=1
-// against workers=ncpu in BENCH_core.json to track the scaling trajectory.
-// The acceptance bar for the parallel driver is ≥3× samples/sec at
+// comparable across sub-benchmarks. The acceptance bar for the parallel driver is ≥3× samples/sec at
 // workers=8 over workers=1 on 8+ core hardware.
 func BenchmarkIFocusParallel(b *testing.B) {
 	const (

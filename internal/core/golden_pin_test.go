@@ -109,13 +109,13 @@ func (p *partialRecorder) hook() func(int, float64, int, float64) {
 
 func (p *partialRecorder) String() string { return strings.Join(p.events, ",") }
 
-// traceRecorder fingerprints the tracer stream (round, eps, active count,
+// traceRecorder fingerprints the OnRound stream (round, eps, active count,
 // cumulative samples).
 type traceRecorder struct {
 	events []string
 }
 
-func (tr *traceRecorder) OnRound(m int, eps float64, active []bool, estimates []float64, total int64) {
+func (tr *traceRecorder) OnRound(m int, eps float64, _ []float64, active []bool, estimates []float64, total int64) {
 	n := 0
 	for _, a := range active {
 		if a {
@@ -144,7 +144,7 @@ func pinCases() []pinCase {
 				var pr partialRecorder
 				var tr traceRecorder
 				opts.OnPartial = pr.hook()
-				opts.Tracer = &tr
+				opts.OnRound = tr.OnRound
 				res, err := IFocus(pinUniverse(), xrand.New(7), opts)
 				if err != nil {
 					t.Fatal(err)
@@ -205,7 +205,7 @@ func pinCases() []pinCase {
 			run: func(t *testing.T) string {
 				var tr traceRecorder
 				opts := DefaultOptions()
-				opts.Tracer = &tr
+				opts.OnRound = tr.OnRound
 				res, err := RoundRobin(pinUniverse(), xrand.New(7), opts)
 				return fingerprint(res, err) + " traceTail=" + tr.events[len(tr.events)-1]
 			},

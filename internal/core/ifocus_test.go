@@ -229,7 +229,7 @@ func TestIFocusTracerInvariants(t *testing.T) {
 	prevActive := 4
 	calls := 0
 	opts := DefaultOptions()
-	opts.Tracer = TracerFunc(func(m int, eps float64, active []bool, est []float64, total int64) {
+	opts.OnRound = func(m int, eps float64, _ []float64, active []bool, est []float64, total int64) {
 		calls++
 		n := 0
 		for _, a := range active {
@@ -247,7 +247,7 @@ func TestIFocusTracerInvariants(t *testing.T) {
 			prevEps = eps
 		}
 		prevActive = n
-	})
+	}
 	if _, err := IFocus(u, xrand.New(10), opts); err != nil {
 		t.Fatal(err)
 	}

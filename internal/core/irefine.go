@@ -104,18 +104,14 @@ func IRefine(u *dataset.Universe, rng *xrand.RNG, opts Options) (*Result, error)
 				}
 			}
 		}
-		if opts.Tracer != nil {
+		if opts.OnRound != nil {
 			maxEps := 0.0
 			for i := 0; i < k; i++ {
 				if active[i] && epsilons[i] > maxEps {
 					maxEps = epsilons[i]
 				}
 			}
-			if gt, ok := opts.Tracer.(GroupTracer); ok {
-				gt.OnRoundGroups(round, maxEps, epsilons, active, estimates, sampler.Total())
-			} else {
-				opts.Tracer.OnRound(round, maxEps, active, estimates, sampler.Total())
-			}
+			opts.OnRound(round, maxEps, epsilons, active, estimates, sampler.Total())
 		}
 		if opts.MaxRounds > 0 && round >= opts.MaxRounds && numActive > 0 {
 			res.Capped = true

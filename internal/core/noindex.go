@@ -128,11 +128,11 @@ func NoIndex(src TupleSource, rng *xrand.RNG, opts Options, maxDraws int64) (*No
 	isolated := make([]bool, k)
 	ivs := make([]interval, k)
 	var orderBuf []int
-	// Tracer support: table-wide draws never deactivate a group, so every
-	// group reports as live; widths go to GroupTracer implementations.
+	// Table-wide draws never deactivate a group, so every group reports to
+	// OnRound as live.
 	var traceActive []bool
 	var traceEps []float64
-	if opts.Tracer != nil {
+	if opts.OnRound != nil {
 		traceActive = make([]bool, k)
 		for i := range traceActive {
 			traceActive[i] = true
@@ -187,17 +187,12 @@ func NoIndex(src TupleSource, rng *xrand.RNG, opts Options, maxDraws int64) (*No
 						maxEps = w
 					}
 					ivs[i] = interval{estimates[i] - w, estimates[i] + w}
+					if traceEps != nil {
+						traceEps[i] = w
+					}
 				}
-				if opts.Tracer != nil {
-					for i := 0; i < k; i++ {
-						traceEps[i] = ivs[i].hi - estimates[i]
-					}
-					round := int(total / checkEvery)
-					if gt, ok := opts.Tracer.(GroupTracer); ok {
-						gt.OnRoundGroups(round, maxEps, traceEps, traceActive, estimates, total)
-					} else {
-						opts.Tracer.OnRound(round, maxEps, traceActive, estimates, total)
-					}
+				if opts.OnRound != nil {
+					opts.OnRound(int(total/checkEvery), maxEps, traceEps, traceActive, estimates, total)
 				}
 				orderBuf = isolatedGeneral(ivs, isolated, orderBuf, len(orderBuf) == len(ivs))
 				done := true

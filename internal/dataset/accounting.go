@@ -29,8 +29,7 @@ import (
 // stream) is still per group and unsynchronized: at most one goroutine may
 // draw from a given group at a time.
 type Sampler struct {
-	u   *Universe
-	rng *xrand.RNG
+	u *Universe
 	// streams holds the per-group generators as one contiguous value slice
 	// (one allocation for k streams, not k); RNGFor hands out &streams[i].
 	streams []xrand.RNG
@@ -61,33 +60,38 @@ type Sampler struct {
 	kernels []*drawCore
 }
 
-// NewSampler returns a sampler over u whose draws all consume the one
-// shared generator rng, in draw order. If withoutReplacement is true,
-// groups implementing WithoutReplacementGroup are consumed without
-// replacement — starting from the identity arrangement: any draw state
-// left on the groups by a previous run is reset, so reusing one Universe
-// across consecutive runs replays the same streams instead of silently
-// continuing (or exhausting) an earlier run's permutation.
-//
-// Because the shared stream is consumed in draw order, a shared-RNG
-// sampler must be drawn from sequentially. The parallel round driver uses
-// NewStreamSampler instead.
-func NewSampler(u *Universe, rng *xrand.RNG, withoutReplacement bool) *Sampler {
-	return newSampler(u, rng, nil, withoutReplacement)
-}
-
 // NewStreamSampler returns a sampler over u in which every group owns a
 // deterministic RNG stream derived from base and the group's index
 // (xrand.NewStream). Group i's randomness is then a pure function of
 // (base, i) and the number of samples it has drawn — never of the order
 // groups were visited — so runs produce identical results whether groups
 // are drawn sequentially or fanned across any number of workers.
+//
+// If withoutReplacement is true, groups implementing
+// WithoutReplacementGroup are consumed without replacement, starting from
+// the identity arrangement: any draw state left on the groups by a
+// previous run is reset, so reusing one Universe across consecutive runs
+// replays the same streams instead of silently continuing (or exhausting)
+// an earlier run's permutation.
 func NewStreamSampler(u *Universe, base uint64, withoutReplacement bool) *Sampler {
+	if withoutReplacement {
+		for _, g := range u.Groups {
+			if wg, ok := g.(WithoutReplacementGroup); ok {
+				wg.ResetDraws()
+			}
+		}
+	}
 	streams := make([]xrand.RNG, u.K())
 	for i := range streams {
 		streams[i] = xrand.Stream(base, uint64(i))
 	}
-	return newSampler(u, nil, streams, withoutReplacement)
+	return &Sampler{
+		u:         u,
+		streams:   streams,
+		without:   withoutReplacement,
+		counts:    make([]int64, u.K()),
+		exhausted: make([]atomic.Bool, u.K()),
+	}
 }
 
 // NewSourceSampler returns a sampler over u whose draws are served by an
@@ -103,24 +107,6 @@ func NewSourceSampler(u *Universe, src DrawSource, withoutReplacement bool) *Sam
 	return &Sampler{
 		u:         u,
 		source:    src,
-		without:   withoutReplacement,
-		counts:    make([]int64, u.K()),
-		exhausted: make([]atomic.Bool, u.K()),
-	}
-}
-
-func newSampler(u *Universe, rng *xrand.RNG, streams []xrand.RNG, withoutReplacement bool) *Sampler {
-	if withoutReplacement {
-		for _, g := range u.Groups {
-			if wg, ok := g.(WithoutReplacementGroup); ok {
-				wg.ResetDraws()
-			}
-		}
-	}
-	return &Sampler{
-		u:         u,
-		rng:       rng,
-		streams:   streams,
 		without:   withoutReplacement,
 		counts:    make([]int64, u.K()),
 		exhausted: make([]atomic.Bool, u.K()),
@@ -261,24 +247,18 @@ func (s *Sampler) Total() int64 { return atomic.LoadInt64(&s.total) }
 // Exhausted reports whether group i ran out of without-replacement samples.
 func (s *Sampler) Exhausted(i int) bool { return s.exhausted[i].Load() }
 
-// RNG exposes the sampler's shared generator for algorithms that need
-// auxiliary randomness. It is nil for stream samplers, whose randomness is
-// all per group — use RNGFor there.
-func (s *Sampler) RNG() *xrand.RNG { return s.rng }
-
 // RNGFor returns the generator that feeds group i's draws: the group's own
-// stream on a stream sampler, the shared generator otherwise. Algorithms
-// with custom draw paths (pair draws, membership indicators) must take
-// their auxiliary randomness from here so the per-group stream discipline
-// — and with it worker invariance — extends to every sample they consume.
-// Source-fed samplers have no generator at all (draws are addressed by
-// offset) and return nil; algorithms with custom draw paths cannot run on
-// them, which core.Run enforces.
+// stream. Algorithms with custom draw paths (pair draws, membership
+// indicators) must take their auxiliary randomness from here so the
+// per-group stream discipline — and with it worker invariance — extends to
+// every sample they consume. Source-fed samplers have no generator at all
+// (draws are addressed by offset) and return nil; algorithms with custom
+// draw paths cannot run on them, which core.Run enforces.
 func (s *Sampler) RNGFor(i int) *xrand.RNG {
-	if s.streams != nil {
-		return &s.streams[i]
+	if s.streams == nil {
+		return nil
 	}
-	return s.rng
+	return &s.streams[i]
 }
 
 // EnableMoments switches on per-group moment accounting: one Welford

@@ -113,8 +113,8 @@ func TestSamplerDrawBatchMatchesScalar(t *testing.T) {
 				NewSliceGroup("a", append([]float64(nil), vals...)),
 				NewSliceGroup("b", append([]float64(nil), vals...)))
 		}
-		s1 := NewSampler(mk(), xrand.New(21), without)
-		s2 := NewSampler(mk(), xrand.New(21), without)
+		s1 := NewStreamSampler(mk(), 21, without)
+		s2 := NewStreamSampler(mk(), 21, without)
 		want := make([]float64, 90)
 		for i := range want {
 			want[i] = s1.Draw(i % 2)
@@ -143,7 +143,7 @@ func TestSamplerDrawBatchMatchesScalar(t *testing.T) {
 // repeated scalar draws, and records the exhaustion.
 func TestSamplerDrawBatchExhaustionFallback(t *testing.T) {
 	u := NewUniverse(10, NewSliceGroup("a", []float64{1, 2, 3, 4, 5}))
-	s := NewSampler(u, xrand.New(3), true)
+	s := NewStreamSampler(u, 3, true)
 	dst := make([]float64, 9)
 	s.DrawBatch(0, dst)
 	if !s.Exhausted(0) {
@@ -176,7 +176,7 @@ func TestSamplerResetsDrawStateAcrossRuns(t *testing.T) {
 	}
 	u := NewUniverse(100, NewSliceGroup("a", vals))
 
-	s1 := NewSampler(u, xrand.New(1), true)
+	s1 := NewStreamSampler(u, 1, true)
 	for i := 0; i < len(vals); i++ {
 		s1.Draw(0) // exhaust the permutation completely
 	}
@@ -187,7 +187,7 @@ func TestSamplerResetsDrawStateAcrossRuns(t *testing.T) {
 	// Before the fix, every draw of the second run fell back to
 	// with-replacement sampling (duplicates, Exhausted set). After it, the
 	// run consumes a fresh full permutation: every value exactly once.
-	s2 := NewSampler(u, xrand.New(2), true)
+	s2 := NewStreamSampler(u, 2, true)
 	seen := map[float64]int{}
 	for i := 0; i < len(vals); i++ {
 		seen[s2.Draw(0)]++

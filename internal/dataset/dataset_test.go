@@ -201,7 +201,7 @@ func TestSamplerAccounting(t *testing.T) {
 		NewSliceGroup("a", []float64{1, 1, 1}),
 		NewSliceGroup("b", []float64{2, 2}),
 	)
-	s := NewSampler(u, xrand.New(4), false)
+	s := NewStreamSampler(u, 4, false)
 	for i := 0; i < 5; i++ {
 		s.Draw(0)
 	}
@@ -213,7 +213,7 @@ func TestSamplerAccounting(t *testing.T) {
 
 func TestSamplerWithoutReplacementExhaustion(t *testing.T) {
 	u := NewUniverse(10, NewSliceGroup("a", []float64{1, 2}))
-	s := NewSampler(u, xrand.New(5), true)
+	s := NewStreamSampler(u, 5, true)
 	s.Draw(0)
 	s.Draw(0)
 	if s.Exhausted(0) {
@@ -227,10 +227,10 @@ func TestSamplerWithoutReplacementExhaustion(t *testing.T) {
 
 func TestSamplerModes(t *testing.T) {
 	u := NewUniverse(10, NewSliceGroup("a", []float64{1}))
-	if !NewSampler(u, xrand.New(1), true).WithoutReplacement() {
+	if !NewStreamSampler(u, 1, true).WithoutReplacement() {
 		t.Fatal("mode flag lost")
 	}
-	if NewSampler(u, xrand.New(1), false).WithoutReplacement() {
+	if NewStreamSampler(u, 1, false).WithoutReplacement() {
 		t.Fatal("mode flag wrong")
 	}
 }

@@ -9,13 +9,13 @@ func DrainDrawPool(g Group) (perms [][]int32, released, ok bool) {
 		return nil, false, false
 	}
 	c := bd.core()
-	for {
-		sc, _ := c.pool.Get().(*drawScratch)
-		if sc == nil {
-			return perms, c.sc == nil && c.next == 0, true
-		}
+	c.pool.mu.Lock()
+	defer c.pool.mu.Unlock()
+	for _, sc := range c.pool.free {
 		if sc.perm != nil {
 			perms = append(perms, sc.perm)
 		}
 	}
+	c.pool.free = nil
+	return perms, c.sc == nil && c.next == 0, true
 }

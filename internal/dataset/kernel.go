@@ -24,12 +24,13 @@
 // A block of one is the scalar path: one direct step, no scratch traffic.
 //
 // Draw state is recycled, not per-query garbage: the permutation and the
-// staging buffers live in a drawScratch taken from a pool shared by every
-// view of the group, and handed back — the permutation restored to the
-// identity — when the run that used it ends (Universe.ReleaseDraws).
+// staging buffers live in a drawScratch taken from a free list shared by
+// every view of the group, and handed back — the permutation restored to
+// the identity — when the run that used it ends (Universe.ReleaseDraws).
 package dataset
 
 import (
+	"runtime"
 	"slices"
 	"sync"
 
@@ -42,6 +43,43 @@ type drawScratch struct {
 	rows []int32   // a block's targets, then drawn ranks, then rows — draw order
 	keys []uint64  // (row<<32 | slot) sort keys of the row-ordered gather
 	vals []float64 // a block's values, draw order (DrawBlockSum)
+}
+
+// drawPool is the free list of draw scratch every view of one group
+// shares. It is last in, first out, so a run takes the scratch the
+// previous run released, and it keeps at most max idle entries — the
+// GOMAXPROCS of the group's creation, as many views as can draw at once —
+// for the group's lifetime. Unlike a sync.Pool it is not emptied by a
+// garbage collection, so a query's allocation does not depend on when the
+// collector last ran.
+type drawPool struct {
+	mu   sync.Mutex
+	free []*drawScratch
+	max  int
+}
+
+// get pops the most recently released scratch, or returns a new one.
+func (p *drawPool) get() *drawScratch {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	n := len(p.free)
+	if n == 0 {
+		return new(drawScratch)
+	}
+	sc := p.free[n-1]
+	p.free[n-1] = nil
+	p.free = p.free[:n-1]
+	return sc
+}
+
+// put returns sc to the list, or drops it to the garbage collector when
+// the list already holds max entries.
+func (p *drawPool) put(sc *drawScratch) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if len(p.free) < p.max {
+		p.free = append(p.free, sc)
+	}
 }
 
 // drawCore is the draw machinery SliceGroup and FilteredGroup embed: a
@@ -64,9 +102,8 @@ type drawCore struct {
 	// segment-backed groups past sparsePermGate use it.
 	sparse bool
 	// pool recycles drawScratch among every view of the group (views copy
-	// the pointer), so its permutations all have length total. A sync.Pool:
-	// idle scratch is the garbage collector's to reclaim.
-	pool *sync.Pool
+	// the pointer), so its permutations all have length total.
+	pool *drawPool
 
 	// next counts the permutation's consumed prefix: perm[0..next) have been
 	// drawn. The permutation is built by an inside-out Fisher–Yates so that
@@ -77,7 +114,7 @@ type drawCore struct {
 }
 
 func newDrawCore(values []float64, win *blockWindow, sel *selection) drawCore {
-	g := drawCore{values: values, win: win, sel: sel, total: len(values), pool: new(sync.Pool)}
+	g := drawCore{values: values, win: win, sel: sel, total: len(values), pool: &drawPool{max: runtime.GOMAXPROCS(0)}}
 	if win != nil {
 		g.total = win.n
 	}
@@ -90,12 +127,8 @@ func newDrawCore(values []float64, win *blockWindow, sel *selection) drawCore {
 // scratch returns the view's draw scratch, taking it from the pool on
 // first use.
 func (g *drawCore) scratch() *drawScratch {
-	if g.sc != nil {
-		return g.sc
-	}
-	g.sc, _ = g.pool.Get().(*drawScratch)
 	if g.sc == nil {
-		g.sc = new(drawScratch)
+		g.sc = g.pool.get()
 	}
 	return g.sc
 }
@@ -330,7 +363,7 @@ func (g *drawCore) ResetDraws() {
 func (g *drawCore) releaseDraws() {
 	g.ResetDraws()
 	if g.sc != nil {
-		g.pool.Put(g.sc)
+		g.pool.put(g.sc)
 		g.sc = nil
 	}
 }

@@ -3,6 +3,7 @@ package dataset
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -247,24 +248,61 @@ func TestKernelFallsBackOnVirtualGroups(t *testing.T) {
 func TestViewsRecycleReleasedPermutation(t *testing.T) {
 	tab := kernelTestTable(t)
 	for _, first := range []int{1, 64} {
-		reused := 0
-		// sync.Pool may drop any one Put (under -race it drops a quarter at
-		// random): ask for one reuse in eight.
-		for attempt := 0; attempt < 8; attempt++ {
-			a := NewStreamSampler(NewUniverse(100, tab.View()...), 1, true)
-			a.DrawBatch(0, make([]float64, 64))
-			released := a.u.Groups[0].(blockDrawer).core().sc.perm
-			a.u.ReleaseDraws()
+		a := NewStreamSampler(NewUniverse(100, tab.View()...), 1, true)
+		a.DrawBatch(0, make([]float64, 64))
+		released := a.u.Groups[0].(blockDrawer).core().sc.perm
+		a.u.ReleaseDraws()
 
-			b := NewStreamSampler(NewUniverse(100, tab.View()...), 2, true)
-			b.DrawBatch(0, make([]float64, first))
-			if got := b.u.Groups[0].(blockDrawer).core().sc.perm; &got[0] == &released[0] {
-				reused++
-			}
-			b.u.ReleaseDraws()
+		b := NewStreamSampler(NewUniverse(100, tab.View()...), 2, true)
+		b.DrawBatch(0, make([]float64, first))
+		if got := b.u.Groups[0].(blockDrawer).core().sc.perm; &got[0] != &released[0] {
+			t.Fatalf("first draw of %d: the view built its own permutation instead of reusing the released one", first)
 		}
-		if reused == 0 {
-			t.Fatalf("first draw of %d: no view in eight reused the released permutation", first)
-		}
+		b.u.ReleaseDraws()
+	}
+}
+
+// TestDrawStateSurvivesGC: consecutive runs over one table share a single
+// permutation per group however often the garbage collector runs between
+// them, so a query's allocation does not depend on GC timing. Each gap
+// runs two collections: one alone leaves a sync.Pool's contents in its
+// victim cache, two drop them.
+func TestDrawStateSurvivesGC(t *testing.T) {
+	tab := kernelTestTable(t)
+	perms := make(map[*int32]bool)
+	for run := 0; run < 50; run++ {
+		s := NewStreamSampler(NewUniverse(100, tab.View()...), uint64(run), true)
+		s.DrawBatch(0, make([]float64, 64))
+		perms[&s.u.Groups[0].(blockDrawer).core().sc.perm[0]] = true
+		s.u.ReleaseDraws()
+		runtime.GC()
+		runtime.GC()
+	}
+	if len(perms) != 1 {
+		t.Fatalf("50 runs allocated %d permutations, want 1", len(perms))
+	}
+}
+
+// TestDrawPoolKeepsAtMostGOMAXPROCS: more views than GOMAXPROCS can draw
+// at once, but after they all release, the group keeps only GOMAXPROCS
+// idle scratch entries — the retention bound.
+func TestDrawPoolKeepsAtMostGOMAXPROCS(t *testing.T) {
+	tab := kernelTestTable(t)
+	limit := runtime.GOMAXPROCS(0)
+	var held []*Universe
+	for v := 0; v < limit+3; v++ {
+		u := NewUniverse(100, tab.View()...)
+		NewStreamSampler(u, uint64(v), true).DrawBatch(0, make([]float64, 64))
+		held = append(held, u)
+	}
+	for _, u := range held {
+		u.ReleaseDraws()
+	}
+	perms, released, ok := DrainDrawPool(tab.View()[0])
+	if !ok || !released {
+		t.Fatalf("drain: ok=%v released=%v", ok, released)
+	}
+	if len(perms) != limit {
+		t.Fatalf("pool kept %d permutations after %d views released, want GOMAXPROCS = %d", len(perms), limit+3, limit)
 	}
 }

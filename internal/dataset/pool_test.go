@@ -65,11 +65,11 @@ func TestReleasedDrawStateIsIdentity(t *testing.T) {
 		{"cancelled", func(cancel context.CancelFunc) core.Spec {
 			opts := core.DefaultOptions()
 			opts.BatchSize = 64
-			opts.Tracer = core.TracerFunc(func(m int, _ float64, _ []bool, _ []float64, _ int64) {
+			opts.OnRound = func(m int, _ float64, _ []float64, _ []bool, _ []float64, _ int64) {
 				if m == 5 {
 					cancel()
 				}
-			})
+			}
 			return core.Spec{Opts: opts}
 		}, context.Canceled},
 	}
@@ -113,8 +113,6 @@ func TestReleasedDrawStateIsIdentity(t *testing.T) {
 			})
 		}
 	}
-	// sync.Pool may drop any one Put (and does, at random, under -race);
-	// all of them it does not.
 	if inspected == 0 {
 		t.Fatal("no pooled permutation was inspected: the runs released nothing")
 	}

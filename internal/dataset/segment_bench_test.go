@@ -76,9 +76,8 @@ func benchSegDraws(b *testing.B, groups []Group) {
 // the in-memory SliceGroup baseline, a warm mmap-backed segment table
 // (pages resident — the steady state of a served table), and a cold one
 // (page cache dropped before every iteration, readahead disabled — each
-// draw block pays real faults). Recorded in CI's BENCH_core.json; the
-// out-of-core acceptance is warm staying within 2x of in-memory at
-// batch=64.
+// draw block pays real faults). The out-of-core acceptance is warm
+// staying within 2x of in-memory at batch=64.
 func BenchmarkSegmentDraw(b *testing.B) {
 	tbl, dir := segBenchFixture(b)
 
@@ -295,8 +294,8 @@ func BenchmarkSegmentDrawCodec(b *testing.B) {
 // (near-sorted within each group) value column: full-scan is the raw (v1)
 // mmap path that evaluates every row, zonemap-skip is the compressed (v2)
 // path whose block zone maps prove most blocks cannot match a selective
-// range predicate and skips them undecoded. Recorded in BENCH_core.json;
-// the tentpole acceptance is a measured speedup for the skip plan.
+// range predicate and skips them undecoded. The acceptance is a measured
+// speedup for the skip plan.
 func BenchmarkFilterPlan(b *testing.B) {
 	const groups, rows = 4, 1 << 21
 	builder := NewTableBuilder()

@@ -9,8 +9,7 @@ import (
 // BenchmarkFilteredDraw compares draw throughput over one 1M-row group:
 // unfiltered (the SliceGroup baseline), a dense selection (bitmap-backed,
 // O(log n) select per draw), and a sparse selection (index-slice-backed,
-// O(1) per draw). Recorded in CI's BENCH_core.json so the filtered hot
-// path's cost stays visible across PRs.
+// O(1) per draw).
 func BenchmarkFilteredDraw(b *testing.B) {
 	const n = 1 << 20
 	builder := NewTableBuilder()

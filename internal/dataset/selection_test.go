@@ -265,7 +265,7 @@ func TestFilteredViewExhaustion(t *testing.T) {
 	if u.Groups[0].Size() != 7 {
 		t.Fatalf("filtered size %d, want 7", u.Groups[0].Size())
 	}
-	s := NewSampler(u, xrand.New(3), true)
+	s := NewStreamSampler(u, 3, true)
 	seen := map[float64]int{}
 	for i := 0; i < 7; i++ {
 		seen[s.Draw(0)]++
@@ -288,7 +288,7 @@ func TestFilteredViewExhaustion(t *testing.T) {
 		t.Fatalf("accounting %d, want 8", s.Count(0))
 	}
 	// Batch path across the exhaustion boundary, on a fresh view.
-	s2 := NewSampler(&Universe{Groups: v.View(), C: u.C}, xrand.New(4), true)
+	s2 := NewStreamSampler(&Universe{Groups: v.View(), C: u.C}, 4, true)
 	buf := make([]float64, 20)
 	s2.DrawBatch(0, buf)
 	if !s2.Exhausted(0) {

@@ -154,7 +154,7 @@ func TestTableSamplingEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := NewSampler(u, xrand.New(6), true)
+	s := NewStreamSampler(u, 6, true)
 	buf := make([]float64, 128)
 	s.DrawBatch(0, buf)
 	for _, v := range buf {

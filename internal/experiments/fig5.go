@@ -157,7 +157,7 @@ func Convergence(s Scale) (*ConvergenceResult, error) {
 		tr := trace{active: make([]float64, len(grid)), incorrect: make([]float64, len(grid))}
 		next := 0
 		opts := s.options(AlgoIFocus)
-		opts.Tracer = core.TracerFunc(func(m int, eps float64, active []bool, est []float64, total int64) {
+		opts.OnRound = func(m int, eps float64, _ []float64, active []bool, est []float64, total int64) {
 			for next < len(grid) && total >= grid[next] {
 				n := 0
 				for _, a := range active {
@@ -169,7 +169,7 @@ func Convergence(s Scale) (*ConvergenceResult, error) {
 				tr.incorrect[next] = float64(core.IncorrectPairs(est, truth, 0))
 				next++
 			}
-		})
+		}
 		run, err := core.IFocus(u, xrand.New(seed^0xc0), opts)
 		if err != nil {
 			return nil, err

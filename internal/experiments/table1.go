@@ -45,7 +45,7 @@ func Table1(seed uint64) (*Table1Result, error) {
 	res := &Table1Result{Groups: []string{"Group 1", "Group 2", "Group 3", "Group 4"}}
 	prevActive := -1
 	opts := core.DefaultOptions()
-	opts.Tracer = core.TracerFunc(func(m int, eps float64, active []bool, est []float64, total int64) {
+	opts.OnRound = func(m int, eps float64, _ []float64, active []bool, est []float64, total int64) {
 		n := 0
 		for _, a := range active {
 			if a {
@@ -61,7 +61,7 @@ func Table1(seed uint64) (*Table1Result, error) {
 			res.Rows = append(res.Rows, row)
 			prevActive = n
 		}
-	})
+	}
 	run, err := core.IFocus(u, rng, opts)
 	if err != nil {
 		return nil, err

@@ -18,7 +18,7 @@ var admissionBuckets = []float64{
 }
 
 // maxAdmissionSamples bounds the raw admission-wait reservoir backing
-// exact quantiles (loadgen's p99). Beyond the cap, new samples overwrite
+// exact quantiles (the benchmark's p99). Beyond the cap, new samples overwrite
 // old ones round-robin — enough fidelity for a bounded load run.
 const maxAdmissionSamples = 1 << 19
 
@@ -103,7 +103,7 @@ func (m *Metrics) AdmissionCount() int64 {
 func (m *Metrics) SamplesTotal() int64 { return m.samplesTotal.Load() }
 
 // Snapshot is a point-in-time copy of the server's counters, shaped for
-// JSON reports (loadgen's BENCH_serve.json) and assertions in tests.
+// JSON reports and assertions in tests.
 type Snapshot struct {
 	QueriesTotal   int64 `json:"queries_total"`
 	QueryErrors    int64 `json:"query_errors"`

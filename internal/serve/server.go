@@ -147,7 +147,7 @@ func defaultWorkers() int {
 // Handler returns the server's HTTP handler.
 func (s *Server) Handler() http.Handler { return s.mux }
 
-// Engine exposes the underlying engine (loadgen reads its stats).
+// Engine exposes the underlying engine, for callers that read its stats.
 func (s *Server) Engine() *rapidviz.Engine { return s.eng }
 
 // Metrics exposes the server's metrics aggregate.

@@ -2,7 +2,7 @@
 // standard library, covering exactly what rapidvizd's streaming protocol
 // needs — text/binary messages, ping/pong keepalive, the close handshake,
 // and both endpoint roles (the server upgrades HTTP requests; the client
-// side exists for loadgen and the test suite). No extensions, no
+// side exists for the benchmark and the test suite). No extensions, no
 // compression, no subprotocol negotiation.
 package serve
 
@@ -103,7 +103,7 @@ func UpgradeWS(w http.ResponseWriter, r *http.Request) (*WSConn, error) {
 }
 
 // DialWS performs the client side of the handshake against a ws:// URL
-// (loadgen and tests; TLS is out of scope for the embedded server).
+// (the benchmark and tests; TLS is out of scope for the embedded server).
 func DialWS(rawURL string, timeout time.Duration) (*WSConn, error) {
 	u, err := url.Parse(rawURL)
 	if err != nil {

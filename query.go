@@ -201,16 +201,13 @@ type Query struct {
 	// queries (auto-batch, BatchSize ≥ 64, or geometric RoundGrowth) are
 	// offered however many worker slots are idle when they start — a lone
 	// query uses the whole pool, concurrent traffic shares it. Whatever
-	// the cap, the core driver's fan-out is adaptive per round: it is
-	// clamped to the machine's schedulable parallelism, rounds too small
-	// to amortize the pool dispatch run inline, and a periodic timing
-	// probe falls back to the sequential loop whenever parallel draws do
-	// not actually run faster — so Workers is safe to leave on (or at 0)
-	// everywhere, single-core hosts included. Results are bit-for-bit
-	// identical for every value (each group's randomness is its own
-	// seed-derived stream; timing only picks how the same draws execute),
-	// so Workers is purely a throughput knob. 1 pins the query to a
-	// single goroutine. Negative values are invalid.
+	// the cap, the core driver clamps it to the machine's schedulable
+	// parallelism and runs rounds of fewer than 1024 planned draws
+	// inline, where the pool dispatch would cost more than it spreads;
+	// larger rounds fan out. Results are bit-for-bit identical for every
+	// value (each group's randomness is its own seed-derived stream), so
+	// Workers is purely a throughput knob. 1 pins the query to a single
+	// goroutine. Negative values are invalid.
 	Workers int
 
 	// ShareSamples opts this query into the engine's per-table sample
@@ -269,7 +266,7 @@ type RoundTrace struct {
 	Epsilon float64 `json:"epsilon"`
 	// GroupEpsilons holds each group's current half-width: its live
 	// radius while sampling, the width its interval was frozen at after
-	// settling. Nil for algorithms that report only the scalar width.
+	// settling.
 	GroupEpsilons []float64 `json:"group_epsilons,omitempty"`
 	// Active flags the groups still being sampled.
 	Active []bool `json:"active"`

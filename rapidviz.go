@@ -42,15 +42,9 @@
 // over a channel the moment it settles. Engines are safe for concurrent
 // use and bound their own parallelism, so one engine can serve heavy
 // concurrent query traffic.
-//
-// The free functions (Order, RoundRobin, Refine, Exact, Trend, TopT,
-// OrderWithValues, OrderAllowingMistakes, Sum) are deprecated thin
-// wrappers over a shared default engine, kept for compatibility; they
-// produce seed-for-seed identical results to the equivalent Query.
 package rapidviz
 
 import (
-	"context"
 	"fmt"
 	"math"
 
@@ -90,65 +84,6 @@ func (g *funcGroup) Name() string            { return g.name }
 func (g *funcGroup) Size() int64             { return g.n }
 func (g *funcGroup) Draw(*xrand.RNG) float64 { return g.sample() }
 func (g *funcGroup) TrueMean() float64       { return math.NaN() }
-
-// Options configures a run of the deprecated free functions. The zero
-// value is usable: it requests δ=0.05, κ=1, sampling without replacement,
-// and infers the value bound.
-//
-// Deprecated: build a Query instead; it has the same knobs plus aggregate,
-// guarantee, and algorithm selection, and distinguishes an explicit zero
-// seed (Query.Deterministic) from an unset one.
-type Options struct {
-	// Delta is the permitted probability that the returned ordering is
-	// wrong. Zero means 0.05.
-	Delta float64
-	// Bound is the value bound c: every value must lie in [0, Bound].
-	// Zero asks the library to use the maximum over materialized groups
-	// (func-backed groups require an explicit bound).
-	Bound float64
-	// Resolution relaxes the guarantee to Problem 2 of the paper: pairs of
-	// true averages within Resolution of each other may be ordered either
-	// way. Larger resolutions terminate (much) faster. Zero disables.
-	Resolution float64
-	// WithReplacement switches to with-replacement sampling (group sizes
-	// then need not be exact). Forced on for func-backed groups.
-	WithReplacement bool
-	// Seed makes the run deterministic; zero picks a fixed default seed
-	// (runs are deterministic by default — vary Seed for independence).
-	// Use Query.Deterministic to make an explicit zero seed stick.
-	Seed uint64
-	// MaxRounds optionally caps sampling rounds as a safety valve; capped
-	// runs void the guarantee and are reported via Result.Capped.
-	MaxRounds int
-	// OnPartial, when non-nil, streams each group's estimate the moment it
-	// settles. Prefer Engine.Stream, which delivers the same events over a
-	// channel together with the terminal result.
-	OnPartial func(group string, estimate float64)
-}
-
-// query translates legacy options into the equivalent Query. BatchSize is
-// pinned to 1 — the paper's one-sample rounds — because these wrappers
-// promise seed-for-seed identity with the original scalar algorithms,
-// while a zero BatchSize on a Query now selects the auto-batch schedule.
-func (o Options) query() Query {
-	return Query{
-		Delta:           o.Delta,
-		Bound:           o.Bound,
-		Resolution:      o.Resolution,
-		WithReplacement: o.WithReplacement,
-		Seed:            o.Seed,
-		MaxRounds:       o.MaxRounds,
-		BatchSize:       1,
-	}
-}
-
-// partial adapts the legacy callback to the engine's internal hook.
-func (o Options) partial() func(name string, i int, est float64, round int, eps float64) {
-	if o.OnPartial == nil {
-		return nil
-	}
-	return func(name string, i int, est float64, round int, eps float64) { o.OnPartial(name, est) }
-}
 
 // Result reports a run: per-group estimates plus sampling cost.
 //
@@ -216,121 +151,6 @@ func (r *Result) Bars() []viz.Bar {
 // Render draws the result as a text bar chart.
 func (r *Result) Render() string { return viz.BarChart(r.Bars(), 50) }
 
-// RenderTrend draws the result as a text trend line (for Trend runs).
+// RenderTrend draws the result as a text trend line (for GuaranteeTrend
+// queries).
 func (r *Result) RenderTrend() string { return viz.TrendLine(r.Names, r.Estimates) }
-
-// Order estimates every group's average with the ordering guarantee, using
-// IFOCUS — the paper's optimal algorithm. With probability at least
-// 1−Delta, the returned estimates are ordered exactly as the true averages
-// (up to Options.Resolution, when set).
-//
-// Deprecated: use Engine.Run with a zero Query (plus Delta/Bound/Seed).
-func Order(groups []Group, o Options) (*Result, error) {
-	return DefaultEngine().run(context.Background(), o.query(), groups, o.partial())
-}
-
-// RoundRobin runs the conventional stratified-sampling baseline under the
-// same guarantee. It exists for comparison: expect several times the
-// samples of Order.
-//
-// Deprecated: use Engine.Run with Query{Algorithm: AlgoRoundRobin}.
-func RoundRobin(groups []Group, o Options) (*Result, error) {
-	q := o.query()
-	q.Algorithm = AlgoRoundRobin
-	return DefaultEngine().run(context.Background(), q, groups, o.partial())
-}
-
-// Refine runs the interval-halving IREFINE variant: correct, simpler to
-// analyze, but provably non-optimal (expect more samples than Order).
-//
-// Deprecated: use Engine.Run with Query{Algorithm: AlgoIRefine}.
-func Refine(groups []Group, o Options) (*Result, error) {
-	q := o.query()
-	q.Algorithm = AlgoIRefine
-	return DefaultEngine().run(context.Background(), q, groups, o.partial())
-}
-
-// Exact computes the true averages by scanning every value of every group
-// (all groups must be materialized) — the SCAN baseline.
-//
-// Deprecated: use Engine.Run with Query{Algorithm: AlgoScan}.
-func Exact(groups []Group, o Options) (*Result, error) {
-	q := o.query()
-	q.Algorithm = AlgoScan
-	return DefaultEngine().run(context.Background(), q, groups, nil)
-}
-
-// Trend estimates the averages with the weaker trend-line guarantee: only
-// *adjacent* groups (in the given order) are guaranteed to be ordered
-// correctly — the right property for time series and chloropleths, at a
-// fraction of Order's samples.
-//
-// Deprecated: use Engine.Run with Query{Guarantee: GuaranteeTrend}.
-func Trend(groups []Group, o Options) (*Result, error) {
-	q := o.query()
-	q.Guarantee = GuaranteeTrend
-	return DefaultEngine().run(context.Background(), q, groups, o.partial())
-}
-
-// TopTResult extends Result with the top-t selection.
-//
-// Deprecated: Result carries the Top field directly.
-type TopTResult struct {
-	Result
-	// Top lists the names of the top-t groups, largest estimate first.
-	Top []string
-}
-
-// TopT identifies the t groups with the largest true averages and orders
-// them correctly among themselves, with probability at least 1−Delta.
-// Groups provably outside the top t stop being sampled early, the big
-// saving when k is large.
-//
-// Deprecated: use Engine.Run with Query{Guarantee: GuaranteeTopT, T: t}.
-func TopT(groups []Group, t int, o Options) (*TopTResult, error) {
-	q := o.query()
-	q.Guarantee = GuaranteeTopT
-	q.T = t
-	res, err := DefaultEngine().run(context.Background(), q, groups, o.partial())
-	if err != nil {
-		return nil, err
-	}
-	return &TopTResult{Result: *res, Top: res.Top}, nil
-}
-
-// OrderWithValues adds a value guarantee on top of the ordering: every
-// estimate is within ±maxErr of its true average with probability 1−Delta.
-//
-// Deprecated: use Engine.Run with Query{Guarantee: GuaranteeValues,
-// MaxError: maxErr}.
-func OrderWithValues(groups []Group, maxErr float64, o Options) (*Result, error) {
-	q := o.query()
-	q.Guarantee = GuaranteeValues
-	q.MaxError = maxErr
-	return DefaultEngine().run(context.Background(), q, groups, o.partial())
-}
-
-// OrderAllowingMistakes terminates as soon as a fraction of at least
-// correctPairs of all pairwise comparisons is certain, skipping the
-// hardest comparisons (the paper's allowed-mistakes extension).
-// correctPairs must be in (0, 1].
-//
-// Deprecated: use Engine.Run with Query{Guarantee: GuaranteeMistakes,
-// CorrectPairs: correctPairs}.
-func OrderAllowingMistakes(groups []Group, correctPairs float64, o Options) (*Result, error) {
-	q := o.query()
-	q.Guarantee = GuaranteeMistakes
-	q.CorrectPairs = correctPairs
-	return DefaultEngine().run(context.Background(), q, groups, o.partial())
-}
-
-// Sum estimates per-group SUMs (rather than averages) with the ordering
-// guarantee. Group sizes must be known (materialized groups, or func
-// groups constructed with their true sizes).
-//
-// Deprecated: use Engine.Run with Query{Aggregate: AggSum}.
-func Sum(groups []Group, o Options) (*Result, error) {
-	q := o.query()
-	q.Aggregate = AggSum
-	return DefaultEngine().run(context.Background(), q, groups, o.partial())
-}

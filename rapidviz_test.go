@@ -1,6 +1,7 @@
 package rapidviz_test
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -26,6 +27,12 @@ func mkGroups(means []float64, n int, seed uint64) []rapidviz.Group {
 
 func name(i int) string { return string(rune('A' + i)) }
 
+// run executes q on the default engine with the paper's one-sample rounds.
+func run(groups []rapidviz.Group, q rapidviz.Query) (*rapidviz.Result, error) {
+	q.BatchSize = 1
+	return rapidviz.DefaultEngine().Run(context.Background(), q, groups)
+}
+
 // ordered reports whether est orders exactly like truth.
 func ordered(est, truth []float64) bool {
 	for i := range truth {
@@ -44,7 +51,7 @@ func ordered(est, truth []float64) bool {
 func TestOrderEndToEnd(t *testing.T) {
 	means := []float64{20, 45, 70, 90}
 	groups := mkGroups(means, 30_000, 1)
-	res, err := rapidviz.Order(groups, rapidviz.Options{Bound: 100, Seed: 2})
+	res, err := run(groups, rapidviz.Query{Bound: 100, Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,16 +76,18 @@ func TestOrderEndToEnd(t *testing.T) {
 func TestOrderBeatsRoundRobinAndRefine(t *testing.T) {
 	means := []float64{20, 49, 51, 90}
 	groups := mkGroups(means, 100_000, 3)
-	opts := rapidviz.Options{Bound: 100, Seed: 4}
-	fo, err := rapidviz.Order(groups, opts)
+	opts := rapidviz.Query{Bound: 100, Seed: 4}
+	fo, err := run(groups, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rr, err := rapidviz.RoundRobin(groups, opts)
+	opts.Algorithm = rapidviz.AlgoRoundRobin
+	rr, err := run(groups, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	re, err := rapidviz.Refine(groups, opts)
+	opts.Algorithm = rapidviz.AlgoIRefine
+	re, err := run(groups, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +104,7 @@ func TestExact(t *testing.T) {
 		rapidviz.GroupFromValues("x", []float64{1, 2, 3}),
 		rapidviz.GroupFromValues("y", []float64{10, 20}),
 	}
-	res, err := rapidviz.Exact(groups, rapidviz.Options{})
+	res, err := run(groups, rapidviz.Query{Algorithm: rapidviz.AlgoScan})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,12 +119,12 @@ func TestBoundInference(t *testing.T) {
 		rapidviz.GroupFromValues("y", []float64{10, 20, 30}),
 	}
 	// No bound given: inferred from the data; the run must succeed.
-	if _, err := rapidviz.Order(groups, rapidviz.Options{Seed: 5}); err != nil {
+	if _, err := run(groups, rapidviz.Query{Seed: 5}); err != nil {
 		t.Fatal(err)
 	}
 	// Negative values cannot be shifted automatically.
 	neg := []rapidviz.Group{rapidviz.GroupFromValues("n", []float64{-1, 2})}
-	if _, err := rapidviz.Order(neg, rapidviz.Options{}); err == nil {
+	if _, err := run(neg, rapidviz.Query{}); err == nil {
 		t.Fatal("negative values accepted without bound")
 	}
 }
@@ -128,10 +137,10 @@ func TestFuncGroups(t *testing.T) {
 	}
 	groups := []rapidviz.Group{mk("low", 30), mk("high", 70)}
 	// Func groups require an explicit bound.
-	if _, err := rapidviz.Order(groups, rapidviz.Options{}); err == nil {
+	if _, err := run(groups, rapidviz.Query{}); err == nil {
 		t.Fatal("missing bound accepted for func group")
 	}
-	res, err := rapidviz.Order(groups, rapidviz.Options{Bound: 100, Seed: 7})
+	res, err := run(groups, rapidviz.Query{Bound: 100, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,13 +152,13 @@ func TestFuncGroups(t *testing.T) {
 func TestResolutionOption(t *testing.T) {
 	means := []float64{50, 50.8}
 	groups := mkGroups(means, 300_000, 8)
-	strict := rapidviz.Options{Bound: 100, Seed: 9}
-	relaxed := rapidviz.Options{Bound: 100, Seed: 9, Resolution: 4}
-	rs, err := rapidviz.Order(groups, strict)
+	strict := rapidviz.Query{Bound: 100, Seed: 9}
+	relaxed := rapidviz.Query{Bound: 100, Seed: 9, Resolution: 4}
+	rs, err := run(groups, strict)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rr, err := rapidviz.Order(groups, relaxed)
+	rr, err := run(groups, relaxed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +170,7 @@ func TestResolutionOption(t *testing.T) {
 func TestTrendAPI(t *testing.T) {
 	means := []float64{20, 40, 60, 40.5}
 	groups := mkGroups(means, 200_000, 10)
-	res, err := rapidviz.Trend(groups, rapidviz.Options{Bound: 100, Seed: 11})
+	res, err := run(groups, rapidviz.Query{Guarantee: rapidviz.GuaranteeTrend, Bound: 100, Seed: 11})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +190,7 @@ func TestTrendAPI(t *testing.T) {
 func TestTopTAPI(t *testing.T) {
 	means := []float64{10, 80, 30, 90, 50}
 	groups := mkGroups(means, 50_000, 12)
-	res, err := rapidviz.TopT(groups, 2, rapidviz.Options{Bound: 100, Seed: 13})
+	res, err := run(groups, rapidviz.Query{Guarantee: rapidviz.GuaranteeTopT, T: 2, Bound: 100, Seed: 13})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +202,7 @@ func TestTopTAPI(t *testing.T) {
 func TestOrderWithValuesAPI(t *testing.T) {
 	means := []float64{25, 55, 85}
 	groups := mkGroups(means, 200_000, 14)
-	res, err := rapidviz.OrderWithValues(groups, 3, rapidviz.Options{Bound: 100, Seed: 15})
+	res, err := run(groups, rapidviz.Query{Guarantee: rapidviz.GuaranteeValues, MaxError: 3, Bound: 100, Seed: 15})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,12 +225,13 @@ func TestOrderWithValuesAPI(t *testing.T) {
 func TestOrderAllowingMistakesAPI(t *testing.T) {
 	means := []float64{10, 50, 50.05, 90}
 	groups := mkGroups(means, 400_000, 16)
-	opts := rapidviz.Options{Bound: 100, Seed: 17, MaxRounds: 1 << 20}
-	strict, err := rapidviz.Order(groups, opts)
+	opts := rapidviz.Query{Bound: 100, Seed: 17, MaxRounds: 1 << 20}
+	strict, err := run(groups, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fast, err := rapidviz.OrderAllowingMistakes(groups, 0.8, opts)
+	opts.Guarantee, opts.CorrectPairs = rapidviz.GuaranteeMistakes, 0.8
+	fast, err := run(groups, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,7 +255,7 @@ func TestSumAPI(t *testing.T) {
 		rapidviz.GroupFromValues("big", big),
 		rapidviz.GroupFromValues("small", small),
 	}
-	res, err := rapidviz.Sum(groups, rapidviz.Options{Bound: 100, Seed: 19})
+	res, err := run(groups, rapidviz.Query{Aggregate: rapidviz.AggSum, Bound: 100, Seed: 19})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,10 +268,14 @@ func TestOnPartialStreams(t *testing.T) {
 	means := []float64{10, 50, 52, 90}
 	groups := mkGroups(means, 200_000, 20)
 	var got []string
-	opts := rapidviz.Options{Bound: 100, Seed: 21}
-	opts.OnPartial = func(g string, est float64) { got = append(got, g) }
-	if _, err := rapidviz.Order(groups, opts); err != nil {
-		t.Fatal(err)
+	q := rapidviz.Query{Bound: 100, Seed: 21, BatchSize: 1}
+	for ev := range rapidviz.DefaultEngine().Stream(context.Background(), q, groups) {
+		if ev.Err != nil {
+			t.Fatal(ev.Err)
+		}
+		if ev.Partial != nil {
+			got = append(got, ev.Partial.Group)
+		}
 	}
 	if len(got) != 4 {
 		t.Fatalf("partials %v", got)
@@ -270,7 +284,7 @@ func TestOnPartialStreams(t *testing.T) {
 
 func TestRender(t *testing.T) {
 	groups := mkGroups([]float64{30, 70}, 20_000, 22)
-	res, err := rapidviz.Order(groups, rapidviz.Options{Bound: 100, Seed: 23})
+	res, err := run(groups, rapidviz.Query{Bound: 100, Seed: 23})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,17 +299,17 @@ func TestRender(t *testing.T) {
 }
 
 func TestNoGroups(t *testing.T) {
-	if _, err := rapidviz.Order(nil, rapidviz.Options{}); err == nil {
+	if _, err := run(nil, rapidviz.Query{}); err == nil {
 		t.Fatal("empty group list accepted")
 	}
 }
 
 func TestDeterministicDefaultSeed(t *testing.T) {
-	a, err := rapidviz.Order(mkGroups([]float64{30, 70}, 10_000, 24), rapidviz.Options{Bound: 100})
+	a, err := run(mkGroups([]float64{30, 70}, 10_000, 24), rapidviz.Query{Bound: 100})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := rapidviz.Order(mkGroups([]float64{30, 70}, 10_000, 24), rapidviz.Options{Bound: 100})
+	b, err := run(mkGroups([]float64{30, 70}, 10_000, 24), rapidviz.Query{Bound: 100})
 	if err != nil {
 		t.Fatal(err)
 	}
