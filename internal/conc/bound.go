@@ -112,6 +112,9 @@ func (mo *Moments) Reset() { *mo = Moments{} }
 // groups), the group's running sample mean stays within Radius of its true
 // mean at every sample count simultaneously — the contract every round
 // algorithm's settle logic is proved against.
+//
+// A Bound belongs to one run: Radius may update memoised state, so it is
+// not safe for concurrent use.
 type Bound interface {
 	// Kind identifies the implementation.
 	Kind() Kind
@@ -135,15 +138,12 @@ func NewBound(kind Kind, c float64, k int, delta, kappa float64) (Bound, error) 
 	if err != nil {
 		return nil, err
 	}
-	s, err := NewSchedule(c, k, delta, kappa, 0)
+	s, err := newSchedule(c, k, delta, kappa, 0)
 	if err != nil {
 		return nil, err
 	}
-	switch kind {
-	case KindBernstein:
-		return &bernsteinBound{s: s}, nil
-	case KindBernsteinFinite:
-		return &bernsteinBound{s: s, finite: true}, nil
+	if kind != KindHoeffding {
+		return &bernsteinBound{c: s.C, kappa: s.Kappa, logTerm: s.logTerm, finite: kind == KindBernsteinFinite}, nil
 	}
 	return &hoeffdingBound{s: s}, nil
 }
@@ -162,7 +162,7 @@ func MustBound(kind Kind, c float64, k int, delta, kappa float64) Bound {
 // Bound interface. Radius is exactly Schedule.EpsilonN, so runs routed
 // through it match the shared-schedule code path bit for bit.
 type hoeffdingBound struct {
-	s *Schedule
+	s Schedule
 }
 
 func (b *hoeffdingBound) Kind() Kind         { return KindHoeffding }
@@ -197,8 +197,12 @@ var ln3 = math.Log(3)
 // negligible. The radius is clamped to C: values live in [0, C], so the
 // true mean is always within C of any estimate.
 type bernsteinBound struct {
-	s      *Schedule
-	finite bool
+	c, kappa, logTerm float64 // the schedule's C, Kappa and logTerm
+	finite            bool
+	// L_m depends on m alone, and in a round every group holds the same m,
+	// so L is memoised for the last m asked (memoM 0: nothing yet).
+	memoM int
+	memoL float64
 }
 
 func (b *bernsteinBound) Kind() Kind {
@@ -212,17 +216,20 @@ func (b *bernsteinBound) NeedsMoments() bool { return true }
 
 func (b *bernsteinBound) Radius(m int, n int64, mom *Moments) float64 {
 	if m < 2 || mom == nil || mom.N < 2 {
-		return b.s.C // not enough information to estimate the spread
+		return b.c // not enough information to estimate the spread
 	}
 	if n > 0 && int64(m) >= n {
 		return 0 // the whole population is consumed; the mean is exact
 	}
 	mf := float64(m)
 	mk := mf
-	if b.s.Kappa > 1 {
-		mk = mf / b.s.Kappa
+	if b.kappa > 1 {
+		mk = mf / b.kappa
 	}
-	l := 2*loglog(mf, b.s.Kappa) + b.s.logTerm + ln3
+	if m != b.memoM {
+		b.memoM, b.memoL = m, 2*loglog(mf, b.kappa)+b.logTerm+ln3
+	}
+	l := b.memoL
 	f := 1.0
 	if b.finite && n > 0 {
 		f = 1 - (mf-1)/float64(n)
@@ -230,9 +237,9 @@ func (b *bernsteinBound) Radius(m int, n int64, mom *Moments) float64 {
 			f = 0
 		}
 	}
-	r := math.Sqrt(2*mom.Variance()*f*l/mk) + 3*b.s.C*l/mk
-	if r > b.s.C {
-		r = b.s.C
+	r := math.Sqrt(2*mom.Variance()*f*l/mk) + 3*b.c*l/mk
+	if r > b.c {
+		r = b.c
 	}
 	return r
 }

@@ -201,3 +201,27 @@ func (r *testRNG) next() uint64 {
 func (r *testRNG) float64() float64 {
 	return float64(r.next()>>11) / (1 << 53)
 }
+
+// TestRadiusMemoMatchesFresh: a bound that memoises L_m across calls must
+// return exactly the radius a freshly built bound returns, whatever the
+// sequence of m — repeated, increasing, decreasing, interleaved with the
+// degenerate m < 2 — and whatever the population and moments.
+func TestRadiusMemoMatchesFresh(t *testing.T) {
+	const c = 100.0
+	ms := []int{2, 2, 3, 50, 50, 49, 1, 1000, 7, 1000, 1000, 999, 4096, 3, 0, 65536, 2}
+	ns := []int64{0, 40, 5000}
+	for _, kind := range []Kind{KindHoeffding, KindBernstein, KindBernsteinFinite} {
+		for _, kappa := range []float64{1, 1.3} {
+			memo := MustBound(kind, c, 6, 0.05, kappa)
+			for step, m := range ms {
+				n := ns[step%len(ns)]
+				mom := &Moments{N: int64(m), Mean: 40, M2: float64(m) * float64(step+1) * 9}
+				got := memo.Radius(m, n, mom)
+				want := MustBound(kind, c, 6, 0.05, kappa).Radius(m, n, mom)
+				if math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("%s κ=%v step %d (m=%d, n=%d): memoised radius %v, fresh %v", kind, kappa, step, m, n, got, want)
+				}
+			}
+		}
+	}
+}

@@ -41,19 +41,28 @@ type Schedule struct {
 
 // NewSchedule validates the parameters and returns a Schedule.
 func NewSchedule(c float64, k int, delta, kappa float64, n int64) (*Schedule, error) {
+	s, err := newSchedule(c, k, delta, kappa, n)
+	if err != nil {
+		return nil, err
+	}
+	return &s, nil
+}
+
+// newSchedule is NewSchedule by value, for the bounds that embed one.
+func newSchedule(c float64, k int, delta, kappa float64, n int64) (Schedule, error) {
 	switch {
 	case c <= 0:
-		return nil, fmt.Errorf("conc: domain width c must be positive, got %v", c)
+		return Schedule{}, fmt.Errorf("conc: domain width c must be positive, got %v", c)
 	case k <= 0:
-		return nil, fmt.Errorf("conc: group count k must be positive, got %d", k)
+		return Schedule{}, fmt.Errorf("conc: group count k must be positive, got %d", k)
 	case delta <= 0 || delta >= 1:
-		return nil, fmt.Errorf("conc: delta must be in (0,1), got %v", delta)
+		return Schedule{}, fmt.Errorf("conc: delta must be in (0,1), got %v", delta)
 	case kappa < 1:
-		return nil, fmt.Errorf("conc: kappa must be >= 1, got %v", kappa)
+		return Schedule{}, fmt.Errorf("conc: kappa must be >= 1, got %v", kappa)
 	case n < 0:
-		return nil, fmt.Errorf("conc: population size must be non-negative, got %d", n)
+		return Schedule{}, fmt.Errorf("conc: population size must be non-negative, got %d", n)
 	}
-	s := &Schedule{C: c, K: k, Delta: delta, Kappa: kappa, N: n}
+	s := Schedule{C: c, K: k, Delta: delta, Kappa: kappa, N: n}
 	s.logTerm = math.Log(math.Pi * math.Pi * float64(k) / (3 * delta))
 	return s, nil
 }

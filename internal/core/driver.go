@@ -26,7 +26,9 @@ import (
 // group through the dataset layer's block draw path (one dispatch, one
 // accounting update, and one running-mean division per block). BatchSize
 // ≤ 1 reproduces the paper's one-sample rounds bit for bit, incremental
-// running-mean update included — pinned by TestGoldenPins. Blocks can
+// running-mean update included — pinned by TestGoldenPins. Such a round
+// draws across the groups (Sampler.DrawEach), so the groups' cache misses
+// overlap rather than queue one behind the next. Blocks can
 // additionally grow geometrically via Options.RoundGrowth. Because the
 // anytime schedule is simultaneously valid at every sample count, indexing
 // ε by the cumulative draw count keeps the union bound intact at any block
@@ -486,6 +488,10 @@ func (lp *roundLoop) drawRound(fresh int) {
 		planned += n
 	}
 	if lp.workers <= 1 || len(lp.drawIdx) <= 1 || planned < minParallelRoundDraws {
+		if planned == len(lp.drawIdx) && lp.algo.drawOne == nil {
+			lp.drawScalarRound()
+			return
+		}
 		for j, i := range lp.drawIdx {
 			lp.drawGroup(0, i, lp.drawN[j])
 		}
@@ -496,24 +502,24 @@ func (lp *roundLoop) drawRound(fresh int) {
 	})
 }
 
-// drawGroup folds n fresh samples into group i's running mean, using
-// worker w's scratch buffer. The n == 1 path is the paper's incremental
-// update, bit-for-bit what the scalar algorithms computed; blocks
-// accumulate a sum and pay one division.
-func (lp *roundLoop) drawGroup(w, i, n int) {
-	prev := lp.cum
-	nc := prev + n
-	if n == 1 {
-		var x float64
-		if lp.algo.drawOne != nil {
-			x = lp.algo.drawOne(i)
-			lp.sampler.Observe(i, x)
-		} else {
-			x = lp.sampler.Draw(i)
+// drawScalarRound draws an inline round of one sample per group through
+// Sampler.DrawEach, staging values on the stack 64 groups at a time. A
+// fanned-out one runs per group through drawGroup, one pipeline step each.
+func (lp *roundLoop) drawScalarRound() {
+	var vals [64]float64
+	for idx := lp.drawIdx; len(idx) > 0; {
+		n := min(len(idx), len(vals))
+		lp.sampler.DrawEach(idx[:n], vals[:n])
+		for j, i := range idx[:n] {
+			lp.fold(i, 1, vals[j])
 		}
-		lp.estimates[i] = float64(nc-1)/float64(nc)*lp.estimates[i] + x/float64(nc)
-		return
+		idx = idx[n:]
 	}
+}
+
+// drawGroup draws n fresh samples from group i, using worker w's scratch
+// buffer, and folds them into the group's running mean.
+func (lp *roundLoop) drawGroup(w, i, n int) {
 	sum := 0.0
 	switch {
 	case lp.algo.drawOne != nil:
@@ -523,12 +529,8 @@ func (lp *roundLoop) drawGroup(w, i, n int) {
 			sum += x
 		}
 	default:
-		// Devirtualized fast path: for slice/table/filtered-backed groups
-		// the sampler folds the block's sum (and moments) inside the
-		// group's own draw loop — one bounds-checked slice walk, no buffer
-		// fill, no per-draw interface dispatch. Groups without a kernel
-		// (virtual distributions, source-fed samplers) buffer through the
-		// generic block path; both produce the identical value stream.
+		// Groups without a kernel (virtual distributions, source-fed
+		// samplers) buffer through the generic block path instead.
 		if s, ok := lp.sampler.DrawBlockSum(i, n); ok {
 			sum = s
 			break
@@ -541,6 +543,19 @@ func (lp *roundLoop) drawGroup(w, i, n int) {
 		for _, v := range buf {
 			sum += v
 		}
+	}
+	lp.fold(i, n, sum)
+}
+
+// fold folds n fresh samples summing to sum into group i's running mean.
+// A single sample takes the paper's incremental update, bit for bit what
+// the scalar algorithms computed; a block pays one division.
+func (lp *roundLoop) fold(i, n int, sum float64) {
+	prev := lp.cum
+	nc := prev + n
+	if n == 1 {
+		lp.estimates[i] = float64(nc-1)/float64(nc)*lp.estimates[i] + sum/float64(nc)
+		return
 	}
 	lp.estimates[i] = (float64(prev)*lp.estimates[i] + sum) / float64(nc)
 }

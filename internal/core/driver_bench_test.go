@@ -8,6 +8,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/conc"
 	"repro/internal/dataset"
 	"repro/internal/xrand"
 )
@@ -126,6 +127,64 @@ func BenchmarkIFocusParallel(b *testing.B) {
 			b.ReportMetric(float64(total)/b.Elapsed().Seconds(), "samples/sec")
 			b.ReportMetric(float64(total)/float64(b.N), "samples/op")
 		})
+	}
+}
+
+// scalarPools holds, per rows-per-group size, the groups BenchmarkScalarRound
+// draws from: 200 uniform [0, 100) slice groups, built once and shared by
+// every sub-benchmark (a run resets the groups' draw state).
+var scalarPools = sync.OnceValue(func() map[int][]dataset.Group {
+	r := xrand.New(0x5ca1a)
+	pools := make(map[int][]dataset.Group)
+	for _, rows := range []int{4 << 10, 50 << 10} {
+		groups := make([]dataset.Group, 200)
+		for g := range groups {
+			values := make([]float64, rows)
+			for i := range values {
+				values[i] = 100 * r.Float64()
+			}
+			groups[g] = dataset.NewSliceGroup(fmt.Sprintf("g%03d", g), values)
+		}
+		pools[rows] = groups
+	}
+	return pools
+})
+
+// BenchmarkScalarRound measures the paper's one-sample rounds (BatchSize=1,
+// Workers=1): fixed-work IFOCUS runs over k identically distributed groups,
+// whose draws go through Sampler.DrawEach one round at a time and whose
+// settle sweep and radii run every round. ns/draw is the whole run divided
+// by its samples.
+func BenchmarkScalarRound(b *testing.B) {
+	const rounds = 2000 // < 4 Ki, so no group runs out of rows
+	for _, k := range []int{4, 20, 200} {
+		for _, rows := range []int{4 << 10, 50 << 10} {
+			for _, bound := range []conc.Kind{conc.KindHoeffding, conc.KindBernstein} {
+				b.Run(fmt.Sprintf("k=%d/rows=%dKi/%s", k, rows>>10, bound), func(b *testing.B) {
+					u := dataset.NewUniverse(100, scalarPools()[rows][:k]...)
+					opts := DefaultOptions()
+					opts.BatchSize = 1
+					opts.Workers = 1
+					opts.Bound = bound
+					opts.MaxRounds = rounds
+					var total int64
+					b.ReportAllocs()
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						res, err := IFocus(u, xrand.New(uint64(i)+1), opts)
+						if err != nil {
+							b.Fatal(err)
+						}
+						if !res.Capped {
+							b.Fatal("benchmark run separated early; fixed-work assumption broken")
+						}
+						total += res.TotalSamples
+					}
+					b.StopTimer()
+					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(total), "ns/draw")
+				})
+			}
+		}
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/conc"
 	"repro/internal/dataset"
 	"repro/internal/xrand"
 )
@@ -156,5 +157,48 @@ func TestRunSpecWorkersReachesDriver(t *testing.T) {
 	}
 	if run(1) != run(8) {
 		t.Fatal("Spec.Workers changed sampling results")
+	}
+}
+
+// TestWorkerInvarianceWideScalar: with more than minParallelRoundDraws
+// groups at BatchSize=1, a one-sample-per-group round clears the volume
+// gate and fans out one group at a time; that must agree bit for bit with
+// the inline cross-group round (Sampler.DrawEach), under the default Hoeffding
+// schedule and the variance-adaptive Bernstein bound alike. Groups of 24–40
+// rows exhaust without replacement, so the run ends and the fanned rounds
+// give way to inline ones as groups settle.
+func TestWorkerInvarianceWideScalar(t *testing.T) {
+	build := func() *dataset.Universe {
+		r := xrand.New(0x5ca1a)
+		groups := make([]dataset.Group, 1100)
+		for i := range groups {
+			vals := make([]float64, 24+i%17)
+			centre := float64(i%50) * 2
+			for j := range vals {
+				vals[j] = centre + r.Float64()*8
+			}
+			groups[i] = dataset.NewSliceGroup(fmt.Sprint(i), vals)
+		}
+		return dataset.NewUniverse(108, groups...)
+	}
+	for _, bound := range []conc.Kind{conc.KindHoeffding, conc.KindBernstein} {
+		t.Run(string(bound), func(t *testing.T) {
+			run := func(workers int) string {
+				opts := DefaultOptions()
+				opts.BatchSize = 1
+				opts.Workers = workers
+				opts.Bound = bound
+				var pr partialRecorder
+				opts.OnPartial = pr.hook()
+				res, err := IFocus(build(), xrand.New(77), opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return fingerprint(res, nil) + " partials=" + pr.String()
+			}
+			if want, got := run(1), run(4); got != want {
+				t.Fatalf("workers=4 diverged from workers=1:\n got: %s\nwant: %s", got, want)
+			}
+		})
 	}
 }

@@ -306,3 +306,106 @@ func TestDrawPoolKeepsAtMostGOMAXPROCS(t *testing.T) {
 		t.Fatalf("pool kept %d permutations after %d views released, want GOMAXPROCS = %d", len(perms), limit+3, limit)
 	}
 }
+
+// TestDrawEachMatchesDraw holds DrawEach's contract: drawing one sample
+// from each of a random subset of groups per call must give exactly what
+// one Sampler.Draw per listed group gives on an identical universe — the
+// same values bit for bit, counts, total, exhaustion flags, moments and RNG
+// state — on every backing × selection, with and without replacement,
+// moments on and off, until every group has run out of its population and
+// fallen back to with-replacement draws. Beside the kernel cases, a mixed
+// universe puts virtual groups (no kernel) among slice groups, and a wide
+// one spans several of DrawEach's staging chunks in one call.
+func TestDrawEachMatchesDraw(t *testing.T) {
+	cases := append(kernelCases(t),
+		kernelCase{"mixed-virtual", func(t *testing.T) *Universe {
+			return NewUniverse(100,
+				NewSliceGroup("s", []float64{1, 2, 3, 4, 5, 6, 7}),
+				NewDistGroup("d", xrand.TruncNormal{Mu: 50, Sigma: 8, Lo: 0, Hi: 100}, 40),
+				NewSliceGroup("t", []float64{9, 8, 7}))
+		}},
+		kernelCase{"wide", func(t *testing.T) *Universe {
+			r := xrand.New(0x1de)
+			groups := make([]Group, 3*eachChunk+5)
+			for i := range groups {
+				vals := make([]float64, 1+i%17)
+				for j := range vals {
+					vals[j] = r.Float64() * 100
+				}
+				groups[i] = NewSliceGroup(fmt.Sprint(i), vals)
+			}
+			return NewUniverse(100, groups...)
+		}},
+	)
+	for _, tc := range cases {
+		for _, without := range []bool{true, false} {
+			for _, moments := range []bool{true, false} {
+				t.Run(fmt.Sprintf("%s/without=%v/moments=%v", tc.name, without, moments), func(t *testing.T) {
+					fast := NewStreamSampler(tc.build(t), 0x5eed, without)
+					ref := NewStreamSampler(tc.build(t), 0x5eed, without)
+					if moments {
+						fast.EnableMoments(true)
+						ref.EnableMoments(true)
+					}
+					fast.EnableBlockKernels()
+					checkDrawEach(t, fast, ref)
+				})
+			}
+		}
+	}
+}
+
+// checkDrawEach draws random group subsets through fast.DrawEach and
+// through ref.Draw until every group has drawn past its population.
+func checkDrawEach(t *testing.T, fast, ref *Sampler) {
+	t.Helper()
+	u := fast.Universe()
+	k := u.K()
+	plan := xrand.New(0x7a11)
+	idx := make([]int, 0, k)
+	dst := make([]float64, k)
+	past := func() bool {
+		for i, g := range u.Groups {
+			if fast.Count(i) <= g.Size()+4 {
+				return false
+			}
+		}
+		return true
+	}
+	for step := 0; !past(); step++ {
+		idx = idx[:0]
+		for i := 0; i < k; i++ {
+			if plan.Intn(3) != 0 {
+				idx = append(idx, i)
+			}
+		}
+		fast.DrawEach(idx, dst[:len(idx)])
+		for j, i := range idx {
+			if w := ref.Draw(i); math.Float64bits(dst[j]) != math.Float64bits(w) {
+				t.Fatalf("step %d group %d: DrawEach %v, Draw %v", step, i, dst[j], w)
+			}
+		}
+		for i := 0; i < k; i++ {
+			if fast.Count(i) != ref.Count(i) || fast.Exhausted(i) != ref.Exhausted(i) {
+				t.Fatalf("step %d group %d: accounting diverges: count %d/%d, exhausted %v/%v",
+					step, i, fast.Count(i), ref.Count(i), fast.Exhausted(i), ref.Exhausted(i))
+			}
+			if *fast.RNGFor(i) != *ref.RNGFor(i) {
+				t.Fatalf("step %d group %d: RNG streams diverge", step, i)
+			}
+			if fm, rm := fast.MomentsFor(i), ref.MomentsFor(i); fm != nil && *fm != *rm {
+				t.Fatalf("step %d group %d: moments diverge: %+v vs %+v", step, i, *fm, *rm)
+			}
+		}
+		if fast.Total() != ref.Total() {
+			t.Fatalf("step %d: totals diverge: %d vs %d", step, fast.Total(), ref.Total())
+		}
+	}
+	if fast.WithoutReplacement() {
+		for i, g := range u.Groups {
+			if _, ok := g.(WithoutReplacementGroup); ok && !fast.Exhausted(i) {
+				t.Fatalf("group %d never ran out of its population", i)
+			}
+		}
+	}
+}
