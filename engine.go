@@ -61,12 +61,6 @@ type EngineConfig struct {
 	// An explicit Query.Workers overrides the sizing entirely. Zero
 	// means runtime.GOMAXPROCS(0).
 	Workers int
-	// ShareSamples turns on the per-table sample broker for every query,
-	// as if each had set Query.ShareSamples. Concurrent queries over the
-	// same table, filter, sampling mode, and resolved seed then share one
-	// physical draw stream — N queries cost ~1× the memory traffic instead
-	// of N× — with bit-for-bit identical results (see Query.ShareSamples).
-	ShareSamples bool
 	// OnAdmission, when non-nil, observes every admitted query: it is
 	// called once per Run/Stream with the time the call spent waiting for
 	// a worker slot (zero when a slot was free). It runs on the query's
@@ -111,39 +105,6 @@ type Engine struct {
 	// inflight counts queries currently holding a worker slot (admitted
 	// Run/Stream calls, from slot acquisition to release).
 	inflight atomic.Int64
-
-	// brokers holds the live shared-sample brokers, one per (table, filter
-	// fingerprint, sampling mode, resolved seed), refcounted by the queries
-	// subscribed to them. A broker is dropped — retention freed, counters
-	// folded into the totals below — when its last subscriber departs;
-	// determinism makes an identical broker reconstructible at any moment,
-	// so dropping is always safe.
-	brokerMu sync.Mutex
-	brokers  map[brokerKey]*brokerEntry
-
-	// Broker introspection counters (see BrokerStats). Drawn/served hold
-	// retired brokers' totals; live brokers are added at read time.
-	brokerAttached atomic.Int64
-	brokerDrawn    atomic.Int64
-	brokerServed   atomic.Int64
-}
-
-// brokerKey identifies one shareable draw stream: queries agreeing on all
-// four fields consume identical per-group sample sequences, so they can be
-// fed from one broker. Everything else a query varies — δ, bound kind,
-// batch size, guarantee, workers — only changes how many draws it folds,
-// never their values.
-type brokerKey struct {
-	table   *dataset.Table
-	fp      string // canonical Where fingerprint; "" when unfiltered
-	without bool
-	seed    uint64
-}
-
-// brokerEntry is a live broker plus its subscriber count.
-type brokerEntry struct {
-	broker *dataset.Broker
-	refs   int
 }
 
 // maxCachedViews bounds the engine's selection cache; overflowing it
@@ -183,9 +144,8 @@ func NewEngine(cfg EngineConfig) (*Engine, error) {
 		cfg.Workers = runtime.GOMAXPROCS(0)
 	}
 	return &Engine{
-		cfg:     cfg,
-		sem:     make(chan struct{}, cfg.Workers),
-		brokers: make(map[brokerKey]*brokerEntry),
+		cfg: cfg,
+		sem: make(chan struct{}, cfg.Workers),
 	}, nil
 }
 
@@ -279,15 +239,6 @@ func (e *Engine) run(ctx context.Context, q Query, groups []Group, onPartial fun
 		e.cfg.OnAdmission(time.Since(admitted))
 	}
 
-	// Sharing eligibility is decided against the caller's groups, before a
-	// Where filter replaces them with view groups: the broker key is the
-	// backing table (plus the filter's fingerprint), and only a full
-	// table-backed group set identifies one.
-	var shareTable *dataset.Table
-	if q.ShareSamples || e.cfg.ShareSamples {
-		shareTable = shareTableOf(groups)
-	}
-
 	if len(q.Where) > 0 {
 		filtered, err := e.whereGroups(q.Where, groups)
 		if err != nil {
@@ -347,170 +298,26 @@ func (e *Engine) run(ctx context.Context, q Query, groups []Group, onPartial fun
 		// nothing.
 		spec.Workers = e.idleWorkers()
 	}
-	// Attach to (or create) the table's shared draw stream when the query
-	// shape allows it. Advisory: an ineligible shape — custom draw paths,
-	// non-round-driver algorithms — silently runs solo, which is always
-	// correct; sharing only changes who pays for the draws, never their
-	// values, so Result.Shared is the only observable difference.
-	shared := false
-	if shareTable != nil && shareableShape(q) {
-		if src, release := e.acquireBroker(shareTable, q); src != nil {
-			spec.Opts.Draws = src
-			defer release()
-			shared = true
-		}
-	}
 	rr, err := core.Run(ctx, u, rng, spec)
 	if err != nil {
 		return nil, err
 	}
-	res := e.result(groups, rr)
-	res.Shared = shared
-	return res, nil
+	return e.result(groups, rr), nil
 }
 
-// shareTableOf reports the single table behind a full, table-ordered,
-// table-backed group set — the precondition for identifying a shareable
-// draw stream — or nil when the groups don't form one. It mirrors
-// whereGroups' validation but advisorily: non-table groups just mean no
-// sharing.
-func shareTableOf(groups []Group) *dataset.Table {
-	var table *dataset.Table
-	for i, g := range groups {
-		tb, ok := g.(dataset.TableBacked)
-		if !ok {
-			return nil
-		}
-		if i == 0 {
-			table = tb.Table()
-		} else if tb.Table() != table {
-			return nil
-		}
-		if tb.GroupIndex() != i {
-			return nil
-		}
-	}
-	if table == nil || table.K() != len(groups) {
-		return nil
-	}
-	return table
-}
-
-// shareableShape reports whether a normalized query's draw path is pure
-// per-group block draws — the shapes core.Run accepts a shared draw source
-// for. Aggregates with custom draw paths (pair draws, membership
-// indicators), non-round-driver algorithms, and SubGroups cell runs need
-// randomness beyond the shared streams, so they run solo.
-func shareableShape(q Query) bool {
-	if q.SubGroups != 0 {
-		return false
-	}
-	switch q.Algorithm {
-	case AlgoAuto, AlgoIFocus, AlgoRoundRobin:
-	default:
-		return false
-	}
-	switch q.Aggregate {
-	case AggAvg, AggSum:
-	default:
-		return false
-	}
-	return true
-}
-
-// acquireBroker subscribes the query to its table's shared draw stream,
-// creating the broker on first attach. The broker owns a private group set
-// (fresh draw state over the same rows — the query's own groups are never
-// touched) seeded exactly as a solo run would seed its streams, which is
-// what makes broker-fed results bit-for-bit equal to solo ones. Returns
-// (nil, nil) when no broker can be built; the caller then runs solo.
-func (e *Engine) acquireBroker(table *dataset.Table, q Query) (dataset.DrawSource, func()) {
-	key := brokerKey{table: table, without: !q.WithReplacement, seed: e.seed(q)}
-	if len(q.Where) > 0 {
-		key.fp = dataset.FingerprintPredicates(q.Where)
-	}
-	e.brokerMu.Lock()
-	defer e.brokerMu.Unlock()
-	ent, ok := e.brokers[key]
-	if !ok {
-		var bgroups []Group
-		if key.fp == "" {
-			bgroups = table.View()
-		} else {
-			// The query already resolved this filter, so the selection is
-			// cached: this takes fresh draw-state groups over it without
-			// re-scanning.
-			filtered, err := e.whereGroups(q.Where, table.Groups())
-			if err != nil {
-				return nil, nil
-			}
-			bgroups = filtered
-		}
-		u := dataset.NewUniverse(q.Bound, bgroups...)
-		// The solo round driver derives its per-group stream base from one
-		// Uint64 of the resolved seed's generator; the broker draws from
-		// streams based identically, so offsets address the same values.
-		base := xrand.New(key.seed).Uint64()
-		ent = &brokerEntry{broker: dataset.NewBroker(u, base, key.without)}
-		e.brokers[key] = ent
-	}
-	ent.refs++
-	e.brokerAttached.Add(1)
-	b := ent.broker
-	var once sync.Once
-	release := func() {
-		once.Do(func() {
-			e.brokerMu.Lock()
-			ent.refs--
-			last := ent.refs == 0
-			if last {
-				e.brokerDrawn.Add(b.Drawn())
-				e.brokerServed.Add(b.Served())
-				delete(e.brokers, key)
-			}
-			e.brokerMu.Unlock()
-			if last {
-				b.Release()
-			}
-		})
-	}
-	return b, release
-}
-
-// BrokerStats reports the shared-sample broker registry's state: live
-// brokers, cumulative subscriptions, and the physical-vs-delivered sample
-// split. Served/Drawn is the sharing win — with N concurrent subscribers
-// over the same stream it approaches N. Safe to call concurrently with
-// queries.
+// BrokerStats holds a shared-sample broker's counters. The engine runs no
+// broker — every query draws its own per-group streams (DESIGN §11) — so
+// both are always zero; the type stays because the benchmark module still
+// reads it.
 type BrokerStats struct {
-	// Active is the number of live brokers (tables with subscribed
-	// queries right now).
-	Active int `json:"active"`
-	// Attached counts query-broker subscriptions since engine start.
-	Attached int64 `json:"attached"`
-	// SamplesDrawn counts samples physically drawn by brokers — the
-	// memory traffic actually paid.
+	// SamplesDrawn counts samples physically drawn by brokers.
 	SamplesDrawn int64 `json:"samples_drawn"`
-	// SamplesServed counts samples delivered to subscribed queries.
+	// SamplesServed counts samples brokers delivered to queries.
 	SamplesServed int64 `json:"samples_served"`
 }
 
-// BrokerStats returns the engine's shared-sample broker counters.
-func (e *Engine) BrokerStats() BrokerStats {
-	e.brokerMu.Lock()
-	defer e.brokerMu.Unlock()
-	s := BrokerStats{
-		Active:        len(e.brokers),
-		Attached:      e.brokerAttached.Load(),
-		SamplesDrawn:  e.brokerDrawn.Load(),
-		SamplesServed: e.brokerServed.Load(),
-	}
-	for _, ent := range e.brokers {
-		s.SamplesDrawn += ent.broker.Drawn()
-		s.SamplesServed += ent.broker.Served()
-	}
-	return s
-}
+// BrokerStats returns the zero value: the engine runs no sample broker.
+func (e *Engine) BrokerStats() BrokerStats { return BrokerStats{} }
 
 // whereGroups resolves a Where conjunction against table-backed groups:
 // it validates that the groups are one table's full group set in table

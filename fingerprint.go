@@ -27,10 +27,7 @@ import (
 // MaxDraws, the confidence bound, and every guarantee parameter — are
 // included. A zero Bound means "infer from the groups", which is a pure
 // function of the group set, so it fingerprints as the inferred marker
-// rather than a value. ShareSamples is excluded like Workers: broker-fed
-// and solo runs are pinned bit-for-bit equal, so a serving layer may
-// collapse a shared and an unshared copy of the same query into one
-// flight.
+// rather than a value.
 //
 // The fingerprint identifies the query only; callers caching results must
 // additionally key by the identity of the groups it ran over.

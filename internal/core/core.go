@@ -101,17 +101,6 @@ type Options struct {
 	// choice depends on the round's plan alone, never on a clock. 1 always
 	// draws inline. Negative values are invalid.
 	Workers int
-	// Draws, when non-nil, feeds the run from a shared offset-addressed
-	// draw source (dataset.Broker) instead of private per-group streams:
-	// the sampler serves group i's j-th draw from Draws.Fill(i, j, ·), so
-	// any number of concurrent runs over sources built from the same
-	// resolved seed fold the same physical draws — the N×samples → ~1×
-	// sharing lever. Because a group's stream draws are a pure function of
-	// (seed, group index, offset), a broker-fed run is bit-for-bit
-	// identical to a solo run with the same seed. Only sampler-native draw
-	// paths can be fed this way; Run rejects specs with custom draw hooks
-	// (pair draws, normalized draws, tuple sampling).
-	Draws dataset.DrawSource
 	// OnRound, when non-nil, observes every round (Query.OnRound and the
 	// convergence experiments behind Figures 5(c) and 6(a)). It receives
 	// the round number m, the widest live half-width eps, each group's

@@ -261,18 +261,7 @@ func newRoundLoop(u *dataset.Universe, rng *xrand.RNG, opts *Options, algo round
 	if workers > k {
 		workers = k
 	}
-	// Draw discipline: private per-group streams by default; a shared
-	// offset-addressed source (broker) when the caller supplies one. A
-	// broker built from the same resolved seed serves exactly the values
-	// the private streams would draw — the one rng.Uint64() below is the
-	// solo path's stream base, and brokers derive theirs from the same
-	// seed — so the two paths are interchangeable bit for bit.
-	var sampler *dataset.Sampler
-	if opts.Draws != nil {
-		sampler = dataset.NewSourceSampler(u, opts.Draws, !opts.WithReplacement)
-	} else {
-		sampler = dataset.NewStreamSampler(u, rng.Uint64(), !opts.WithReplacement)
-	}
+	sampler := dataset.NewStreamSampler(u, rng.Uint64(), !opts.WithReplacement)
 	if algo.drawOne == nil {
 		// Sampler-native block draws can take the devirtualized kernel
 		// path: the concrete group type is resolved once here, not per
@@ -529,8 +518,8 @@ func (lp *roundLoop) drawGroup(w, i, n int) {
 			sum += x
 		}
 	default:
-		// Groups without a kernel (virtual distributions, source-fed
-		// samplers) buffer through the generic block path instead.
+		// Groups without a kernel (virtual distributions) buffer through
+		// the generic block path instead.
 		if s, ok := lp.sampler.DrawBlockSum(i, n); ok {
 			sum = s
 			break

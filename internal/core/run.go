@@ -209,12 +209,6 @@ func Run(ctx context.Context, u *dataset.Universe, rng *xrand.RNG, spec Spec) (*
 		opts.Workers = spec.Workers
 	}
 
-	if opts.Draws != nil {
-		if err := shareableSpec(spec); err != nil {
-			return nil, err
-		}
-	}
-
 	// Multiple group-by replaces the universe entirely.
 	if spec.Cells != nil {
 		mg, err := MultiGroupBy(spec.Cells, rng, opts, spec.MaxDraws)
@@ -225,8 +219,7 @@ func Run(ctx context.Context, u *dataset.Universe, rng *xrand.RNG, spec Spec) (*
 	}
 
 	// However the run ends — result, cancellation, error — its groups' draw
-	// state goes back for the next query over the same rows to reuse. (A
-	// source-fed run never touched its groups' state: nothing to release.)
+	// state goes back for the next query over the same rows to reuse.
 	defer u.ReleaseDraws()
 
 	if spec.Guarantee != GuarOrder && spec.Aggregate != AggAvg {
@@ -320,32 +313,6 @@ func Run(ctx context.Context, u *dataset.Universe, rng *xrand.RNG, spec Spec) (*
 		}, nil
 	}
 	return nil, fmt.Errorf("core: unknown aggregate %v", spec.Aggregate)
-}
-
-// shareableSpec reports whether spec's draw path is pure block draws, the
-// precondition for feeding it from a shared Options.Draws source. Anything
-// that consumes auxiliary randomness outside the per-group sample streams —
-// pair draws, membership indicators, whole-table tuple sampling, exact
-// scans, cell runs — would need randomness a source-fed sampler does not
-// have (RNGFor is nil), so those shapes are rejected here, in one place,
-// rather than nil-dereferencing deep inside an algorithm. The engine layer
-// makes the same check advisorily (falling back to solo); this is the
-// backstop for direct core callers.
-func shareableSpec(spec Spec) error {
-	if spec.Cells != nil {
-		return fmt.Errorf("core: shared draw sources cannot feed multiple-group-by runs")
-	}
-	switch spec.Algorithm {
-	case AlgoAuto, AlgoIFocus, AlgoRoundRobin:
-	default:
-		return fmt.Errorf("core: shared draw sources require a round-driver algorithm (auto, ifocus, roundrobin); got %s", spec.Algorithm)
-	}
-	switch spec.Aggregate {
-	case AggAvg, AggSum:
-	default:
-		return fmt.Errorf("core: shared draw sources support AVG and SUM aggregates; %s uses a custom draw path", spec.Aggregate)
-	}
-	return nil
 }
 
 // runAvg dispatches the AVG guarantee variants.

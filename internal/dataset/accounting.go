@@ -33,7 +33,6 @@ type Sampler struct {
 	// streams holds the per-group generators as one contiguous value slice
 	// (one allocation for k streams, not k); RNGFor hands out &streams[i].
 	streams []xrand.RNG
-	source  DrawSource
 	without bool
 
 	counts    []int64
@@ -94,35 +93,8 @@ func NewStreamSampler(u *Universe, base uint64, withoutReplacement bool) *Sample
 	}
 }
 
-// NewSourceSampler returns a sampler over u whose draws are served by an
-// offset-addressed source (a shared Broker) instead of the groups' own
-// draw paths: group i's j-th draw is src.Fill(i, j, ·), where j is the
-// group's current sample count. All accounting — counts, total, moments,
-// exhaustion — works exactly as on a private sampler, so algorithms see
-// no difference; but the sampler never touches the groups' draw state
-// (no permutation reset or advance), which is what lets any number of
-// source-fed samplers share one universe's worth of draws. The source
-// must have been built with the same withoutReplacement mode.
-func NewSourceSampler(u *Universe, src DrawSource, withoutReplacement bool) *Sampler {
-	return &Sampler{
-		u:         u,
-		source:    src,
-		without:   withoutReplacement,
-		counts:    make([]int64, u.K()),
-		exhausted: make([]atomic.Bool, u.K()),
-	}
-}
-
 // Draw samples once from group i and records the draw.
 func (s *Sampler) Draw(i int) float64 {
-	if s.source != nil {
-		var buf [1]float64
-		s.fillFromSource(i, buf[:])
-		if s.moments != nil && s.autoObserve {
-			s.moments[i].Add(buf[0])
-		}
-		return buf[0]
-	}
 	g := s.u.Groups[i]
 	s.Record(i, 1)
 	r := s.RNGFor(i)
@@ -163,29 +135,8 @@ func (s *Sampler) DrawBatch(i int, dst []float64) {
 	}
 }
 
-// fillFromSource serves one block from the offset-addressed source: the
-// block's offsets are [count_i, count_i+len(dst)), recorded before the
-// fill so the next block continues where this one ended. Exhaustion is
-// arithmetic — the source's without-replacement stream runs out exactly
-// when offsets pass the population, at which point its values are the
-// same with-replacement fallback a private sampler would produce.
-func (s *Sampler) fillFromSource(i int, dst []float64) {
-	from := atomic.LoadInt64(&s.counts[i])
-	s.Record(i, len(dst))
-	if s.without {
-		if sz := s.u.Groups[i].Size(); sz > 0 && from+int64(len(dst)) > sz {
-			s.exhausted[i].Store(true)
-		}
-	}
-	s.source.Fill(i, from, dst)
-}
-
 // drawBatch is DrawBatch without the moments fold.
 func (s *Sampler) drawBatch(i int, dst []float64) {
-	if s.source != nil {
-		s.fillFromSource(i, dst)
-		return
-	}
 	g := s.u.Groups[i]
 	s.Record(i, len(dst))
 	r := s.RNGFor(i)
@@ -251,15 +202,8 @@ func (s *Sampler) Exhausted(i int) bool { return s.exhausted[i].Load() }
 // stream. Algorithms with custom draw paths (pair draws, membership
 // indicators) must take their auxiliary randomness from here so the
 // per-group stream discipline — and with it worker invariance — extends to
-// every sample they consume. Source-fed samplers have no generator at all
-// (draws are addressed by offset) and return nil; algorithms with custom
-// draw paths cannot run on them, which core.Run enforces.
-func (s *Sampler) RNGFor(i int) *xrand.RNG {
-	if s.streams == nil {
-		return nil
-	}
-	return &s.streams[i]
-}
+// every sample they consume.
+func (s *Sampler) RNGFor(i int) *xrand.RNG { return &s.streams[i] }
 
 // EnableMoments switches on per-group moment accounting: one Welford
 // accumulator per group, maintained incrementally. With autoObserve set,

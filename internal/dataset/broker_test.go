@@ -1,13 +1,14 @@
 package dataset
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 
 	"repro/internal/xrand"
 )
 
-// brokerUniverse builds two universes over identical data: one for a solo
+// brokerUniverse builds two universes over identical data: one for a
 // stream sampler, one for a broker, so their draws can be compared.
 func brokerUniverse(t *testing.T, rows int) (*Universe, *Universe) {
 	t.Helper()
@@ -25,6 +26,10 @@ func brokerUniverse(t *testing.T, rows int) (*Universe, *Universe) {
 	return mk(), mk()
 }
 
+// TestBrokerMatchesStreamSampler pins Fill to the stream it retains: at the
+// same base, group i's offsets [j, j+n) hold exactly the values a stream
+// sampler draws as its j-th to (j+n−1)-th samples, in any chunking and, in
+// WOR mode, past exhaustion.
 func TestBrokerMatchesStreamSampler(t *testing.T) {
 	for _, without := range []bool{false, true} {
 		name := "with-replacement"
@@ -36,128 +41,103 @@ func TestBrokerMatchesStreamSampler(t *testing.T) {
 			const base = 0xfeed
 			solo := NewStreamSampler(uSolo, base, without)
 			broker := NewBroker(uShared, base, without)
-			sub := NewSourceSampler(uShared, broker, without)
 
-			// Interleave scalar and block draws; the streams must agree
-			// draw for draw, including past exhaustion in WOR mode.
-			buf1 := make([]float64, 64)
-			buf2 := make([]float64, 64)
-			for round := 0; round < 8; round++ {
+			// Chunks of 1–64 draws; 343 draws per group run past the 300
+			// rows each group holds.
+			want := make([]float64, 64)
+			got := make([]float64, 64)
+			for round := 0; round < 12; round++ {
 				for i := 0; i < uSolo.K(); i++ {
-					if round%3 == 0 {
-						a, b := solo.Draw(i), sub.Draw(i)
-						if a != b {
-							t.Fatalf("round %d group %d: scalar draw %v != %v", round, i, a, b)
-						}
-						continue
-					}
-					solo.DrawBatch(i, buf1)
-					sub.DrawBatch(i, buf2)
-					for j := range buf1 {
-						if buf1[j] != buf2[j] {
-							t.Fatalf("round %d group %d draw %d: %v != %v", round, i, j, buf1[j], buf2[j])
+					n := 1 + (round*37+i*11)%64
+					from := solo.Count(i)
+					solo.DrawBatch(i, want[:n])
+					broker.Fill(i, from, got[:n])
+					for j := 0; j < n; j++ {
+						if got[j] != want[j] {
+							t.Fatalf("round %d group %d offset %d: broker %v, stream %v", round, i, from+int64(j), got[j], want[j])
 						}
 					}
 				}
 			}
-			for i := 0; i < uSolo.K(); i++ {
-				if solo.Count(i) != sub.Count(i) {
-					t.Fatalf("group %d: counts diverge %d vs %d", i, solo.Count(i), sub.Count(i))
-				}
-				if solo.Exhausted(i) != sub.Exhausted(i) {
-					t.Fatalf("group %d: exhaustion diverges %t vs %t", i, solo.Exhausted(i), sub.Exhausted(i))
-				}
+			if without && !solo.Exhausted(0) {
+				t.Fatal("the draws never ran past a group's population")
+			}
+			if broker.Drawn() != solo.Total() || broker.Served() != solo.Total() {
+				t.Fatalf("drawn %d, served %d; want both %d", broker.Drawn(), broker.Served(), solo.Total())
 			}
 		})
 	}
 }
 
+// TestBrokerLateSubscriberCatchesUp pins the retained prefix: a reader
+// that starts at offset 0 after another has driven the streams deep copies
+// the same values, and no offset is drawn twice.
 func TestBrokerLateSubscriberCatchesUp(t *testing.T) {
 	uSolo, uShared := brokerUniverse(t, 600)
 	const base = 0xabcd
 	solo := NewStreamSampler(uSolo, base, true)
 	broker := NewBroker(uShared, base, true)
 
-	// First subscriber drives the stream deep.
-	first := NewSourceSampler(uShared, broker, true)
+	// The first reader drives every stream to offset 100 in two blocks.
 	buf := make([]float64, 50)
 	for i := 0; i < uShared.K(); i++ {
-		first.DrawBatch(i, buf)
-		first.DrawBatch(i, buf)
+		broker.Fill(i, 0, buf)
+		broker.Fill(i, 50, buf)
 	}
 
-	// A late subscriber starts at offset 0 and must see exactly the solo
-	// stream from the beginning — the retained prefix is its catch-up.
-	late := NewSourceSampler(uShared, broker, true)
+	// A late reader starts at offset 0 and must see the stream from its
+	// start.
 	want := make([]float64, 100)
 	got := make([]float64, 100)
 	for i := 0; i < uShared.K(); i++ {
 		solo.DrawBatch(i, want)
-		late.DrawBatch(i, got)
+		broker.Fill(i, 0, got)
 		for j := range want {
 			if want[j] != got[j] {
-				t.Fatalf("group %d draw %d: late subscriber saw %v, solo drew %v", i, j, got[j], want[j])
+				t.Fatalf("group %d draw %d: late reader saw %v, stream drew %v", i, j, got[j], want[j])
 			}
 		}
 	}
 
-	// The broker drew each offset once: first went to 100/group, late
-	// replayed the same 100, so Drawn stays at 100/group while Served is
-	// twice that.
 	if want, got := int64(100*uShared.K()), broker.Drawn(); got != want {
 		t.Fatalf("broker drew %d samples, want %d (each offset once)", got, want)
 	}
 	if want, got := int64(200*uShared.K()), broker.Served(); got != want {
 		t.Fatalf("broker served %d samples, want %d", got, want)
 	}
-	if broker.Retained() != broker.Drawn() {
-		t.Fatalf("retained %d != drawn %d", broker.Retained(), broker.Drawn())
-	}
 }
 
+// TestBrokerConcurrentSubscribers calls Fill from several goroutines at
+// once, each walking every group's stream in chunk sizes of its own: every
+// reader sees the stream sampler's values and each offset is drawn once.
+// Under -race it also pins the per-group locking.
 func TestBrokerConcurrentSubscribers(t *testing.T) {
-	// Many subscribers hammer the same broker concurrently with different
-	// batch shapes; every one must observe the identical stream. Run under
-	// -race this also pins the broker's locking discipline.
-	_, uShared := brokerUniverse(t, 1200)
-	const base = 0x77
-	broker := NewBroker(uShared, base, true)
-
-	uRef, _ := brokerUniverse(t, 1200)
+	uRef, uShared := brokerUniverse(t, 1200)
+	const base, depth, readers = 0x77, 300, 8
 	ref := NewStreamSampler(uRef, base, true)
-	const depth = 300
 	want := make([][]float64, uRef.K())
 	for i := range want {
 		want[i] = make([]float64, depth)
 		ref.DrawBatch(i, want[i])
 	}
+	broker := NewBroker(uShared, base, true)
 
-	const subs = 8
 	var wg sync.WaitGroup
-	errs := make(chan string, subs)
-	for s := 0; s < subs; s++ {
+	errs := make(chan string, readers) // each reader reports at most once
+	for s := 0; s < readers; s++ {
 		wg.Add(1)
 		go func(s int) {
 			defer wg.Done()
-			// Each subscriber needs its own universe: samplers share
-			// accounting but universes carry no draw state under source
-			// mode, so reusing uShared is fine — and exactly what the
-			// engine does.
-			sub := NewSourceSampler(uShared, broker, true)
 			batch := 1 + s*7%31
 			buf := make([]float64, batch)
 			r := xrand.New(uint64(s))
 			for i := 0; i < uShared.K(); i++ {
-				off := 0
-				for off < depth {
-					n := 1 + r.Intn(batch)
-					if off+n > depth {
-						n = depth - off
-					}
-					sub.DrawBatch(i, buf[:n])
+				for off := 0; off < depth; {
+					n := min(1+r.Intn(batch), depth-off)
+					broker.Fill(i, int64(off), buf[:n])
 					for j := 0; j < n; j++ {
 						if buf[j] != want[i][off+j] {
-							errs <- "subscriber stream diverged from solo"
+							errs <- fmt.Sprintf("reader %d group %d offset %d: %v, want %v", s, i, off+j, buf[j], want[i][off+j])
 							return
 						}
 					}
@@ -171,10 +151,10 @@ func TestBrokerConcurrentSubscribers(t *testing.T) {
 	if msg, ok := <-errs; ok {
 		t.Fatal(msg)
 	}
-	if got, want := broker.Served(), int64(subs*depth*uShared.K()); got != want {
+	if got, want := broker.Served(), int64(readers*depth*uShared.K()); got != want {
 		t.Fatalf("served %d, want %d", got, want)
 	}
-	if broker.Drawn() != int64(depth*uShared.K()) {
-		t.Fatalf("drawn %d, want %d (each offset once)", broker.Drawn(), depth*uShared.K())
+	if got, want := broker.Drawn(), int64(depth*uShared.K()); got != want {
+		t.Fatalf("drawn %d, want %d (each offset once)", got, want)
 	}
 }

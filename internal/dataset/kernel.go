@@ -380,13 +380,8 @@ type blockDrawer interface{ core() *drawCore }
 func (g *drawCore) core() *drawCore { return g }
 
 // EnableBlockKernels resolves, once, which groups draw through the staged
-// pipeline, switching DrawBlockSum on for them. It is a no-op on
-// source-fed samplers, whose draws are addressed by offset and never
-// touch the groups' draw paths.
+// pipeline, switching DrawBlockSum on for them.
 func (s *Sampler) EnableBlockKernels() {
-	if s.source != nil {
-		return
-	}
 	s.kernels = make([]*drawCore, s.u.K())
 	for i, g := range s.u.Groups {
 		if bd, ok := g.(blockDrawer); ok {
@@ -399,8 +394,8 @@ func (s *Sampler) EnableBlockKernels() {
 // stream, accounting, moments fold and fall-back to with-replacement when
 // the population runs out mid-block — returning the block's sum,
 // accumulated in draw order on one running total. ok is false when group i
-// does not draw through the pipeline (virtual distributions, custom
-// sources, kernels not enabled); the caller falls back to DrawBatch.
+// does not draw through the pipeline (virtual distributions, kernels not
+// enabled); the caller falls back to DrawBatch.
 //
 // Like every draw path, at most one goroutine may call it for a given
 // group at a time; distinct groups may be drawn concurrently.

@@ -143,9 +143,6 @@ type engineStats struct {
 	viewHits, viewMisses          int64
 	viewEvictions, viewEntries    int64
 	flightsActive, cacheEntries   int
-	brokersActive                 int
-	brokerAttached                int64
-	brokerDrawn, brokerServed     int64
 	tableRows                     int
 	tableGroups, uptimeSecondsInt int64
 }
@@ -174,11 +171,6 @@ func (m *Metrics) writeProm(w io.Writer, s engineStats) {
 	counter("rapidvizd_querycache_misses_total", "Queries requiring a fresh execution.", m.cacheMisses.Load())
 	counter("rapidvizd_querycache_evictions_total", "Whole-query cache entries evicted by the size bound.", m.cacheEvictions.Load())
 	gauge("rapidvizd_querycache_entries", "Whole-query cache entries currently held.", int64(s.cacheEntries))
-
-	gauge("rapidvizd_broker_active", "Sample brokers currently serving subscribed queries.", int64(s.brokersActive))
-	counter("rapidvizd_broker_subscribers_total", "Queries that attached to a sample broker.", s.brokerAttached)
-	counter("rapidvizd_broker_samples_drawn_total", "Tuples physically drawn by brokers (each offset once).", s.brokerDrawn)
-	counter("rapidvizd_broker_samples_served_total", "Tuples delivered to broker subscribers (drawn once, fanned out).", s.brokerServed)
 
 	counter("rapidvizd_viewcache_hits_total", "Predicate-view cache hits (engine selection cache).", s.viewHits)
 	counter("rapidvizd_viewcache_misses_total", "Predicate-view cache misses.", s.viewMisses)

@@ -8,6 +8,7 @@ import (
 	"math/rand/v2"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -417,20 +418,20 @@ func TestStreamClientAbandonment(t *testing.T) {
 		active, srv.Engine().InFlight())
 }
 
-// TestBrokerSharingAcrossFingerprints pins the piece the flight table
-// cannot do: two queries with different fingerprints (different δ) never
-// collapse into one flight, but they still share one sample broker —
-// same table, filter, and seed — and the sharing is observable on
-// /metrics. It also pins that a DisableSharing server returns the exact
-// same result, since the broker never changes answers.
-func TestBrokerSharingAcrossFingerprints(t *testing.T) {
+// TestDistinctFingerprintsRunSeparately pins the flight table's key: two
+// concurrent queries that differ only in δ have distinct fingerprints, so
+// neither attaches to the other's flight — both run fresh, and both
+// return results.
+func TestDistinctFingerprintsRunSeparately(t *testing.T) {
 	srv, ts := newTestServer(t, Config{})
-	reqA := QueryRequest{Delta: 0.05, BatchSize: 64, Seed: 21}
-	reqB := QueryRequest{Delta: 0.2, BatchSize: 64, Seed: 21}
+	reqs := []QueryRequest{
+		{Delta: 0.05, BatchSize: 64, Seed: 21},
+		{Delta: 0.2, BatchSize: 64, Seed: 21},
+	}
 
 	var wg sync.WaitGroup
-	results := make([]*rapidviz.Result, 2)
-	for i, req := range []QueryRequest{reqA, reqB} {
+	results := make([]*rapidviz.Result, len(reqs))
+	for i, req := range reqs {
 		wg.Add(1)
 		go func(i int, req QueryRequest) {
 			defer wg.Done()
@@ -444,51 +445,64 @@ func TestBrokerSharingAcrossFingerprints(t *testing.T) {
 			t.Fatalf("query %d got no result", i)
 		}
 	}
-
-	snap := srv.Metrics().Snapshot()
-	if snap.CacheMisses != 2 {
+	if snap := srv.Metrics().Snapshot(); snap.CacheMisses != 2 {
 		t.Fatalf("distinct fingerprints must not collapse: %d fresh executions", snap.CacheMisses)
 	}
-	bs := srv.Engine().BrokerStats()
-	if bs.Attached != 2 {
-		t.Fatalf("both flights should attach to the broker layer, got %d", bs.Attached)
-	}
-	if bs.Active != 0 {
-		t.Fatalf("brokers leaked: %d active after completion", bs.Active)
-	}
-	if bs.SamplesServed < bs.SamplesDrawn || bs.SamplesDrawn <= 0 {
-		t.Fatalf("implausible broker counters: %+v", bs)
-	}
+}
 
-	resp, err := http.Get(ts.URL + "/metrics")
+// TestServedQueryAllocatesPerBatch bounds what a served query allocates by
+// its rounds, not its samples: on a default server, queries that each draw
+// at least 100 k samples allocate less than one byte per sample. Any
+// per-query copy of the drawn values (8 B a sample) fails it.
+func TestServedQueryAllocatesPerBatch(t *testing.T) {
+	// Four groups of 100 k rows whose means sit half a unit apart: telling
+	// them apart takes most of every group.
+	b := rapidviz.NewTableBuilder()
+	rng := rand.New(rand.NewPCG(7, 11))
+	for g := 0; g < 4; g++ {
+		name := fmt.Sprintf("g%d", g)
+		for r := 0; r < 100_000; r++ {
+			b.Add(name, 50+0.5*float64(g)+rng.Float64()*20-10)
+		}
+	}
+	table, err := b.Build()
 	if err != nil {
 		t.Fatal(err)
 	}
-	prom, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	for _, metric := range []string{
-		"rapidvizd_broker_active 0",
-		"rapidvizd_broker_subscribers_total 2",
-		"rapidvizd_broker_samples_drawn_total",
-		"rapidvizd_broker_samples_served_total",
-	} {
-		if !strings.Contains(string(prom), metric) {
-			t.Fatalf("metrics exposition missing %q", metric)
+	_, ts := newTestServer(t, Config{Table: table})
+	query := func(seed uint64) *rapidviz.Result {
+		t.Helper()
+		body, _ := json.Marshal(QueryRequest{Seed: seed})
+		resp, err := http.Post(ts.URL+"/api/query", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
 		}
+		defer resp.Body.Close()
+		var qr queryResponse
+		if err := json.NewDecoder(resp.Body).Decode(&qr); err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusOK || qr.Result == nil {
+			t.Fatalf("seed %d: status %d: %s", seed, resp.StatusCode, qr.Error)
+		}
+		return qr.Result
 	}
 
-	// A server with the broker disabled answers identically: sharing is
-	// a cost optimization, never a semantic one.
-	srvOff, tsOff := newTestServer(t, Config{DisableSharing: true})
-	events := streamQuery(t, wsURL(tsOff), reqA)
-	off := events[len(events)-1].Result
-	if off == nil {
-		t.Fatal("DisableSharing query got no result")
+	query(100) // warm-up: fills the groups' draw-state free lists
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	var samples int64
+	for seed := uint64(1); seed <= 8; seed++ {
+		res := query(seed)
+		if res.TotalSamples < 100_000 {
+			t.Fatalf("seed %d drew %d samples; the test needs at least 100 000", seed, res.TotalSamples)
+		}
+		samples += res.TotalSamples
 	}
-	if fmt.Sprint(off.Estimates) != fmt.Sprint(results[0].Estimates) {
-		t.Fatalf("DisableSharing changed the answer: %v vs %v", off.Estimates, results[0].Estimates)
-	}
-	if bs := srvOff.Engine().BrokerStats(); bs.Attached != 0 {
-		t.Fatalf("DisableSharing server still attached %d brokers", bs.Attached)
+	runtime.ReadMemStats(&after)
+	grew := after.TotalAlloc - before.TotalAlloc
+	t.Logf("8 queries drew %d samples and allocated %d B (%.3f B a sample)", samples, grew, float64(grew)/float64(samples))
+	if grew >= uint64(samples) {
+		t.Fatal("want < 1 B allocated a sample")
 	}
 }

@@ -54,16 +54,6 @@ type Config struct {
 	// TraceInterval throttles per-round "round" events on streams that
 	// request traces; zero means 50ms.
 	TraceInterval time.Duration
-
-	// DisableSharing turns off the sample broker. By default the server
-	// runs its engine with ShareSamples on: concurrent queries over the
-	// same table, filter, and seed — even with different fingerprints, so
-	// the flight table can't collapse them — draw from one shared stream
-	// instead of each sampling the data independently. Sharing never
-	// changes results (broker-fed runs are bit-for-bit equal to solo
-	// runs), so the only reason to disable it is benchmarking the solo
-	// path. When set, per-request share_samples flags are ignored too.
-	DisableSharing bool
 }
 
 // Server serves one table. Create with New, mount via Handler.
@@ -102,9 +92,8 @@ func New(cfg Config) (*Server, error) {
 	}
 	metrics := NewMetrics()
 	eng, err := rapidviz.NewEngine(rapidviz.EngineConfig{
-		Workers:      cfg.Workers,
-		OnAdmission:  metrics.ObserveAdmission,
-		ShareSamples: !cfg.DisableSharing,
+		Workers:     cfg.Workers,
+		OnAdmission: metrics.ObserveAdmission,
 	})
 	if err != nil {
 		return nil, err
@@ -163,9 +152,6 @@ func (s *Server) clamp(q rapidviz.Query) rapidviz.Query {
 	}
 	if b := s.cfg.MaxDrawsBudget; b > 0 && (q.MaxDraws == 0 || q.MaxDraws > b) {
 		q.MaxDraws = b
-	}
-	if s.cfg.DisableSharing {
-		q.ShareSamples = false
 	}
 	return q
 }
@@ -455,7 +441,6 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	active, cached := s.flights.stats()
 	vs := s.eng.ViewCacheStats()
-	bs := s.eng.BrokerStats()
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	s.metrics.writeProm(w, engineStats{
 		inflight:         s.eng.InFlight(),
@@ -466,10 +451,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		viewEntries:      vs.Entries,
 		flightsActive:    active,
 		cacheEntries:     cached,
-		brokersActive:    bs.Active,
-		brokerAttached:   bs.Attached,
-		brokerDrawn:      bs.SamplesDrawn,
-		brokerServed:     bs.SamplesServed,
 		tableRows:        s.table.NumRows(),
 		tableGroups:      int64(s.table.K()),
 		uptimeSecondsInt: int64(time.Since(s.started).Seconds()),

@@ -53,13 +53,6 @@ type QueryRequest struct {
 	MaxRounds       int     `json:"max_rounds,omitempty"`
 	MaxDraws        int64   `json:"max_draws,omitempty"`
 
-	// ShareSamples opts this query into the engine's sample broker even
-	// when the server default is off. Redundant on a default server
-	// (sharing is already on) and ignored when the server sets
-	// DisableSharing. Sharing never changes results, so the flag is
-	// excluded from the query fingerprint.
-	ShareSamples bool `json:"share_samples,omitempty"`
-
 	// DeadlineMillis bounds the query's wall-clock time. Zero takes the
 	// server default; the server clamps every request to its maximum.
 	DeadlineMillis int64 `json:"deadline_ms,omitempty"`
@@ -176,7 +169,6 @@ func (r *QueryRequest) Query() (rapidviz.Query, error) {
 		Deterministic:   r.Deterministic,
 		MaxRounds:       r.MaxRounds,
 		MaxDraws:        r.MaxDraws,
-		ShareSamples:    r.ShareSamples,
 	}
 	for i, p := range r.Where {
 		switch {

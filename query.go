@@ -210,23 +210,6 @@ type Query struct {
 	// goroutine. Negative values are invalid.
 	Workers int
 
-	// ShareSamples opts this query into the engine's per-table sample
-	// broker: concurrent queries over the same table, Where filter,
-	// sampling mode, and resolved seed draw from one shared physical
-	// stream instead of each drawing its own — N identical-table queries
-	// cost ~1× the memory traffic rather than N×. Results are bit-for-bit
-	// identical to running solo (each group's draws are a pure function of
-	// the resolved seed and the group's cumulative draw count, no matter
-	// who triggers them), so sharing is purely a throughput knob;
-	// Result.Shared reports whether a broker actually served the run.
-	// Advisory: query shapes with custom draw paths — AggNormalizedSum,
-	// AggNormalizedCount, AggAvgPair, SubGroups, and the non-round-driver
-	// algorithms (AlgoIRefine, AlgoScan, AlgoNoIndex) — and non-table
-	// group sets silently run solo. Queries sharing a broker never mutate
-	// their groups' draw state, so a shared group set (Table.Groups) is
-	// safe under concurrent broker-fed queries.
-	ShareSamples bool
-
 	// Seed seeds the query's random stream. With Deterministic false
 	// (default), zero selects the engine's default seed; any other value
 	// is used as given. With Deterministic true, Seed is used exactly as

@@ -109,10 +109,6 @@ type Result struct {
 	// Capped reports that MaxRounds (or MaxDraws) fired; the guarantee is
 	// void.
 	Capped bool `json:"capped,omitempty"`
-	// Shared reports that the run's draws were served by the engine's
-	// per-table sample broker (Query.ShareSamples). Purely informational:
-	// shared and solo runs of the same query produce identical results.
-	Shared bool `json:"shared,omitempty"`
 	// Top lists the names of the top-T groups, largest estimate first
 	// (GuaranteeTopT queries only).
 	Top []string `json:"top,omitempty"`

@@ -89,8 +89,8 @@ func TableFromCSVFile(path string) (*Table, error) {
 // memory-mapped rather than heap-allocated: rows are paged in by the OS
 // only as draws touch them, so tables far larger than RAM stay queryable
 // with a resident set proportional to the sampled working set. It embeds
-// *Table — every engine path (Run, Stream, Where filters, shared brokers)
-// works on it unchanged and produces bit-for-bit the results the
+// *Table — every engine path (Run, Stream, Where filters, the serving
+// layer) works on it unchanged and produces bit-for-bit the results the
 // in-memory table would. Produce segment directories with
 // Table.WriteSegments, cmd/datagen -out, or vizsample -write-segments;
 // Close unmaps the columns (outstanding draws must be finished first).
