@@ -209,37 +209,6 @@ func TestQueryBatchValidation(t *testing.T) {
 	}
 }
 
-// TestReusedGroupsAcrossRuns is the engine-level regression for the
-// without-replacement reuse bug: two consecutive runs over the *same*
-// group values must both behave like first runs (fresh permutations), not
-// continue a consumed one.
-func TestReusedGroupsAcrossRuns(t *testing.T) {
-	groups := mkGroups([]float64{20, 80}, 300, 54)
-	eng := rapidviz.DefaultEngine()
-	first, err := eng.Run(context.Background(), rapidviz.Query{Bound: 100, Seed: 55}, groups)
-	if err != nil {
-		t.Fatal(err)
-	}
-	second, err := eng.Run(context.Background(), rapidviz.Query{Bound: 100, Seed: 55}, groups)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The tiny groups force the first run deep into each permutation; a
-	// leaked permutation would exhaust the second run early and skew its
-	// estimates via with-replacement fallback of an almost-empty suffix.
-	for i := range second.Estimates {
-		if second.Estimates[i] < 0 || second.Estimates[i] > 100 {
-			t.Fatalf("second run estimate %d out of range: %v", i, second.Estimates[i])
-		}
-		if c := second.SampleCounts[i]; c > 300 {
-			t.Fatalf("second run drew %d samples from a 300-row group", c)
-		}
-	}
-	if first.TotalSamples == 0 || second.TotalSamples == 0 {
-		t.Fatal("degenerate runs")
-	}
-}
-
 // TestTableIngestionEndToEnd: CSV → Table → Engine.Run, batched.
 func TestTableIngestionEndToEnd(t *testing.T) {
 	var sb strings.Builder

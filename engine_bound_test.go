@@ -58,30 +58,6 @@ func TestQueryConfidenceBound(t *testing.T) {
 	}
 }
 
-// TestQueryConfidenceBoundWorkerInvariance: Workers 1 == 8 seed-for-seed
-// at the engine level under the Bernstein bound, per batch size.
-func TestQueryConfidenceBoundWorkerInvariance(t *testing.T) {
-	ctx := context.Background()
-	eng := rapidviz.DefaultEngine()
-	for _, batch := range []int{1, 64} {
-		run := func(workers int) string {
-			q := rapidviz.Query{
-				Bound: 100, Seed: 62, BatchSize: batch, Workers: workers,
-				ConfidenceBound: rapidviz.BoundBernstein,
-			}
-			res, err := eng.Run(ctx, q, lowVarGroups(50_000, 10))
-			if err != nil {
-				t.Fatal(err)
-			}
-			return fmt.Sprintf("%v|%v|%d|%d", res.Estimates, res.SampleCounts, res.TotalSamples, res.Rounds)
-		}
-		want := run(1)
-		if got := run(8); got != want {
-			t.Fatalf("batch=%d: workers=8 diverged from workers=1:\n got: %s\nwant: %s", batch, got, want)
-		}
-	}
-}
-
 // TestQueryConfidenceBoundValidation: unknown bound names — and the
 // unsupported SubGroups combination — are rejected at the public boundary
 // instead of silently running the default schedule.

@@ -54,70 +54,6 @@ func resultFingerprint(res *Result) string {
 	return b.String()
 }
 
-// TestWhereMatchesPrefiltered is the acceptance pin: a Query{Where: …} on
-// the quickstart-style dataset returns the same certified ordering — in
-// fact the identical result, bit for bit — as running the equivalent
-// pre-filtered groups, because filtered groups consume their RNG streams
-// exactly as equal-sized materialized groups would.
-func TestWhereMatchesPrefiltered(t *testing.T) {
-	tab := whereTestTable(t, 4000)
-	preds := []Predicate{Where("qty", OpGE, 5), WhereValue(OpLE, 95)}
-
-	eng, err := NewEngine(EngineConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	q := Query{Seed: 77, Bound: 100, Delta: 0.05}
-	q.Where = preds
-	got, err := eng.Run(context.Background(), q, tab.Groups())
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Pre-filter by hand: same predicate semantics, surviving groups in
-	// table order.
-	qty, ok := tab.ExtraColumn("qty")
-	if !ok {
-		t.Fatal("qty column missing")
-	}
-	var ref []Group
-	off := 0
-	for gi, name := range tab.Names() {
-		col := tab.Column(gi)
-		var kept []float64
-		for j, v := range col {
-			if qty[off+j] >= 5 && v <= 95 {
-				kept = append(kept, v)
-			}
-		}
-		off += len(col)
-		if len(kept) > 0 {
-			ref = append(ref, GroupFromValues(name, kept))
-		}
-	}
-	want, err := eng.Run(context.Background(), Query{Seed: 77, Bound: 100, Delta: 0.05}, ref)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resultFingerprint(got) != resultFingerprint(want) {
-		t.Fatalf("filtered query diverges from pre-filtered run:\n got %s\nwant %s",
-			resultFingerprint(got), resultFingerprint(want))
-	}
-	// The certified ordering matches the true filtered ordering:
-	// online < west < south < north < east by construction.
-	rank := map[string]float64{}
-	for i, name := range got.Names {
-		rank[name] = got.Estimates[i]
-	}
-	order := []string{"online", "west", "south", "north", "east"}
-	for i := 1; i < len(order); i++ {
-		if rank[order[i-1]] >= rank[order[i]] {
-			t.Fatalf("certified ordering wrong: %s=%v !< %s=%v",
-				order[i-1], rank[order[i-1]], order[i], rank[order[i]])
-		}
-	}
-}
-
 // TestWhereGoldenPins pins the filtered execution bit-for-bit: for each
 // BatchSize the result is identical at Workers 1 and 8 (worker
 // invariance extends to filtered groups), and both match a captured

@@ -94,27 +94,8 @@ func TestBernsteinGoldenPins(t *testing.T) {
 			},
 			want: "rounds=87 total=4176 capped=false eps=5.7175819506408345 est=[14.890555488494655 27.485787547346717 39.542921769477445 50.967842650666014 62.773948904941427 74.934008486201989] counts=[696 696 696 696 696 696] settled=[87 87 87 87 87 87]",
 		},
-		{
-			name: "irefine-bernstein",
-			run: func(t *testing.T) string {
-				res, err := IRefine(pinUniverse(), xrand.New(7), bernsteinOpts(conc.KindBernstein, 0, 1))
-				return fingerprint(res, err)
-			},
-			want: "rounds=4 total=18000 capped=false eps=3.125 est=[15.142020953720431 27.146109727244955 39.062594209284548 51.100860182050432 63.032065713764496 75.192407775809784] counts=[3000 3000 3000 3000 3000 3000] settled=[4 4 4 4 4 4]",
-		},
-		{
-			name: "noindex-bernstein",
-			run: func(t *testing.T) string {
-				opts := bernsteinOpts(conc.KindBernstein, 0, 1)
-				res, err := NoIndex(NewUniverseTupleSource(pinUniverse()), xrand.New(43), opts, 0)
-				if err != nil {
-					return "err:" + err.Error()
-				}
-				return fmt.Sprintf("total=%d capped=%v counts=%v", res.TotalSamples, res.Capped, res.SampleCounts)
-			},
-			want: "total=4134 capped=false counts=[703 680 678 664 711 698]",
-		},
 	}
+	checkReferenceGoldens(t, func(b conc.Kind) bool { return b != conc.KindHoeffding })
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			got := tc.run(t)

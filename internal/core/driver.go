@@ -44,8 +44,8 @@ import (
 // decision that touches cross-group state (settling, the isolation sweep,
 // partial-result events) runs after the draw barrier, in deterministic
 // group order, exactly as in the sequential loop. Workers=1 and Workers=N
-// produce bit-identical results; the invariant is pinned by
-// TestWorkerInvariance.
+// produce bit-identical results; the invariant is pinned by the
+// conformance matrix (conformance_test.go).
 
 // roundAlgo packages what distinguishes one round-based algorithm from
 // another.
@@ -142,7 +142,7 @@ type roundLoop struct {
 // serving a query stream re-runs the round loop constantly with the same
 // group counts, so recycling the ~10 per-run slices (and the per-worker
 // block buffers, the largest of them) takes the driver's steady-state
-// allocation rate to near zero — the open remainder of ROADMAP item 4.
+// allocation rate to near zero.
 type loopScratch struct {
 	active    []bool
 	isolated  []bool

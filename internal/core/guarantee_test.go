@@ -7,73 +7,6 @@ import (
 	"repro/internal/xrand"
 )
 
-// TestOrderingGuaranteeStatistical is the end-to-end statistical check the
-// paper reports as its headline accuracy result: across many random
-// datasets from each family, every algorithm's output must respect the
-// (resolution-relaxed, where applicable) ordering property essentially
-// always — the paper measures 100% across the board at δ=0.05.
-func TestOrderingGuaranteeStatistical(t *testing.T) {
-	if testing.Short() {
-		t.Skip("statistical test")
-	}
-	kinds := []workload.Kind{workload.TruncNorm, workload.MixtureKind, workload.BernoulliKind}
-	const reps = 15
-	failures := map[string]int{}
-	for _, kind := range kinds {
-		for rep := 0; rep < reps; rep++ {
-			cfg := workload.Config{Kind: kind, K: 8, TotalRows: 4_000_000, Seed: uint64(100*int(kind) + rep)}
-			u, err := workload.Virtual(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			truth := u.TrueMeans()
-			opts := DefaultOptions()
-			opts.MaxRounds = 1 << 21
-
-			run, err := IFocus(u, xrand.New(uint64(rep)), opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !run.Capped && !CorrectOrdering(run.Estimates, truth) {
-				failures["ifocus/"+kind.String()]++
-			}
-
-			ropts := opts
-			ropts.Resolution = 1
-			runR, err := IFocus(u, xrand.New(uint64(rep)), ropts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !runR.Capped && !ResolutionCorrect(runR.Estimates, truth, 1) {
-				failures["ifocusr/"+kind.String()]++
-			}
-
-			rr, err := RoundRobin(u, xrand.New(uint64(rep)), opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !rr.Capped && !CorrectOrdering(rr.Estimates, truth) {
-				failures["roundrobin/"+kind.String()]++
-			}
-
-			ir, err := IRefine(u, xrand.New(uint64(rep)), ropts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !ir.Capped && !ResolutionCorrect(ir.Estimates, truth, 1) {
-				failures["irefiner/"+kind.String()]++
-			}
-		}
-	}
-	// δ=0.05 over 15 reps allows the occasional failure; more than 2 in
-	// any cell means the machinery is broken, not unlucky.
-	for key, n := range failures {
-		if n > 2 {
-			t.Errorf("%s: %d/%d ordering failures", key, n, reps)
-		}
-	}
-}
-
 // TestHardFamilyEtaControlsCost verifies the sample-complexity scaling of
 // Theorem 3.6 on the hard Bernoulli family, where η = γ exactly: halving γ
 // should roughly quadruple the cost (c²/η² scaling).

@@ -72,8 +72,8 @@ func MultiGroupBy(src CellSource, rng *xrand.RNG, opts Options, maxDraws int64) 
 	}
 	cells := kx * kz
 	// Per-cell budget δ/(kx·kz); draws are with replacement at the stratum
-	// level so the plain schedule applies.
-	sched := conc.MustSchedule(src.C(), cells, opts.Delta, opts.Kappa, 0)
+	// level, so the radius takes no population.
+	bound := conc.MustBound(conc.KindHoeffding, src.C(), cells, opts.Delta, opts.Kappa)
 
 	est := make([][]float64, kx)
 	cnt := make([][]int64, kx)
@@ -127,7 +127,7 @@ func MultiGroupBy(src CellSource, rng *xrand.RNG, opts Options, maxDraws int64) 
 		for x := 0; x < kx; x++ {
 			for z := 0; z < kz; z++ {
 				i := x*kz + z
-				w := sched.EpsilonN(int(cnt[x][z]), 0) / opts.HeuristicFactor
+				w := bound.Radius(int(cnt[x][z]), 0, nil) / opts.HeuristicFactor
 				ivs[i] = cellIv{est[x][z] - w, est[x][z] + w, cnt[x][z] > 0}
 			}
 		}

@@ -110,16 +110,14 @@ func NoIndex(src TupleSource, rng *xrand.RNG, opts Options, maxDraws int64) (*No
 	if err != nil {
 		return nil, err
 	}
-	// Table-wide draws return each group's tuples with replacement; the
-	// with-replacement schedule applies.
-	sched := conc.MustSchedule(src.C(), k, opts.Delta, opts.Kappa, 0)
-	// Per-group counts already differ here — tuples land where they land —
-	// so a variance-adaptive bound slots straight into the per-group width
-	// computation; its moments fold forward with each landed tuple.
-	var bound conc.Bound
+	// Per-group counts differ here — tuples land where they land — so every
+	// width is the bound's per-group radius at the group's own count. Draws
+	// return each group's tuples with replacement, so no population is
+	// passed; a variance-adaptive bound's moments fold forward with each
+	// landed tuple.
+	bound := conc.MustBound(kind, src.C(), k, opts.Delta, opts.Kappa)
 	var mom []conc.Moments
-	if kind != conc.KindHoeffding {
-		bound = conc.MustBound(kind, src.C(), k, opts.Delta, opts.Kappa)
+	if bound.NeedsMoments() {
 		mom = make([]conc.Moments, k)
 	}
 
@@ -177,12 +175,11 @@ func NoIndex(src TupleSource, rng *xrand.RNG, opts Options, maxDraws int64) (*No
 			if seen {
 				maxEps := 0.0
 				for i := 0; i < k; i++ {
-					var w float64
-					if bound != nil {
-						w = bound.Radius(int(counts[i]), 0, &mom[i]) / opts.HeuristicFactor
-					} else {
-						w = sched.EpsilonN(int(counts[i]), 0) / opts.HeuristicFactor
+					var m *conc.Moments
+					if mom != nil {
+						m = &mom[i]
 					}
+					w := bound.Radius(int(counts[i]), 0, m) / opts.HeuristicFactor
 					if w > maxEps {
 						maxEps = w
 					}

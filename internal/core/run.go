@@ -231,7 +231,7 @@ func Run(ctx context.Context, u *dataset.Universe, rng *xrand.RNG, spec Spec) (*
 		if spec.Aggregate != AggAvg || spec.Guarantee != GuarOrder {
 			return nil, fmt.Errorf("core: scan computes exact AVGs only")
 		}
-		res, err := scanParallel(u, spec.Workers)
+		res, err := scan(u, spec.Workers)
 		if err != nil {
 			return nil, err
 		}
@@ -386,8 +386,8 @@ func cellRunResult(mg *MultiGroupByResult) *RunResult {
 // ParallelFor runs fn(0..n-1) across at most workers goroutines (clamped
 // to n; workers <= 1 runs inline). Each fn call must touch only its own
 // index. It is the bounded work-queue primitive (internal/par) shared by
-// the parallel scan below, the round driver's draw fan-out, the public
-// engine's per-group preprocessing, and sharded table ingestion.
+// the exact scan, the round driver's draw fan-out, the public engine's
+// per-group preprocessing, and sharded table ingestion.
 func ParallelFor(n, workers int, fn func(i int)) {
 	par.For(n, workers, fn)
 }
@@ -396,54 +396,4 @@ func ParallelFor(n, workers int, fn func(i int)) {
 // each call, so fn can select per-worker scratch without synchronization.
 func ParallelForWorkers(n, workers int, fn func(w, i int)) {
 	par.ForWorkers(n, workers, fn)
-}
-
-// scanParallel is Scan with the per-group scans fanned out across at most
-// workers goroutines. Group scans are independent and each group's sum is
-// accumulated in visit order, so the result is bit-identical to Scan.
-func scanParallel(u *dataset.Universe, workers int) (*Result, error) {
-	if u == nil || u.K() == 0 {
-		return nil, fmt.Errorf("core: universe has no groups")
-	}
-	k := u.K()
-	if workers <= 1 || k == 1 {
-		return Scan(u)
-	}
-	estimates := make([]float64, k)
-	counts := make([]int64, k)
-	errs := make([]error, k)
-	ParallelFor(k, workers, func(i int) {
-		g := u.Groups[i]
-		sc, ok := g.(dataset.Scannable)
-		if !ok {
-			errs[i] = fmt.Errorf("core: group %q is not scannable; SCAN needs materialized data", g.Name())
-			return
-		}
-		sum := 0.0
-		n := sc.Scan(func(v float64) { sum += v })
-		if n == 0 {
-			errs[i] = fmt.Errorf("core: group %q is empty", g.Name())
-			return
-		}
-		estimates[i] = sum / float64(n)
-		counts[i] = n
-	})
-	var total int64
-	for i := 0; i < k; i++ {
-		if errs[i] != nil {
-			return nil, errs[i]
-		}
-		total += counts[i]
-	}
-	settled := make([]int, k)
-	for i := range settled {
-		settled[i] = 1
-	}
-	return &Result{
-		Estimates:    estimates,
-		SampleCounts: counts,
-		TotalSamples: total,
-		Rounds:       1,
-		SettledRound: settled,
-	}, nil
 }

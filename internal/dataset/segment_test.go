@@ -100,84 +100,6 @@ func TestSegmentRoundTrip(t *testing.T) {
 	}
 }
 
-// TestSegmentDrawsMatchInMemory pins the core bit-identity contract: every
-// draw mode on a segment-backed group consumes the RNG and produces values
-// exactly like its in-memory twin.
-func TestSegmentDrawsMatchInMemory(t *testing.T) {
-	tab := buildTestTable(t)
-	dir := t.TempDir()
-	if err := tab.WriteSegments(dir); err != nil {
-		t.Fatal(err)
-	}
-	st, err := OpenSegments(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-
-	modes := []struct {
-		name string
-		run  func(g Group, r *xrand.RNG, out []float64) int
-	}{
-		{"scalar-wr", func(g Group, r *xrand.RNG, out []float64) int {
-			for i := range out {
-				out[i] = g.Draw(r)
-			}
-			return len(out)
-		}},
-		{"batch-wr", func(g Group, r *xrand.RNG, out []float64) int {
-			g.(BatchGroup).DrawBatch(r, out)
-			return len(out)
-		}},
-		{"scalar-wor", func(g Group, r *xrand.RNG, out []float64) int {
-			n := 0
-			for n < len(out) {
-				v, ok := g.(WithoutReplacementGroup).DrawWithoutReplacement(r)
-				if !ok {
-					break
-				}
-				out[n] = v
-				n++
-			}
-			return n
-		}},
-		{"batch-wor", func(g Group, r *xrand.RNG, out []float64) int {
-			n := 0
-			for n < len(out) {
-				lim := n + 64
-				if lim > len(out) {
-					lim = len(out)
-				}
-				took := g.(BatchWithoutReplacementGroup).DrawBatchWithoutReplacement(r, out[n:lim])
-				if took == 0 {
-					break
-				}
-				n += took
-			}
-			return n
-		}},
-	}
-	for _, mode := range modes {
-		t.Run(mode.name, func(t *testing.T) {
-			memViews, segViews := tab.View(), st.View()
-			for gi := range memViews {
-				want := make([]float64, 300) // exceeds the smallest group: WOR paths exhaust
-				got := make([]float64, 300)
-				nw := mode.run(memViews[gi], xrand.New(uint64(11+gi)), want)
-				ng := mode.run(segViews[gi], xrand.New(uint64(11+gi)), got)
-				if nw != ng {
-					t.Fatalf("group %d: in-memory produced %d values, segment %d", gi, nw, ng)
-				}
-				for i := 0; i < nw; i++ {
-					if math.Float64bits(want[i]) != math.Float64bits(got[i]) {
-						t.Fatalf("group %d draw %d: in-memory %v, segment %v", gi, i, want[i], got[i])
-					}
-				}
-			}
-		})
-	}
-}
-
 // TestSparseMatchesDense forces the sparse permutation on small groups and
 // pins that it draws the identical stream, including across ResetDraws.
 func TestSparseMatchesDense(t *testing.T) {
@@ -258,42 +180,6 @@ func TestSparseMatchesDense(t *testing.T) {
 		}
 		if len(seen) != n {
 			t.Fatalf("group %d: post-reset permutation visited %d distinct rows, want %d", gi, len(seen), n)
-		}
-	}
-}
-
-// TestSegmentKernelMatchesInMemory pins DrawBlockSum equivalence through a
-// Sampler with kernels enabled — the path the round driver actually takes.
-func TestSegmentKernelMatchesInMemory(t *testing.T) {
-	tab := buildTestTable(t)
-	dir := t.TempDir()
-	if err := tab.WriteSegments(dir); err != nil {
-		t.Fatal(err)
-	}
-	st, err := OpenSegments(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-
-	for _, without := range []bool{true, false} {
-		memU := NewUniverse(101, tab.View()...)
-		segU := NewUniverse(101, st.View()...)
-		ms := NewStreamSampler(memU, 99, without)
-		ss := NewStreamSampler(segU, 99, without)
-		ms.EnableBlockKernels()
-		ss.EnableBlockKernels()
-		for round := 0; round < 8; round++ {
-			for gi := 0; gi < memU.K(); gi++ {
-				a, aok := ms.DrawBlockSum(gi, 64)
-				b, bok := ss.DrawBlockSum(gi, 64)
-				if !aok || !bok {
-					t.Fatalf("kernel not engaged (mem %v, seg %v)", aok, bok)
-				}
-				if math.Float64bits(a) != math.Float64bits(b) {
-					t.Fatalf("without=%v round %d group %d: in-memory sum %v, segment %v", without, round, gi, a, b)
-				}
-			}
 		}
 	}
 }

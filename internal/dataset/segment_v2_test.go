@@ -166,43 +166,6 @@ func assertSameDraws(t *testing.T, label string, want, got []Group, draws int) {
 	}
 }
 
-// TestCompressedDrawsMatchInMemory pins the tentpole contract: every draw
-// mode over compressed blocks produces the exact stream the in-memory
-// table would, block boundaries and all.
-func TestCompressedDrawsMatchInMemory(t *testing.T) {
-	tab := buildTestTable(t)
-	for _, blockLen := range []int{1, 64, 1 << 16} {
-		dir := t.TempDir()
-		writeCompressed(t, tab, dir, blockLen)
-		st, err := OpenSegments(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Views: fresh draw state per mode run.
-		for _, mode := range drawModesV2 {
-			mem, seg := tab.View(), st.View()
-			for gi := range mem {
-				a := make([]float64, 300)
-				b := make([]float64, 300)
-				na := mode.run(mem[gi], xrand.New(uint64(11+gi)), a)
-				nb := mode.run(seg[gi], xrand.New(uint64(11+gi)), b)
-				if na != nb {
-					t.Fatalf("blockLen %d %s group %d: %d vs %d values", blockLen, mode.name, gi, na, nb)
-				}
-				for i := 0; i < na; i++ {
-					if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
-						t.Fatalf("blockLen %d %s group %d draw %d: %v != %v", blockLen, mode.name, gi, i, a[i], b[i])
-					}
-				}
-			}
-		}
-		if err := st.Err(); err != nil {
-			t.Fatal(err)
-		}
-		st.Close()
-	}
-}
-
 // TestCompressedCacheEviction shrinks the decoded-block budget to its
 // 4-block floor and re-pins draw equivalence: evicted blocks re-decode to
 // identical values, and bounded residency never changes a stream.
@@ -225,40 +188,6 @@ func TestCompressedCacheEviction(t *testing.T) {
 	assertSameDraws(t, "evicting", tab.View(), st.View(), 300)
 	if got := len(st.cache.entries); got > 4 {
 		t.Fatalf("cache holds %d blocks, budget is 4", got)
-	}
-}
-
-// TestCompressedKernelMatchesInMemory pins DrawBlockSum equivalence over
-// compressed blocks — the round driver's actual hot path.
-func TestCompressedKernelMatchesInMemory(t *testing.T) {
-	tab := buildTestTable(t)
-	dir := t.TempDir()
-	writeCompressed(t, tab, dir, 64)
-	st, err := OpenSegments(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-
-	for _, without := range []bool{true, false} {
-		memU := NewUniverse(101, tab.View()...)
-		segU := NewUniverse(101, st.View()...)
-		ms := NewStreamSampler(memU, 99, without)
-		ss := NewStreamSampler(segU, 99, without)
-		ms.EnableBlockKernels()
-		ss.EnableBlockKernels()
-		for round := 0; round < 8; round++ {
-			for gi := 0; gi < memU.K(); gi++ {
-				a, aok := ms.DrawBlockSum(gi, 64)
-				b, bok := ss.DrawBlockSum(gi, 64)
-				if !aok || !bok {
-					t.Fatalf("kernel not engaged (mem %v, seg %v)", aok, bok)
-				}
-				if math.Float64bits(a) != math.Float64bits(b) {
-					t.Fatalf("without=%v round %d group %d: in-memory sum %v, compressed %v", without, round, gi, a, b)
-				}
-			}
-		}
 	}
 }
 

@@ -169,85 +169,6 @@ func TestFilterDenseVsSparseRepresentation(t *testing.T) {
 	}
 }
 
-// TestFilteredDrawsMatchPrefiltered pins the bit-for-bit equivalence the
-// engine's Where guarantee rests on: a FilteredGroup consumes its RNG
-// stream exactly as a SliceGroup holding the pre-filtered values would,
-// in every draw mode (scalar/batch × with/without replacement).
-func TestFilteredDrawsMatchPrefiltered(t *testing.T) {
-	tab := filterTestTable(t, map[string]int{"a": 500})
-	v, err := tab.Filter(Predicate{Column: "dist", Op: OpGE, Value: 1000}, Predicate{Op: OpLT, Value: 300})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fg := v.Groups()[0].(*FilteredGroup)
-	var kept []float64
-	for i := 0; i < 500; i++ {
-		if 10*i >= 1000 && i < 300 {
-			kept = append(kept, float64(i))
-		}
-	}
-	ref := NewSliceGroup("ref", kept)
-	if fg.Size() != ref.Size() {
-		t.Fatalf("sizes differ: %d vs %d", fg.Size(), ref.Size())
-	}
-	if fg.TrueMean() != ref.TrueMean() {
-		t.Fatalf("means differ: %v vs %v", fg.TrueMean(), ref.TrueMean())
-	}
-
-	// Scalar with replacement.
-	r1, r2 := xrand.New(42), xrand.New(42)
-	for i := 0; i < 1000; i++ {
-		if a, b := fg.Draw(r1), ref.Draw(r2); a != b {
-			t.Fatalf("draw %d: %v vs %v", i, a, b)
-		}
-	}
-	// Block with replacement.
-	buf1, buf2 := make([]float64, 257), make([]float64, 257)
-	fg.DrawBatch(r1, buf1)
-	ref.DrawBatch(r2, buf2)
-	for i := range buf1 {
-		if buf1[i] != buf2[i] {
-			t.Fatalf("batch draw %d: %v vs %v", i, buf1[i], buf2[i])
-		}
-	}
-	// Scalar without replacement, through exhaustion.
-	fg2 := v.View()[0].(*FilteredGroup)
-	ref2 := NewSliceGroup("ref", kept)
-	r1, r2 = xrand.New(7), xrand.New(7)
-	for {
-		a, okA := fg2.DrawWithoutReplacement(r1)
-		b, okB := ref2.DrawWithoutReplacement(r2)
-		if okA != okB {
-			t.Fatalf("exhaustion mismatch")
-		}
-		if !okA {
-			break
-		}
-		if a != b {
-			t.Fatalf("wor draw: %v vs %v", a, b)
-		}
-	}
-	// Block without replacement, odd block size to hit the partial tail.
-	fg3 := v.View()[0].(*FilteredGroup)
-	ref3 := NewSliceGroup("ref", kept)
-	r1, r2 = xrand.New(9), xrand.New(9)
-	for {
-		n1 := fg3.DrawBatchWithoutReplacement(r1, buf1[:33])
-		n2 := ref3.DrawBatchWithoutReplacement(r2, buf2[:33])
-		if n1 != n2 {
-			t.Fatalf("wor batch counts: %d vs %d", n1, n2)
-		}
-		for i := 0; i < n1; i++ {
-			if buf1[i] != buf2[i] {
-				t.Fatalf("wor batch draw: %v vs %v", buf1[i], buf2[i])
-			}
-		}
-		if n1 < 33 {
-			break
-		}
-	}
-}
-
 // TestFilteredViewExhaustion: a selection that shrinks a group below the
 // draw budget must exhaust cleanly through the sampler — falling back to
 // with-replacement draws and flagging Exhausted — exactly like a small

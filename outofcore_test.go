@@ -192,80 +192,6 @@ func testSegmentWhereDeterminism(t *testing.T, opts rapidviz.SegmentOptions) {
 	}
 }
 
-// TestSegmentWORExhaustion drains segment groups past their population
-// (falling back to with-replacement mid-block, like the in-memory path)
-// and requires the identical stream. Tiny groups force exhaustion for
-// every batch cadence.
-func TestSegmentWORExhaustion(t *testing.T) {
-	for _, format := range segFormats {
-		t.Run(format.name, func(t *testing.T) {
-			opts := format.opts
-			if opts.Compress {
-				opts.BlockLen = 16 // 50-row groups still cross blocks
-			}
-			testSegmentWORExhaustion(t, opts)
-		})
-	}
-}
-
-func testSegmentWORExhaustion(t *testing.T, opts rapidviz.SegmentOptions) {
-	b := rapidviz.NewTableBuilder()
-	rng := xrand.New(9)
-	for _, name := range []string{"X", "Y", "Z"} {
-		for i := 0; i < 50; i++ {
-			b.Add(name, 50+10*rng.Float64())
-		}
-	}
-	tbl, err := b.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	dir := t.TempDir()
-	if err := tbl.WriteSegmentsOptions(dir, opts); err != nil {
-		t.Fatal(err)
-	}
-	st, err := rapidviz.OpenSegments(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-
-	// Overlapping means keep every group contentious long past its 50
-	// rows; cap the rounds via MaxDraws so the run terminates quickly.
-	eng, err := rapidviz.NewEngine(rapidviz.EngineConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, batch := range []int{1, 7, 64} {
-		q := rapidviz.Query{
-			Bound:     tbl.MaxValue(),
-			Seed:      5,
-			BatchSize: batch,
-			MaxRounds: 300,
-		}
-		inmem, err := eng.Run(context.Background(), q, tbl.View())
-		if err != nil {
-			t.Fatal(err)
-		}
-		seg, err := eng.Run(context.Background(), q, st.View())
-		if err != nil {
-			t.Fatal(err)
-		}
-		assertIdenticalResults(t, inmem, seg)
-		// The driver clamps without-replacement blocks to the remaining
-		// population, so a contentious group drains to exactly its size —
-		// proving the segment path exhausts its permutation at the same
-		// draw the in-memory path does. (The mid-block with-replacement
-		// fallback past the population is exercised at the sampler level
-		// by the dataset package's segment tests.)
-		for i, c := range seg.SampleCounts {
-			if c != 50 {
-				t.Fatalf("batch=%d group %d drew %d samples; want exactly the 50-row population", batch, i, c)
-			}
-		}
-	}
-}
-
 // vmRSSKB reads the process resident set from /proc (linux only).
 func vmRSSKB(t *testing.T) int64 {
 	t.Helper()
