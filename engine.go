@@ -28,28 +28,17 @@ const autoParallelMinBatch = 64
 
 // EngineConfig holds an Engine's validated defaults. The zero value is
 // usable: δ=0.05, bound inferred per query, seed 0x5eedf00d, and one
-// worker per CPU.
-//
-// Defaults are inherited by queries that leave the matching field at its
-// zero value; a query can therefore raise but never zero-out a truthy
-// engine default (a Query cannot express "no resolution" on an engine
-// configured with one, nor without-replacement sampling on a
-// WithReplacement engine — use a separate engine for those workloads).
+// worker per CPU. Queries that leave Delta or Bound at zero inherit the
+// engine's.
 type EngineConfig struct {
 	// Delta is the default failure probability. Zero means 0.05.
 	Delta float64
 	// Bound is the default value bound c. Zero defers to per-query bounds
 	// or inference from materialized groups.
 	Bound float64
-	// Resolution is the default visual resolution. Zero disables.
-	Resolution float64
-	// WithReplacement makes with-replacement sampling the default.
-	WithReplacement bool
 	// Seed is the seed of non-deterministic queries that set none. Zero
 	// means 0x5eedf00d.
 	Seed uint64
-	// MaxRounds is the default round cap. Zero means uncapped.
-	MaxRounds int
 	// Workers bounds the engine's admission concurrency: at most Workers
 	// queries execute at once (further Run calls wait for a slot,
 	// honoring their context). Intra-query fan-out sizes itself to the
@@ -82,9 +71,9 @@ type Engine struct {
 	// views caches predicate selections: one dataset.View per (table,
 	// canonical predicate fingerprint), so repeated Where queries reuse
 	// the selection vectors and pay the filter scan once. Entries hold
-	// selection state only — every query takes fresh draw state via
-	// View.View() — so cached views are safe to share across concurrent
-	// queries. The cache is bounded: when a store would exceed
+	// selection state only — draw state lives in each run's sampler — so
+	// cached views are safe to share across concurrent queries. The cache
+	// is bounded: when a store would exceed
 	// maxCachedViews the whole cache is flushed and rebuilt from live
 	// traffic, so neither the selections nor the tables they pin can
 	// accumulate without limit (a service that re-ingests its table
@@ -128,12 +117,6 @@ func NewEngine(cfg EngineConfig) (*Engine, error) {
 	if cfg.Bound < 0 {
 		return nil, fmt.Errorf("rapidviz: engine Bound must be non-negative, got %v", cfg.Bound)
 	}
-	if cfg.Resolution < 0 {
-		return nil, fmt.Errorf("rapidviz: engine Resolution must be non-negative, got %v", cfg.Resolution)
-	}
-	if cfg.MaxRounds < 0 {
-		return nil, fmt.Errorf("rapidviz: engine MaxRounds must be non-negative, got %d", cfg.MaxRounds)
-	}
 	if cfg.Workers < 0 {
 		return nil, fmt.Errorf("rapidviz: engine Workers must be non-negative, got %d", cfg.Workers)
 	}
@@ -168,11 +151,9 @@ func DefaultEngine() *Engine { return defaultEngine() }
 // returns promptly with ctx.Err() even mid-query. A nil ctx means
 // context.Background().
 //
-// The engine is safe for concurrent use, but materialized groups are not:
-// they carry without-replacement draw state that each run resets and
-// advances. Concurrent Run calls must use distinct group sets (rebuild
-// them, or ingest one table per goroutine); reusing one set across
-// *consecutive* runs is fine.
+// The engine and the groups are both safe for concurrent use: a run keeps
+// its draw state to itself, so any number of Run calls — consecutive or
+// concurrent — may pass the same group set, such as one Table.Groups().
 func (e *Engine) Run(ctx context.Context, q Query, groups []Group) (*Result, error) {
 	return e.run(ctx, q, groups, nil)
 }
@@ -321,8 +302,7 @@ func (e *Engine) BrokerStats() BrokerStats { return BrokerStats{} }
 
 // whereGroups resolves a Where conjunction against table-backed groups:
 // it validates that the groups are one table's full group set in table
-// order, then returns fresh draw-state groups over the table's filtered
-// view — cached per (table, predicate fingerprint), so only the first
+// order, then returns the groups of the table's filtered view — cached per (table, predicate fingerprint), so only the first
 // query with a given filter pays the selection scan. Planning lives in
 // dataset.Table.Filter: group-inclusion predicates answer from the group
 // index without touching rows; value predicates, which have no
@@ -335,7 +315,7 @@ func (e *Engine) whereGroups(preds []Predicate, groups []Group) ([]Group, error)
 	for i, g := range groups {
 		tb, ok := g.(dataset.TableBacked)
 		if !ok {
-			return nil, fmt.Errorf("rapidviz: Where requires table-backed groups (pass Table.Groups or Table.View); group %q (%T) carries no table", g.Name(), g)
+			return nil, fmt.Errorf("rapidviz: Where requires table-backed groups (pass Table.Groups); group %q (%T) carries no table", g.Name(), g)
 		}
 		if i == 0 {
 			table = tb.Table()
@@ -353,7 +333,7 @@ func (e *Engine) whereGroups(preds []Predicate, groups []Group) ([]Group, error)
 	key := whereKey{table: table, fp: dataset.FingerprintPredicates(preds)}
 	if cached, ok := e.views.Load(key); ok {
 		e.viewHits.Add(1)
-		return cached.(*dataset.View).View(), nil
+		return cached.(*dataset.View).Groups(), nil
 	}
 	e.viewMisses.Add(1)
 	view, err := table.Filter(preds...)
@@ -373,7 +353,7 @@ func (e *Engine) whereGroups(preds []Predicate, groups []Group) ([]Group, error)
 		e.viewCount.Add(1)
 	}
 	e.viewMu.Unlock()
-	return view.View(), nil
+	return view.Groups(), nil
 }
 
 // ResolveGroups returns the groups q will actually sample over the given
@@ -485,15 +465,6 @@ func (e *Engine) normalize(q Query, groups []Group) (Query, error) {
 	}
 	if q.Bound == 0 {
 		q.Bound = e.cfg.Bound
-	}
-	if q.Resolution == 0 {
-		q.Resolution = e.cfg.Resolution
-	}
-	if e.cfg.WithReplacement {
-		q.WithReplacement = true
-	}
-	if q.MaxRounds == 0 {
-		q.MaxRounds = e.cfg.MaxRounds
 	}
 
 	if q.Delta <= 0 || q.Delta >= 1 {

@@ -63,10 +63,10 @@ func TestQueryWorkersValidation(t *testing.T) {
 }
 
 // TestConcurrentQueriesSharedTable is the serving-shape regression: one
-// engine answers many concurrent queries over one ingested table, each
-// query sampling its own zero-copy View. Same-seed queries must agree
-// exactly no matter how the goroutines interleave, and the table's own
-// group set must come through untouched.
+// engine answers many concurrent queries over one ingested table, all
+// sampling the same group set — through View and through Groups alike.
+// Same-seed queries must agree exactly no matter how the goroutines
+// interleave, and a later sequential run must come through untouched.
 func TestConcurrentQueriesSharedTable(t *testing.T) {
 	var sb strings.Builder
 	r := xrand.New(73)
@@ -84,24 +84,33 @@ func TestConcurrentQueriesSharedTable(t *testing.T) {
 	q := rapidviz.Query{Bound: table.MaxValue(), Seed: 74, BatchSize: 16}
 
 	const parallel = 8
-	results := make([]*rapidviz.Result, parallel)
-	errs := make([]error, parallel)
-	var wg sync.WaitGroup
-	for i := 0; i < parallel; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			results[i], errs[i] = eng.Run(context.Background(), q, table.View())
-		}(i)
-	}
-	wg.Wait()
-	for i := 0; i < parallel; i++ {
-		if errs[i] != nil {
-			t.Fatal(errs[i])
+	var first []float64
+	var firstTotal int64
+	for _, input := range []struct {
+		name   string
+		groups func() []rapidviz.Group
+	}{{"View", table.View}, {"Groups", table.Groups}} {
+		results := make([]*rapidviz.Result, parallel)
+		errs := make([]error, parallel)
+		var wg sync.WaitGroup
+		for i := 0; i < parallel; i++ {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				results[i], errs[i] = eng.Run(context.Background(), q, input.groups())
+			}(i)
 		}
-		if fmt.Sprint(results[i].Estimates) != fmt.Sprint(results[0].Estimates) ||
-			results[i].TotalSamples != results[0].TotalSamples {
-			t.Fatalf("concurrent same-seed queries disagree: %v vs %v", results[i], results[0])
+		wg.Wait()
+		for i := 0; i < parallel; i++ {
+			if errs[i] != nil {
+				t.Fatal(errs[i])
+			}
+			if first == nil {
+				first, firstTotal = results[i].Estimates, results[i].TotalSamples
+			}
+			if fmt.Sprint(results[i].Estimates) != fmt.Sprint(first) || results[i].TotalSamples != firstTotal {
+				t.Fatalf("%s: concurrent same-seed queries disagree: %v vs %v (%d samples)", input.name, results[i], first, firstTotal)
+			}
 		}
 	}
 	// The shared table must still serve a fresh (sequential) run correctly.
@@ -109,7 +118,7 @@ func TestConcurrentQueriesSharedTable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fmt.Sprint(after.Estimates) != fmt.Sprint(results[0].Estimates) {
-		t.Fatalf("table's own groups disturbed by concurrent views: %v vs %v", after.Estimates, results[0].Estimates)
+	if fmt.Sprint(after.Estimates) != fmt.Sprint(first) {
+		t.Fatalf("table's own groups disturbed by concurrent runs: %v vs %v", after.Estimates, first)
 	}
 }

@@ -12,11 +12,10 @@ import (
 )
 
 // TestReusedGroupSetDeterminism: "same query + seed ⇒ same result" must
-// hold on a group set that has already served a run, not only on a fresh
-// view — the engine runs the same query twice over one set and once over
-// a fresh one, and all three must agree bit for bit. A reset that resumed
-// from whatever arrangement the previous run left behind (the parent
-// commit's ResetDraws) drew a different, if equally uniform, stream the
+// hold on a group set that has already served a run — the engine runs the
+// same query three times over one set, and all three must agree bit for
+// bit. Draw state that resumed from whatever arrangement the previous run
+// left behind would draw a different, if equally uniform, stream the
 // second time. Every without-replacement state form is covered: heap
 // slices, table groups, filtered selections, mmapped and compressed
 // segments (dense permutation), and a segment group past the sparse gate.
@@ -39,7 +38,7 @@ func TestReusedGroupSetDeterminism(t *testing.T) {
 			}
 			return groups
 		}},
-		{"table", func(*testing.T) []rapidviz.Group { return tbl.View() }},
+		{"table", func(*testing.T) []rapidviz.Group { return tbl.Groups() }},
 		{"filtered", func(t *testing.T) []rapidviz.Group {
 			groups, err := eng.ResolveGroups(where, tbl.Groups())
 			if err != nil {
@@ -61,7 +60,7 @@ func TestReusedGroupSetDeterminism(t *testing.T) {
 		cases = append(cases, struct {
 			name  string
 			fresh func(t *testing.T) []rapidviz.Group
-		}{"segment-" + format.name, func(*testing.T) []rapidviz.Group { return st.View() }})
+		}{"segment-" + format.name, func(*testing.T) []rapidviz.Group { return st.Groups() }})
 	}
 
 	for _, tc := range cases {
@@ -102,7 +101,7 @@ func TestReusedGroupSetDeterminism(t *testing.T) {
 	}
 	defer st.Close()
 	assertReuseDeterministic(t, "segment-sparse", eng, rapidviz.Query{Bound: 100, Seed: 7},
-		func(*testing.T) []rapidviz.Group { return st.View() })
+		func(*testing.T) []rapidviz.Group { return st.Groups() })
 }
 
 func assertReuseDeterministic(t *testing.T, name string, eng *rapidviz.Engine, q rapidviz.Query, fresh func(*testing.T) []rapidviz.Group) {
@@ -147,7 +146,7 @@ func TestConcurrentQueriesRecycleDrawState(t *testing.T) {
 	const queries = 12 // distinct (seed, batch, filter) shapes
 	want := make([]*rapidviz.Result, queries)
 	for i := range want {
-		if want[i], err = eng.Run(context.Background(), query(i), tbl.View()); err != nil {
+		if want[i], err = eng.Run(context.Background(), query(i), tbl.Groups()); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -160,7 +159,7 @@ func TestConcurrentQueriesRecycleDrawState(t *testing.T) {
 			defer wg.Done()
 			for r := 0; r < rounds; r++ {
 				i := (g + r) % queries
-				res, err := eng.Run(context.Background(), query(i), tbl.View())
+				res, err := eng.Run(context.Background(), query(i), tbl.Groups())
 				if err != nil {
 					t.Error(err)
 					return

@@ -102,7 +102,7 @@ func TestViewCacheStats(t *testing.T) {
 	run := func(preds ...Predicate) {
 		t.Helper()
 		q := Query{Algorithm: AlgoScan, Bound: table.MaxValue(), Where: preds}
-		if _, err := eng.Run(ctx, q, table.View()); err != nil {
+		if _, err := eng.Run(ctx, q, table.Groups()); err != nil {
 			t.Fatal(err)
 		}
 	}

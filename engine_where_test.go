@@ -110,7 +110,7 @@ func fnvHash(s string) string {
 // many concurrent queries. The selection's bitmap rank index is built
 // before the view is published, so concurrent Selects are read-only; run
 // under -race this pins that contract, and every query must return the
-// identical result (fresh draw state per use).
+// identical result (each run owns its draw state).
 func TestWhereConcurrentCachedViews(t *testing.T) {
 	tab := whereTestTable(t, 2000)
 	eng, err := NewEngine(EngineConfig{Workers: 8})
@@ -129,7 +129,7 @@ func TestWhereConcurrentCachedViews(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			res, err := eng.Run(context.Background(), q, tab.View())
+			res, err := eng.Run(context.Background(), q, tab.Groups())
 			if err != nil {
 				errs[w] = err
 				return
@@ -175,13 +175,14 @@ func TestWhereViewCacheReuse(t *testing.T) {
 	if n := eng.viewCount.Load(); n != 2 {
 		t.Fatalf("distinct filter cached %d views, want 2", n)
 	}
-	// Cached selections serve Table.View() group sets too, and reuse must
-	// produce the same answer as the first run (fresh draw state per use).
-	r1, err := eng.Run(ctx, qa, tab.View())
+	// Cached selections serve Table.Groups() group sets too, and reuse must
+	// produce the same answer as the first run (each run owns its draw
+	// state).
+	r1, err := eng.Run(ctx, qa, tab.Groups())
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := eng.Run(ctx, qa, tab.View())
+	r2, err := eng.Run(ctx, qa, tab.Groups())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,8 +4,8 @@
 // adjacent points only (Problem 3), a value-accurate chart (Problem 6),
 // a fast mode that accepts mistakes on a small fraction of comparisons
 // (Problem 5), and finally the serving shape a real dashboard has: many
-// panels refreshing concurrently against one shared ingested table, each
-// query taking its own zero-copy view. Every panel is one Query against
+// panels refreshing concurrently against one shared ingested table, all
+// sampling its one group set. Every panel is one Query against
 // the same engine — no per-operator entry points.
 //
 //	go run ./examples/dashboard
@@ -134,11 +134,11 @@ func main() {
 	}
 
 	// --- Concurrent panels over one shared table -----------------------
-	// Ingest once, serve many: the table's packed columns are shared by
-	// every panel, but each concurrent query samples its own View — views
-	// carry independent without-replacement draw state, so one Engine can
-	// refresh all panels in parallel. Fixed seeds keep each panel's answer
-	// reproducible no matter how the queries interleave.
+	// Ingest once, serve many: every panel samples the table's one group
+	// set — the groups are immutable and each run keeps its own
+	// without-replacement draw state — so one Engine can refresh all panels
+	// in parallel. Fixed seeds keep each panel's answer reproducible no
+	// matter how the queries interleave.
 	var rows []rapidviz.Row
 	for i := 0; i < 16; i++ {
 		mean := 25 + 50*rng.Float64()
@@ -169,7 +169,7 @@ func main() {
 		go func(i int, q rapidviz.Query) {
 			defer wg.Done()
 			q.Bound = table.MaxValue()
-			results[i], errs[i] = eng.Run(ctx, q, table.View())
+			results[i], errs[i] = eng.Run(ctx, q, table.Groups())
 		}(i, p.q)
 	}
 	wg.Wait()

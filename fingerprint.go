@@ -75,11 +75,7 @@ func (e *Engine) Fingerprint(q Query) string {
 	} else {
 		fpFloat(&b, "c", bound)
 	}
-	res := q.Resolution
-	if res == 0 {
-		res = e.cfg.Resolution
-	}
-	fpFloat(&b, "res", res)
+	fpFloat(&b, "res", q.Resolution)
 	kind, err := conc.ParseKind(q.ConfidenceBound)
 	if err != nil {
 		// Invalid queries never execute; give them a distinct bucket so a
@@ -88,15 +84,10 @@ func (e *Engine) Fingerprint(q Query) string {
 		kind = conc.Kind("invalid:" + q.ConfidenceBound)
 	}
 	fmt.Fprintf(&b, "cb=%s|", kind)
-	wr := q.WithReplacement || e.cfg.WithReplacement
-	fmt.Fprintf(&b, "wr=%t|", wr)
+	fmt.Fprintf(&b, "wr=%t|", q.WithReplacement)
 	fmt.Fprintf(&b, "batch=%d|", q.BatchSize)
 	fpFloat(&b, "growth", q.RoundGrowth)
-	rounds := q.MaxRounds
-	if rounds == 0 {
-		rounds = e.cfg.MaxRounds
-	}
-	fmt.Fprintf(&b, "rounds=%d|draws=%d|", rounds, q.MaxDraws)
+	fmt.Fprintf(&b, "rounds=%d|draws=%d|", q.MaxRounds, q.MaxDraws)
 	fmt.Fprintf(&b, "seed=%d", e.seed(q))
 	return b.String()
 }

@@ -6,6 +6,7 @@ import (
 	"hash/fnv"
 	"math"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/conc"
@@ -17,11 +18,12 @@ import (
 // query and seed give the same result at any Workers count, on any backing
 // (heap table, mmapped v1 segments, compressed v2 segments), through a
 // Where filter or on the pre-filtered rows, and on a group set that has
-// already served a run. A cell is shape × bound × filter × batch × backing
+// already served a run or is serving another one at the same time. A cell is shape × bound × filter × batch × backing
 // × Workers × fixture, run through Run. Its reference cell is the heap
 // backing at Workers 1 on a table built from the filter's surviving rows,
 // with the same shape, bound, filter, batch and fixture. Every cell runs
-// twice on one group set, and both runs must equal the reference bit for
+// three times on its backing's one shared group set — once alone, then
+// twice at the same time — and every run must equal the reference bit for
 // bit: estimates at %.17g, counts, rounds, settled rounds, the OnPartial
 // and OnRound sequences, and the top-t members.
 //
@@ -303,7 +305,7 @@ func (c confCell) referenceTable(t testing.TB) *dataset.Table {
 // reference runs c's reference cell on tbl, its referenceTable: the heap
 // backing at Workers 1.
 func (c confCell) reference(tbl *dataset.Table) *outcome {
-	return c.run(universe(tbl.View()), 1)
+	return c.run(universe(tbl.Groups()), 1)
 }
 
 // confBacking is one fixture's rows on every backing, with the filtered
@@ -314,17 +316,18 @@ type confBacking struct {
 	views map[string]*dataset.View
 }
 
-// groups returns a fresh group set of the backing under filter.
+// groups returns the backing's one shared group set under filter: every
+// pass of every cell samples these same groups, never a copy.
 func (b *confBacking) groups(filter string) []dataset.Group {
 	if filter == "none" {
-		return b.table.View()
+		return b.table.Groups()
 	}
-	return b.views[filter].View()
+	return b.views[filter].Groups()
 }
 
 // buildBackings writes rows to every backing under dir and plans the
 // filtered views. The tables live for the whole matrix, so cells share
-// their draw-state pools.
+// their groups and the groups' draw-state pools.
 func buildBackings(t *testing.T, rows confRows, dir string) []*confBacking {
 	heap := heapTable(t, rows, keepAll)
 	var out []*confBacking
@@ -399,10 +402,22 @@ func TestConformance(t *testing.T) {
 							for _, b := range backings[key] {
 								for _, w := range confWorkers {
 									u := universe(b.groups(filter))
-									for pass := 1; pass <= 2; pass++ {
-										if got := c.run(u, w).String(); got != want {
+									got := []string{c.run(u, w).String(), "", ""}
+									// Passes 2 and 3 run at once over the same
+									// groups: each run's draw state is its own.
+									var wg sync.WaitGroup
+									for pass := 1; pass < len(got); pass++ {
+										wg.Add(1)
+										go func() {
+											defer wg.Done()
+											got[pass] = c.run(u, w).String()
+										}()
+									}
+									wg.Wait()
+									for pass, g := range got {
+										if g != want {
 											t.Errorf("%s/%s/w%d pass %d diverged from its reference\n got: %s\nwant: %s",
-												c, b.name, w, pass, got, want)
+												c, b.name, w, pass+1, g, want)
 										}
 									}
 									ran++

@@ -135,6 +135,8 @@ type roundLoop struct {
 	// are always freshly allocated). result() returns it to the pool; runs
 	// that never reach result() — cancellation, multiagg's phase-1 loop —
 	// simply drop it to the GC, which is always correct, just unpooled.
+	// The sampler's draw state follows the same rule, except that a
+	// canceled run hands it back too (run's error return).
 	scratch *loopScratch
 }
 
@@ -192,9 +194,10 @@ func intScratch(buf []int, k int) []int {
 	return buf[:0]
 }
 
-// release hands the run's scratch buffers back to the pool. The roundLoop
-// must not be used afterwards.
+// release hands the run's draw state and scratch buffers back to their
+// pools. The roundLoop must not be used afterwards.
 func (lp *roundLoop) release() {
+	lp.sampler.Release()
 	sc := lp.scratch
 	if sc == nil {
 		return
@@ -262,12 +265,6 @@ func newRoundLoop(u *dataset.Universe, rng *xrand.RNG, opts *Options, algo round
 		workers = k
 	}
 	sampler := dataset.NewStreamSampler(u, rng.Uint64(), !opts.WithReplacement)
-	if algo.drawOne == nil {
-		// Sampler-native block draws can take the devirtualized kernel
-		// path: the concrete group type is resolved once here, not per
-		// draw. Algorithms with a draw hook never block-draw natively.
-		sampler.EnableBlockKernels()
-	}
 	bound := newRunBound(u, opts)
 	// Per-run buffers come from the scratch pool; only estimates and
 	// settledR escape into the Result and are always freshly allocated.
@@ -346,6 +343,7 @@ func (lp *roundLoop) run() error {
 	lp.seed()
 	for lp.numActive > 0 {
 		if err := lp.opts.interrupted(); err != nil {
+			lp.sampler.Release()
 			return err
 		}
 		lp.m++

@@ -132,7 +132,7 @@ func BenchmarkIFocusParallel(b *testing.B) {
 
 // scalarPools holds, per rows-per-group size, the groups BenchmarkScalarRound
 // draws from: 200 uniform [0, 100) slice groups, built once and shared by
-// every sub-benchmark (a run resets the groups' draw state).
+// every sub-benchmark (each run's draw state lives in its sampler).
 var scalarPools = sync.OnceValue(func() map[int][]dataset.Group {
 	r := xrand.New(0x5ca1a)
 	pools := make(map[int][]dataset.Group)

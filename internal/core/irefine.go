@@ -34,6 +34,7 @@ func IRefine(u *dataset.Universe, rng *xrand.RNG, opts Options) (*Result, error)
 	}
 	k := u.K()
 	sampler := dataset.NewStreamSampler(u, rng.Uint64(), !opts.WithReplacement)
+	defer sampler.Release()
 	adaptive := opts.Bound == conc.KindBernstein || opts.Bound == conc.KindBernsteinFinite
 
 	estimates := make([]float64, k)

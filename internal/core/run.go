@@ -218,10 +218,6 @@ func Run(ctx context.Context, u *dataset.Universe, rng *xrand.RNG, spec Spec) (*
 		return cellRunResult(mg), nil
 	}
 
-	// However the run ends — result, cancellation, error — its groups' draw
-	// state goes back for the next query over the same rows to reuse.
-	defer u.ReleaseDraws()
-
 	if spec.Guarantee != GuarOrder && spec.Aggregate != AggAvg {
 		return nil, fmt.Errorf("core: the %s guarantee is only available for AVG runs (got %s)", spec.Guarantee, spec.Aggregate)
 	}

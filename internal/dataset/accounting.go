@@ -25,9 +25,10 @@ import (
 // Concurrency: all accounting (counts, total, exhausted flags) is atomic,
 // so distinct groups of one sampler may be drawn from concurrently — the
 // discipline of the parallel round driver, which fans groups across a
-// worker pool. Draw state itself (a group's permutation position, its RNG
-// stream) is still per group and unsynchronized: at most one goroutine may
-// draw from a given group at a time.
+// worker pool. Draw state itself (a group's cursor, its RNG stream) is
+// still per group and unsynchronized: at most one goroutine may draw from
+// a given group at a time. The sampler owns all of it — the groups are
+// immutable — so samplers over one group set never interfere.
 type Sampler struct {
 	u *Universe
 	// streams holds the per-group generators as one contiguous value slice
@@ -53,10 +54,10 @@ type Sampler struct {
 	// actually being estimated.
 	autoObserve bool
 
-	// kernels, when enabled, holds each group's staged draw pipeline (nil
-	// for groups without one), resolved once by EnableBlockKernels so
-	// DrawBlockSum can draw into the group's own value scratch (kernel.go).
-	kernels []*drawCore
+	// cursors holds the run's draw state in each group that draws through
+	// the staged pipeline (kernel.go): its permutation position, scratch
+	// and block memo. cursors[i] has a nil drawCore for other groups.
+	cursors []cursor
 }
 
 // NewStreamSampler returns a sampler over u in which every group owns a
@@ -66,23 +67,26 @@ type Sampler struct {
 // groups were visited — so runs produce identical results whether groups
 // are drawn sequentially or fanned across any number of workers.
 //
-// If withoutReplacement is true, groups implementing
-// WithoutReplacementGroup are consumed without replacement, starting from
-// the identity arrangement: any draw state left on the groups by a
-// previous run is reset, so reusing one Universe across consecutive runs
-// replays the same streams instead of silently continuing (or exhausting)
-// an earlier run's permutation.
+// If withoutReplacement is true, table- and slice-backed groups (and
+// other groups implementing WithoutReplacementGroup) are consumed without
+// replacement. Every sampler starts from the identity arrangement: its
+// cursors are its own, so any number of samplers may draw from one
+// universe, one after another or at the same time, and each replays the
+// same streams.
 func NewStreamSampler(u *Universe, base uint64, withoutReplacement bool) *Sampler {
-	if withoutReplacement {
-		for _, g := range u.Groups {
+	streams := make([]xrand.RNG, u.K())
+	for i := range streams {
+		streams[i] = xrand.Stream(base, uint64(i))
+	}
+	cursors := make([]cursor, u.K())
+	for i, g := range u.Groups {
+		if bd, ok := g.(blockDrawer); ok {
+			cursors[i].drawCore = bd.core()
+		} else if withoutReplacement {
 			if wg, ok := g.(WithoutReplacementGroup); ok {
 				wg.ResetDraws()
 			}
 		}
-	}
-	streams := make([]xrand.RNG, u.K())
-	for i := range streams {
-		streams[i] = xrand.Stream(base, uint64(i))
 	}
 	return &Sampler{
 		u:         u,
@@ -90,41 +94,52 @@ func NewStreamSampler(u *Universe, base uint64, withoutReplacement bool) *Sample
 		without:   withoutReplacement,
 		counts:    make([]int64, u.K()),
 		exhausted: make([]atomic.Bool, u.K()),
+		cursors:   cursors,
 	}
 }
 
 // Draw samples once from group i and records the draw.
 func (s *Sampler) Draw(i int) float64 {
-	g := s.u.Groups[i]
 	s.Record(i, 1)
-	r := s.RNGFor(i)
-	var v float64
-	drawn := false
-	if s.without {
-		if wg, ok := g.(WithoutReplacementGroup); ok {
-			if x, ok := wg.DrawWithoutReplacement(r); ok {
-				v, drawn = x, true
-			} else {
-				s.exhausted[i].Store(true)
-			}
-		}
-	}
-	if !drawn {
-		v = g.Draw(r)
-	}
+	v := s.draw(i)
 	if s.moments != nil && s.autoObserve {
 		s.moments[i].Add(v)
 	}
 	return v
 }
 
+// draw takes one sample from group i, without accounting: the next
+// permutation element while the population lasts (without replacement),
+// a uniform element otherwise.
+func (s *Sampler) draw(i int) float64 {
+	r := &s.streams[i]
+	if c := &s.cursors[i]; c.drawCore != nil {
+		if s.without {
+			if c.next < c.total {
+				return c.read(int(c.permStep(r)))
+			}
+			s.exhausted[i].Store(true)
+		}
+		return c.read(r.Intn(c.total))
+	}
+	g := s.u.Groups[i]
+	if s.without {
+		if wg, ok := g.(WithoutReplacementGroup); ok {
+			if x, ok := wg.DrawWithoutReplacement(r); ok {
+				return x
+			}
+			s.exhausted[i].Store(true)
+		}
+	}
+	return g.Draw(r)
+}
+
 // DrawBatch fills dst with samples from group i and records them. One call
-// costs one interface dispatch and one accounting update for the whole
-// block — the moments update included, folded over the freshly filled
-// block right here rather than by any later rescan — and produces exactly
-// the stream len(dst) successive Draw calls would, including the fall-back
-// to with-replacement sampling if the group's population runs out
-// mid-block.
+// costs one dispatch and one accounting update for the whole block — the
+// moments update included, folded over the freshly filled block right
+// here rather than by any later rescan — and produces exactly the stream
+// len(dst) successive Draw calls would, including the fall-back to
+// with-replacement sampling if the group's population runs out mid-block.
 func (s *Sampler) DrawBatch(i int, dst []float64) {
 	if len(dst) == 0 {
 		return
@@ -137,19 +152,24 @@ func (s *Sampler) DrawBatch(i int, dst []float64) {
 
 // drawBatch is DrawBatch without the moments fold.
 func (s *Sampler) drawBatch(i int, dst []float64) {
-	g := s.u.Groups[i]
 	s.Record(i, len(dst))
-	r := s.RNGFor(i)
-	if s.without {
-		switch wg := g.(type) {
-		case BatchWithoutReplacementGroup:
-			taken := wg.DrawBatchWithoutReplacement(r, dst)
-			if taken == len(dst) {
+	r := &s.streams[i]
+	if c := &s.cursors[i]; c.drawCore != nil {
+		if s.without {
+			rows := c.stageWithoutReplacement(r, len(dst))
+			c.gather(rows, dst[:len(rows)])
+			if len(rows) == len(dst) {
 				return
 			}
 			s.exhausted[i].Store(true)
-			dst = dst[taken:]
-		case WithoutReplacementGroup:
+			dst = dst[len(rows):]
+		}
+		c.gather(c.stageWithReplacement(r, len(dst)), dst)
+		return
+	}
+	g := s.u.Groups[i]
+	if s.without {
+		if wg, ok := g.(WithoutReplacementGroup); ok {
 			taken := 0
 			for taken < len(dst) {
 				v, ok := wg.DrawWithoutReplacement(r)

@@ -7,24 +7,24 @@ import (
 	"repro/internal/xrand"
 )
 
-// TestSliceGroupDrawBatchMatchesScalar: the block with-replacement path
-// must replay exactly the stream the scalar path produces from the same
-// seed.
+// TestSliceGroupDrawBatchMatchesScalar: the sampler's block
+// with-replacement path must replay exactly the stream the group's scalar
+// Draw produces from the same generator.
 func TestSliceGroupDrawBatchMatchesScalar(t *testing.T) {
 	vals := make([]float64, 257)
 	for i := range vals {
 		vals[i] = float64(i)
 	}
 	scalar := NewSliceGroup("s", vals)
-	block := NewSliceGroup("b", vals)
-	r1, r2 := xrand.New(9), xrand.New(9)
+	block := NewStreamSampler(NewUniverse(1, NewSliceGroup("b", vals)), 9, false)
+	r1 := xrand.Stream(9, 0)
 	want := make([]float64, 100)
 	for i := range want {
-		want[i] = scalar.Draw(r1)
+		want[i] = scalar.Draw(&r1)
 	}
 	got := make([]float64, 100)
-	block.DrawBatch(r2, got[:37])
-	block.DrawBatch(r2, got[37:])
+	block.DrawBatch(0, got[:37])
+	block.DrawBatch(0, got[37:])
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("draw %d: block %v, scalar %v", i, got[i], want[i])
@@ -39,12 +39,11 @@ func TestSliceGroupBatchWithoutReplacementMatchesScalar(t *testing.T) {
 	for i := range vals {
 		vals[i] = float64(i) * 1.5
 	}
-	scalar := NewSliceGroup("s", vals)
-	block := NewSliceGroup("b", vals)
-	r1, r2 := xrand.New(4), xrand.New(4)
+	scalar := soloSampler(NewSliceGroup("s", vals), 4)
+	block := soloSampler(NewSliceGroup("b", vals), 4)
 	var want []float64
 	for {
-		v, ok := scalar.DrawWithoutReplacement(r1)
+		v, ok := drawWithout(scalar, 0)
 		if !ok {
 			break
 		}
@@ -53,7 +52,7 @@ func TestSliceGroupBatchWithoutReplacementMatchesScalar(t *testing.T) {
 	got := make([]float64, 0, len(vals))
 	buf := make([]float64, 17)
 	for {
-		n := block.DrawBatchWithoutReplacement(r2, buf)
+		n := drawBatchWithout(block, 0, buf)
 		got = append(got, buf[:n]...)
 		if n < len(buf) {
 			break
@@ -205,22 +204,24 @@ func TestSamplerResetsDrawStateAcrossRuns(t *testing.T) {
 	}
 }
 
-// TestResetDrawsUniformity: the O(1) reset (keeping the permutation array)
-// must still produce uniform first draws across repeated resets.
+// TestResetDrawsUniformity: the O(draws) restore a released sampler
+// performs (keeping the permutation array for the next run) must still
+// produce uniform first draws across repeated runs.
 func TestResetDrawsUniformity(t *testing.T) {
 	vals := []float64{0, 1, 2, 3}
-	g := NewSliceGroup("a", vals)
-	r := xrand.New(99)
+	u := NewUniverse(1, NewSliceGroup("a", vals))
 	counts := make([]int, len(vals))
 	const reps = 40_000
 	for rep := 0; rep < reps; rep++ {
-		// Consume a couple of elements, then reset mid-permutation.
-		g.DrawWithoutReplacement(r)
-		g.DrawWithoutReplacement(r)
-		g.ResetDraws()
-		v, _ := g.DrawWithoutReplacement(r)
+		// Consume a couple of elements, then release mid-permutation.
+		s := NewStreamSampler(u, uint64(2*rep), true)
+		drawWithout(s, 0)
+		drawWithout(s, 0)
+		s.Release()
+		s = NewStreamSampler(u, uint64(2*rep+1), true)
+		v, _ := drawWithout(s, 0)
 		counts[int(v)]++
-		g.ResetDraws()
+		s.Release()
 	}
 	want := float64(reps) / float64(len(vals))
 	for v, c := range counts {

@@ -9,9 +9,10 @@
 //     one table. Decode runs outside the lock (duplicate decodes of a block
 //     are idempotent); decode failures are sticky and surface through
 //     SegmentTable.Err, because draw paths cannot return errors.
-//   - blockWindow: one group's (or filtered view's) cursor over a row range
-//     of a column. It memoizes the current block so sorted gathers and
-//     scans touch the cache mutex once per block, not once per row.
+//   - blockWindow: one group's (or filtered view's) row range of a column,
+//     read through a blockMemo that remembers the current block, so sorted
+//     gathers and scans touch the cache mutex once per block, not once per
+//     row. The memo belongs to the reader (a run's cursor), not the window.
 package dataset
 
 import (
@@ -170,60 +171,43 @@ func (bc *blockColumn) block(b int) []float64 {
 	return bc.cache.put(key, vals)
 }
 
-// materialize decodes the whole column into one dense slice (Table.Column
-// and ExtraColumn on compressed tables; test and tooling paths, not draws).
-func (bc *blockColumn) materialize() ([]float64, error) {
-	out := make([]float64, 0, bc.rows)
-	var scratch []float64
-	for b := 0; b < bc.nblocks(); b++ {
-		vals, _, err := bc.decode(scratch, b)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, vals...)
-		scratch = vals[:0]
-	}
-	return out, nil
-}
-
-// blockWindow is a cursor over rows [lo, lo+n) of a compressed column: the
-// per-group (and per-filtered-view) access path. curB/curV memoize the
-// block the cursor last touched, so block-sorted gathers and scans pay one
-// cache lookup per block. A window is draw state: views must clone it
-// (fresh memo) rather than share it across concurrent queries.
+// blockWindow is one group's (or filtered view's) row range [lo, lo+n) of a
+// compressed column. It is immutable; readers that walk it block by block
+// carry a blockMemo.
 type blockWindow struct {
-	col  *blockColumn
-	lo   int64 // absolute row of the window's first row
-	n    int   // rows in the window
-	curB int   // memoized block index, -1 when empty
-	curV []float64
+	col *blockColumn
+	lo  int64 // absolute row of the window's first row
+	n   int   // rows in the window
 }
 
 func newBlockWindow(col *blockColumn, lo int64, n int) *blockWindow {
-	return &blockWindow{col: col, lo: lo, n: n, curB: -1}
+	return &blockWindow{col: col, lo: lo, n: n}
 }
 
-// clone returns a window over the same rows with a fresh memo.
-func (w *blockWindow) clone() *blockWindow {
-	return newBlockWindow(w.col, w.lo, w.n)
+// blockMemo remembers the decoded block a reader last touched, so
+// block-sorted gathers and scans pay one cache lookup per block, not one
+// per row. The zero value is empty. A run's cursor holds one per group.
+type blockMemo struct {
+	b int
+	v []float64 // block b's values; nil when empty
 }
 
-// at returns the window-local row's value.
-func (w *blockWindow) at(row int) float64 {
+// at returns the window-local row's value, through the memo m.
+func (w *blockWindow) at(m *blockMemo, row int) float64 {
 	abs := w.lo + int64(row)
 	b := int(abs / int64(w.col.blockLen))
-	if b != w.curB {
-		w.curV = w.col.block(b)
-		w.curB = b
+	if m.v == nil || b != m.b {
+		m.v = w.col.block(b)
+		m.b = b
 	}
-	return w.curV[abs-int64(b)*int64(w.col.blockLen)]
+	return m.v[abs-int64(b)*int64(w.col.blockLen)]
 }
 
-// gatherKeys fills dst from drawCore.gather's sorted keys (row<<32 | slot,
+// gatherKeys fills dst from cursor.gather's sorted keys (row<<32 | slot,
 // ascending): ascending rows visit each block once through the memo.
-func (w *blockWindow) gatherKeys(keys []uint64, dst []float64) {
+func (w *blockWindow) gatherKeys(m *blockMemo, keys []uint64, dst []float64) {
 	for _, k := range keys {
-		dst[uint32(k)] = w.at(int(int32(k >> 32)))
+		dst[uint32(k)] = w.at(m, int(int32(k>>32)))
 	}
 }
 

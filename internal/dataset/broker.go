@@ -36,9 +36,9 @@ type brokerStream struct {
 }
 
 // NewBroker returns a broker over u whose draw streams are seeded exactly
-// as NewStreamSampler(u, base, withoutReplacement) seeds a run's. The
-// broker owns u's groups' draw state; do not sample them through any other
-// sampler while the broker lives.
+// as NewStreamSampler(u, base, withoutReplacement) seeds a run's. Its
+// draw state lives in its own sampler, so u's groups stay free for any
+// other run.
 func NewBroker(u *Universe, base uint64, withoutReplacement bool) *Broker {
 	return &Broker{
 		sampler: NewStreamSampler(u, base, withoutReplacement),

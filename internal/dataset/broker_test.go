@@ -21,7 +21,7 @@ func brokerUniverse(t *testing.T, rows int) (*Universe, *Universe) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return NewUniverse(100, tab.View()...)
+		return NewUniverse(100, tab.Groups()...)
 	}
 	return mk(), mk()
 }

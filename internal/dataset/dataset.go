@@ -23,7 +23,10 @@ import (
 )
 
 // Group is a named multiset of values in a bounded range that supports
-// uniform random sampling. Implementations are not safe for concurrent use.
+// uniform random sampling. The groups this package builds are immutable
+// after construction and safe for concurrent use: a run's draw state lives
+// in its Sampler, never in the group. Implementations that keep draw state
+// of their own (WithoutReplacementGroup) are not.
 type Group interface {
 	// Name identifies the group (the x-axis label of its bar).
 	Name() string
@@ -37,7 +40,8 @@ type Group interface {
 }
 
 // WithoutReplacementGroup is implemented by groups that support exact
-// sampling without replacement.
+// sampling without replacement and keep the permutation state themselves
+// (table- and slice-backed groups leave it to the Sampler's cursors).
 type WithoutReplacementGroup interface {
 	Group
 	// DrawWithoutReplacement returns the next element of a uniformly random
@@ -56,17 +60,6 @@ type BatchGroup interface {
 	Group
 	// DrawBatch fills dst with uniform random elements (with replacement).
 	DrawBatch(r *xrand.RNG, dst []float64)
-}
-
-// BatchWithoutReplacementGroup is the block counterpart of
-// WithoutReplacementGroup. The produced stream must be identical to the
-// same number of successive DrawWithoutReplacement calls.
-type BatchWithoutReplacementGroup interface {
-	WithoutReplacementGroup
-	// DrawBatchWithoutReplacement fills a prefix of dst with the next
-	// elements of the random permutation and returns how many elements it
-	// produced — fewer than len(dst) only when the group is exhausted.
-	DrawBatchWithoutReplacement(r *xrand.RNG, dst []float64) int
 }
 
 // Scannable is implemented by groups whose full contents can be visited,
@@ -230,24 +223,6 @@ func NewUniverse(c float64, groups ...Group) *Universe {
 
 // K returns the number of groups.
 func (u *Universe) K() int { return len(u.Groups) }
-
-// ReleaseDraws ends a run's use of the groups' draw state: table- and
-// slice-backed groups restore their permutation to the identity, in
-// O(draws), and hand it and their staging buffers back to the
-// pool their views share, so the next query over the same rows allocates
-// O(batch) rather than 4 B × rows. The groups stay usable — the next draw
-// takes scratch from the pool again. Callers that never release lose
-// nothing but the recycling.
-func (u *Universe) ReleaseDraws() {
-	if u == nil {
-		return
-	}
-	for _, g := range u.Groups {
-		if bd, ok := g.(blockDrawer); ok {
-			bd.core().releaseDraws()
-		}
-	}
-}
 
 // TotalSize returns the summed group sizes (0 if any is unknown).
 func (u *Universe) TotalSize() int64 {

@@ -37,11 +37,11 @@ func TestSliceGroupEmptyPanics(t *testing.T) {
 
 func TestWithoutReplacementIsPermutation(t *testing.T) {
 	vals := []float64{10, 20, 30, 40, 50, 60, 70}
-	g := NewSliceGroup("g", vals)
-	r := xrand.New(2)
+	u := NewUniverse(1, NewSliceGroup("g", vals))
+	s := NewStreamSampler(u, 2, true)
 	var drawn []float64
 	for {
-		v, ok := g.DrawWithoutReplacement(r)
+		v, ok := drawWithout(s, 0)
 		if !ok {
 			break
 		}
@@ -57,12 +57,12 @@ func TestWithoutReplacementIsPermutation(t *testing.T) {
 		}
 	}
 	// Exhausted: further draws report false.
-	if _, ok := g.DrawWithoutReplacement(r); ok {
+	if _, ok := drawWithout(s, 0); ok {
 		t.Fatal("exhausted group still drawing")
 	}
-	// Reset gives a fresh pass.
-	g.ResetDraws()
-	if _, ok := g.DrawWithoutReplacement(r); !ok {
+	// A new run gives a fresh pass.
+	s.Release()
+	if _, ok := drawWithout(NewStreamSampler(u, 3, true), 0); !ok {
 		t.Fatal("reset group not drawing")
 	}
 }
@@ -70,7 +70,7 @@ func TestWithoutReplacementIsPermutation(t *testing.T) {
 func TestWithoutReplacementMeanExact(t *testing.T) {
 	// Consuming the full permutation reproduces the exact mean, for any
 	// contents — the property exhaustion-settling in IFOCUS relies on.
-	r := xrand.New(3)
+	seed := uint64(3)
 	check := func(raw []uint8) bool {
 		if len(raw) == 0 {
 			return true
@@ -80,10 +80,12 @@ func TestWithoutReplacementMeanExact(t *testing.T) {
 			vals[i] = float64(b)
 		}
 		g := NewSliceGroup("g", vals)
+		s := soloSampler(g, seed)
+		seed++
 		sum := 0.0
 		n := 0
 		for {
-			v, ok := g.DrawWithoutReplacement(r)
+			v, ok := drawWithout(s, 0)
 			if !ok {
 				break
 			}

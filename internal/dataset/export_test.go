@@ -1,12 +1,12 @@
 package dataset
 
-// DrainDrawPool empties the draw-state pool g's views share and returns the
-// permutations it held; released reports whether g itself holds no draw
-// scratch. ok is false for groups that do not draw through drawCore.
-func DrainDrawPool(g Group) (perms [][]int32, released, ok bool) {
+// DrainDrawPool empties the draw-state pool every run over g shares and
+// returns the permutations it held. ok is false for groups that do not
+// draw through drawCore.
+func DrainDrawPool(g Group) (perms [][]int32, ok bool) {
 	bd, ok := g.(blockDrawer)
 	if !ok {
-		return nil, false, false
+		return nil, false
 	}
 	c := bd.core()
 	c.pool.mu.Lock()
@@ -17,5 +17,29 @@ func DrainDrawPool(g Group) (perms [][]int32, released, ok bool) {
 		}
 	}
 	c.pool.free = nil
-	return perms, c.sc == nil && c.next == 0, true
+	return perms, true
+}
+
+// soloSampler returns a stream sampler over a one-group universe.
+func soloSampler(g Group, seed uint64) *Sampler {
+	return NewStreamSampler(NewUniverse(1, g), seed, true)
+}
+
+// drawWithout takes group i's next without-replacement draw through s,
+// reporting false — without drawing — once the population is exhausted.
+func drawWithout(s *Sampler, i int) (float64, bool) {
+	if c := &s.cursors[i]; c.next >= c.total {
+		return 0, false
+	}
+	return s.Draw(i), true
+}
+
+// drawBatchWithout fills a prefix of dst with group i's next
+// without-replacement draws through s and returns how many it drew —
+// fewer than len(dst) only when the population runs out.
+func drawBatchWithout(s *Sampler, i int, dst []float64) int {
+	c := &s.cursors[i]
+	n := min(len(dst), c.total-c.next)
+	s.DrawBatch(i, dst[:n])
+	return n
 }

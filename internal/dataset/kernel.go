@@ -3,7 +3,7 @@
 // segment chunk, compressed block window) and selection (none, bitmap,
 // index slice).
 //
-// A block of n > 1 draws runs as tight loops, each over the group's int32
+// A block of n > 1 draws runs as tight loops, each over the run's int32
 // row scratch:
 //
 //  1. stage   the n Fisher–Yates targets next+t+Intn(total−next−t) (or n
@@ -27,10 +27,13 @@
 // benchmark's round_bound workload (BatchSize=1, 20 groups of 50 k rows)
 // that took the query p50 from 35.5 to 17.9 ms (2-vCPU Xeon, ten pairs).
 //
-// Draw state is recycled, not per-query garbage: the permutation and the
-// staging buffers live in a drawScratch taken from a free list shared by
-// every view of the group, and handed back — the permutation restored to
-// the identity — when the run that used it ends (Universe.ReleaseDraws).
+// Groups hold no draw state: a run's position in each group's permutation
+// is a cursor its Sampler owns, so any number of runs may draw from one
+// group set at once. Draw state is recycled, not per-query garbage: a
+// cursor's permutation and staging buffers live in a drawScratch taken
+// from a free list every run over the group shares, and handed back — the
+// permutation restored to the identity — when the run ends
+// (Sampler.Release).
 package dataset
 
 import (
@@ -42,7 +45,7 @@ import (
 	"repro/internal/xrand"
 )
 
-// drawScratch is the recyclable part of one view's draw state.
+// drawScratch is the recyclable part of one run's draw state in a group.
 type drawScratch struct {
 	perm []int32   // dense Fisher–Yates permutation; the identity whenever pooled
 	rows []int32   // a block's targets, then drawn ranks, then rows — draw order
@@ -50,10 +53,10 @@ type drawScratch struct {
 	vals []float64 // a block's values, draw order (DrawBlockSum)
 }
 
-// drawPool is the free list of draw scratch every view of one group
+// drawPool is the free list of draw scratch every run over one group
 // shares. It is last in, first out, so a run takes the scratch the
 // previous run released, and it keeps at most max idle entries — the
-// GOMAXPROCS of the group's creation, as many views as can draw at once —
+// GOMAXPROCS of the group's creation, as many runs as can draw at once —
 // for the group's lifetime. Unlike a sync.Pool it is not emptied by a
 // garbage collection, so a query's allocation does not depend on when the
 // collector last ran.
@@ -88,8 +91,9 @@ func (p *drawPool) put(sc *drawScratch) {
 }
 
 // drawCore is the draw machinery SliceGroup and FilteredGroup embed: a
-// column accessor, an optional selection over it, and the per-view
-// without-replacement state. Exactly one of values and win is set.
+// column accessor and an optional selection over it. Exactly one of values
+// and win is set. It is immutable after construction — the per-run draw
+// state is a cursor (below) — so concurrent runs share it freely.
 type drawCore struct {
 	values []float64    // the group's column segment, local row indexing
 	win    *blockWindow // compressed backing: reads decode through the block cache
@@ -100,22 +104,15 @@ type drawCore struct {
 	// faulting them in random order. Windows always gather that way, so
 	// each block decodes every touched column block once.
 	seg bool
-	// sparse keeps the permutation as a map of displaced entries (disp),
-	// identity elsewhere: the same arrangement and RNG discipline as the
-	// dense array in O(draws) memory instead of O(rows) — what lets a group
-	// far larger than RAM be sampled without replacement. Only
+	// sparse keeps a cursor's permutation as a map of displaced entries
+	// (disp), identity elsewhere: the same arrangement and RNG discipline
+	// as the dense array in O(draws) memory instead of O(rows) — what lets
+	// a group far larger than RAM be sampled without replacement. Only
 	// segment-backed groups past sparsePermGate use it.
 	sparse bool
-	// pool recycles drawScratch among every view of the group (views copy
-	// the pointer), so its permutations all have length total.
+	// pool recycles drawScratch among every run over the group, so its
+	// permutations all have length total.
 	pool *drawPool
-
-	// next counts the permutation's consumed prefix: perm[0..next) have been
-	// drawn. The permutation is built by an inside-out Fisher–Yates so that
-	// consuming a few samples from a huge group costs O(samples), not O(n).
-	next int
-	disp map[int32]int32
-	sc   *drawScratch
 }
 
 func newDrawCore(values []float64, win *blockWindow, sel *selection) drawCore {
@@ -129,21 +126,67 @@ func newDrawCore(values []float64, win *blockWindow, sel *selection) drawCore {
 	return g
 }
 
-// scratch returns the view's draw scratch, taking it from the pool on
-// first use.
-func (g *drawCore) scratch() *drawScratch {
-	if g.sc == nil {
-		g.sc = g.pool.get()
+// at reads one local row through whichever backing the group has; m
+// memoizes the compressed block last read.
+func (g *drawCore) at(m *blockMemo, row int) float64 {
+	if g.win != nil {
+		return g.win.at(m, row)
 	}
-	return g.sc
+	return g.values[row]
+}
+
+// value reads the row a population rank denotes.
+func (g *drawCore) value(m *blockMemo, rank int) float64 {
+	if g.sel != nil {
+		rank = g.sel.row(rank)
+	}
+	return g.at(m, rank)
+}
+
+// Draw samples uniformly with replacement: one rank draw, one rank→row
+// map, no rejection. Sampler draws go through the run's cursor instead.
+func (g *drawCore) Draw(r *xrand.RNG) float64 {
+	var m blockMemo
+	return g.value(&m, r.Intn(g.total))
+}
+
+// core returns the group's draw machinery.
+func (g *drawCore) core() *drawCore { return g }
+
+// blockDrawer is implemented by the groups that embed drawCore.
+type blockDrawer interface{ core() *drawCore }
+
+// cursor is one run's draw state in one group: the consumed prefix of the
+// run's permutation of the population, the permutation itself (dense, in
+// sc, or sparse, in disp), the staging buffers and the compressed-block
+// memo. A Sampler owns one per drawCore group.
+type cursor struct {
+	*drawCore // nil for groups that do not draw through the pipeline
+
+	// next counts the permutation's consumed prefix: perm[0..next) have been
+	// drawn. The permutation is built by an inside-out Fisher–Yates so that
+	// consuming a few samples from a huge group costs O(samples), not O(n).
+	next int
+	disp map[int32]int32
+	sc   *drawScratch
+	memo blockMemo
+}
+
+// scratch returns the cursor's draw scratch, taking it from the group's
+// pool on first use.
+func (c *cursor) scratch() *drawScratch {
+	if c.sc == nil {
+		c.sc = c.pool.get()
+	}
+	return c.sc
 }
 
 // densePerm returns the dense permutation, built as the identity the first
 // time a scratch is used without replacement.
-func (g *drawCore) densePerm() []int32 {
-	sc := g.scratch()
+func (c *cursor) densePerm() []int32 {
+	sc := c.scratch()
 	if sc.perm == nil {
-		sc.perm = make([]int32, g.total)
+		sc.perm = make([]int32, c.total)
 		for i := range sc.perm {
 			sc.perm[i] = int32(i)
 		}
@@ -152,8 +195,8 @@ func (g *drawCore) densePerm() []int32 {
 }
 
 // rowScratch returns the staging buffer with length n.
-func (g *drawCore) rowScratch(n int) []int32 {
-	sc := g.scratch()
+func (c *cursor) rowScratch(n int) []int32 {
+	sc := c.scratch()
 	if cap(sc.rows) < n {
 		sc.rows = make([]int32, n)
 	}
@@ -161,94 +204,49 @@ func (g *drawCore) rowScratch(n int) []int32 {
 }
 
 // valScratch returns the value buffer with length n.
-func (g *drawCore) valScratch(n int) []float64 {
-	sc := g.scratch()
+func (c *cursor) valScratch(n int) []float64 {
+	sc := c.scratch()
 	if cap(sc.vals) < n {
 		sc.vals = make([]float64, n)
 	}
 	return sc.vals[:n]
 }
 
-// at reads one local row through whichever backing the group has.
-func (g *drawCore) at(row int) float64 {
-	if g.win != nil {
-		return g.win.at(row)
-	}
-	return g.values[row]
-}
-
-// value reads the row a population rank denotes.
-func (g *drawCore) value(rank int) float64 {
-	if g.sel != nil {
-		rank = g.sel.row(rank)
-	}
-	return g.at(rank)
-}
-
-// Draw samples uniformly with replacement: one rank draw, one rank→row
-// map, no rejection.
-func (g *drawCore) Draw(r *xrand.RNG) float64 { return g.value(r.Intn(g.total)) }
-
-// DrawWithoutReplacement returns the next element of a uniform random
-// permutation of the population, built lazily, and false once exhausted.
-func (g *drawCore) DrawWithoutReplacement(r *xrand.RNG) (float64, bool) {
-	if g.next >= g.total {
-		return 0, false
-	}
-	return g.value(int(g.permStep(r))), true
-}
-
-// DrawBatch fills dst with uniform with-replacement samples, exactly the
-// stream len(dst) successive Draw calls produce.
-func (g *drawCore) DrawBatch(r *xrand.RNG, dst []float64) {
-	rows := g.rowScratch(len(dst))
-	for i := range rows {
-		rows[i] = int32(r.Intn(g.total))
-	}
-	g.gather(rows, dst)
-}
-
-// DrawBatchWithoutReplacement consumes up to len(dst) further permutation
-// elements and returns how many it produced, exactly the stream that many
-// successive DrawWithoutReplacement calls produce.
-func (g *drawCore) DrawBatchWithoutReplacement(r *xrand.RNG, dst []float64) int {
-	rows := g.stageWithoutReplacement(r, len(dst))
-	g.gather(rows, dst[:len(rows)])
-	return len(rows)
-}
+// read reads the row a population rank denotes through the cursor's memo.
+func (c *cursor) read(rank int) float64 { return c.value(&c.memo, rank) }
 
 // permStep performs one inside-out Fisher–Yates step — choose the next
 // element uniformly from the unconsumed suffix [next, total) — and returns
 // the rank it lands on. Dense and sparse permutations consume the RNG
 // identically, so the drawn sequence is bit-for-bit the same either way.
-func (g *drawCore) permStep(r *xrand.RNG) int32 {
-	next := g.next
-	j := next + r.Intn(g.total-next)
-	g.next++
-	if g.sparse {
-		pn := g.permAt(int32(next))
+func (c *cursor) permStep(r *xrand.RNG) int32 {
+	next := c.next
+	j := next + r.Intn(c.total-next)
+	c.next++
+	if c.sparse {
+		pn := c.permAt(int32(next))
 		if j != next {
 			// Swap perm[next] and perm[j]: both displaced entries are
 			// recorded so the map stays a valid permutation.
-			pj := g.permAt(int32(j))
-			if g.disp == nil {
-				g.disp = make(map[int32]int32)
+			pj := c.permAt(int32(j))
+			if c.disp == nil {
+				c.disp = make(map[int32]int32)
 			}
-			g.disp[int32(next)] = pj
-			g.disp[int32(j)] = pn
+			c.disp[int32(next)] = pj
+			c.disp[int32(j)] = pn
 			pn = pj
 		}
 		return pn
 	}
-	perm := g.densePerm()
+	perm := c.densePerm()
 	perm[next], perm[j] = perm[j], perm[next]
 	return perm[next]
 }
 
 // permAt reads the sparse permutation at index i: displaced entries live in
 // disp, everything else is identity.
-func (g *drawCore) permAt(i int32) int32 {
-	if v, ok := g.disp[i]; ok {
+func (c *cursor) permAt(i int32) int32 {
+	if v, ok := c.disp[i]; ok {
 		return v
 	}
 	return i
@@ -257,22 +255,22 @@ func (g *drawCore) permAt(i int32) int32 {
 // stageWithoutReplacement runs up to n Fisher–Yates steps — fewer only when
 // the population runs out — and returns the drawn ranks in draw order,
 // without touching the value column.
-func (g *drawCore) stageWithoutReplacement(r *xrand.RNG, n int) []int32 {
-	next, total := g.next, g.total
+func (c *cursor) stageWithoutReplacement(r *xrand.RNG, n int) []int32 {
+	next, total := c.next, c.total
 	if n > total-next {
 		n = total - next
 	}
-	rows := g.rowScratch(n)
-	if g.sparse {
+	rows := c.rowScratch(n)
+	if c.sparse {
 		for t := range rows {
-			rows[t] = g.permStep(r)
+			rows[t] = c.permStep(r)
 		}
 		return rows
 	}
 	for t := range rows {
 		rows[t] = int32(next + t + r.Intn(total-next-t))
 	}
-	perm := g.densePerm()
+	perm := c.densePerm()
 	head := perm[next : next+n]
 	for t, j := range rows {
 		// In order, so a target that is a later step's own slot, or that
@@ -282,7 +280,17 @@ func (g *drawCore) stageWithoutReplacement(r *xrand.RNG, n int) []int32 {
 		head[t] = pj
 		rows[t] = pj
 	}
-	g.next = next + n
+	c.next = next + n
+	return rows
+}
+
+// stageWithReplacement stages n uniform ranks, exactly the stream n
+// successive with-replacement draws consume.
+func (c *cursor) stageWithReplacement(r *xrand.RNG, n int) []int32 {
+	rows := c.rowScratch(n)
+	for i := range rows {
+		rows[i] = int32(r.Intn(c.total))
+	}
 	return rows
 }
 
@@ -291,8 +299,8 @@ func (g *drawCore) stageWithoutReplacement(r *xrand.RNG, n int) []int32 {
 // loads; on an mmapped or compressed one they run in ascending row order:
 // keys pack (row<<32 | slot), so one sort yields both the visit order and
 // where each value belongs.
-func (g *drawCore) gather(rows []int32, dst []float64) {
-	if s := g.sel; s != nil {
+func (c *cursor) gather(rows []int32, dst []float64) {
+	if s := c.sel; s != nil {
 		if s.bits != nil {
 			if err := s.bits.SelectBatch(rows); err != nil {
 				panic(err) // ranks < count by construction
@@ -303,14 +311,14 @@ func (g *drawCore) gather(rows []int32, dst []float64) {
 			}
 		}
 	}
-	vals := g.values
-	if g.win == nil && !g.seg {
+	vals := c.values
+	if c.win == nil && !c.seg {
 		for i, row := range rows {
 			dst[i] = vals[row]
 		}
 		return
 	}
-	sc := g.sc
+	sc := c.sc
 	if cap(sc.keys) < len(rows) {
 		sc.keys = make([]uint64, len(rows))
 	}
@@ -319,8 +327,8 @@ func (g *drawCore) gather(rows []int32, dst []float64) {
 		keys[slot] = uint64(uint32(row))<<32 | uint64(uint32(slot))
 	}
 	slices.Sort(keys)
-	if g.win != nil {
-		g.win.gatherKeys(keys, dst)
+	if c.win != nil {
+		c.win.gatherKeys(&c.memo, keys, dst)
 		return
 	}
 	for _, k := range keys {
@@ -328,82 +336,61 @@ func (g *drawCore) gather(rows []int32, dst []float64) {
 	}
 }
 
-// ResetDraws restarts without-replacement sampling from the identity
-// arrangement, so the same RNG stream replays the same draws however many
-// runs the group has served. Restoring costs O(draws), not O(rows): a
-// consumed prefix [0, next) displaces exactly the suffix slots
-// {perm[t] : t < next, perm[t] ≥ next} — a slot leaves the identity only
-// by being a step's target, which moves its own index into the prefix for
-// good — so one pass over the prefix repairs both.
-func (g *drawCore) ResetDraws() {
-	next := g.next
-	g.next = 0
-	g.disp = nil
-	if g.sc == nil || g.sc.perm == nil {
+// release ends the run's use of the cursor: the permutation goes back to
+// the identity and the scratch to the group's pool. Restoring costs
+// O(draws), not O(rows): a consumed prefix [0, next) displaces exactly the
+// suffix slots {perm[t] : t < next, perm[t] ≥ next} — a slot leaves the
+// identity only by being a step's target, which moves its own index into
+// the prefix for good — so one pass over the prefix repairs both.
+func (c *cursor) release() {
+	if c.sc == nil {
 		return
 	}
-	perm := g.sc.perm
-	for t, v := range perm[:next] {
-		perm[t] = int32(t)
-		if int(v) >= next {
-			perm[v] = v
+	if perm := c.sc.perm; perm != nil {
+		next := c.next
+		for t, v := range perm[:next] {
+			perm[t] = int32(t)
+			if int(v) >= next {
+				perm[v] = v
+			}
 		}
 	}
+	c.pool.put(c.sc)
+	c.sc = nil
 }
 
-// releaseDraws ends the view's use of its draw state: the permutation goes
-// back to the identity and the scratch to the pool.
-func (g *drawCore) releaseDraws() {
-	g.ResetDraws()
-	if g.sc != nil {
-		g.pool.put(g.sc)
-		g.sc = nil
+// Release ends the run's use of its draw state: every cursor's
+// permutation is restored to the identity, in O(draws), and handed with
+// its staging buffers back to the pool every run over the group shares,
+// so the next query over the same rows allocates O(batch) rather than
+// 4 B × rows. The sampler must not draw afterwards. A sampler nobody
+// releases loses nothing but the recycling.
+func (s *Sampler) Release() {
+	for i := range s.cursors {
+		s.cursors[i].release()
 	}
+	s.cursors = nil
 }
 
-// resetView clears the draw state a by-value copy inherited, making the
-// copy an independent view: without this it would share (and corrupt) the
-// original's scratch. The pool pointer is kept — that is the sharing.
-func (g *drawCore) resetView() {
-	g.next = 0
-	g.disp = nil
-	g.sc = nil
-	if g.win != nil {
-		// The block cursor memoizes draw position; views need their own.
-		g.win = g.win.clone()
-	}
-}
+// EnableBlockKernels is a no-op — every group that embeds drawCore draws
+// through the staged pipeline — that the benchmark module still calls.
+func (s *Sampler) EnableBlockKernels() {}
 
-// blockDrawer is implemented by the groups that embed drawCore.
-type blockDrawer interface{ core() *drawCore }
-
-func (g *drawCore) core() *drawCore { return g }
-
-// EnableBlockKernels resolves, once, which groups draw through the staged
-// pipeline, switching DrawBlockSum on for them.
-func (s *Sampler) EnableBlockKernels() {
-	s.kernels = make([]*drawCore, s.u.K())
-	for i, g := range s.u.Groups {
-		if bd, ok := g.(blockDrawer); ok {
-			s.kernels[i] = bd.core()
-		}
-	}
-}
-
-// DrawBlockSum is DrawBatch into the group's own value scratch — the same
+// DrawBlockSum is DrawBatch into the cursor's own value scratch — the same
 // stream, accounting, moments fold and fall-back to with-replacement when
 // the population runs out mid-block — returning the block's sum,
 // accumulated in draw order on one running total. ok is false when group i
-// does not draw through the pipeline (virtual distributions, kernels not
-// enabled); the caller falls back to DrawBatch.
+// does not draw through the pipeline (virtual distributions); the caller
+// falls back to DrawBatch.
 //
 // Like every draw path, at most one goroutine may call it for a given
 // group at a time; distinct groups may be drawn concurrently.
 func (s *Sampler) DrawBlockSum(i, n int) (sum float64, ok bool) {
-	if s.kernels == nil || n <= 0 || s.kernels[i] == nil {
+	c := &s.cursors[i]
+	if n <= 0 || c.drawCore == nil {
 		return 0, false
 	}
-	vals := s.kernels[i].valScratch(n)
+	vals := c.valScratch(n)
 	s.DrawBatch(i, vals)
 	for _, v := range vals {
 		sum += v
@@ -420,7 +407,7 @@ const eachChunk = 64
 // the pipeline's loops across the groups: stage every target (or WR rank)
 // from each group's own stream, swap every permutation slot, read every
 // value, then account (one total add per call) and fold moments. Groups
-// with no kernel, a sparse permutation, or an exhausted population fall
+// with no pipeline, a sparse permutation, or an exhausted population fall
 // back to Draw in the same call. idx must not repeat a group; at most one
 // goroutine may draw a given group at a time.
 func (s *Sampler) DrawEach(idx []int, dst []float64) {
@@ -433,46 +420,43 @@ func (s *Sampler) DrawEach(idx []int, dst []float64) {
 
 // drawEach is DrawEach over at most eachChunk groups.
 func (s *Sampler) drawEach(idx []int, dst []float64) {
-	var coreBuf [eachChunk]*drawCore
-	var ranks [eachChunk]int32  // targets, then drawn ranks
-	cores := coreBuf[:len(idx)] // nil where Draw served the group
+	var curBuf [eachChunk]*cursor
+	var ranks [eachChunk]int32 // targets, then drawn ranks
+	curs := curBuf[:len(idx)]  // nil where Draw served the group
 	staged := 0
 	for t, i := range idx {
-		var g *drawCore
-		if s.kernels != nil {
-			g = s.kernels[i]
-		}
-		if g == nil || g.sparse || s.without && g.next >= g.total {
+		c := &s.cursors[i]
+		if c.drawCore == nil || c.sparse || s.without && c.next >= c.total {
 			dst[t] = s.Draw(i)
 			continue
 		}
 		r := &s.streams[i]
 		if s.without {
-			ranks[t] = int32(g.next + r.Intn(g.total-g.next))
+			ranks[t] = int32(c.next + r.Intn(c.total-c.next))
 		} else {
-			ranks[t] = int32(r.Intn(g.total))
+			ranks[t] = int32(r.Intn(c.total))
 		}
-		cores[t] = g
+		curs[t] = c
 		staged++
 	}
 	if s.without {
-		for t, g := range cores {
-			if g != nil {
-				perm := g.densePerm()
-				next, j := g.next, ranks[t]
+		for t, c := range curs {
+			if c != nil {
+				perm := c.densePerm()
+				next, j := c.next, ranks[t]
 				perm[next], perm[j] = perm[j], perm[next]
 				ranks[t] = perm[next]
-				g.next++
+				c.next++
 			}
 		}
 	}
-	for t, g := range cores {
-		if g != nil {
-			dst[t] = g.value(int(ranks[t]))
+	for t, c := range curs {
+		if c != nil {
+			dst[t] = c.read(int(ranks[t]))
 		}
 	}
-	for t, g := range cores {
-		if g != nil {
+	for t, c := range curs {
+		if c != nil {
 			atomic.AddInt64(&s.counts[idx[t]], 1)
 			if s.moments != nil && s.autoObserve {
 				s.moments[idx[t]].Add(dst[t])

@@ -6,7 +6,7 @@ import (
 )
 
 // BenchmarkBlockDraw measures the draw pipeline alone, the way a query
-// meets it: a fresh view per iteration, a stream sampler, up to 16384
+// meets it: the group set per iteration, a stream sampler, up to 16384
 // samples of one group (half the population on small selections, so the
 // with-replacement top-up stays out of the numbers) in blocks of batch,
 // then the release that recycles the draw state. Two things should be
@@ -65,7 +65,6 @@ func benchBlockDraw(b *testing.B, view func() []Group, without bool, batch int) 
 	for i := 0; i < b.N; i++ {
 		u := NewUniverse(1000, view()...)
 		s := NewStreamSampler(u, uint64(i), without)
-		s.EnableBlockKernels()
 		draws := min(16384, int(u.Groups[0].Size())/2)
 		for left := draws; left > 0; {
 			n := min(batch, left)
@@ -76,7 +75,7 @@ func benchBlockDraw(b *testing.B, view func() []Group, without bool, batch int) 
 			}
 			left -= n
 		}
-		u.ReleaseDraws()
+		s.Release()
 		samples += draws
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(samples), "ns/sample")

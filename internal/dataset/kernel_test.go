@@ -162,7 +162,7 @@ func TestKernelMatchesGenericPath(t *testing.T) {
 				buf := make([]float64, 4096)
 				var self, shared, toppedUp bool
 				for gi, g := range fast.Universe().Groups {
-					core := g.(blockDrawer).core()
+					core := &fast.cursors[gi]
 					if sel := core.sel; sel != nil && (sel.idx != nil) != strings.HasSuffix(tc.name, "-index") {
 						t.Fatalf("group %d: selection representation is not the one the case names", gi)
 					}
@@ -241,24 +241,28 @@ func TestKernelFallsBackOnVirtualGroups(t *testing.T) {
 	}
 }
 
-// TestViewsRecycleReleasedPermutation: a view whose first draw is a scalar
+// TestViewsRecycleReleasedPermutation: a run whose first draw is a scalar
 // step, and one whose first draw is a block, must both start from the
-// permutation the previous view released rather than build their own —
-// the O(batch)-per-query allocation promise, at the pointer level.
+// permutation the previous run's sampler released rather than build their
+// own — the O(batch)-per-query allocation promise, at the pointer level.
 func TestViewsRecycleReleasedPermutation(t *testing.T) {
 	tab := kernelTestTable(t)
 	for _, first := range []int{1, 64} {
-		a := NewStreamSampler(NewUniverse(100, tab.View()...), 1, true)
+		a := NewStreamSampler(NewUniverse(100, tab.Groups()...), 1, true)
 		a.DrawBatch(0, make([]float64, 64))
-		released := a.u.Groups[0].(blockDrawer).core().sc.perm
-		a.u.ReleaseDraws()
+		released := a.cursors[0].sc.perm
+		a.Release()
 
-		b := NewStreamSampler(NewUniverse(100, tab.View()...), 2, true)
-		b.DrawBatch(0, make([]float64, first))
-		if got := b.u.Groups[0].(blockDrawer).core().sc.perm; &got[0] != &released[0] {
-			t.Fatalf("first draw of %d: the view built its own permutation instead of reusing the released one", first)
+		b := NewStreamSampler(NewUniverse(100, tab.Groups()...), 2, true)
+		if first == 1 {
+			b.Draw(0)
+		} else {
+			b.DrawBatch(0, make([]float64, first))
 		}
-		b.u.ReleaseDraws()
+		if got := b.cursors[0].sc.perm; &got[0] != &released[0] {
+			t.Fatalf("first draw of %d: the run built its own permutation instead of reusing the released one", first)
+		}
+		b.Release()
 	}
 }
 
@@ -271,10 +275,10 @@ func TestDrawStateSurvivesGC(t *testing.T) {
 	tab := kernelTestTable(t)
 	perms := make(map[*int32]bool)
 	for run := 0; run < 50; run++ {
-		s := NewStreamSampler(NewUniverse(100, tab.View()...), uint64(run), true)
+		s := NewStreamSampler(NewUniverse(100, tab.Groups()...), uint64(run), true)
 		s.DrawBatch(0, make([]float64, 64))
-		perms[&s.u.Groups[0].(blockDrawer).core().sc.perm[0]] = true
-		s.u.ReleaseDraws()
+		perms[&s.cursors[0].sc.perm[0]] = true
+		s.Release()
 		runtime.GC()
 		runtime.GC()
 	}
@@ -283,27 +287,28 @@ func TestDrawStateSurvivesGC(t *testing.T) {
 	}
 }
 
-// TestDrawPoolKeepsAtMostGOMAXPROCS: more views than GOMAXPROCS can draw
+// TestDrawPoolKeepsAtMostGOMAXPROCS: more runs than GOMAXPROCS can draw
 // at once, but after they all release, the group keeps only GOMAXPROCS
 // idle scratch entries — the retention bound.
 func TestDrawPoolKeepsAtMostGOMAXPROCS(t *testing.T) {
 	tab := kernelTestTable(t)
 	limit := runtime.GOMAXPROCS(0)
-	var held []*Universe
+	u := NewUniverse(100, tab.Groups()...)
+	var held []*Sampler
 	for v := 0; v < limit+3; v++ {
-		u := NewUniverse(100, tab.View()...)
-		NewStreamSampler(u, uint64(v), true).DrawBatch(0, make([]float64, 64))
-		held = append(held, u)
+		s := NewStreamSampler(u, uint64(v), true)
+		s.DrawBatch(0, make([]float64, 64))
+		held = append(held, s)
 	}
-	for _, u := range held {
-		u.ReleaseDraws()
+	for _, s := range held {
+		s.Release()
 	}
-	perms, released, ok := DrainDrawPool(tab.View()[0])
-	if !ok || !released {
-		t.Fatalf("drain: ok=%v released=%v", ok, released)
+	perms, ok := DrainDrawPool(tab.Groups()[0])
+	if !ok {
+		t.Fatal("drain: the table group has no draw pool")
 	}
 	if len(perms) != limit {
-		t.Fatalf("pool kept %d permutations after %d views released, want GOMAXPROCS = %d", len(perms), limit+3, limit)
+		t.Fatalf("pool kept %d permutations after %d runs released, want GOMAXPROCS = %d", len(perms), limit+3, limit)
 	}
 }
 
@@ -403,9 +408,39 @@ func checkDrawEach(t *testing.T, fast, ref *Sampler) {
 	}
 	if fast.WithoutReplacement() {
 		for i, g := range u.Groups {
-			if _, ok := g.(WithoutReplacementGroup); ok && !fast.Exhausted(i) {
+			if _, virtual := g.(*DistGroup); !virtual && !fast.Exhausted(i) {
 				t.Fatalf("group %d never ran out of its population", i)
 			}
 		}
+	}
+}
+
+// TestSamplersShareNoDrawState: two samplers interleaving their draws over
+// one universe — every backing × selection — must each draw exactly what
+// the same sampler draws alone on a universe of its own, through to
+// exhaustion and the with-replacement top-up. The groups hold no draw
+// state; each run's cursors are its own.
+func TestSamplersShareNoDrawState(t *testing.T) {
+	for _, tc := range kernelCases(t) {
+		t.Run(tc.name, func(t *testing.T) {
+			shared := tc.build(t)
+			runs := []*Sampler{NewStreamSampler(shared, 1, true), NewStreamSampler(shared, 2, true)}
+			refs := []*Sampler{NewStreamSampler(tc.build(t), 1, true), NewStreamSampler(tc.build(t), 2, true)}
+			buf, want := make([]float64, 97), make([]float64, 97)
+			for gi, g := range shared.Groups {
+				for step := 0; runs[1].Count(gi) <= g.Size(); step++ {
+					for r, s := range runs {
+						n := 1 + (step+r)%len(buf)
+						s.DrawBatch(gi, buf[:n])
+						refs[r].DrawBatch(gi, want[:n])
+						for j := range buf[:n] {
+							if math.Float64bits(buf[j]) != math.Float64bits(want[j]) {
+								t.Fatalf("group %d run %d step %d draw %d: %v alone, %v beside another run", gi, r, step, j, want[j], buf[j])
+							}
+						}
+					}
+				}
+			}
+		})
 	}
 }

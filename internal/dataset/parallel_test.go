@@ -261,36 +261,6 @@ func TestReadCSVWorkersErrorsMatchSequential(t *testing.T) {
 	}
 }
 
-// TestTableViewIndependence: views share packed values with the table but
-// carry independent draw state, so concurrent without-replacement queries
-// can each consume their own permutation.
-func TestTableViewIndependence(t *testing.T) {
-	tb, err := BuildTable([]Row{{"a", 1}, {"a", 2}, {"a", 3}, {"b", 9}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	v1 := tb.View()
-	v2 := tb.View()
-	if &v1[0].(*TableGroup).values[0] != &tb.Column(0)[0] {
-		t.Fatal("view copied the column storage")
-	}
-	// Exhaust view 1's group a; view 2 and the table's own groups must be
-	// untouched.
-	r := xrand.New(3)
-	wg := v1[0].(*TableGroup)
-	for {
-		if _, ok := wg.DrawWithoutReplacement(r); !ok {
-			break
-		}
-	}
-	if v2[0].(*TableGroup).next != 0 || tb.Groups()[0].(*TableGroup).next != 0 {
-		t.Fatal("draw state leaked between views")
-	}
-	if v1[0].(*TableGroup).mean != tb.Groups()[0].(*TableGroup).mean {
-		t.Fatal("view lost the precomputed mean")
-	}
-}
-
 // TestReadCSVWorkersEmptyLeadingShard: blank lines are skipped by the CSV
 // parser, so a shard can stage zero records; the merge must seed the value
 // range from the first shard that actually holds rows (regression: an

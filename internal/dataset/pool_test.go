@@ -39,9 +39,10 @@ func poolTestTable(t *testing.T) *dataset.Table {
 
 // TestReleasedDrawStateIsIdentity: however a run ends — to its guarantee
 // with the tied groups consumed whole, capped on the one-sample-per-round
-// schedule, cancelled between rounds — core.Run hands every group's draw
-// state back, and every permutation waiting in a pool is the identity,
-// which is what lets the next view start from it without an O(rows) fill.
+// schedule, cancelled between rounds — core.Run's sampler hands every
+// group's draw state back, and every permutation waiting in a pool is the
+// identity, which is what lets the next run start from it without an
+// O(rows) fill.
 func TestReleasedDrawStateIsIdentity(t *testing.T) {
 	tab := poolTestTable(t)
 	view, err := tab.Filter(dataset.Predicate{Column: "x", Op: dataset.OpLT, Value: 6})
@@ -91,12 +92,12 @@ func TestReleasedDrawStateIsIdentity(t *testing.T) {
 					t.Fatalf("group 0 drew %d of %d rows: the run was meant to consume it whole", res.SampleCounts[0], u.Groups[0].Size())
 				}
 				for gi, g := range u.Groups {
-					perms, released, ok := dataset.DrainDrawPool(g)
+					perms, ok := dataset.DrainDrawPool(g)
 					if !ok {
 						t.Fatalf("group %d does not draw through the shared pipeline", gi)
 					}
-					if !released {
-						t.Fatalf("group %d still holds draw state after the run", gi)
+					if len(perms) != 1 {
+						t.Fatalf("group %d: the run handed back %d permutations, want 1", gi, len(perms))
 					}
 					for _, perm := range perms {
 						if len(perm) != int(g.Size()) {

@@ -125,44 +125,6 @@ type segGroup struct {
 	ExtraCRCs []uint32 `json:"extra_crcs,omitempty"`
 }
 
-// SegmentInfo is the exported summary of a segment directory's manifest:
-// enough for external readers (disksim's measured-IO scenario, tooling) to
-// locate groups inside the value column without opening the table.
-type SegmentInfo struct {
-	ValueName  string
-	ExtraNames []string
-	Rows       int64
-	MinValue   float64
-	MaxValue   float64
-	GroupNames []string
-	GroupRows  []int64 // rows per group; group i starts at sum(GroupRows[:i])
-	Compressed bool    // v2 block-compressed columns (raw pread is invalid)
-	BlockLen   int     // values per block when Compressed
-}
-
-// ReadSegmentManifest reads and validates a segment directory's manifest
-// without opening any column data.
-func ReadSegmentManifest(dir string) (*SegmentInfo, error) {
-	man, err := readSegManifest(dir)
-	if err != nil {
-		return nil, err
-	}
-	info := &SegmentInfo{
-		ValueName:  man.ValueName,
-		ExtraNames: man.ExtraNames,
-		Rows:       man.Rows,
-		MinValue:   man.MinValue,
-		MaxValue:   man.MaxValue,
-		Compressed: man.Version >= segVersion2,
-		BlockLen:   man.BlockLen,
-	}
-	for _, g := range man.Groups {
-		info.GroupNames = append(info.GroupNames, g.Name)
-		info.GroupRows = append(info.GroupRows, g.Rows)
-	}
-	return info, nil
-}
-
 // SegmentWriter streams a table's rows into a segment directory without
 // ever materializing the table: groups are declared in order with
 // StartGroup and rows appended group-contiguously, so a writer's peak
@@ -544,8 +506,10 @@ func (t *Table) WriteSegmentsOptions(dir string, opts SegmentOptions) error {
 	}
 	scratch := make([]float64, len(t.extraNames))
 	var wins []*blockWindow
+	var memos []blockMemo
 	if t.bcols != nil {
 		wins = make([]*blockWindow, len(t.bcols))
+		memos = make([]blockMemo, len(t.bcols))
 		for c, bc := range t.bcols {
 			wins[c] = newBlockWindow(bc, 0, int(bc.rows))
 		}
@@ -558,9 +522,9 @@ func (t *Table) WriteSegmentsOptions(dir string, opts SegmentOptions) error {
 		for row := t.offsets[gi]; row < t.offsets[gi+1]; row++ {
 			var v float64
 			if wins != nil {
-				v = wins[0].at(row)
+				v = wins[0].at(&memos[0], row)
 				for e := range scratch {
-					scratch[e] = wins[1+e].at(row)
+					scratch[e] = wins[1+e].at(&memos[1+e], row)
 				}
 			} else {
 				v = t.col[row]

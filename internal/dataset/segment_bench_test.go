@@ -56,18 +56,16 @@ func benchSegDraws(b *testing.B, groups []Group) {
 	const block = 64
 	buf := make([]float64, block)
 	total := 0
+	u := NewUniverse(1, groups...)
 	for i := 0; i < b.N; i++ {
-		for gi, g := range groups {
-			wg := g.(BatchWithoutReplacementGroup)
-			if wr, ok := g.(WithoutReplacementGroup); ok {
-				wr.ResetDraws()
-			}
-			r := xrand.Stream(7, uint64(gi))
+		s := NewStreamSampler(u, 7, true)
+		for gi := range groups {
 			for d := 0; d < perGroup; d += block {
-				wg.DrawBatchWithoutReplacement(&r, buf)
+				s.DrawBatch(gi, buf)
 				total += block
 			}
 		}
+		s.Release()
 	}
 	b.ReportMetric(float64(total)/b.Elapsed().Seconds(), "draws/sec")
 }
@@ -83,7 +81,7 @@ func BenchmarkSegmentDraw(b *testing.B) {
 
 	b.Run("inmem", func(b *testing.B) {
 		b.ReportAllocs()
-		groups := tbl.View()
+		groups := tbl.Groups()
 		b.ResetTimer()
 		benchSegDraws(b, groups)
 	})
@@ -100,7 +98,7 @@ func BenchmarkSegmentDraw(b *testing.B) {
 			b.Fatal(err)
 		}
 		b.ReportAllocs()
-		groups := st.View()
+		groups := st.Groups()
 		b.ResetTimer()
 		benchSegDraws(b, groups)
 	})
@@ -118,7 +116,7 @@ func BenchmarkSegmentDraw(b *testing.B) {
 			b.Fatal(err)
 		}
 		b.ReportAllocs()
-		groups := st.View()
+		groups := st.Groups()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			b.StopTimer()
@@ -138,16 +136,13 @@ func benchSegDrawsOnce(b *testing.B, groups []Group) {
 	const perGroup = 16384
 	const block = 64
 	buf := make([]float64, block)
-	for gi, g := range groups {
-		wg := g.(BatchWithoutReplacementGroup)
-		if wr, ok := g.(WithoutReplacementGroup); ok {
-			wr.ResetDraws()
-		}
-		r := xrand.Stream(7, uint64(gi))
+	s := NewStreamSampler(NewUniverse(1, groups...), 7, true)
+	for gi := range groups {
 		for d := 0; d < perGroup; d += block {
-			wg.DrawBatchWithoutReplacement(&r, buf)
+			s.DrawBatch(gi, buf)
 		}
 	}
+	s.Release()
 }
 
 // segBenchCompressed lazily writes the shared fixture as a v2 directory.
@@ -194,7 +189,7 @@ func BenchmarkSegmentDrawCompressed(b *testing.B) {
 			b.Fatal(err)
 		}
 		defer st.Close()
-		groups := st.View()
+		groups := st.Groups()
 		benchSegDrawsOnce(b, groups) // populate the block cache
 		b.ReportAllocs()
 		b.ResetTimer()
@@ -218,7 +213,7 @@ func BenchmarkSegmentDrawCompressed(b *testing.B) {
 				}
 			}
 			b.StartTimer()
-			benchSegDrawsOnce(b, st.View())
+			benchSegDrawsOnce(b, st.Groups())
 			b.StopTimer()
 			if err := st.Err(); err != nil {
 				b.Fatal(err)
@@ -277,7 +272,7 @@ func BenchmarkSegmentDrawCodec(b *testing.B) {
 				b.Fatal(err)
 			}
 			defer st.Close()
-			grps := st.View()
+			grps := st.Groups()
 			benchSegDrawsOnce(b, grps) // warm the cache
 			b.ReportAllocs()
 			b.ResetTimer()

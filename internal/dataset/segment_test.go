@@ -93,15 +93,11 @@ func TestSegmentRoundTrip(t *testing.T) {
 			}
 		}
 	}
-	if info, err := ReadSegmentManifest(dir); err != nil {
-		t.Fatal(err)
-	} else if info.Rows != int64(tab.NumRows()) || len(info.GroupNames) != tab.K() {
-		t.Fatalf("manifest info %+v does not match table", info)
-	}
 }
 
 // TestSparseMatchesDense forces the sparse permutation on small groups and
-// pins that it draws the identical stream, including across ResetDraws.
+// pins that it draws the identical stream, including across a release and
+// a new run.
 func TestSparseMatchesDense(t *testing.T) {
 	old := sparsePermGate
 	defer func() { sparsePermGate = old }()
@@ -134,13 +130,13 @@ func TestSparseMatchesDense(t *testing.T) {
 		if dg.sparse {
 			t.Fatalf("group %d: expected dense permutation", gi)
 		}
-		rs, rd := xrand.New(uint64(31+gi)), xrand.New(uint64(31+gi))
+		ss, sd := soloSampler(sg, uint64(31+gi)), soloSampler(dg, uint64(31+gi))
 		// Interleave scalar and batch WOR draws, exhaust, reset, redraw:
 		// the sparse map must stay a valid permutation throughout.
 		for round := 0; round < 3; round++ {
 			var a, b [17]float64
-			na := sg.DrawBatchWithoutReplacement(rs, a[:])
-			nb := dg.DrawBatchWithoutReplacement(rd, b[:])
+			na := drawBatchWithout(ss, 0, a[:])
+			nb := drawBatchWithout(sd, 0, b[:])
 			if na != nb {
 				t.Fatalf("group %d round %d: sparse took %d, dense %d", gi, round, na, nb)
 			}
@@ -149,16 +145,16 @@ func TestSparseMatchesDense(t *testing.T) {
 					t.Fatalf("group %d round %d draw %d: sparse %v, dense %v", gi, round, i, a[i], b[i])
 				}
 			}
-			vs, oks := sg.DrawWithoutReplacement(rs)
-			vd, okd := dg.DrawWithoutReplacement(rd)
+			vs, oks := drawWithout(ss, 0)
+			vd, okd := drawWithout(sd, 0)
 			if oks != okd || math.Float64bits(vs) != math.Float64bits(vd) {
 				t.Fatalf("group %d round %d scalar: sparse (%v,%v), dense (%v,%v)", gi, round, vs, oks, vd, okd)
 			}
 		}
 		// Exhaust both fully; the consumed multiset must equal the column.
 		for {
-			vs, oks := sg.DrawWithoutReplacement(rs)
-			vd, okd := dg.DrawWithoutReplacement(rd)
+			vs, oks := drawWithout(ss, 0)
+			vd, okd := drawWithout(sd, 0)
 			if oks != okd {
 				t.Fatalf("group %d exhaustion disagreement", gi)
 			}
@@ -169,13 +165,15 @@ func TestSparseMatchesDense(t *testing.T) {
 				t.Fatalf("group %d post-reset draw: sparse %v, dense %v", gi, vs, vd)
 			}
 		}
-		// Reset and redraw: the retained sparse arrangement must still be a
-		// valid permutation (every row drawn exactly once).
-		sg.ResetDraws()
+		// Release and redraw: the next run's sparse arrangement must still
+		// be a valid permutation (every row drawn exactly once).
+		ss.Release()
+		next := &soloSampler(sg, uint64(37+gi)).cursors[0]
+		rs := xrand.New(uint64(31 + gi))
 		seen := make(map[int32]int)
 		n := int(sg.Size())
 		for i := 0; i < n; i++ {
-			row := sg.permStep(rs)
+			row := next.permStep(rs)
 			seen[row]++
 		}
 		if len(seen) != n {

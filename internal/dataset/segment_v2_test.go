@@ -7,8 +7,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-
-	"repro/internal/xrand"
 )
 
 // writeCompressed writes tab as a v2 segment directory with a small block
@@ -25,21 +23,13 @@ func TestCompressedSegmentRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	writeCompressed(t, tab, dir, 64)
 
-	info, err := ReadSegmentManifest(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !info.Compressed || info.BlockLen != 64 {
-		t.Fatalf("manifest info: Compressed=%v BlockLen=%d, want true/64", info.Compressed, info.BlockLen)
-	}
-
 	st, err := OpenSegments(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	if !st.Compressed() {
-		t.Fatal("Compressed() = false on a v2 table")
+	if !st.Compressed() || st.bcols[0].blockLen != 64 {
+		t.Fatalf("opened table: Compressed=%v BlockLen=%d, want true/64", st.Compressed(), st.bcols[0].blockLen)
 	}
 	if err := st.VerifyChecksums(); err != nil {
 		t.Fatalf("VerifyChecksums on a clean compressed write: %v", err)
@@ -99,26 +89,28 @@ func TestCompressedSegmentRoundTrip(t *testing.T) {
 	}
 }
 
-// drawModesV2 exercises every draw mode a group implements, returning the
-// produced count.
+// drawModesV2 exercises every draw mode a sampler offers a group,
+// returning the produced count.
 var drawModesV2 = []struct {
 	name string
-	run  func(g Group, r *xrand.RNG, out []float64) int
+	run  func(g Group, seed uint64, out []float64) int
 }{
-	{"scalar-wr", func(g Group, r *xrand.RNG, out []float64) int {
+	{"scalar-wr", func(g Group, seed uint64, out []float64) int {
+		s := NewStreamSampler(NewUniverse(1, g), seed, false)
 		for i := range out {
-			out[i] = g.Draw(r)
+			out[i] = s.Draw(0)
 		}
 		return len(out)
 	}},
-	{"batch-wr", func(g Group, r *xrand.RNG, out []float64) int {
-		g.(BatchGroup).DrawBatch(r, out)
+	{"batch-wr", func(g Group, seed uint64, out []float64) int {
+		NewStreamSampler(NewUniverse(1, g), seed, false).DrawBatch(0, out)
 		return len(out)
 	}},
-	{"scalar-wor", func(g Group, r *xrand.RNG, out []float64) int {
+	{"scalar-wor", func(g Group, seed uint64, out []float64) int {
+		s := soloSampler(g, seed)
 		n := 0
 		for n < len(out) {
-			v, ok := g.(WithoutReplacementGroup).DrawWithoutReplacement(r)
+			v, ok := drawWithout(s, 0)
 			if !ok {
 				break
 			}
@@ -127,14 +119,15 @@ var drawModesV2 = []struct {
 		}
 		return n
 	}},
-	{"batch-wor", func(g Group, r *xrand.RNG, out []float64) int {
+	{"batch-wor", func(g Group, seed uint64, out []float64) int {
+		s := soloSampler(g, seed)
 		n := 0
 		for n < len(out) {
 			lim := n + 64
 			if lim > len(out) {
 				lim = len(out)
 			}
-			took := g.(BatchWithoutReplacementGroup).DrawBatchWithoutReplacement(r, out[n:lim])
+			took := drawBatchWithout(s, 0, out[n:lim])
 			if took == 0 {
 				break
 			}
@@ -152,8 +145,8 @@ func assertSameDraws(t *testing.T, label string, want, got []Group, draws int) {
 		for gi := range want {
 			a := make([]float64, draws)
 			b := make([]float64, draws)
-			na := mode.run(want[gi], xrand.New(uint64(11+gi)), a)
-			nb := mode.run(got[gi], xrand.New(uint64(11+gi)), b)
+			na := mode.run(want[gi], uint64(11+gi), a)
+			nb := mode.run(got[gi], uint64(11+gi), b)
 			if na != nb {
 				t.Fatalf("%s/%s group %d: %d vs %d values", label, mode.name, gi, na, nb)
 			}
@@ -185,7 +178,7 @@ func TestCompressedCacheEviction(t *testing.T) {
 	if st.cache.limit != 4 {
 		t.Fatalf("cache limit %d, want the 4-block floor", st.cache.limit)
 	}
-	assertSameDraws(t, "evicting", tab.View(), st.View(), 300)
+	assertSameDraws(t, "evicting", tab.Groups(), st.Groups(), 300)
 	if got := len(st.cache.entries); got > 4 {
 		t.Fatalf("cache holds %d blocks, budget is 4", got)
 	}
@@ -231,7 +224,7 @@ func TestCompressedFilterMatchesInMemory(t *testing.T) {
 		if math.Float64bits(mv.MaxValue()) != math.Float64bits(sv.MaxValue()) {
 			t.Fatalf("filter %d: bound %v vs %v", fi, mv.MaxValue(), sv.MaxValue())
 		}
-		mg, sg := mv.View(), sv.View()
+		mg, sg := mv.Groups(), sv.Groups()
 		for gi := range mg {
 			if mg[gi].Name() != sg[gi].Name() || mg[gi].Size() != sg[gi].Size() {
 				t.Fatalf("filter %d group %d: %s/%d vs %s/%d", fi,
@@ -456,10 +449,8 @@ func TestOpenSegmentsCorruptionV2(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer st.Close()
-		r := xrand.New(1)
-		g := st.View()[0].(BatchGroup)
 		var buf [128]float64
-		g.DrawBatch(r, buf[:])
+		NewStreamSampler(NewUniverse(1, st.Groups()[0]), 1, false).DrawBatch(0, buf[:])
 		if err := st.Err(); err == nil || !strings.Contains(err.Error(), "checksum mismatch") {
 			t.Fatalf("Err after drawing corrupt block: %v", err)
 		}

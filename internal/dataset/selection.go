@@ -48,13 +48,12 @@ func (s *selection) row(rank int) int {
 
 // View is the result of filtering a Table: the surviving groups, each
 // restricted to its selected rows, in the table's group order. Views share
-// the table's packed columns (no rows are copied) and hold no draw state
-// of their own — Groups returns one shared set (like Table.Groups), View
-// a fresh set per call (like Table.View), so one cached selection can
-// serve any number of sequential or concurrent queries.
+// the table's packed columns (no rows are copied) and hold selections
+// only, never draw state, so one cached selection can serve any number of
+// sequential or concurrent queries.
 type View struct {
 	table  *Table
-	groups []Group // *FilteredGroup, or *TableGroup view for all-selected groups
+	groups []Group // *FilteredGroup, or the table's *TableGroup for all-selected groups
 	rows   int64
 	maxV   float64
 }
@@ -81,32 +80,13 @@ func (v *View) NumRows() int64 { return v.rows }
 // natural query bound for filtered runs.
 func (v *View) MaxValue() float64 { return v.maxV }
 
-// Groups returns one shared set of sampling groups over the selection.
-// Like Table.Groups, the set carries without-replacement draw state and
-// must not serve two queries at the same time; concurrent queries take a
-// View() each.
+// Groups returns the view's sampling groups, built once. Like
+// Table.Groups, they are immutable and may serve any number of queries at
+// once.
 func (v *View) Groups() []Group { return v.groups }
 
-// View returns a fresh set of sampling groups over the same selection:
-// shared selection vectors and packed columns, independent draw state.
-func (v *View) View() []Group {
-	fresh := make([]Group, len(v.groups))
-	for i, g := range v.groups {
-		switch fg := g.(type) {
-		case *FilteredGroup:
-			cp := *fg
-			cp.resetView()
-			fresh[i] = &cp
-		case *TableGroup:
-			cp := *fg
-			cp.resetView()
-			fresh[i] = &cp
-		default:
-			fresh[i] = g // unreachable: views hold only the two types above
-		}
-	}
-	return fresh
-}
+// View returns Groups(); the benchmark module still calls it.
+func (v *View) View() []Group { return v.groups }
 
 // Universe wraps the view's groups with the value bound c, inferring it
 // from the selected maximum when c == 0 (mirroring Table.Universe).
@@ -185,13 +165,12 @@ func (t *Table) Filter(preds ...Predicate) (*View, error) {
 	return v, nil
 }
 
-// addWhole appends group gi as an unfiltered zero-copy view. The group's
-// max was tracked at build time, so this reads no rows — which keeps the
-// inclusion-only path's "group index only" promise honest.
+// addWhole appends the table's own group gi. The group's max was tracked
+// at build time, so this reads no rows — which keeps the inclusion-only
+// path's "group index only" promise honest.
 func (v *View) addWhole(t *Table, gi int) {
-	tg := *(t.groups[gi].(*TableGroup))
-	tg.resetView()
-	v.groups = append(v.groups, &tg)
+	tg := t.groups[gi].(*TableGroup)
+	v.groups = append(v.groups, tg)
 	v.rows += tg.Size()
 	if m := tg.MaxValue(); m > v.maxV {
 		v.maxV = m
@@ -359,15 +338,16 @@ func (g *FilteredGroup) TrueMean() float64 { return g.mean }
 // baseline on filtered data.
 func (g *FilteredGroup) Scan(fn func(v float64)) int64 {
 	// Both representations visit rows ascending, so the window path (at)
-	// decodes each touched block once through the cursor memo.
+	// decodes each touched block once through the memo.
+	var m blockMemo
 	if g.sel.bits != nil {
 		g.sel.bits.ForEach(func(pos int) bool {
-			fn(g.at(pos))
+			fn(g.at(&m, pos))
 			return true
 		})
 	} else {
 		for _, r := range g.sel.idx {
-			fn(g.at(int(r)))
+			fn(g.at(&m, int(r)))
 		}
 	}
 	return int64(g.total)

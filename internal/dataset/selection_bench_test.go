@@ -31,9 +31,9 @@ func BenchmarkFilteredDraw(b *testing.B) {
 	}
 
 	groups := map[string]Group{
-		"unfiltered":        tab.View()[0],
-		"bitmap-dense":      denseView.View()[0],
-		"indexslice-sparse": sparseView.View()[0],
+		"unfiltered":        tab.Groups()[0],
+		"bitmap-dense":      denseView.Groups()[0],
+		"indexslice-sparse": sparseView.Groups()[0],
 	}
 	for _, mode := range []string{"unfiltered", "bitmap-dense", "indexslice-sparse"} {
 		g := groups[mode].(BatchGroup)

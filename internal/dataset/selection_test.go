@@ -208,8 +208,8 @@ func TestFilteredViewExhaustion(t *testing.T) {
 	if s.Count(0) != 8 {
 		t.Fatalf("accounting %d, want 8", s.Count(0))
 	}
-	// Batch path across the exhaustion boundary, on a fresh view.
-	s2 := NewStreamSampler(&Universe{Groups: v.View(), C: u.C}, 4, true)
+	// Batch path across the exhaustion boundary, in a second run.
+	s2 := NewStreamSampler(&Universe{Groups: v.Groups(), C: u.C}, 4, true)
 	buf := make([]float64, 20)
 	s2.DrawBatch(0, buf)
 	if !s2.Exhausted(0) {
@@ -267,26 +267,6 @@ func TestFilterDropsEmptiedGroups(t *testing.T) {
 	}
 	if got := v.Names(); len(got) != 1 || got[0] != "b" {
 		t.Fatalf("names %v, want [b] (a emptied)", got)
-	}
-}
-
-func TestViewViewIndependentDrawState(t *testing.T) {
-	tab := filterTestTable(t, map[string]int{"a": 100})
-	v, err := tab.Filter(Predicate{Op: OpLT, Value: 50})
-	if err != nil {
-		t.Fatal(err)
-	}
-	g1 := v.View()[0].(*FilteredGroup)
-	g2 := v.View()[0].(*FilteredGroup)
-	r := xrand.New(1)
-	for i := 0; i < 10; i++ {
-		g1.DrawWithoutReplacement(r)
-	}
-	if g1.next != 10 || g2.next != 0 {
-		t.Fatalf("views share draw state: %d/%d", g1.next, g2.next)
-	}
-	if g1.sel != g2.sel {
-		t.Fatal("views should share the selection vector")
 	}
 }
 

@@ -128,26 +128,13 @@ func (t *Table) ExtraColumn(name string) ([]float64, bool) {
 
 // Groups returns one sampling group per distinct label, in first-seen
 // order. The groups are zero-copy views over the table's column and are
-// built once; repeated calls return the same slice. Groups carry
-// without-replacement draw state, so this one shared set must not be
-// sampled by two queries at the same time — concurrent queries take a
-// View each.
+// built once; repeated calls return the same slice. They are immutable —
+// every run keeps its draw state in its own Sampler — so any number of
+// queries, sequential or concurrent, may sample this one set.
 func (t *Table) Groups() []Group { return t.groups }
 
-// View returns a fresh set of sampling groups over the table's columns.
-// The views share the packed value storage (and the precomputed means)
-// with the table — no rows are copied — but each call allocates its own
-// without-replacement draw state, so any number of concurrent queries can
-// run against one shared table by taking one View per query.
-func (t *Table) View() []Group {
-	views := make([]Group, len(t.groups))
-	for i, g := range t.groups {
-		tg := *(g.(*TableGroup))
-		tg.resetView()
-		views[i] = &tg
-	}
-	return views
-}
+// View returns Groups(); the benchmark module still calls it.
+func (t *Table) View() []Group { return t.groups }
 
 // TableGroup is the concrete group type a Table produces: a zero-copy
 // SliceGroup over the group's packed column segment that also knows its

@@ -56,9 +56,9 @@ func TestTableGroupsAreColumnViews(t *testing.T) {
 	if &sg.Values()[0] != &tab.Column(0)[0] {
 		t.Fatal("group values are a copy, want a view over the table column")
 	}
-	// The groups support the batched without-replacement path.
-	if _, ok := groups[0].(BatchWithoutReplacementGroup); !ok {
-		t.Fatal("table groups should support batched without-replacement draws")
+	// The groups draw through the staged pipeline.
+	if _, ok := groups[0].(blockDrawer); !ok {
+		t.Fatal("table groups should draw through the block pipeline")
 	}
 }
 

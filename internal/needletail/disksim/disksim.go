@@ -74,13 +74,6 @@ type Stats struct {
 	// IOSeconds and CPUSeconds are the accumulated simulated times.
 	IOSeconds  float64
 	CPUSeconds float64
-	// MeasuredReads and MeasuredIOSeconds accumulate real block reads
-	// observed via ObserveBlockRead — wall-clock time of actual I/O against
-	// an on-disk segment table, kept apart from the simulated costs so a
-	// run can report both "what the paper's device would have charged" and
-	// "what this machine actually paid".
-	MeasuredReads     int64
-	MeasuredIOSeconds float64
 }
 
 // TotalSeconds returns I/O plus CPU time. The paper's single-threaded runs
@@ -141,24 +134,6 @@ func (d *Device) ChargeBlockRead(block int64) {
 	d.cached[block] = struct{}{}
 	d.stats.RandBlockMisses++
 	d.stats.IOSeconds += d.model.RandBlockTime
-}
-
-// ObserveBlockRead records one real (measured) access to the given block:
-// the wall-clock seconds the read actually took, alongside the simulated
-// charge the cost model would have made for the same access. The cache
-// discipline is shared with ChargeBlockRead — a block already resident in
-// the query-lifetime cache is a hit and charges nothing, simulated or
-// measured — so the two accountings stay comparable block for block.
-func (d *Device) ObserveBlockRead(block int64, seconds float64) {
-	if _, ok := d.cached[block]; ok && !d.model.DisableCache {
-		d.stats.RandBlockHits++
-		return
-	}
-	d.cached[block] = struct{}{}
-	d.stats.RandBlockMisses++
-	d.stats.IOSeconds += d.model.RandBlockTime
-	d.stats.MeasuredReads++
-	d.stats.MeasuredIOSeconds += seconds
 }
 
 // ChargeHashUpdates charges CPU time for n aggregate hash-map updates.

@@ -194,7 +194,7 @@ func (s *Server) subscribe(q rapidviz.Query, deadline time.Duration) (*flightSub
 
 		// Fresh execution. Resolve the group labels up front so accepted
 		// events and round traces can be labeled (Where may drop groups).
-		resolved, err := s.eng.ResolveGroups(q, s.table.View())
+		resolved, err := s.eng.ResolveGroups(q, s.table.Groups())
 		if err != nil {
 			return nil, err
 		}
@@ -249,7 +249,7 @@ func (s *Server) runFlight(ctx context.Context, cancel context.CancelFunc, f *fl
 	}
 
 	var terminal Event
-	for ev := range s.eng.Stream(ctx, q, s.table.View()) {
+	for ev := range s.eng.Stream(ctx, q, s.table.Groups()) {
 		switch {
 		case ev.Partial != nil:
 			f.broadcast(Event{Type: "partial", Partial: ev.Partial})

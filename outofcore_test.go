@@ -114,7 +114,7 @@ func testSegmentRestartDeterminism(t *testing.T, opts rapidviz.SegmentOptions) {
 					BatchSize: batch,
 					MaxDraws:  500_000,
 				}
-				inmem, err := eng.Run(ctx, q, tbl.View())
+				inmem, err := eng.Run(ctx, q, tbl.Groups())
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -124,7 +124,7 @@ func testSegmentRestartDeterminism(t *testing.T, opts rapidviz.SegmentOptions) {
 					t.Fatal(err)
 				}
 				defer st.Close()
-				seg, err := eng.Run(ctx, q, st.View())
+				seg, err := eng.Run(ctx, q, st.Groups())
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -178,11 +178,11 @@ func testSegmentWhereDeterminism(t *testing.T, opts rapidviz.SegmentOptions) {
 					BatchSize: batch,
 					Where:     preds,
 				}
-				inmem, err := eng.Run(ctx, q, tbl.View())
+				inmem, err := eng.Run(ctx, q, tbl.Groups())
 				if err != nil {
 					t.Fatal(err)
 				}
-				seg, err := eng.Run(ctx, q, st.View())
+				seg, err := eng.Run(ctx, q, st.Groups())
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -139,7 +139,7 @@ type Query struct {
 	// predicate (a conjunction): typed comparisons on the table's value
 	// column or any extra column (Where/WhereValue), plus group-name
 	// inclusion (WhereGroups). Filtered queries require table-backed
-	// groups — pass Table.Groups() or Table.View() — because predicates
+	// groups — pass Table.Groups() — because predicates
 	// evaluate against the table's columns, not the sample stream. The
 	// engine plans each filter once (group inclusion answers from the
 	// group index; value predicates scan-and-filter) and caches the

@@ -14,9 +14,9 @@ type Row = dataset.Row
 // Table is a columnar (group, value) store produced by ingestion. Every
 // group's values are packed contiguously, so the engine's batched sampling
 // runs over dense memory; Groups() returns the zero-copy sampling groups
-// ready to pass to Engine.Run or Engine.Stream. One table can serve any
-// number of concurrent queries: give each query its own View() — views
-// share the packed storage but carry independent draw state.
+// ready to pass to Engine.Run or Engine.Stream. The groups are immutable —
+// each run keeps its draw state to itself — so one table's Groups() can
+// serve any number of concurrent queries.
 type Table = dataset.Table
 
 // TableView is a predicate-filtered view of a Table, produced by
