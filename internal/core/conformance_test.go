@@ -450,7 +450,7 @@ var referenceDigests = map[string]string{
 	"mistakes":      "6100e826a9b97ea9",
 	"adjacency":     "67d3a1a4445bbdee",
 	"roundrobin":    "79db4622a47c1976",
-	"irefine":       "7ef545f737b38b31",
+	"irefine":       "e03b204d9cef753e",
 	"sum-known":     "35408be6be89cb78",
 	"sum-unknown":   "b04882ac91f6de4e",
 	"count-unknown": "c686dbc7c77ffb7f",
@@ -510,7 +510,7 @@ var referenceGoldens = []referenceGolden{
 		// onto the per-group stream discipline of the round driver (one
 		// xrand.NewStream per group, keyed by seed and group index).
 		name: "irefine", cell: pinCell("irefine", conc.KindHoeffding, "pin"), view: viewResult,
-		want: "rounds=4 total=18000 capped=false eps=3.125 est=[15.129936920831994 27.151697486879321 39.034117342387084 51.082123523025523 63.056571800413053 75.26738981060241] counts=[3000 3000 3000 3000 3000 3000] settled=[4 4 4 4 4 4]",
+		want: "rounds=4 total=18000 capped=false eps=0 est=[15.066347863553977 27.240496922976085 39.237187831603414 51.034824541848124 62.991850098264337 75.181731292030207] counts=[3000 3000 3000 3000 3000 3000] settled=[4 4 4 4 4 4]",
 	},
 	{
 		name: "trend", cell: pinCell("trend", conc.KindHoeffding, "pin"), view: viewPartials,
@@ -546,7 +546,7 @@ var referenceGoldens = []referenceGolden{
 	},
 	{
 		name: "irefine-bernstein", cell: pinCell("irefine", conc.KindBernstein, "pin"), view: viewResult,
-		want: "rounds=4 total=18000 capped=false eps=3.125 est=[15.142020953720431 27.146109727244955 39.062594209284548 51.100860182050432 63.032065713764496 75.192407775809784] counts=[3000 3000 3000 3000 3000 3000] settled=[4 4 4 4 4 4]",
+		want: "rounds=4 total=18000 capped=false eps=0 est=[15.066347863553977 27.240496922976085 39.237187831603414 51.034824541848124 62.991850098264337 75.181731292030207] counts=[3000 3000 3000 3000 3000 3000] settled=[4 4 4 4 4 4]",
 	},
 	{
 		name: "noindex-bernstein", cell: pinCell("noindex", conc.KindBernstein, "pin"), view: viewNoIndexCounts,
@@ -607,16 +607,25 @@ func TestGuaranteeSlice(t *testing.T) {
 			cells = append(cells, sliceCell{shape, bound})
 		}
 	}
-	cells = append(cells, sliceCell{"roundrobin", conc.KindHoeffding}, sliceCell{"irefine-r", conc.KindHoeffding})
+	cells = append(cells, sliceCell{"roundrobin", conc.KindHoeffding})
+	// IREFINE-R at r = 40 settles long before any group runs out; at r = 1
+	// its batches reach the ends of the groups, the case that must answer
+	// with the exact mean at width zero.
+	for _, shape := range []string{"irefine-r", "irefine-r1"} {
+		cells = append(cells, sliceCell{shape, conc.KindHoeffding}, sliceCell{shape, conc.KindBernstein})
+	}
 	for _, c := range cells {
 		t.Run(fmt.Sprintf("%s/%s", c.shape, c.bound), func(t *testing.T) {
 			t.Parallel()
 			u := closeUniverse()
 			truth := u.TrueMeans()
 			var spec Spec
-			if c.shape == "irefine-r" {
+			switch c.shape {
+			case "irefine-r":
 				spec = Spec{Algorithm: AlgoIRefine, Opts: confOpts(40)}
-			} else {
+			case "irefine-r1":
+				spec = Spec{Algorithm: AlgoIRefine, Opts: confOpts(1)}
+			default:
 				spec = shapeNamed(c.shape).spec(u.K())
 			}
 			spec.Opts.Bound = c.bound

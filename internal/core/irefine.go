@@ -71,10 +71,15 @@ func IRefine(u *dataset.Universe, rng *xrand.RNG, opts Options) (*Result, error)
 			// Figure 5 experiments can shrink faster than theory allows.
 			epsilons[i] /= 2
 			deltas[i] /= 2
+			var exact bool
 			if adaptive {
-				estimates[i] = estimateMeanEB(sampler, i, u.C, epsilons[i]*opts.HeuristicFactor, deltas[i], buf)
+				estimates[i], exact = estimateMeanEB(sampler, i, u.C, epsilons[i]*opts.HeuristicFactor, deltas[i], buf)
 			} else {
-				estimates[i] = estimateMean(sampler, i, u.C, epsilons[i]*opts.HeuristicFactor, deltas[i], buf)
+				estimates[i], exact = estimateMean(sampler, i, u.C, epsilons[i]*opts.HeuristicFactor, deltas[i], buf)
+			}
+			if exact {
+				// The whole population has been drawn: the mean is known.
+				epsilons[i] = 0
 			}
 		}
 
@@ -143,18 +148,18 @@ const drawChunk = 4096
 // by the Chernoff–Hoeffding bound. Draws go through the sampler's block
 // path chunk by chunk; the sample stream and the accumulated sum are
 // identical to the scalar draw loop, just without a dispatch per sample.
-func estimateMean(s *dataset.Sampler, group int, c, eps, delta float64, buf []float64) float64 {
+// exact reports that the batch consumed the rest of a without-replacement
+// population, in which case the group's exact mean is returned.
+func estimateMean(s *dataset.Sampler, group int, c, eps, delta float64, buf []float64) (mean float64, exact bool) {
 	m := conc.HoeffdingSampleSize(c, eps, delta)
 	// Cap the batch at the remaining population when sampling without
 	// replacement from a finite group: once the whole group is consumed the
 	// mean is exact, so extra draws add nothing.
 	if n := s.Universe().Groups[group].Size(); n > 0 && s.WithoutReplacement() {
 		remaining := n - s.Count(group)
-		if remaining <= 0 {
-			return exactMean(s.Universe().Groups[group])
-		}
-		if int64(m) > remaining {
-			m = int(remaining)
+		if int64(m) >= remaining {
+			exact = true
+			m = int(max(remaining, 0))
 		}
 	}
 	sum := 0.0
@@ -169,7 +174,10 @@ func estimateMean(s *dataset.Sampler, group int, c, eps, delta float64, buf []fl
 		}
 		drawn += n
 	}
-	return sum / float64(m)
+	if exact {
+		return exactMean(s.Universe().Groups[group]), true
+	}
+	return sum / float64(m), false
 }
 
 // estimateMeanEB is the variance-adaptive Algorithm 2: rather than
@@ -181,13 +189,14 @@ func estimateMean(s *dataset.Sampler, group int, c, eps, delta float64, buf []fl
 // data, the failure budget is spread over the checkpoints as δ/(j(j+1))
 // (a convergent series summing to δ), so the certificate holds wherever
 // the loop stops. Sampling without replacement stops early once the
-// group's remaining population is consumed, exactly like estimateMean.
-func estimateMeanEB(s *dataset.Sampler, group int, c, eps, delta float64, buf []float64) float64 {
+// group's remaining population is consumed, and then returns the group's
+// exact mean, exactly like estimateMean.
+func estimateMeanEB(s *dataset.Sampler, group int, c, eps, delta float64, buf []float64) (mean float64, exact bool) {
 	remaining := int64(-1) // unbounded
 	if n := s.Universe().Groups[group].Size(); n > 0 && s.WithoutReplacement() {
 		remaining = n - s.Count(group)
 		if remaining <= 0 {
-			return exactMean(s.Universe().Groups[group])
+			return exactMean(s.Universe().Groups[group]), true
 		}
 	}
 	var mom conc.Moments
@@ -205,21 +214,19 @@ func estimateMeanEB(s *dataset.Sampler, group int, c, eps, delta float64, buf []
 		mom.AddAll(buf[:n])
 		taken += n
 		if remaining >= 0 && int64(taken) >= remaining {
-			break // population consumed; the batch mean is all there is
+			return exactMean(s.Universe().Groups[group]), true
 		}
 		if conc.EBRadius(c, taken, mom.Variance(), delta/float64(j*(j+1))) <= eps {
-			break
+			return mom.Mean, false
 		}
 		if chunk < len(buf) {
 			chunk *= 2
 		}
 	}
-	return mom.Mean
 }
 
-// exactMean recomputes the exact mean of a fully consumed group. Only
-// reachable for groups smaller than the requested batch (tiny groups in
-// tests).
+// exactMean recomputes the exact mean of a fully consumed group, reached
+// when a without-replacement batch runs to the end of the population.
 func exactMean(g dataset.Group) float64 {
 	if sc, ok := g.(dataset.Scannable); ok {
 		sum, n := 0.0, int64(0)
