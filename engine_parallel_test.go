@@ -64,9 +64,9 @@ func TestQueryWorkersValidation(t *testing.T) {
 
 // TestConcurrentQueriesSharedTable is the serving-shape regression: one
 // engine answers many concurrent queries over one ingested table, all
-// sampling the same group set — through View and through Groups alike.
-// Same-seed queries must agree exactly no matter how the goroutines
-// interleave, and a later sequential run must come through untouched.
+// sampling the same group set, the table's own Groups. Same-seed queries
+// must agree exactly no matter how the goroutines interleave, and a later
+// sequential run must come through untouched.
 func TestConcurrentQueriesSharedTable(t *testing.T) {
 	var sb strings.Builder
 	r := xrand.New(73)
@@ -84,33 +84,26 @@ func TestConcurrentQueriesSharedTable(t *testing.T) {
 	q := rapidviz.Query{Bound: table.MaxValue(), Seed: 74, BatchSize: 16}
 
 	const parallel = 8
-	var first []float64
-	var firstTotal int64
-	for _, input := range []struct {
-		name   string
-		groups func() []rapidviz.Group
-	}{{"View", table.View}, {"Groups", table.Groups}} {
-		results := make([]*rapidviz.Result, parallel)
-		errs := make([]error, parallel)
-		var wg sync.WaitGroup
-		for i := 0; i < parallel; i++ {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				results[i], errs[i] = eng.Run(context.Background(), q, input.groups())
-			}(i)
+	results := make([]*rapidviz.Result, parallel)
+	errs := make([]error, parallel)
+	var wg sync.WaitGroup
+	for i := 0; i < parallel; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			results[i], errs[i] = eng.Run(context.Background(), q, table.Groups())
+		}(i)
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			t.Fatal(err)
 		}
-		wg.Wait()
-		for i := 0; i < parallel; i++ {
-			if errs[i] != nil {
-				t.Fatal(errs[i])
-			}
-			if first == nil {
-				first, firstTotal = results[i].Estimates, results[i].TotalSamples
-			}
-			if fmt.Sprint(results[i].Estimates) != fmt.Sprint(first) || results[i].TotalSamples != firstTotal {
-				t.Fatalf("%s: concurrent same-seed queries disagree: %v vs %v (%d samples)", input.name, results[i], first, firstTotal)
-			}
+	}
+	first, firstTotal := results[0].Estimates, results[0].TotalSamples
+	for i := 0; i < parallel; i++ {
+		if fmt.Sprint(results[i].Estimates) != fmt.Sprint(first) || results[i].TotalSamples != firstTotal {
+			t.Fatalf("concurrent same-seed queries disagree: %v vs %v (%d samples)", results[i], first, firstTotal)
 		}
 	}
 	// The shared table must still serve a fresh (sequential) run correctly.

@@ -23,9 +23,12 @@ type TupleSource interface {
 
 // UniverseTupleSource adapts a universe with known group sizes into a
 // TupleSource: a random tuple belongs to group i with probability
-// proportional to n_i.
+// proportional to n_i. Values are read through a with-replacement
+// Sampler, whose per-group cursors carry the read state, so a source
+// serves one run at a time.
 type UniverseTupleSource struct {
 	u   *dataset.Universe
+	s   *dataset.Sampler
 	cum []float64
 }
 
@@ -42,7 +45,7 @@ func NewUniverseTupleSource(u *dataset.Universe) *UniverseTupleSource {
 		run += float64(g.Size()) / float64(total)
 		cum[i] = run
 	}
-	return &UniverseTupleSource{u: u, cum: cum}
+	return &UniverseTupleSource{u: u, s: dataset.NewStreamSampler(u, 0, false), cum: cum}
 }
 
 // K returns the number of groups.
@@ -57,11 +60,11 @@ func (s *UniverseTupleSource) Draw(r *xrand.RNG) (int, float64) {
 	// Linear scan: k is small and this keeps the source allocation-free.
 	for i, c := range s.cum {
 		if u < c {
-			return i, s.u.Groups[i].Draw(r)
+			return i, s.s.DrawUsing(i, r)
 		}
 	}
 	i := len(s.cum) - 1
-	return i, s.u.Groups[i].Draw(r)
+	return i, s.s.DrawUsing(i, r)
 }
 
 // NoIndexResult reports a no-index run.

@@ -108,6 +108,17 @@ func (s *Sampler) Draw(i int) float64 {
 	return v
 }
 
+// DrawUsing samples group i once with replacement on the caller's RNG,
+// without accounting: bit for bit what Groups[i].Draw(r) returns, but a
+// table-backed group reads through the sampler's cursor, whose block memo
+// serves repeated reads of one compressed block without the block cache.
+func (s *Sampler) DrawUsing(i int, r *xrand.RNG) float64 {
+	if c := &s.cursors[i]; c.drawCore != nil {
+		return c.read(r.Intn(c.total))
+	}
+	return s.u.Groups[i].Draw(r)
+}
+
 // draw takes one sample from group i, without accounting: the next
 // permutation element while the population lasts (without replacement),
 // a uniform element otherwise.

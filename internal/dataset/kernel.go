@@ -144,7 +144,8 @@ func (g *drawCore) value(m *blockMemo, rank int) float64 {
 }
 
 // Draw samples uniformly with replacement: one rank draw, one rank→row
-// map, no rejection. Sampler draws go through the run's cursor instead.
+// map, no rejection. Sampler draws, DrawUsing's included, go through the
+// run's cursor and its block memo instead.
 func (g *drawCore) Draw(r *xrand.RNG) float64 {
 	var m blockMemo
 	return g.value(&m, r.Intn(g.total))

@@ -154,7 +154,6 @@ func TestKernelMatchesGenericPath(t *testing.T) {
 			t.Run(fmt.Sprintf("%s/without=%v", tc.name, without), func(t *testing.T) {
 				fast := NewStreamSampler(tc.build(t), 0x5eed, without)
 				fast.EnableMoments(true)
-				fast.EnableBlockKernels()
 				ref := NewStreamSampler(tc.build(t), 0x5eed, without)
 				ref.EnableMoments(true)
 
@@ -216,23 +215,46 @@ func TestKernelMatchesGenericPath(t *testing.T) {
 	}
 }
 
+// TestDrawUsingMatchesGroupDraw: DrawUsing through a sampler's cursor
+// returns bit for bit what Group.Draw returns on the same RNG, on every
+// backing and selection, and consumes the RNG identically.
+func TestDrawUsingMatchesGroupDraw(t *testing.T) {
+	for _, tc := range kernelCases(t) {
+		t.Run(tc.name, func(t *testing.T) {
+			u := tc.build(t)
+			s := NewStreamSampler(u, 1, false)
+			a, b := xrand.New(0x7ab1e), xrand.New(0x7ab1e)
+			for n := 0; n < 2000; n++ {
+				i := n % u.K()
+				if got, want := s.DrawUsing(i, a), u.Groups[i].Draw(b); math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("draw %d from group %d: DrawUsing %v, Group.Draw %v", n, i, got, want)
+				}
+			}
+			if *a != *b {
+				t.Fatal("RNG streams diverge")
+			}
+			if s.Total() != 0 {
+				t.Fatalf("DrawUsing accounted %d draws", s.Total())
+			}
+		})
+	}
+}
+
 // TestKernelFallsBackOnVirtualGroups: distribution-backed groups have no
 // concrete kernel; DrawBlockSum must decline so the driver's generic path
-// serves them, and enabling kernels on such a universe stays a no-op.
+// serves them.
 func TestKernelFallsBackOnVirtualGroups(t *testing.T) {
 	u := NewUniverse(100,
 		NewDistGroup("d", xrand.TruncNormal{Mu: 50, Sigma: 8, Lo: 0, Hi: 100}, 1000))
 	s := NewStreamSampler(u, 1, false)
-	s.EnableBlockKernels()
 	if _, ok := s.DrawBlockSum(0, 8); ok {
 		t.Fatal("kernel claimed a distribution-backed group")
 	}
-	// A mixed universe gets kernels only for the concrete groups.
+	// In a mixed universe only the concrete groups have a kernel.
 	mixed := NewUniverse(100,
 		NewSliceGroup("s", []float64{1, 2, 3, 4, 5}),
 		NewDistGroup("d", xrand.TruncNormal{Mu: 50, Sigma: 8, Lo: 0, Hi: 100}, 1000))
 	ms := NewStreamSampler(mixed, 1, false)
-	ms.EnableBlockKernels()
 	if _, ok := ms.DrawBlockSum(0, 3); !ok {
 		t.Fatal("kernel missing for the slice group in a mixed universe")
 	}
@@ -352,7 +374,6 @@ func TestDrawEachMatchesDraw(t *testing.T) {
 						fast.EnableMoments(true)
 						ref.EnableMoments(true)
 					}
-					fast.EnableBlockKernels()
 					checkDrawEach(t, fast, ref)
 				})
 			}

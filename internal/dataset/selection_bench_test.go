@@ -1,10 +1,6 @@
 package dataset
 
-import (
-	"testing"
-
-	"repro/internal/xrand"
-)
+import "testing"
 
 // BenchmarkFilteredDraw compares draw throughput over one 1M-row group:
 // unfiltered (the SliceGroup baseline), a dense selection (bitmap-backed,
@@ -36,17 +32,17 @@ func BenchmarkFilteredDraw(b *testing.B) {
 		"indexslice-sparse": sparseView.Groups()[0],
 	}
 	for _, mode := range []string{"unfiltered", "bitmap-dense", "indexslice-sparse"} {
-		g := groups[mode].(BatchGroup)
+		s := NewStreamSampler(NewUniverse(1, groups[mode]), 1, false)
 		b.Run(mode, func(b *testing.B) {
-			r := xrand.New(1)
 			buf := make([]float64, 256)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				g.DrawBatch(r, buf)
+				s.DrawBatch(0, buf)
 			}
 			b.SetBytes(int64(len(buf) * 8))
 			b.ReportMetric(float64(b.N*len(buf))/b.Elapsed().Seconds(), "draws/sec")
 		})
+		s.Release()
 	}
 }
