@@ -620,14 +620,12 @@ func (e *Engine) spec(q Query, u *dataset.Universe, groups []Group) (core.Spec, 
 	opts.Resolution = q.Resolution
 	opts.WithReplacement = q.WithReplacement
 	opts.MaxRounds = q.MaxRounds
+	opts.MaxDraws = q.MaxDraws
 	opts.BatchSize = q.BatchSize
-	if q.BatchSize == 0 && q.Algorithm != AlgoNoIndex {
+	if q.BatchSize == 0 {
 		// BatchSize 0 means auto: the round driver's deterministic
-		// doubling schedule (64 → 4096). NOINDEX is excluded because its
-		// batch scales the interval-check cadence — a result-changing
-		// knob, so it keeps the scalar default; the exact scan, IREFINE,
-		// and cell runs ignore BatchSize either way. Queries that need
-		// the paper's one-sample rounds ask for BatchSize=1 explicitly.
+		// doubling schedule (64 → 4096). Queries that need the paper's
+		// one-sample rounds ask for BatchSize=1 explicitly.
 		opts.BatchSize = core.BatchAuto
 	}
 	opts.RoundGrowth = q.RoundGrowth
@@ -654,7 +652,6 @@ func (e *Engine) spec(q Query, u *dataset.Universe, groups []Group) (core.Spec, 
 		MaxError:     q.MaxError,
 		CorrectPairs: q.CorrectPairs,
 		Adjacency:    core.Adjacency(q.Adjacency),
-		MaxDraws:     q.MaxDraws,
 		Opts:         opts,
 	}
 	if q.SubGroups > 0 {

@@ -103,10 +103,10 @@ func TestNoIndexMaxDraws(t *testing.T) {
 }
 
 // TestQueryBatchSizeDefaults: leaving BatchSize unset selects the
-// deterministic auto-batch schedule on round algorithms — seed-for-seed
-// reproducible and far fewer rounds than the scalar cadence — while
-// NOINDEX (whose check cadence scales with the batch, changing results)
-// and IREFINE (which ignores batching) keep the unset ≡ 1 identity.
+// deterministic auto-batch schedule on round algorithms, NOINDEX
+// included — seed-for-seed reproducible and far fewer rounds than the
+// scalar cadence — while IREFINE (which plans its own batches) keeps the
+// unset ≡ 1 identity.
 func TestQueryBatchSizeDefaults(t *testing.T) {
 	means := []float64{15, 35, 55, 80}
 	run := func(t *testing.T, q rapidviz.Query) *rapidviz.Result {
@@ -135,6 +135,7 @@ func TestQueryBatchSizeDefaults(t *testing.T) {
 		"roundrobin": {Algorithm: rapidviz.AlgoRoundRobin, Bound: 100, Seed: 51},
 		"trend":      {Guarantee: rapidviz.GuaranteeTrend, Bound: 100, Seed: 51},
 		"sum":        {Aggregate: rapidviz.AggSum, Bound: 100, Seed: 51},
+		"noindex":    {Algorithm: rapidviz.AlgoNoIndex, Bound: 100, Seed: 51},
 	}
 	for name, q := range autoQueries {
 		t.Run(name, func(t *testing.T) {
@@ -157,7 +158,6 @@ func TestQueryBatchSizeDefaults(t *testing.T) {
 
 	pinnedQueries := map[string]rapidviz.Query{
 		"irefine": {Algorithm: rapidviz.AlgoIRefine, Bound: 100, Seed: 51},
-		"noindex": {Algorithm: rapidviz.AlgoNoIndex, Bound: 100, Seed: 51},
 	}
 	for name, q := range pinnedQueries {
 		t.Run(name, func(t *testing.T) {

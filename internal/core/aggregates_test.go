@@ -171,11 +171,11 @@ func TestMultiAggBothOrderings(t *testing.T) {
 	for _, g := range u.Groups {
 		truthZ = append(truthZ, g.(dataset.PairGroup).TrueMeanZ())
 	}
-	if !CorrectOrdering(res.EstimatesY, truthY) {
-		t.Fatalf("Y ordering wrong: %v vs %v", res.EstimatesY, truthY)
+	if !CorrectOrdering(res.Estimates, truthY) {
+		t.Fatalf("Y ordering wrong: %v vs %v", res.Estimates, truthY)
 	}
-	if !CorrectOrdering(res.EstimatesZ, truthZ) {
-		t.Fatalf("Z ordering wrong: %v vs %v", res.EstimatesZ, truthZ)
+	if !CorrectOrdering(res.SecondEstimates, truthZ) {
+		t.Fatalf("Z ordering wrong: %v vs %v", res.SecondEstimates, truthZ)
 	}
 	var sum int64
 	for _, c := range res.SampleCounts {
@@ -195,9 +195,9 @@ func TestMultiAggRequiresPairGroups(t *testing.T) {
 
 func TestNoIndexOrdersCorrectly(t *testing.T) {
 	u := sepUniverse(4, 30_000, 11)
-	src := NewUniverseTupleSource(u)
 	opts := DefaultOptions()
-	res, err := NoIndex(src, xrand.New(12), opts, 10_000_000)
+	opts.MaxDraws = 10_000_000
+	res, err := NoIndex(u, xrand.New(12), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,10 +218,10 @@ func TestNoIndexOrdersCorrectly(t *testing.T) {
 
 func TestNoIndexResolution(t *testing.T) {
 	u := sepUniverse(4, 30_000, 13)
-	src := NewUniverseTupleSource(u)
 	opts := DefaultOptions()
 	opts.Resolution = 10
-	res, err := NoIndex(src, xrand.New(14), opts, 10_000_000)
+	opts.MaxDraws = 10_000_000
+	res, err := NoIndex(u, xrand.New(14), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,8 +238,9 @@ func TestNoIndexCostlierThanIFocus(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	src := NewUniverseTupleSource(u)
-	ni, err := NoIndex(src, xrand.New(15), DefaultOptions(), 50_000_000)
+	opts := DefaultOptions()
+	opts.MaxDraws = 50_000_000
+	ni, err := NoIndex(u, xrand.New(15), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,20 +249,24 @@ func TestNoIndexCostlierThanIFocus(t *testing.T) {
 	}
 }
 
-func TestUniverseTupleSourceProportions(t *testing.T) {
+// TestNoIndexProportions: a table-wide tuple lands in group i with
+// probability n_i / Σ n_j. Two tied groups never settle, so the run draws
+// exactly its draw cap.
+func TestNoIndexProportions(t *testing.T) {
 	u := dataset.NewUniverse(100,
 		dataset.NewSliceGroup("a", make([]float64, 9000)),
 		dataset.NewSliceGroup("b", make([]float64, 1000)),
 	)
-	src := NewUniverseTupleSource(u)
-	r := xrand.New(16)
-	counts := [2]int{}
-	const n = 100_000
-	for i := 0; i < n; i++ {
-		g, _ := src.Draw(r)
-		counts[g]++
+	opts := DefaultOptions()
+	opts.MaxDraws = 100_000
+	res, err := NoIndex(u, xrand.New(16), opts)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if frac := float64(counts[0]) / n; math.Abs(frac-0.9) > 0.01 {
+	if !res.Capped || res.TotalSamples != opts.MaxDraws {
+		t.Fatalf("tied run: capped=%v after %d draws, want the %d-draw cap", res.Capped, res.TotalSamples, opts.MaxDraws)
+	}
+	if frac := float64(res.SampleCounts[0]) / float64(res.TotalSamples); math.Abs(frac-0.9) > 0.01 {
 		t.Fatalf("group 0 drawn %v of the time, want 0.9", frac)
 	}
 }

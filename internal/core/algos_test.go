@@ -71,6 +71,41 @@ func TestIRefineOrdersCorrectly(t *testing.T) {
 	}
 }
 
+// TestIRefineBlockSum: IREFINE's batches draw through the driver's
+// DrawBlockSum where they once streamed DrawBatch chunks; both draw the
+// same stream and sum it in draw order on one running total, so every
+// batch sum — and with it every IREFINE estimate — is bit for bit the
+// same. The with-replacement batch spans several of DrawBlockSum's own
+// chunks.
+func TestIRefineBlockSum(t *testing.T) {
+	u := pinUniverse()
+	cases := []struct {
+		m       int
+		without bool
+	}{{1, true}, {63, true}, {3000, true}, {10_000, false}}
+	for _, c := range cases {
+		chunked := dataset.NewStreamSampler(u, 7, c.without)
+		block := dataset.NewStreamSampler(u, 7, c.without)
+		buf := make([]float64, 64)
+		for i := range u.Groups {
+			want := 0.0
+			for left := c.m; left > 0; {
+				n := min(left, len(buf))
+				chunked.DrawBatch(i, buf[:n])
+				for _, v := range buf[:n] {
+					want += v
+				}
+				left -= n
+			}
+			if got, ok := block.DrawBlockSum(i, c.m); !ok || got != want {
+				t.Errorf("m=%d group %d: DrawBlockSum %v (ok=%v), chunked DrawBatch %v", c.m, i, got, ok, want)
+			}
+		}
+		chunked.Release()
+		block.Release()
+	}
+}
+
 func TestIRefineBetweenIFocusAndRoundRobin(t *testing.T) {
 	// Theorem 3.10's extra log(1/eta) factor: IREFINE should use more
 	// samples than IFOCUS on a moderately hard instance.

@@ -275,9 +275,9 @@ func TestGroupTracerWidths(t *testing.T) {
 
 // TestOnRoundGroupWidths: every algorithm that reports rounds hands
 // OnRound one width per group under the default Hoeffding schedule too.
-// The round driver and IREFINE report a settled group at the width it
-// froze at and an active one at eps. NOINDEX never settles a group, so it
-// reports each group live at its own count's width, the widest being eps.
+// Every algorithm reports a settled group at the width it froze at. An
+// active one is at eps, except under NOINDEX, whose groups take the radius
+// at their own counts, eps being the widest of the round's.
 func TestOnRoundGroupWidths(t *testing.T) {
 	runs := []struct {
 		name string
@@ -288,7 +288,7 @@ func TestOnRoundGroupWidths(t *testing.T) {
 		{"trend", func(opts Options) error { _, err := Trend(pinUniverse(), xrand.New(7), opts); return err }},
 		{"irefine", func(opts Options) error { _, err := IRefine(pinUniverse(), xrand.New(7), opts); return err }},
 		{"noindex", func(opts Options) error {
-			_, err := NoIndex(NewUniverseTupleSource(pinUniverse()), xrand.New(7), opts, 0)
+			_, err := NoIndex(pinUniverse(), xrand.New(7), opts)
 			return err
 		}},
 	}
@@ -303,22 +303,22 @@ func TestOnRoundGroupWidths(t *testing.T) {
 				if len(epsByGroup) != k {
 					t.Fatalf("round %d: %d widths for %d groups", m, len(epsByGroup), k)
 				}
-				widest := 0.0
 				for i, w := range epsByGroup {
-					widest = math.Max(widest, w)
 					switch {
-					case r.name == "noindex":
 					case !active[i]:
 						if f, ok := frozen[i]; ok && w != f {
 							t.Fatalf("round %d: settled group %d width moved from %v to %v", m, i, f, w)
 						}
 						frozen[i] = w
+					case r.name == "noindex":
+						// Per-count radii differ; eps is the widest of the
+						// round's live ones.
+						if w > eps {
+							t.Fatalf("round %d: active group %d width %v above eps %v", m, i, w, eps)
+						}
 					case w != eps:
 						t.Fatalf("round %d: active group %d width %v, want eps %v", m, i, w, eps)
 					}
-				}
-				if r.name == "noindex" && widest != eps {
-					t.Fatalf("round %d: widest width %v, want eps %v", m, widest, eps)
 				}
 			}
 			if err := r.run(opts); err != nil {
@@ -398,7 +398,7 @@ func TestBoundValidation(t *testing.T) {
 	if _, err := IFocus(pinUniverse(), xrand.New(1), opts); err == nil {
 		t.Fatal("unknown bound kind accepted by IFocus")
 	}
-	if _, err := NoIndex(NewUniverseTupleSource(pinUniverse()), xrand.New(1), opts, 0); err == nil {
+	if _, err := NoIndex(pinUniverse(), xrand.New(1), opts); err == nil {
 		t.Fatal("unknown bound kind accepted by NoIndex")
 	}
 }

@@ -103,7 +103,6 @@ func Chloropleth(u *dataset.Universe, rng *xrand.RNG, adj Adjacency, opts Option
 	toSettle := make([]int, 0, k)
 	lp := newRoundLoop(u, rng, &opts, roundAlgo{
 		notifyPartials: true,
-		capNotify:      true,
 		decide: func(lp *roundLoop) {
 			// Snapshot the groups to settle before settling any, so settle
 			// order within the round cannot change the neighbour checks.
@@ -119,10 +118,7 @@ func Chloropleth(u *dataset.Universe, rng *xrand.RNG, adj Adjacency, opts Option
 			lp.resolutionExit()
 		},
 	})
-	if err := lp.run(); err != nil {
-		return nil, err
-	}
-	return lp.result(), nil
+	return lp.run()
 }
 
 // AdjacentPairsCorrect reports whether the estimates order every adjacent

@@ -104,12 +104,10 @@ const (
 
 // invalidCell reports why a cell cannot run, or "" when it can. These are
 // the matrix's only holes.
-func invalidCell(sh confShape, bound conc.Kind, batch int) string {
+func invalidCell(sh confShape, bound conc.Kind) string {
 	switch {
 	case !sh.bounded && bound != conc.KindHoeffding:
 		return "the shape takes no confidence bound"
-	case sh.name == "noindex" && batch == BatchAuto:
-		return "NOINDEX's batch is its check cadence, which BatchAuto has none of"
 	}
 	return ""
 }
@@ -277,7 +275,9 @@ func (c confCell) run(u *dataset.Universe, workers int) *outcome {
 	seed := c.shape.seed
 	if c.fixture == "tiny" {
 		seed = 5
-		spec.MaxDraws = tinyDraws
+		if spec.Algorithm == AlgoNoIndex {
+			spec.Opts.MaxDraws = tinyDraws
+		}
 	}
 	if c.fixture == "tiny" || c.shape.capped {
 		spec.Opts.MaxRounds = capRounds
@@ -388,7 +388,7 @@ func TestConformance(t *testing.T) {
 			var refs strings.Builder
 			for _, bound := range confBounds {
 				for _, batch := range confBatches {
-					if why := invalidCell(sh, bound, batch); why != "" {
+					if why := invalidCell(sh, bound); why != "" {
 						holes[why] += len(confFilters) * len(confFixtures) * len(confBackings) * len(confWorkers)
 						continue
 					}
@@ -621,8 +621,10 @@ func TestGuaranteeSlice(t *testing.T) {
 	cells = append(cells, sliceCell{"roundrobin", conc.KindHoeffding})
 	// IREFINE-R at r = 40 settles long before any group runs out; at r = 1
 	// its batches reach the ends of the groups, the case that must answer
-	// with the exact mean at width zero.
-	for _, shape := range []string{"irefine-r", "irefine-r1"} {
+	// with the exact mean at width zero. NOINDEX-R at r = 40 settles each
+	// group on its own count through the driver's per-group resolution
+	// exit.
+	for _, shape := range []string{"irefine-r", "irefine-r1", "noindex-r"} {
 		cells = append(cells, sliceCell{shape, conc.KindHoeffding}, sliceCell{shape, conc.KindBernstein})
 	}
 	for _, c := range cells {
@@ -636,6 +638,8 @@ func TestGuaranteeSlice(t *testing.T) {
 				spec = Spec{Algorithm: AlgoIRefine, Opts: confOpts(40)}
 			case "irefine-r1":
 				spec = Spec{Algorithm: AlgoIRefine, Opts: confOpts(1)}
+			case "noindex-r":
+				spec = Spec{Algorithm: AlgoNoIndex, Opts: confOpts(40)}
 			default:
 				spec = shapeNamed(c.shape).spec(u.K())
 			}

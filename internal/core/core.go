@@ -69,6 +69,11 @@ type Options struct {
 	// cap. When the cap triggers the result reports Capped=true and the
 	// guarantee is void.
 	MaxRounds int
+	// MaxDraws caps the run's total draws the same way (0 = no cap): each
+	// round's blocks are cut, in group order, to the draws the cap has
+	// left, so a capped run stops at exactly MaxDraws samples, reports
+	// Capped=true, and voids the guarantee.
+	MaxDraws int64
 	// BatchSize is the number of fresh samples every still-active group
 	// draws per sampling round. 0 and 1 both select the paper's
 	// one-sample-per-round schedule and are bit-for-bit identical to the

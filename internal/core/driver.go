@@ -10,42 +10,49 @@ import (
 	"repro/internal/xrand"
 )
 
-// This file is the shared round driver. Every round-based algorithm in the
-// package — IFOCUS and its guarantee variants (trend, chloropleth, top-t,
-// values, mistakes), ROUNDROBIN, both SUM estimators, and the first phase
-// of MultiAgg — is the same loop with a different settling rule: seed
-// every group, then repeatedly (1) poll for cancellation, (2) recompute
-// the anytime half-width ε from the cumulative per-group draw count,
-// (3) draw a block of fresh samples from every still-active group,
-// (4) let the algorithm settle groups whose intervals have separated, and
-// (5) run the tracing / partial-result / round-cap bookkeeping. roundLoop
-// owns steps 1–3 and 5; a roundAlgo supplies step 4 and a handful of
-// behavioral switches.
+// This file is the round driver, the one run loop of the package: every
+// sampling algorithm — IFOCUS and its guarantee variants (trend,
+// chloropleth, top-t, values, mistakes), ROUNDROBIN, IREFINE, the SUM
+// estimators, NOINDEX, multiple group-by and multiple aggregates — is the
+// same loop with a different settling rule. Each round it (1) polls for
+// cancellation, (2) recomputes the confidence widths, (3) draws from every
+// still-active group, (4) lets the algorithm settle groups whose intervals
+// have separated, and (5) runs the tracing, partial-result and cap
+// bookkeeping. roundLoop owns steps 1–3 and 5 and is the only code that
+// polls the context, applies MaxRounds and MaxDraws, emits OnRound and
+// OnPartial, and releases the run's Sampler; a roundAlgo supplies step 4.
 //
-// Batching: with Options.BatchSize = b, step 3 draws b fresh samples per
-// group through the dataset layer's block draw path (one dispatch, one
-// accounting update, and one running-mean division per block). BatchSize
-// ≤ 1 reproduces the paper's one-sample rounds bit for bit, incremental
-// running-mean update included — pinned by TestGoldenPins. Such a round
-// draws across the groups (Sampler.DrawEach), so the groups' cache misses
-// overlap rather than queue one behind the next. Blocks can
-// additionally grow geometrically via Options.RoundGrowth. Because the
+// What a round draws comes from one of two hooks, or the default:
+//   - the default plan draws one block per active group — BatchSize
+//     samples, the BatchAuto block for the round, or the RoundGrowth block
+//     — and folds it into the group's running mean;
+//   - a per-group plan (IREFINE) lays out each group's blocks itself, one
+//     or more per round, and may start a fresh estimate from the round's
+//     first block instead of extending the running mean;
+//   - a scatter draw (NOINDEX, multiple group-by, multiple aggregates)
+//     draws from units that cannot target a group: every tuple a unit draws
+//     lands in the group it reveals.
+//
+// Batching: BatchSize ≤ 1 reproduces the paper's one-sample rounds bit for
+// bit, incremental running-mean update included — pinned by TestGoldenPins.
+// Such a round draws across the groups (Sampler.DrawEach), so the groups'
+// cache misses overlap rather than queue one behind the next. Because the
 // anytime schedule is simultaneously valid at every sample count, indexing
-// ε by the cumulative draw count keeps the union bound intact at any block
-// size; batching only trades bookkeeping frequency for up to one block of
-// extra samples per group.
+// ε by each group's own draw count keeps the union bound intact at any
+// block size; batching only trades bookkeeping frequency for up to one
+// block of extra samples per group.
 //
 // Parallelism: every group owns a deterministic RNG stream derived from
-// the run seed and its index (dataset.NewStreamSampler), so a group's
-// draws are a pure function of (seed, index, samples taken) and never of
-// the order groups are visited. The draw phase of each round can therefore
-// fan the per-group block draws across Options.Workers goroutines — the
-// paper's guarantees are per group, so draws are independent — while every
-// decision that touches cross-group state (settling, the isolation sweep,
-// partial-result events) runs after the draw barrier, in deterministic
-// group order, exactly as in the sequential loop. Workers=1 and Workers=N
-// produce bit-identical results; the invariant is pinned by the
-// conformance matrix (conformance_test.go).
+// the run seed and its index (dataset.NewStreamSampler), and a scatter
+// unit draws on the stream of its first group, so a group's draws are a
+// pure function of (seed, index, samples taken) and never of the order
+// groups are visited. The draw phase of each round can therefore fan the
+// per-group (or per-unit) draws across Options.Workers goroutines, while
+// every decision that touches cross-group state (planning, settling, the
+// isolation sweep, partial-result events) runs before or after the draw
+// barrier, in deterministic group order. Workers=1 and Workers=N produce
+// bit-identical results; the conformance matrix (conformance_test.go) and
+// FuzzRun pin it.
 
 // roundAlgo packages what distinguishes one round-based algorithm from
 // another.
@@ -54,19 +61,28 @@ type roundAlgo struct {
 	// intervals have separated (and applies any algorithm-specific exits,
 	// e.g. the resolution relaxation or the allowed-mistakes quota).
 	decide func(lp *roundLoop)
-	// drawOne, when set, replaces the sampler-native draw path (pair
-	// draws, normalized draws with auxiliary randomness). Block rounds
-	// loop it; accounting must go through sampler.Record inside the hook
-	// unless the hook itself draws through the sampler.
+	// plan, when set, replaces the default block: it returns group i's
+	// next block this round, given the drawn samples the group already
+	// took this round (0 ends the group's round), and — on the round's
+	// first call — whether the round starts a fresh estimate, the mean of
+	// this round's draws alone, instead of extending the running mean. A
+	// planned run decides from round 1 on, and keeps per-group widths in
+	// epsG, which the plan maintains itself.
+	plan func(i, drawn int) (n int, fresh bool)
+	// scatter, when set, replaces per-group draws with draw units whose
+	// tuples land in the groups they reveal. Scatter runs take per-group
+	// radii at each group's own count.
+	scatter *scatter
+	// drawOne, when set, replaces the sampler-native draw path (normalized
+	// draws with auxiliary randomness). Block rounds loop it; accounting
+	// must go through sampler.Record inside the hook unless the hook itself
+	// draws through the sampler.
 	drawOne func(i int) float64
 	// afterDraws, when set, runs right after every draw phase (the seed
 	// round included) — e.g. the SUM estimator rescaling means into sums.
 	afterDraws func(lp *roundLoop)
-	// partialVal, when set, supplies the value reported to OnPartial
-	// (default: the group's running estimate).
-	partialVal func(i int) float64
-	// display, when set, is the estimate vector exposed to the tracer and
-	// the final Result (default: the running means).
+	// display, when set, is the estimate vector exposed to the tracer,
+	// OnPartial and the final Result (default: the running means).
 	display []float64
 	// traceFlags, when set, is passed to the tracer instead of the live
 	// active flags (ROUNDROBIN reports every group as active, as the
@@ -74,18 +90,28 @@ type roundAlgo struct {
 	traceFlags []bool
 	// seedTrace emits a tracer event for the seed round.
 	seedTrace bool
-	// fixedMaxN feeds the Serfling term max n_i over all groups instead of
-	// the shrinking max over active groups (ROUNDROBIN).
-	fixedMaxN bool
 	// keepExhaustedActive marks population-exhausted groups as drained —
 	// they stop drawing but stay active until decide ends the run
 	// (ROUNDROBIN) — instead of settling them.
 	keepExhaustedActive bool
-	// notifyPartials emits OnPartial events on ordinary settles.
+	// notifyPartials emits OnPartial events for settled groups, the ones
+	// the round or draw cap force-settles included.
 	notifyPartials bool
-	// capNotify emits OnPartial events for the groups force-settled by the
-	// MaxRounds cap.
-	capNotify bool
+}
+
+// scatter lays out the draws of an algorithm that cannot target a group:
+// units draw whole tuples, each landing in the group it reveals. Unit u
+// serves groups [u·k/units, (u+1)·k/units) and draws while any of them is
+// active, one block per group it serves each round, on the stream of its
+// first group. Every landed tuple counts towards its group's SampleCounts;
+// only active groups fold it into their estimate. Scatter draws are with
+// replacement.
+type scatter struct {
+	units int
+	// draw takes one tuple from unit u on r and returns the group it
+	// lands in and its value. Units may draw concurrently, so draw may
+	// touch only state owned by u's groups.
+	draw func(u int, r *xrand.RNG) (group int, v float64)
 }
 
 // roundLoop is the shared state of one run.
@@ -96,12 +122,13 @@ type roundLoop struct {
 	sampler *dataset.Sampler
 	algo    roundAlgo
 
-	// bound is the pluggable per-group bound, nil under the default
-	// Hoeffding schedule. When set, epsG holds each group's live radius
-	// (recomputed after every draw phase from its own count and moments)
-	// and every settle decision routes through the general unequal-width
-	// interval sweep; lp.eps then tracks the widest live radius for the
-	// scalar tracer/result fields.
+	// bound is the per-group bound, nil under the default Hoeffding
+	// schedule of a lockstep run. When set, updateRadii recomputes every
+	// active group's radius from its own count and moments after each draw
+	// phase. epsG, set whenever widths are per group (a bound or a plan),
+	// holds each group's live width, and every settle decision routes
+	// through the general unequal-width interval sweep; lp.eps then tracks
+	// the widest live width for the scalar tracer/result fields.
 	bound conc.Bound
 	epsG  []float64
 
@@ -116,14 +143,16 @@ type roundLoop struct {
 	numActive int
 
 	m      int // round number
-	cum    int // cumulative draws per still-active group
+	cum    int // cumulative default blocks per still-active group
 	eps    float64
 	capped bool
 
-	workers int         // resolved draw-phase fan-out cap (≤ 1 draws inline)
-	drawIdx []int       // groups drawing this round, in index order
-	drawN   []int       // matching per-group block sizes
-	bufs    [][]float64 // per-worker block draw buffers
+	workers  int         // resolved draw-phase fan-out cap (≤ 1 draws inline)
+	drawIdx  []int       // groups (scatter: units) drawing this phase, in index order
+	drawN    []int       // matching block sizes
+	drawPrev []int       // plan runs: samples in the estimate before the block
+	drawDone []int       // plan runs: samples drawn this round before the block
+	bufs     [][]float64 // per-worker block draw buffers
 
 	ivsBuf   []interval // scratch for the unequal-width sweep
 	orderBuf []int      // the isolation sweeps' sort permutation, carried across rounds
@@ -132,19 +161,17 @@ type roundLoop struct {
 
 	// scratch is the pooled arena behind every per-run buffer above that
 	// does not escape into the Result (estimates and settledR do escape and
-	// are always freshly allocated). result() returns it to the pool; runs
-	// that never reach result() — cancellation, multiagg's phase-1 loop —
-	// simply drop it to the GC, which is always correct, just unpooled.
-	// The sampler's draw state follows the same rule, except that a
-	// canceled run hands it back too (run's error return).
+	// are always freshly allocated). release returns it, with the
+	// sampler's draw state, exactly once per run: at the end of run, on
+	// success or cancellation.
 	scratch *loopScratch
 }
 
 // loopScratch holds one run's reusable buffers between runs. An engine
 // serving a query stream re-runs the round loop constantly with the same
-// group counts, so recycling the ~10 per-run slices (and the per-worker
-// block buffers, the largest of them) takes the driver's steady-state
-// allocation rate to near zero.
+// group counts, so recycling the per-run slices (and the per-worker block
+// buffers, the largest of them) takes the driver's steady-state allocation
+// rate to near zero.
 type loopScratch struct {
 	active    []bool
 	isolated  []bool
@@ -155,6 +182,8 @@ type loopScratch struct {
 	actIdx    []int
 	drawIdx   []int
 	drawN     []int
+	drawPrev  []int
+	drawDone  []int
 	orderBuf  []int
 	ivsBuf    []interval
 	bufs      [][]float64
@@ -199,9 +228,6 @@ func intScratch(buf []int, k int) []int {
 func (lp *roundLoop) release() {
 	lp.sampler.Release()
 	sc := lp.scratch
-	if sc == nil {
-		return
-	}
 	lp.scratch = nil
 	// Store back the possibly grown/reallocated slices so the pool keeps
 	// the largest incarnation of each buffer.
@@ -218,6 +244,8 @@ func (lp *roundLoop) release() {
 	sc.actIdx = lp.actIdx
 	sc.drawIdx = lp.drawIdx
 	sc.drawN = lp.drawN
+	sc.drawPrev = lp.drawPrev
+	sc.drawDone = lp.drawDone
 	sc.orderBuf = lp.orderBuf
 	sc.ivsBuf = lp.ivsBuf
 	sc.bufs = lp.bufs
@@ -240,6 +268,11 @@ const (
 // tiny blocks) never pay for it.
 const minParallelRoundDraws = 1024
 
+// drawChunk bounds the per-worker block buffer of groups without a draw
+// kernel: a block larger than it (an IREFINE batch can run to 10⁵+
+// samples) streams through the buffer chunk by chunk.
+const drawChunk = 4096
+
 // newRoundLoop builds the loop state. opts must already be validated. The
 // run's RNG discipline is fixed here: one word is taken from rng and every
 // group derives its own stream from it, keyed by group index — so the
@@ -252,7 +285,7 @@ func newRoundLoop(u *dataset.Universe, rng *xrand.RNG, opts *Options, algo round
 	// parallelism only add handoff cost — the measured 25% workers=8 tax
 	// on a single core) and to the group count. Whether a given round
 	// actually fans out is decided per round by the volume gate in
-	// drawRound.
+	// drawPhase.
 	maxPar := runtime.GOMAXPROCS(0)
 	workers := opts.Workers
 	if workers == 0 {
@@ -266,19 +299,25 @@ func newRoundLoop(u *dataset.Universe, rng *xrand.RNG, opts *Options, algo round
 	}
 	sampler := dataset.NewStreamSampler(u, rng.Uint64(), !opts.WithReplacement)
 	bound := newRunBound(u, opts)
+	if bound == nil && algo.scatter != nil {
+		// Tuples land where they land, so counts differ per group: every
+		// width is the radius at the group's own count, which for the
+		// Hoeffding bound is exactly the shared schedule's ε.
+		bound = conc.MustBound(conc.KindHoeffding, u.C, k, opts.Delta, opts.Kappa)
+	}
 	// Per-run buffers come from the scratch pool; only estimates and
 	// settledR escape into the Result and are always freshly allocated.
 	sc := loopScratchPool.Get().(*loopScratch)
 	var epsG []float64
-	if bound != nil {
+	if bound != nil || algo.plan != nil {
 		epsG = f64Scratch(sc.epsG, k)
-		if bound.NeedsMoments() {
-			// Native draws fold straight into the sampler's per-group
-			// moments; algorithms with a transform hook (drawOne) observe
-			// the transformed values from the draw phase instead, so the
-			// moments describe the variable actually being estimated.
-			sampler.EnableMoments(algo.drawOne == nil)
-		}
+	}
+	if bound != nil && bound.NeedsMoments() {
+		// Native draws fold straight into the sampler's per-group moments;
+		// algorithms with a transform hook (drawOne) or scatter draws
+		// observe the values they fold instead, so the moments describe
+		// the variable actually being estimated.
+		sampler.EnableMoments(algo.drawOne == nil)
 	}
 	var traceEps []float64
 	if opts.OnRound != nil {
@@ -309,6 +348,8 @@ func newRoundLoop(u *dataset.Universe, rng *xrand.RNG, opts *Options, algo round
 		workers:   workers,
 		drawIdx:   intScratch(sc.drawIdx, k),
 		drawN:     intScratch(sc.drawN, k),
+		drawPrev:  sc.drawPrev[:0],
+		drawDone:  sc.drawDone[:0],
 		bufs:      sc.bufs[:nb],
 		ivsBuf:    sc.ivsBuf[:0],
 		orderBuf:  sc.orderBuf[:0],
@@ -318,9 +359,9 @@ func newRoundLoop(u *dataset.Universe, rng *xrand.RNG, opts *Options, algo round
 }
 
 // blockSize returns how many fresh samples each active group draws this
-// round: the fixed batch (or the BatchAuto schedule's block for this
-// round), grown geometrically from the cumulative count when RoundGrowth
-// asks for it. Always at least 1.
+// round under the default plan: the fixed batch (or the BatchAuto
+// schedule's block for this round), grown geometrically from the
+// cumulative count when RoundGrowth asks for it. Always at least 1.
 func (lp *roundLoop) blockSize() int {
 	b := lp.opts.BatchSize
 	if b == BatchAuto {
@@ -337,25 +378,26 @@ func (lp *roundLoop) blockSize() int {
 	return b
 }
 
-// run executes the whole loop: seed round, then rounds until every group
-// has settled. It returns only the context error.
-func (lp *roundLoop) run() error {
-	lp.seed()
+// run executes the whole loop — round 1 seeds every group, and rounds go
+// on until every group has settled — then assembles the Result. Either
+// way it releases the run's draw state and scratch, so the roundLoop must
+// not be used afterwards. Only a canceled context fails a run.
+func (lp *roundLoop) run() (*Result, error) {
+	for i := range lp.active {
+		lp.active[i] = true
+	}
+	lp.numActive = lp.k
 	for lp.numActive > 0 {
 		if err := lp.opts.interrupted(); err != nil {
-			lp.sampler.Release()
-			return err
+			lp.release()
+			return nil, err
 		}
 		lp.m++
 		fresh := lp.blockSize()
-		if lp.bound == nil {
+		if lp.epsG == nil && lp.m > 1 {
 			var maxN int64
 			if !lp.opts.WithReplacement {
-				if lp.algo.fixedMaxN {
-					maxN = lp.u.MaxSize()
-				} else {
-					maxN = maxActiveSize(lp.u, lp.active)
-				}
+				maxN = maxActiveSize(lp.u, lp.active)
 			}
 			lp.eps = lp.sched.EpsilonN(lp.cum+fresh, maxN) / lp.opts.HeuristicFactor
 		}
@@ -367,39 +409,27 @@ func (lp *roundLoop) run() error {
 		if lp.algo.afterDraws != nil {
 			lp.algo.afterDraws(lp)
 		}
+		if lp.m == 1 && lp.algo.plan == nil {
+			// The seed round only draws: one block per group is no
+			// interval yet.
+			if lp.algo.seedTrace {
+				eps := lp.eps
+				if lp.epsG == nil {
+					eps = lp.sched.Epsilon(lp.cum) / lp.opts.HeuristicFactor
+				}
+				lp.trace(eps)
+			}
+			continue
+		}
 		lp.algo.decide(lp)
-		lp.trace(lp.m, lp.eps)
-		if lp.opts.MaxRounds > 0 && lp.m >= lp.opts.MaxRounds && lp.numActive > 0 {
+		lp.trace(lp.eps)
+		if lp.numActive > 0 && (lp.opts.MaxRounds > 0 && lp.m >= lp.opts.MaxRounds ||
+			lp.opts.MaxDraws > 0 && lp.sampler.Total() >= lp.opts.MaxDraws) {
 			lp.capped = true
-			lp.settleAllRemaining(lp.algo.capNotify)
+			lp.settleAllRemaining(lp.algo.notifyPartials)
 		}
 	}
-	return nil
-}
-
-// seed runs round 1: every group starts active and draws one block.
-func (lp *roundLoop) seed() {
-	for i := 0; i < lp.k; i++ {
-		lp.active[i] = true
-	}
-	lp.numActive = lp.k
-	lp.m = 1
-	fresh := lp.blockSize()
-	lp.drawRound(fresh)
-	lp.cum = fresh
-	if lp.bound != nil {
-		lp.updateRadii()
-	}
-	if lp.algo.afterDraws != nil {
-		lp.algo.afterDraws(lp)
-	}
-	if lp.algo.seedTrace {
-		eps := lp.eps
-		if lp.bound == nil {
-			eps = lp.sched.Epsilon(lp.cum) / lp.opts.HeuristicFactor
-		}
-		lp.trace(1, eps)
-	}
+	return lp.result(), nil
 }
 
 // updateRadii recomputes the live per-group radii from each group's own
@@ -429,88 +459,170 @@ func (lp *roundLoop) updateRadii() {
 	lp.eps = maxEps
 }
 
-// drawRound draws up to fresh samples from every active, undrained group,
-// folding them into the running means. A group whose remaining population
-// cannot cover a full block draws what is left; one that has nothing left
-// settles at width zero (its running mean is exact) or, in
-// keepExhaustedActive mode, is marked drained.
+// drawRound plans and draws one round. The default plan gives every
+// active, undrained group one block of fresh samples; a plan hook lays out
+// each group's blocks, drawn in phases until no group plans another; a
+// scatter layout gives each unit serving an active group one block per
+// group it serves.
 //
-// The round is planned sequentially (block sizes, exhaustion settles — the
-// only part that mutates cross-group state, kept in deterministic group
-// order), then the planned block draws fan across the worker pool. Each
-// draw touches only group-owned state: the group's RNG stream and
-// permutation, its running mean, a per-worker buffer, and the sampler's
-// atomic accounting — so the fan-out needs no locks and the barrier at the
-// end of ParallelForWorkers publishes every estimate before decide reads
-// them.
+// Planning runs sequentially, in group order — block sizes, exhaustion
+// settles, the MaxDraws budget, the only parts that touch cross-group
+// state — and each planned phase then fans across the worker pool (see
+// drawPhase). Without replacement, a group whose remaining population
+// cannot cover its block draws what is left, and one that has nothing left
+// settles at width zero — its estimate is exact — or, in
+// keepExhaustedActive mode, is marked drained. Under MaxDraws, blocks are
+// cut to the draws the cap has left, in group order, so a capped run stops
+// at the cap exactly.
 func (lp *roundLoop) drawRound(fresh int) {
 	lp.drawIdx = lp.drawIdx[:0]
 	lp.drawN = lp.drawN[:0]
+	budget := int64(math.MaxInt64)
+	if lp.opts.MaxDraws > 0 {
+		budget = lp.opts.MaxDraws - lp.sampler.Total()
+	}
+	take := func(n int) int {
+		n = int(max(min(int64(n), budget), 0))
+		budget -= int64(n)
+		return n
+	}
+	if sc := lp.algo.scatter; sc != nil {
+		per := lp.k / sc.units
+		for u := 0; u < sc.units; u++ {
+			for _, a := range lp.active[u*per : (u+1)*per] {
+				if a {
+					if n := take(fresh * per); n > 0 {
+						lp.drawIdx = append(lp.drawIdx, u)
+						lp.drawN = append(lp.drawN, n)
+					}
+					break
+				}
+			}
+		}
+		lp.drawPhase()
+		return
+	}
+	planned := lp.algo.plan != nil
+	if planned {
+		lp.drawPrev = lp.drawPrev[:0]
+		lp.drawDone = lp.drawDone[:0]
+	}
 	for i := 0; i < lp.k; i++ {
 		if !lp.active[i] || lp.drained[i] {
 			continue
 		}
-		n := fresh
-		if !lp.opts.WithReplacement {
-			if sz := lp.u.Groups[i].Size(); sz > 0 {
-				remaining := sz - int64(lp.cum)
-				if remaining <= 0 {
-					if lp.algo.keepExhaustedActive {
-						lp.drained[i] = true
-					} else {
-						lp.settle(i, 0, lp.algo.notifyPartials)
-					}
-					continue
-				}
-				if int64(n) > remaining {
-					n = int(remaining)
-				}
+		left := lp.remaining(i)
+		if left == 0 {
+			if lp.algo.keepExhaustedActive {
+				lp.drained[i] = true
+			} else {
+				lp.settle(i, 0, lp.algo.notifyPartials)
 			}
+			continue
+		}
+		n, prev := fresh, 0
+		if planned {
+			var restart bool
+			if n, restart = lp.algo.plan(i, 0); !restart {
+				prev = int(lp.sampler.Count(i))
+			} else if m := lp.sampler.MomentsFor(i); m != nil {
+				m.Reset()
+			}
+		}
+		if n = take(min(n, left)); n <= 0 {
+			continue
 		}
 		lp.drawIdx = append(lp.drawIdx, i)
 		lp.drawN = append(lp.drawN, n)
+		if planned {
+			lp.drawPrev = append(lp.drawPrev, prev)
+			lp.drawDone = append(lp.drawDone, 0)
+		}
 	}
+	lp.drawPhase()
+	// A plan may lay out further blocks after seeing each one drawn; each
+	// later phase extends the estimate the round's first block began.
+	for planned && len(lp.drawIdx) > 0 {
+		w := 0
+		for j, i := range lp.drawIdx {
+			done := lp.drawDone[j] + lp.drawN[j]
+			n, _ := lp.algo.plan(i, done)
+			if n = take(min(n, lp.remaining(i))); n <= 0 {
+				continue
+			}
+			lp.drawIdx[w], lp.drawN[w] = i, n
+			lp.drawPrev[w] = lp.drawPrev[j] + lp.drawN[j]
+			lp.drawDone[w] = done
+			w++
+		}
+		lp.drawIdx, lp.drawN = lp.drawIdx[:w], lp.drawN[:w]
+		lp.drawPrev, lp.drawDone = lp.drawPrev[:w], lp.drawDone[:w]
+		lp.drawPhase()
+	}
+}
+
+// remaining returns how many more samples group i can take: the rest of
+// its population without replacement, unbounded otherwise (or when the
+// group's size is unknown).
+func (lp *roundLoop) remaining(i int) int {
+	if !lp.opts.WithReplacement {
+		if sz := lp.u.Groups[i].Size(); sz > 0 {
+			return int(max(sz-lp.sampler.Count(i), 0))
+		}
+	}
+	return math.MaxInt
+}
+
+// drawPhase draws the planned blocks. Each draw touches only group-owned
+// state — the group's RNG stream and permutation, its running mean, a
+// per-worker buffer, and the sampler's atomic accounting — so the fan-out
+// needs no locks and the barrier at the end of ParallelForWorkers
+// publishes every estimate before decide reads them.
+func (lp *roundLoop) drawPhase() {
 	planned := 0
 	for _, n := range lp.drawN {
 		planned += n
 	}
 	if lp.workers <= 1 || len(lp.drawIdx) <= 1 || planned < minParallelRoundDraws {
-		if planned == len(lp.drawIdx) && lp.algo.drawOne == nil {
+		if planned == len(lp.drawIdx) && lp.algo.drawOne == nil && lp.algo.plan == nil && lp.algo.scatter == nil {
 			lp.drawScalarRound()
 			return
 		}
-		for j, i := range lp.drawIdx {
-			lp.drawGroup(0, i, lp.drawN[j])
+		for j := range lp.drawIdx {
+			lp.drawBlock(0, j)
 		}
 		return
 	}
-	ParallelForWorkers(len(lp.drawIdx), lp.workers, func(w, j int) {
-		lp.drawGroup(w, lp.drawIdx[j], lp.drawN[j])
-	})
+	ParallelForWorkers(len(lp.drawIdx), lp.workers, lp.drawBlock)
 }
 
 // drawScalarRound draws an inline round of one sample per group through
 // Sampler.DrawEach, staging values on the stack 64 groups at a time. A
-// fanned-out one runs per group through drawGroup, one pipeline step each.
+// fanned-out one runs per group through drawBlock, one pipeline step each.
 func (lp *roundLoop) drawScalarRound() {
 	var vals [64]float64
 	for idx := lp.drawIdx; len(idx) > 0; {
 		n := min(len(idx), len(vals))
 		lp.sampler.DrawEach(idx[:n], vals[:n])
 		for j, i := range idx[:n] {
-			lp.fold(i, 1, vals[j])
+			lp.fold(i, int(lp.sampler.Count(i))-1, 1, vals[j])
 		}
 		idx = idx[n:]
 	}
 }
 
-// drawGroup draws n fresh samples from group i, using worker w's scratch
-// buffer, and folds them into the group's running mean.
-func (lp *roundLoop) drawGroup(w, i, n int) {
+// drawBlock draws the j-th planned block, using worker w's scratch
+// buffer, and folds it into the group's estimate.
+func (lp *roundLoop) drawBlock(w, j int) {
+	i, n := lp.drawIdx[j], lp.drawN[j]
+	if lp.algo.scatter != nil {
+		lp.drawUnit(i, n)
+		return
+	}
 	sum := 0.0
 	switch {
 	case lp.algo.drawOne != nil:
-		for j := 0; j < n; j++ {
+		for t := 0; t < n; t++ {
 			x := lp.algo.drawOne(i)
 			lp.sampler.Observe(i, x)
 			sum += x
@@ -522,23 +634,47 @@ func (lp *roundLoop) drawGroup(w, i, n int) {
 			sum = s
 			break
 		}
-		if cap(lp.bufs[w]) < n {
-			lp.bufs[w] = make([]float64, n)
-		}
-		buf := lp.bufs[w][:n]
-		lp.sampler.DrawBatch(i, buf)
-		for _, v := range buf {
-			sum += v
+		for left := n; left > 0; {
+			c := min(left, drawChunk)
+			if cap(lp.bufs[w]) < c {
+				lp.bufs[w] = make([]float64, c)
+			}
+			buf := lp.bufs[w][:c]
+			lp.sampler.DrawBatch(i, buf)
+			for _, v := range buf {
+				sum += v
+			}
+			left -= c
 		}
 	}
-	lp.fold(i, n, sum)
+	prev := int(lp.sampler.Count(i)) - n
+	if lp.algo.plan != nil {
+		prev = lp.drawPrev[j]
+	}
+	lp.fold(i, prev, n, sum)
 }
 
-// fold folds n fresh samples summing to sum into group i's running mean.
-// A single sample takes the paper's incremental update, bit for bit what
-// the scalar algorithms computed; a block pays one division.
-func (lp *roundLoop) fold(i, n int, sum float64) {
-	prev := lp.cum
+// drawUnit draws n tuples from scatter unit u, each recorded for the
+// group it lands in and folded into that group's estimate while the group
+// is active.
+func (lp *roundLoop) drawUnit(u, n int) {
+	sc := lp.algo.scatter
+	r := lp.sampler.RNGFor(u * (lp.k / sc.units))
+	for ; n > 0; n-- {
+		i, v := sc.draw(u, r)
+		lp.sampler.Record(i, 1)
+		if lp.active[i] {
+			lp.sampler.Observe(i, v)
+			lp.fold(i, int(lp.sampler.Count(i))-1, 1, v)
+		}
+	}
+}
+
+// fold folds n fresh samples summing to sum into group i's estimate, which
+// holds prev samples so far. A single sample takes the paper's incremental
+// update, bit for bit what the scalar algorithms computed; a block pays
+// one division.
+func (lp *roundLoop) fold(i, prev, n int, sum float64) {
 	nc := prev + n
 	if n == 1 {
 		lp.estimates[i] = float64(nc-1)/float64(nc)*lp.estimates[i] + sum/float64(nc)
@@ -555,17 +691,27 @@ func (lp *roundLoop) settle(i int, width float64, notify bool) {
 	lp.numActive--
 	if notify && lp.opts.OnPartial != nil {
 		v := lp.estimates[i]
-		if lp.algo.partialVal != nil {
-			v = lp.algo.partialVal(i)
+		if lp.algo.display != nil {
+			v = lp.algo.display[i]
 		}
 		lp.opts.OnPartial(i, v, lp.m, width)
 	}
 }
 
+// reopen reactivates every group for a further stage of the same run —
+// MultiAgg's second aggregate. Exhausted groups settle again at the next
+// round's planning.
+func (lp *roundLoop) reopen() {
+	for i := range lp.active {
+		lp.active[i] = true
+	}
+	lp.numActive = lp.k
+}
+
 // groupEps returns group i's live radius: the shared ε under the default
-// schedule, its own per-group radius under a pluggable bound.
+// schedule, its own per-group width otherwise.
 func (lp *roundLoop) groupEps(i int) float64 {
-	if lp.bound != nil {
+	if lp.epsG != nil {
 		return lp.epsG[i]
 	}
 	return lp.eps
@@ -584,15 +730,14 @@ func (lp *roundLoop) width(i int) float64 {
 // each at its own live radius. Under the default schedule all live widths
 // equal ε and only active intervals matter — a group that separated from
 // every active interval stays separated, because the shared ε only
-// shrinks and frozen widths never exceed it. Per-group radii break that
+// shrinks and frozen widths never exceed it. Per-group widths break that
 // monotonicity (a wide high-variance interval can straddle a settled
 // group's narrow frozen one), so the unequal-width sweep runs over ALL k
 // intervals — frozen for settled groups, live for active — and an active
-// group settles only when disjoint from every one of them, exactly like
-// the SUM estimators' and IREFINE's sweeps.
+// group settles only when disjoint from every one of them.
 func (lp *roundLoop) settleIsolated() {
 	lp.actIdx = activeIndices(lp.active, lp.actIdx)
-	if lp.bound == nil {
+	if lp.epsG == nil {
 		lp.sweepEqualWidth(lp.actIdx)
 	} else {
 		lp.isolatedUnequal()
@@ -654,14 +799,13 @@ func (lp *roundLoop) isolatedUnequal() {
 
 // resolutionExit applies the Problem 2 relaxation. Under the shared
 // schedule every remaining group settles once the one live ε drops below
-// r/4. Per-group radii certify the resolution on their own clock: a tight
-// (low-variance) group exits while loose ones keep sampling — the same
-// per-group exit IREFINE-R uses.
+// r/4. Per-group widths certify the resolution on their own clock: a
+// tight (low-variance) group exits while loose ones keep sampling.
 func (lp *roundLoop) resolutionExit() {
 	if lp.opts.Resolution <= 0 {
 		return
 	}
-	if lp.bound == nil {
+	if lp.epsG == nil {
 		if lp.eps < lp.opts.Resolution/4 {
 			lp.settleAllRemaining(lp.algo.notifyPartials)
 		}
@@ -683,10 +827,11 @@ func (lp *roundLoop) settleAllRemaining(notify bool) {
 	}
 }
 
-// trace emits one OnRound event, honoring the algorithm's display and
-// flag overrides. The per-group widths are frozen for settled groups and
-// the live radius (eps under the default schedule) for active ones.
-func (lp *roundLoop) trace(m int, eps float64) {
+// trace emits one OnRound event for the current round, honoring the
+// algorithm's display and flag overrides. The per-group widths are frozen
+// for settled groups and the live radius (eps under the default schedule)
+// for active ones.
+func (lp *roundLoop) trace(eps float64) {
 	if lp.opts.OnRound == nil {
 		return
 	}
@@ -702,19 +847,19 @@ func (lp *roundLoop) trace(m int, eps float64) {
 		switch {
 		case !lp.active[i]:
 			lp.traceEps[i] = lp.frozenEps[i]
-		case lp.bound != nil:
+		case lp.epsG != nil:
 			lp.traceEps[i] = lp.epsG[i]
 		default:
 			lp.traceEps[i] = eps
 		}
 	}
-	lp.opts.OnRound(m, eps, lp.traceEps, flags, est, lp.sampler.Total())
+	lp.opts.OnRound(lp.m, eps, lp.traceEps, flags, est, lp.sampler.Total())
 }
 
-// result assembles the common Result shape and returns the run's scratch
-// buffers to the pool — it must be the loop's final use; none of the pooled
-// fields may be touched afterwards (every field the Result carries is
-// either freshly allocated here or was never pooled).
+// result assembles the common Result shape and releases the run — it must
+// be the loop's final use; none of the pooled fields may be touched
+// afterwards (every field the Result carries is either freshly allocated
+// here or was never pooled).
 func (lp *roundLoop) result() *Result {
 	est := lp.estimates
 	if lp.algo.display != nil {

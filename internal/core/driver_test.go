@@ -191,15 +191,17 @@ func TestBatchOptionValidation(t *testing.T) {
 	if _, err := IFocus(u, xrand.New(1), opts); err == nil {
 		t.Fatal("RoundGrowth in (0,1) accepted")
 	}
-	// NoIndex's batch scales its interval-check cadence — it changes
-	// results, so the auto schedule does not apply there and every
-	// negative value (BatchAuto included) stays invalid.
-	for _, bad := range []int{-1, -2} {
-		opts = DefaultOptions()
-		opts.BatchSize = bad
-		if _, err := NoIndex(NewUniverseTupleSource(u), xrand.New(1), opts, 0); err == nil {
-			t.Fatalf("NoIndex accepted BatchSize=%d", bad)
-		}
+	// NOINDEX validates its batch like every driver run: BatchAuto is its
+	// block schedule too, other negative values are invalid.
+	opts = DefaultOptions()
+	opts.BatchSize = -2
+	if _, err := NoIndex(u, xrand.New(1), opts); err == nil {
+		t.Fatal("NoIndex accepted BatchSize=-2")
+	}
+	opts = DefaultOptions()
+	opts.BatchSize = BatchAuto
+	if _, err := NoIndex(u, xrand.New(1), opts); err != nil {
+		t.Fatalf("NoIndex rejected BatchAuto: %v", err)
 	}
 }
 
@@ -256,21 +258,23 @@ func TestAutoBatchGoldenPin(t *testing.T) {
 	}
 }
 
-// TestNoIndexBatchCadence: batching a no-index run scales the check
-// cadence without changing the per-draw statistics; the run still orders
-// correctly and still honors maxDraws.
+// TestNoIndexBatchCadence: batching a no-index run draws k blocks of
+// tuples per round, so it scales the interval-check cadence without
+// changing the per-draw statistics; the run still orders correctly and
+// still honors MaxDraws.
 func TestNoIndexBatchCadence(t *testing.T) {
 	u := pinUniverse()
 	opts := DefaultOptions()
 	opts.BatchSize = 16
-	res, err := NoIndex(NewUniverseTupleSource(u), xrand.New(43), opts, 0)
+	res, err := NoIndex(u, xrand.New(43), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !CorrectOrdering(res.Estimates, u.TrueMeans()) {
 		t.Fatalf("batched no-index misordered: %v", res.Estimates)
 	}
-	capped, err := NoIndex(NewUniverseTupleSource(u), xrand.New(43), opts, 100)
+	opts.MaxDraws = 100
+	capped, err := NoIndex(u, xrand.New(43), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,8 +292,8 @@ func TestMultiAggBatched(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	yOrder := Ranking(res.EstimatesY)
-	zOrder := Ranking(res.EstimatesZ)
+	yOrder := Ranking(res.Estimates)
+	zOrder := Ranking(res.SecondEstimates)
 	wantY := []int{3, 2, 1, 0}
 	wantZ := []int{0, 1, 2, 3}
 	for i := range wantY {

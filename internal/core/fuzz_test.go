@@ -120,7 +120,7 @@ func (fc fuzzCase) run(workers int) *fuzzOutcome {
 	spec.Opts.MaxRounds = 24
 	if !fc.withoutReplacement() {
 		spec.Opts.MaxRounds = capRounds
-		spec.MaxDraws = 20_000
+		spec.Opts.MaxDraws = 20_000
 	}
 	if u.K() > 0 && (spec.Aggregate == AggNormalizedSum || spec.Aggregate == AggNormalizedCount) {
 		spec.Fractions = dataset.NewMembershipFractionEstimator(u)
@@ -221,7 +221,7 @@ func (fc fuzzCase) check(t *testing.T) {
 			}
 		}
 	}
-	if fc.shape.name != "noindex" && !res.Capped {
+	if !res.Capped {
 		for g, r := range res.SettledRound {
 			if r == 0 {
 				t.Errorf("group %d never settled, yet the run is not capped", g)

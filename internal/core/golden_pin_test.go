@@ -205,15 +205,15 @@ func pinCases() []pinCase {
 					return "err:" + err.Error()
 				}
 				var b strings.Builder
-				fmt.Fprintf(&b, "roundsY=%d roundsZ=%d total=%d capped=%v estY=[", res.RoundsY, res.RoundsZ, res.TotalSamples, res.Capped)
-				for i, e := range res.EstimatesY {
+				fmt.Fprintf(&b, "rounds=%d total=%d capped=%v estY=[", res.Rounds, res.TotalSamples, res.Capped)
+				for i, e := range res.Estimates {
 					if i > 0 {
 						b.WriteByte(' ')
 					}
 					fmt.Fprintf(&b, "%.17g", e)
 				}
 				b.WriteString("] estZ=[")
-				for i, e := range res.EstimatesZ {
+				for i, e := range res.SecondEstimates {
 					if i > 0 {
 						b.WriteByte(' ')
 					}
@@ -227,8 +227,9 @@ func pinCases() []pinCase {
 		{
 			name: "noindex-cap",
 			run: func(t *testing.T) string {
-				u := pinUniverse()
-				res, err := NoIndex(NewUniverseTupleSource(u), xrand.New(43), DefaultOptions(), 100)
+				opts := DefaultOptions()
+				opts.MaxDraws = 100
+				res, err := NoIndex(pinUniverse(), xrand.New(43), opts)
 				if err != nil {
 					return "err:" + err.Error()
 				}

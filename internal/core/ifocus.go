@@ -28,7 +28,6 @@ func IFocus(u *dataset.Universe, rng *xrand.RNG, opts Options) (*Result, error) 
 	lp := newRoundLoop(u, rng, &opts, roundAlgo{
 		seedTrace:      true,
 		notifyPartials: true,
-		capNotify:      true,
 		decide: func(lp *roundLoop) {
 			// Deactivate groups whose intervals separated from all other
 			// active intervals (Lines 10–12). All active intervals share ε,
@@ -37,8 +36,5 @@ func IFocus(u *dataset.Universe, rng *xrand.RNG, opts Options) (*Result, error) 
 			lp.resolutionExit()
 		},
 	})
-	if err := lp.run(); err != nil {
-		return nil, err
-	}
-	return lp.result(), nil
+	return lp.run()
 }

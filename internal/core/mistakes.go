@@ -61,8 +61,5 @@ func WithMistakes(u *dataset.Universe, rng *xrand.RNG, gamma float64, opts Optio
 			}
 		},
 	})
-	if err := lp.run(); err != nil {
-		return nil, err
-	}
-	return lp.result(), nil
+	return lp.run()
 }

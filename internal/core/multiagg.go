@@ -8,37 +8,21 @@ import (
 	"repro/internal/xrand"
 )
 
-// MultiResult reports a multiple-aggregate run (§6.3.5): one estimate vector
-// per aggregate, each independently ordering-correct with probability 1−δ/2
-// (1−δ jointly by the union bound).
-type MultiResult struct {
-	// EstimatesY and EstimatesZ are the per-group estimates of AVG(Y) and
-	// AVG(Z).
-	EstimatesY []float64
-	EstimatesZ []float64
-	// SampleCounts are the per-group tuple draws (each draw yields both
-	// attributes at once).
-	SampleCounts []int64
-	// TotalSamples is the total number of tuples drawn.
-	TotalSamples int64
-	// RoundsY is the round at which the Y phase finished; RoundsZ the
-	// per-group rounds when the Z phase finished.
-	RoundsY int
-	RoundsZ int
-	// Capped reports a MaxRounds exit; the guarantee is void.
-	Capped bool
-}
-
-// MultiAgg solves Problem 8 (AVG-AVG-ORDER): visualize AVG(Y) and AVG(Z)
-// simultaneously with both orderings correct with probability 1−δ. Per the
-// paper, it runs IFOCUS on Y with budget δ/2 while opportunistically
+// MultiAgg solves Problem 8 (AVG-AVG-ORDER, §6.3.5): visualize AVG(Y) and
+// AVG(Z) simultaneously with both orderings correct with probability 1−δ.
+// Per the paper, it runs IFOCUS on Y with budget δ/2 while opportunistically
 // accumulating Z estimates from the same tuple draws, then continues
 // sampling only the groups whose Z intervals still overlap — warm-started
 // from the Z samples already taken, which is where the saving over two
-// independent runs comes from.
+// independent runs comes from. Both stages are one driver run: each group
+// is a scatter unit whose pair draws land in the group itself, and when
+// the last Y interval settles the run reopens every group on Z.
 //
-// Every group must implement dataset.PairGroup.
-func MultiAgg(u *dataset.Universe, rng *xrand.RNG, opts Options) (*MultiResult, error) {
+// The result carries AVG(Y) in Estimates and AVG(Z) in SecondEstimates.
+// Pair draws are with replacement. Every group must implement
+// dataset.PairGroup.
+func MultiAgg(u *dataset.Universe, rng *xrand.RNG, opts Options) (*RunResult, error) {
+	opts.WithReplacement = true
 	if err := opts.validate(u); err != nil {
 		return nil, err
 	}
@@ -51,141 +35,63 @@ func MultiAgg(u *dataset.Universe, rng *xrand.RNG, opts Options) (*MultiResult, 
 		}
 		pairs[i] = pg
 	}
+	// Both stages run at δ/2 so the union bound covers the pair.
+	opts.Delta /= 2
 
-	// Both phases run at δ/2 so the union bound covers the pair.
-	half := opts
-	half.Delta = opts.Delta / 2
-
-	estZ := make([]float64, k)
-	zcnt := make([]int64, k)
-	// Under a variance-adaptive bound the Z phase needs Z's own moments:
-	// the driver's sampler accounting tracks the Y values the hook returns,
-	// so the hook (and the phase-2 draw) folds each tuple's Z here.
-	var zmom []conc.Moments
-	if half.Bound == conc.KindBernstein || half.Bound == conc.KindBernsteinFinite {
-		zmom = make([]conc.Moments, k)
+	// other holds the aggregate the driver is not estimating — Z while Y
+	// settles, then Y — folded from every tuple by its own running mean.
+	// Under a variance-adaptive bound otherMom holds its moments; the
+	// sampler's moments follow the driver's aggregate.
+	other := make([]float64, k)
+	var otherMom []conc.Moments
+	if opts.Bound == conc.KindBernstein || opts.Bound == conc.KindBernsteinFinite {
+		otherMom = make([]conc.Moments, k)
 	}
-
-	// Phase 1: IFOCUS on Y through the shared driver. Z estimates ride
-	// along for free: the draw hook folds each tuple's Z into its own
-	// running mean (same incremental update, same count) before handing Y
-	// back to the driver. No partial-result events fire — a Y-settled
-	// group's estimates still move if phase 2 keeps drawing from it. Pair
-	// tuples draw from group i's own stream (RNGFor) and every mutated
-	// cell (zcnt[i], estZ[i]) is group-owned, so the hook is safe under
-	// the parallel draw fan-out.
+	onZ := false
 	var lp *roundLoop
-	lp = newRoundLoop(u, rng, &half, roundAlgo{
-		drawOne: func(i int) float64 {
-			y, z := pairs[i].DrawPair(lp.sampler.RNGFor(i))
-			lp.sampler.Record(i, 1)
-			zcnt[i]++
-			zm := float64(zcnt[i])
-			estZ[i] = (zm-1)/zm*estZ[i] + z/zm
-			if zmom != nil {
-				zmom[i].Add(z)
+	lp = newRoundLoop(u, rng, &opts, roundAlgo{
+		// Group i's tuples land in group i; the hook touches only group-
+		// owned cells, so units draw concurrently.
+		scatter: &scatter{units: k, draw: func(i int, r *xrand.RNG) (int, float64) {
+			y, z := pairs[i].DrawPair(r)
+			if onZ {
+				y, z = z, y
 			}
-			return y
-		},
+			m := float64(lp.sampler.Count(i) + 1)
+			other[i] = (m-1)/m*other[i] + z/m
+			if otherMom != nil {
+				otherMom[i].Add(z)
+			}
+			return i, y
+		}},
 		decide: func(lp *roundLoop) {
+			lp.settleIsolated()
+			lp.resolutionExit()
+			if lp.numActive > 0 || onZ {
+				return
+			}
+			// Every Y interval has settled: continue on Z from the samples
+			// already taken. The anytime schedule is valid at every count,
+			// so each group's current Z interval is immediately usable.
+			onZ = true
+			lp.estimates, other = other, lp.estimates
+			for i := range otherMom {
+				m := lp.sampler.MomentsFor(i)
+				*m, otherMom[i] = otherMom[i], *m
+			}
+			lp.reopen()
+			lp.updateRadii()
 			lp.settleIsolated()
 			lp.resolutionExit()
 		},
 	})
-	if err := lp.run(); err != nil {
+	res, err := lp.run()
+	if err != nil {
 		return nil, err
 	}
-	estY := lp.estimates
-	counts := lp.sampler.Counts()
-	sched := lp.sched
-	zbound := lp.bound // same kind and δ/2 budget as the Y phase
-	isolated := lp.isolated
-	res := &MultiResult{
-		EstimatesY:   estY,
-		EstimatesZ:   estZ,
-		SampleCounts: counts,
-		RoundsY:      lp.m,
-		Capped:       lp.capped,
+	rr := &RunResult{Result: *res, SecondEstimates: other}
+	if onZ {
+		rr.Estimates, rr.SecondEstimates = other, res.Estimates
 	}
-
-	// Phase 2: IFOCUS on Z, warm-started. Group i already has counts[i]
-	// samples; the anytime schedule is valid at every m simultaneously, so
-	// its current interval [estZ[i] ± ε(counts[i])] is immediately usable.
-	// Per-group widths now differ, so the general disjointness check is
-	// used, and each round advances every active group by one sample —
-	// continuing each group's phase-1 stream, whose position is worker-
-	// invariant (it depends only on the group's draw count).
-	draw := func(i int) {
-		y, z := pairs[i].DrawPair(lp.sampler.RNGFor(i))
-		counts[i]++
-		m := float64(counts[i])
-		estY[i] = (m-1)/m*estY[i] + y/m
-		estZ[i] = (m-1)/m*estZ[i] + z/m
-		if zmom != nil {
-			zmom[i].Add(z)
-		}
-	}
-	activeZ := make([]bool, k)
-	for i := 0; i < k; i++ {
-		activeZ[i] = true
-	}
-	numActive := k
-	rounds := 0
-	ivs := make([]interval, k)
-	var orderBuf []int
-	for numActive > 0 {
-		if err := opts.interrupted(); err != nil {
-			return nil, err
-		}
-		rounds++
-		for i := 0; i < k; i++ {
-			var n int64
-			if !opts.WithReplacement {
-				n = u.Groups[i].Size()
-			}
-			var w float64
-			if zbound != nil {
-				w = zbound.Radius(int(counts[i]), n, &zmom[i]) / opts.HeuristicFactor
-			} else {
-				w = sched.EpsilonN(int(counts[i]), n) / opts.HeuristicFactor
-			}
-			ivs[i] = interval{estZ[i] - w, estZ[i] + w}
-		}
-		orderBuf = isolatedGeneral(ivs, isolated, orderBuf, len(orderBuf) == len(ivs))
-		progress := false
-		for i := 0; i < k; i++ {
-			if !activeZ[i] {
-				continue
-			}
-			w := ivs[i].hi - estZ[i]
-			if isolated[i] || (opts.Resolution > 0 && w < opts.Resolution/4) {
-				activeZ[i] = false
-				numActive--
-				continue
-			}
-			if !opts.WithReplacement {
-				if n := u.Groups[i].Size(); n > 0 && counts[i] >= n {
-					activeZ[i] = false
-					numActive--
-					continue
-				}
-			}
-			draw(i)
-			progress = true
-		}
-		if opts.MaxRounds > 0 && rounds >= opts.MaxRounds && numActive > 0 {
-			res.Capped = true
-			break
-		}
-		if !progress && numActive > 0 {
-			// All remaining groups are exhausted; their estimates are exact.
-			break
-		}
-	}
-	res.RoundsZ = rounds
-
-	for _, c := range counts {
-		res.TotalSamples += c
-	}
-	return res, nil
+	return rr, nil
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/conc"
+	"repro/internal/dataset"
 	"repro/internal/xrand"
 )
 
@@ -22,39 +23,25 @@ type CellSource interface {
 	Draw(x int, r *xrand.RNG) (z int, y float64)
 }
 
-// MultiGroupByResult reports per-cell estimates for the (X, Z) cross
-// product. Cells never observed are reported with Counts 0 and NaN-free
-// zero estimates.
-type MultiGroupByResult struct {
-	// Estimates[x][z] is the AVG(Y) estimate of cell (x, z).
-	Estimates [][]float64
-	// Counts[x][z] is the number of samples that landed in the cell.
-	Counts [][]int64
-	// TotalSamples is the total draws across strata.
-	TotalSamples int64
-	// Capped reports a maxDraws exit; the guarantee is void.
-	Capped bool
-}
-
 // MultiGroupBy solves §6.3.4: ordering-guaranteed estimation of the cells
-// of GROUP BY X, Z when only X is indexed. A stratum X = x stays active as
-// long as *some* cell (x, z) still has a confidence interval overlapping
-// another cell's interval; each round draws one tuple from every active
-// stratum, which refines whichever of its cells the tuple lands in. Cell
-// intervals use the per-cell sample count under the anytime schedule, so
-// the union bound covers all NumX×NumZ cells.
+// of GROUP BY X, Z when only X is indexed. Cell (x, z) is group x·NumZ+z of
+// the run. Each stratum is a scatter unit: every round it draws one block
+// per cell it serves, each tuple refining whichever of its cells it lands
+// in, and it stays active as long as *some* cell (x, z) still has a
+// confidence interval overlapping another cell's interval. Cell intervals
+// use the per-cell sample count under the anytime schedule, so the union
+// bound covers all NumX×NumZ cells; a cell never observed keeps the whole
+// domain as its interval.
 //
-// maxDraws caps total draws (0 = unlimited). As the paper notes, the
-// sample complexity exceeds the jointly-indexed case because a stratum
-// keeps paying for its already-settled cells while any one cell is
-// contended.
-func MultiGroupBy(src CellSource, rng *xrand.RNG, opts Options, maxDraws int64) (*MultiGroupByResult, error) {
+// The result carries every cell, flattened row-major, and the per-cell
+// views in CellEstimates and CellCounts. opts.MaxDraws caps the total
+// draws. As the paper notes, the sample complexity exceeds the
+// jointly-indexed case because a stratum keeps paying for its
+// already-settled cells while any one cell is contended.
+func MultiGroupBy(src CellSource, rng *xrand.RNG, opts Options) (*RunResult, error) {
 	kx, kz := src.NumX(), src.NumZ()
 	if kx <= 0 || kz <= 0 {
 		return nil, fmt.Errorf("core: multi-group-by needs positive strata and cell counts")
-	}
-	if opts.Delta <= 0 || opts.Delta >= 1 {
-		return nil, fmt.Errorf("core: delta must be in (0,1), got %v", opts.Delta)
 	}
 	if kind, err := conc.ParseKind(string(opts.Bound)); err != nil {
 		return nil, err
@@ -64,107 +51,51 @@ func MultiGroupBy(src CellSource, rng *xrand.RNG, opts Options, maxDraws int64) 
 		// rather than silently running the default schedule.
 		return nil, fmt.Errorf("core: multiple group-by supports the default %s bound only, got %s", conc.KindHoeffding, kind)
 	}
-	if opts.Kappa == 0 {
-		opts.Kappa = 1
+	// The cells stand in as the run's groups; tuples come from the source,
+	// never from these placeholders.
+	cells := make([]dataset.Group, kx*kz)
+	for i := range cells {
+		cells[i] = dataset.NewDistGroup(fmt.Sprintf("%d/%d", i/kz, i%kz), nil, 1)
 	}
-	if opts.HeuristicFactor == 0 {
-		opts.HeuristicFactor = 1
+	u := dataset.NewUniverse(src.C(), cells...)
+	opts.WithReplacement = true
+	if err := opts.validate(u); err != nil {
+		return nil, err
 	}
-	cells := kx * kz
-	// Per-cell budget δ/(kx·kz); draws are with replacement at the stratum
-	// level, so the radius takes no population.
-	bound := conc.MustBound(conc.KindHoeffding, src.C(), cells, opts.Delta, opts.Kappa)
-
-	est := make([][]float64, kx)
-	cnt := make([][]int64, kx)
-	for x := range est {
-		est[x] = make([]float64, kz)
-		cnt[x] = make([]int64, kz)
-	}
-	res := &MultiGroupByResult{Estimates: est, Counts: cnt}
-	activeX := make([]bool, kx)
-	for x := range activeX {
-		activeX[x] = true
-	}
-	numActive := kx
-	var total int64
-
-	// flat index helpers for the interval check.
-	type cellIv struct {
-		lo, hi float64
-		seen   bool
-	}
-	ivs := make([]cellIv, cells)
-
-	round := 0
-	for numActive > 0 {
-		if err := opts.interrupted(); err != nil {
-			return nil, err
-		}
-		round++
-		for x := 0; x < kx; x++ {
-			if !activeX[x] {
-				continue
-			}
-			z, y := src.Draw(x, rng)
+	bad := make([]error, kx) // per stratum, so strata may draw concurrently
+	res, err := newRoundLoop(u, rng, &opts, roundAlgo{
+		notifyPartials: true,
+		scatter: &scatter{units: kx, draw: func(x int, r *xrand.RNG) (int, float64) {
+			z, y := src.Draw(x, r)
 			if z < 0 || z >= kz {
-				return nil, fmt.Errorf("core: stratum %d produced invalid z=%d", x, z)
+				bad[x] = fmt.Errorf("core: stratum %d produced invalid z=%d", x, z)
+				z, y = 0, 0
 			}
-			cnt[x][z]++
-			m := float64(cnt[x][z])
-			est[x][z] = (m-1)/m*est[x][z] + y/m
-			total++
-		}
-		if maxDraws > 0 && total >= maxDraws {
-			res.Capped = true
-			break
-		}
-		// Interval refresh. A cell that has never been sampled keeps the
-		// whole domain as its interval (its stratum cannot settle yet).
-		if round%4 != 0 {
-			continue // amortize the O(cells²)-ish check
-		}
-		for x := 0; x < kx; x++ {
-			for z := 0; z < kz; z++ {
-				i := x*kz + z
-				w := bound.Radius(int(cnt[x][z]), 0, nil) / opts.HeuristicFactor
-				ivs[i] = cellIv{est[x][z] - w, est[x][z] + w, cnt[x][z] > 0}
-			}
-		}
-		resolved := func(i int) bool {
-			if !ivs[i].seen {
-				return false
-			}
-			if opts.Resolution > 0 && ivs[i].hi-ivs[i].lo < opts.Resolution/2 {
-				return true
-			}
-			for j := range ivs {
-				if j == i {
-					continue
-				}
-				if ivs[i].lo <= ivs[j].hi && ivs[j].lo <= ivs[i].hi {
-					return false
+			return x*kz + z, y
+		}},
+		decide: func(lp *roundLoop) {
+			for _, e := range bad {
+				if e != nil {
+					lp.settleAllRemaining(false)
+					return
 				}
 			}
-			return true
-		}
-		for x := 0; x < kx; x++ {
-			if !activeX[x] {
-				continue
-			}
-			done := true
-			for z := 0; z < kz; z++ {
-				if !resolved(x*kz + z) {
-					done = false
-					break
-				}
-			}
-			if done {
-				activeX[x] = false
-				numActive--
-			}
+			lp.settleIsolated()
+			lp.resolutionExit()
+		},
+	}).run()
+	if err != nil {
+		return nil, err
+	}
+	for _, e := range bad {
+		if e != nil {
+			return nil, e
 		}
 	}
-	res.TotalSamples = total
-	return res, nil
+	rr := &RunResult{Result: *res}
+	for x := 0; x < kx; x++ {
+		rr.CellEstimates = append(rr.CellEstimates, res.Estimates[x*kz:(x+1)*kz])
+		rr.CellCounts = append(rr.CellCounts, res.SampleCounts[x*kz:(x+1)*kz])
+	}
+	return rr, nil
 }

@@ -34,7 +34,8 @@ func TestMultiGroupByOrdersCells(t *testing.T) {
 	}
 	opts := DefaultOptions()
 	opts.Resolution = 2
-	res, err := MultiGroupBy(src, xrand.New(1), opts, 50_000_000)
+	opts.MaxDraws = 50_000_000
+	res, err := MultiGroupBy(src, xrand.New(1), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,9 +46,9 @@ func TestMultiGroupByOrdersCells(t *testing.T) {
 	var est, truth []float64
 	for x := range src.means {
 		for z := range src.means[x] {
-			est = append(est, res.Estimates[x][z])
+			est = append(est, res.CellEstimates[x][z])
 			truth = append(truth, src.means[x][z])
-			if res.Counts[x][z] == 0 {
+			if res.CellCounts[x][z] == 0 {
 				t.Fatalf("cell (%d,%d) never sampled", x, z)
 			}
 		}
@@ -70,16 +71,17 @@ func TestMultiGroupByStrataSettleIndependently(t *testing.T) {
 	}
 	opts := DefaultOptions()
 	opts.Resolution = 4
-	res, err := MultiGroupBy(src, xrand.New(2), opts, 50_000_000)
+	opts.MaxDraws = 50_000_000
+	res, err := MultiGroupBy(src, xrand.New(2), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Capped {
 		t.Fatal("run capped")
 	}
-	s0 := res.Counts[0][0] + res.Counts[0][1]
-	s1 := res.Counts[1][0] + res.Counts[1][1]
-	s2 := res.Counts[2][0] + res.Counts[2][1]
+	s0 := res.CellCounts[0][0] + res.CellCounts[0][1]
+	s1 := res.CellCounts[1][0] + res.CellCounts[1][1]
+	s2 := res.CellCounts[2][0] + res.CellCounts[2][1]
 	if s0 >= s1 || s0 >= s2 {
 		t.Fatalf("easy stratum not settled early: %d vs %d/%d", s0, s1, s2)
 	}
@@ -87,16 +89,16 @@ func TestMultiGroupByStrataSettleIndependently(t *testing.T) {
 
 func TestMultiGroupByValidation(t *testing.T) {
 	src := &testCellSource{means: [][]float64{{10}}, c: 100}
-	if _, err := MultiGroupBy(src, xrand.New(1), Options{Delta: 0}, 0); err == nil {
+	if _, err := MultiGroupBy(src, xrand.New(1), Options{Delta: 0}); err == nil {
 		t.Fatal("bad delta accepted")
 	}
 	bad := &badCellSource{}
-	if _, err := MultiGroupBy(bad, xrand.New(1), DefaultOptions(), 0); err == nil {
+	if _, err := MultiGroupBy(bad, xrand.New(1), DefaultOptions()); err == nil {
 		t.Fatal("empty source accepted")
 	}
 	// Invalid z from the source is reported, not ignored.
 	badZ := &badZSource{}
-	if _, err := MultiGroupBy(badZ, xrand.New(1), DefaultOptions(), 0); err == nil {
+	if _, err := MultiGroupBy(badZ, xrand.New(1), DefaultOptions()); err == nil {
 		t.Fatal("invalid z accepted")
 	}
 }
@@ -119,7 +121,9 @@ func TestMultiGroupByMaxDraws(t *testing.T) {
 	// Two identical cells in different strata never separate; the cap must
 	// fire and be reported.
 	src := &testCellSource{means: [][]float64{{50}, {50}}, c: 100}
-	res, err := MultiGroupBy(src, xrand.New(3), DefaultOptions(), 10_000)
+	opts := DefaultOptions()
+	opts.MaxDraws = 10_000
+	res, err := MultiGroupBy(src, xrand.New(3), opts)
 	if err != nil {
 		t.Fatal(err)
 	}

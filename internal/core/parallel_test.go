@@ -63,9 +63,8 @@ func TestWorkerInvariance(t *testing.T) {
 	}
 }
 
-// TestWorkerInvarianceMultiAgg covers the two-phase pair estimator, whose
-// phase-2 warm start must continue per-group streams from worker-invariant
-// positions.
+// TestWorkerInvarianceMultiAgg covers the two-stage pair estimator, whose
+// Z stage must continue per-group streams from worker-invariant positions.
 func TestWorkerInvarianceMultiAgg(t *testing.T) {
 	run := func(batch, workers int) string {
 		opts := DefaultOptions()
@@ -75,7 +74,7 @@ func TestWorkerInvarianceMultiAgg(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return fmt.Sprintf("%v|%v|%v|%d|%d|%d", res.EstimatesY, res.EstimatesZ, res.SampleCounts, res.TotalSamples, res.RoundsY, res.RoundsZ)
+		return fmt.Sprintf("%v|%v|%v|%d|%d", res.Estimates, res.SecondEstimates, res.SampleCounts, res.TotalSamples, res.Rounds)
 	}
 	for _, batch := range []int{1, 64, BatchAuto} {
 		want := run(batch, 1)

@@ -28,17 +28,17 @@ func RoundRobin(u *dataset.Universe, rng *xrand.RNG, opts Options) (*Result, err
 	}
 	lp := newRoundLoop(u, rng, &opts, roundAlgo{
 		seedTrace: true,
-		// Round-robin never narrows its focus: the Serfling term keeps the
-		// global max n_i, population-exhausted groups merely stop drawing,
-		// and the tracer reports every group as live.
-		fixedMaxN:           true,
+		// Round-robin never narrows its focus: population-exhausted groups
+		// merely stop drawing, every group stays active until the run ends
+		// — so the Serfling term keeps the global max n_i — and the tracer
+		// reports every group as live.
 		keepExhaustedActive: true,
 		traceFlags:          allFlags,
 		decide: func(lp *roundLoop) {
 			// Every group stays live until the run ends, so the sweep runs
 			// over all k: the neighbour shortcut under the shared ε, the
 			// general sweep when per-group radii differ.
-			if lp.bound == nil {
+			if lp.epsG == nil {
 				lp.sweepEqualWidth(all)
 			} else {
 				lp.isolatedUnequal()
@@ -58,8 +58,5 @@ func RoundRobin(u *dataset.Universe, rng *xrand.RNG, opts Options) (*Result, err
 			}
 		},
 	})
-	if err := lp.run(); err != nil {
-		return nil, err
-	}
-	return lp.result(), nil
+	return lp.run()
 }

@@ -163,17 +163,12 @@ type Spec struct {
 	// setting of §6.3.4: the universe is ignored and every cell of the
 	// source's (X, Z) cross product is estimated.
 	Cells CellSource
-	// MaxDraws caps total draws for AlgoNoIndex and Cells runs
-	// (0 = unlimited).
-	MaxDraws int64
 	// Workers bounds intra-run parallelism: the fan-out of the exact scan
-	// (AlgoScan) and of each sampling round's per-group block draws in the
-	// shared round driver (the IFOCUS family, ROUNDROBIN, the SUM
-	// estimators, MultiAgg phase 1). Results are identical for every
-	// value — parallel rounds only partition independent per-group work.
-	// 0 or 1 runs inline. IREFINE (per-group streams but sequential
-	// batches), NOINDEX, and Cells runs (one shared stream in draw order)
-	// ignore it.
+	// (AlgoScan) and of each sampling round's draws in the round driver —
+	// per group, or per scatter unit for NOINDEX (one unit, so inline),
+	// Cells runs (one unit per stratum) and AggAvgPair runs (one per
+	// group). Results are identical for every value — parallel rounds only
+	// partition independent per-group work. 0 or 1 runs inline.
 	Workers int
 
 	Opts Options
@@ -211,11 +206,7 @@ func Run(ctx context.Context, u *dataset.Universe, rng *xrand.RNG, spec Spec) (*
 
 	// Multiple group-by replaces the universe entirely.
 	if spec.Cells != nil {
-		mg, err := MultiGroupBy(spec.Cells, rng, opts, spec.MaxDraws)
-		if err != nil {
-			return nil, err
-		}
-		return cellRunResult(mg), nil
+		return MultiGroupBy(spec.Cells, rng, opts)
 	}
 
 	if spec.Guarantee != GuarOrder && spec.Aggregate != AggAvg {
@@ -227,33 +218,12 @@ func Run(ctx context.Context, u *dataset.Universe, rng *xrand.RNG, spec Spec) (*
 		if spec.Aggregate != AggAvg || spec.Guarantee != GuarOrder {
 			return nil, fmt.Errorf("core: scan computes exact AVGs only")
 		}
-		res, err := scan(u, spec.Workers)
-		if err != nil {
-			return nil, err
-		}
-		return &RunResult{Result: *res}, nil
+		return wrapResult(scan(u, spec.Workers))
 	case AlgoNoIndex:
 		if spec.Aggregate != AggAvg || spec.Guarantee != GuarOrder {
 			return nil, fmt.Errorf("core: the no-index algorithm supports plain AVG ordering only")
 		}
-		if u.TotalSize() == 0 {
-			return nil, fmt.Errorf("core: the no-index algorithm needs known group sizes to simulate table-wide tuple sampling")
-		}
-		ni, err := NoIndex(NewUniverseTupleSource(u), rng, opts, spec.MaxDraws)
-		if err != nil {
-			return nil, err
-		}
-		k := u.K()
-		return &RunResult{Result: Result{
-			Estimates:    ni.Estimates,
-			SampleCounts: ni.SampleCounts,
-			TotalSamples: ni.TotalSamples,
-			// NoIndex draws tuples one at a time; a "round" is one
-			// k-draw pass, matching its interval-check cadence.
-			Rounds:       int(ni.TotalSamples / int64(k)),
-			SettledRound: make([]int, k),
-			Capped:       ni.Capped,
-		}}, nil
+		return wrapResult(NoIndex(u, rng, opts))
 	case AlgoIRefine, AlgoRoundRobin:
 		if spec.Aggregate != AggAvg || spec.Guarantee != GuarOrder {
 			return nil, fmt.Errorf("core: %s supports plain AVG ordering only; guarantee variants and non-AVG aggregates require IFOCUS", spec.Algorithm)
@@ -268,45 +238,15 @@ func Run(ctx context.Context, u *dataset.Universe, rng *xrand.RNG, spec Spec) (*
 	case AggAvg:
 		return runAvg(u, rng, spec, opts)
 	case AggSum:
-		res, err := SumKnownSizes(u, rng, opts)
-		if err != nil {
-			return nil, err
-		}
-		return &RunResult{Result: *res}, nil
+		return wrapResult(SumKnownSizes(u, rng, opts))
 	case AggNormalizedSum:
-		res, err := SumUnknownSizes(u, spec.Fractions, rng, opts)
-		if err != nil {
-			return nil, err
-		}
-		return &RunResult{Result: *res}, nil
+		return wrapResult(SumUnknownSizes(u, spec.Fractions, rng, opts))
 	case AggCount:
-		res, err := CountKnownSizes(u)
-		if err != nil {
-			return nil, err
-		}
-		return &RunResult{Result: *res}, nil
+		return wrapResult(CountKnownSizes(u))
 	case AggNormalizedCount:
-		res, err := CountUnknownSizes(u, spec.Fractions, rng, opts)
-		if err != nil {
-			return nil, err
-		}
-		return &RunResult{Result: *res}, nil
+		return wrapResult(CountUnknownSizes(u, spec.Fractions, rng, opts))
 	case AggAvgPair:
-		multi, err := MultiAgg(u, rng, opts)
-		if err != nil {
-			return nil, err
-		}
-		return &RunResult{
-			Result: Result{
-				Estimates:    multi.EstimatesY,
-				SampleCounts: multi.SampleCounts,
-				TotalSamples: multi.TotalSamples,
-				Rounds:       multi.RoundsY + multi.RoundsZ,
-				SettledRound: make([]int, u.K()),
-				Capped:       multi.Capped,
-			},
-			SecondEstimates: multi.EstimatesZ,
-		}, nil
+		return MultiAgg(u, rng, opts)
 	}
 	return nil, fmt.Errorf("core: unknown aggregate %v", spec.Aggregate)
 }
@@ -315,32 +255,17 @@ func Run(ctx context.Context, u *dataset.Universe, rng *xrand.RNG, spec Spec) (*
 func runAvg(u *dataset.Universe, rng *xrand.RNG, spec Spec, opts Options) (*RunResult, error) {
 	switch spec.Guarantee {
 	case GuarOrder:
-		var res *Result
-		var err error
 		switch spec.Algorithm {
 		case AlgoIRefine:
-			res, err = IRefine(u, rng, opts)
+			return wrapResult(IRefine(u, rng, opts))
 		case AlgoRoundRobin:
-			res, err = RoundRobin(u, rng, opts)
-		default:
-			res, err = IFocus(u, rng, opts)
+			return wrapResult(RoundRobin(u, rng, opts))
 		}
-		if err != nil {
-			return nil, err
-		}
-		return &RunResult{Result: *res}, nil
+		return wrapResult(IFocus(u, rng, opts))
 	case GuarTrend:
-		res, err := Trend(u, rng, opts)
-		if err != nil {
-			return nil, err
-		}
-		return &RunResult{Result: *res}, nil
+		return wrapResult(Trend(u, rng, opts))
 	case GuarAdjacency:
-		res, err := Chloropleth(u, rng, spec.Adjacency, opts)
-		if err != nil {
-			return nil, err
-		}
-		return &RunResult{Result: *res}, nil
+		return wrapResult(Chloropleth(u, rng, spec.Adjacency, opts))
 	case GuarTopT:
 		res, err := TopT(u, rng, spec.T, opts)
 		if err != nil {
@@ -348,35 +273,19 @@ func runAvg(u *dataset.Universe, rng *xrand.RNG, spec Spec, opts Options) (*RunR
 		}
 		return &RunResult{Result: res.Result, TopMembers: res.Members, Membership: res.Membership}, nil
 	case GuarValues:
-		res, err := WithValues(u, rng, spec.MaxError, opts)
-		if err != nil {
-			return nil, err
-		}
-		return &RunResult{Result: *res}, nil
+		return wrapResult(WithValues(u, rng, spec.MaxError, opts))
 	case GuarMistakes:
-		res, err := WithMistakes(u, rng, spec.CorrectPairs, opts)
-		if err != nil {
-			return nil, err
-		}
-		return &RunResult{Result: *res}, nil
+		return wrapResult(WithMistakes(u, rng, spec.CorrectPairs, opts))
 	}
 	return nil, fmt.Errorf("core: unknown guarantee %v", spec.Guarantee)
 }
 
-// cellRunResult flattens a multi-group-by result row-major into the common
-// Result fields and preserves the per-cell views.
-func cellRunResult(mg *MultiGroupByResult) *RunResult {
-	rr := &RunResult{
-		Result:        Result{TotalSamples: mg.TotalSamples, Capped: mg.Capped},
-		CellEstimates: mg.Estimates,
-		CellCounts:    mg.Counts,
+// wrapResult wraps a plain run's outcome in the union result shape.
+func wrapResult(res *Result, err error) (*RunResult, error) {
+	if err != nil {
+		return nil, err
 	}
-	for x := range mg.Estimates {
-		rr.Estimates = append(rr.Estimates, mg.Estimates[x]...)
-		rr.SampleCounts = append(rr.SampleCounts, mg.Counts[x]...)
-	}
-	rr.SettledRound = make([]int, len(rr.Estimates))
-	return rr
+	return &RunResult{Result: *res}, nil
 }
 
 // ParallelFor runs fn(0..n-1) across at most workers goroutines (clamped

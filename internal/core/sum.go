@@ -34,9 +34,7 @@ func SumKnownSizes(u *dataset.Universe, rng *xrand.RNG, opts Options) (*Result, 
 
 	lp := newRoundLoop(u, rng, &opts, roundAlgo{
 		notifyPartials: true,
-		capNotify:      true,
 		display:        sums,
-		partialVal:     func(i int) float64 { return sums[i] },
 		afterDraws: func(lp *roundLoop) {
 			// The driver advances the running means; rescale into sums.
 			// Settled groups' means are frozen, so recomputing every entry
@@ -88,10 +86,7 @@ func SumKnownSizes(u *dataset.Universe, rng *xrand.RNG, opts Options) (*Result, 
 			}
 		},
 	})
-	if err := lp.run(); err != nil {
-		return nil, err
-	}
-	return lp.result(), nil
+	return lp.run()
 }
 
 // SumUnknownSizes implements IFOCUS–Sum2 (Algorithm 5, §6.3.1): ordering-
@@ -121,7 +116,6 @@ func SumUnknownSizes(u *dataset.Universe, est dataset.FractionEstimator, rng *xr
 	var lp *roundLoop
 	lp = newRoundLoop(u, rng, &opts, roundAlgo{
 		notifyPartials: true,
-		capNotify:      true,
 		drawOne: func(i int) float64 {
 			x := lp.sampler.Draw(i)
 			z := est.DrawFractionEstimate(i, lp.sampler.RNGFor(i))
@@ -132,8 +126,5 @@ func SumUnknownSizes(u *dataset.Universe, est dataset.FractionEstimator, rng *xr
 			lp.resolutionExit()
 		},
 	})
-	if err := lp.run(); err != nil {
-		return nil, err
-	}
-	return lp.result(), nil
+	return lp.run()
 }

@@ -65,7 +65,6 @@ func TopT(u *dataset.Universe, rng *xrand.RNG, t int, opts Options) (*TopTResult
 
 	lp := newRoundLoop(u, rng, &opts, roundAlgo{
 		notifyPartials: true,
-		capNotify:      true,
 		decide: func(lp *roundLoop) {
 			// Classify membership from the current intervals.
 			// certainlyAbove counts groups whose entire interval lies above
@@ -131,10 +130,11 @@ func TopT(u *dataset.Universe, rng *xrand.RNG, t int, opts Options) (*TopTResult
 			lp.resolutionExit()
 		},
 	})
-	if err := lp.run(); err != nil {
+	run, err := lp.run()
+	if err != nil {
 		return nil, err
 	}
-	res := &TopTResult{Result: *lp.result(), Membership: membership}
+	res := &TopTResult{Result: *run, Membership: membership}
 
 	// Any group still unclassified (possible under the resolution or cap
 	// exits) is assigned by final estimate.

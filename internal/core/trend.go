@@ -24,7 +24,6 @@ func Trend(u *dataset.Universe, rng *xrand.RNG, opts Options) (*Result, error) {
 	toSettle := make([]int, 0, k)
 	lp := newRoundLoop(u, rng, &opts, roundAlgo{
 		notifyPartials: true,
-		capNotify:      true,
 		decide: func(lp *roundLoop) {
 			// Snapshot the groups to settle before settling any, so settle
 			// order within the round cannot change the neighbour checks.
@@ -41,10 +40,7 @@ func Trend(u *dataset.Universe, rng *xrand.RNG, opts Options) (*Result, error) {
 			lp.resolutionExit()
 		},
 	})
-	if err := lp.run(); err != nil {
-		return nil, err
-	}
-	return lp.result(), nil
+	return lp.run()
 }
 
 // neighbourOverlap reports whether group i's interval overlaps any listed

@@ -23,7 +23,6 @@ func WithValues(u *dataset.Universe, rng *xrand.RNG, d float64, opts Options) (*
 	}
 	lp := newRoundLoop(u, rng, &opts, roundAlgo{
 		notifyPartials: true,
-		capNotify:      true,
 		decide: func(lp *roundLoop) {
 			// A group settles only when isolated AND its interval is tight
 			// enough to certify the value bound (ε ≤ d/2 ⇒ |ν−µ| ≤ d/2 ≤ d).
@@ -56,8 +55,5 @@ func WithValues(u *dataset.Universe, rng *xrand.RNG, d float64, opts Options) (*
 			}
 		},
 	})
-	if err := lp.run(); err != nil {
-		return nil, err
-	}
-	return lp.result(), nil
+	return lp.run()
 }

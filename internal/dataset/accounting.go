@@ -263,8 +263,9 @@ func (s *Sampler) Observe(i int, x float64) {
 }
 
 // MomentsFor returns group i's accumulator, nil when moments are
-// disabled. The caller must not mutate it; like Counts, it must not be
-// read while draws are in flight on other goroutines.
+// disabled. Like Counts, it must not be read while draws are in flight on
+// other goroutines; a caller that restarts an estimate may reset or
+// replace it between draws.
 func (s *Sampler) MomentsFor(i int) *conc.Moments {
 	if s.moments == nil {
 		return nil

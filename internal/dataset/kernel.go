@@ -380,9 +380,11 @@ func (s *Sampler) EnableBlockKernels() {}
 // DrawBlockSum is DrawBatch into the cursor's own value scratch — the same
 // stream, accounting, moments fold and fall-back to with-replacement when
 // the population runs out mid-block — returning the block's sum,
-// accumulated in draw order on one running total. ok is false when group i
-// does not draw through the pipeline (virtual distributions); the caller
-// falls back to DrawBatch.
+// accumulated in draw order on one running total. A block larger than
+// blockSumChunk streams through the scratch chunk by chunk on that same
+// running total, so the scratch stays bounded and the sum is bit for bit
+// that of one pass. ok is false when group i does not draw through the
+// pipeline (virtual distributions); the caller falls back to DrawBatch.
 //
 // Like every draw path, at most one goroutine may call it for a given
 // group at a time; distinct groups may be drawn concurrently.
@@ -391,13 +393,20 @@ func (s *Sampler) DrawBlockSum(i, n int) (sum float64, ok bool) {
 	if n <= 0 || c.drawCore == nil {
 		return 0, false
 	}
-	vals := c.valScratch(n)
-	s.DrawBatch(i, vals)
-	for _, v := range vals {
-		sum += v
+	for n > 0 {
+		vals := c.valScratch(min(n, blockSumChunk))
+		s.DrawBatch(i, vals)
+		for _, v := range vals {
+			sum += v
+		}
+		n -= len(vals)
 	}
 	return sum, true
 }
+
+// blockSumChunk bounds DrawBlockSum's value scratch: the largest block the
+// BatchAuto schedule draws.
+const blockSumChunk = 4096
 
 // eachChunk is how many groups DrawEach stages at once: far more misses in
 // flight than the memory system overlaps, in staging that fits the stack.

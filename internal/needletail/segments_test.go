@@ -1,6 +1,7 @@
 package needletail
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/core"
@@ -53,7 +54,8 @@ func TestNoIndexOverSegments(t *testing.T) {
 	}
 
 	opts := core.DefaultOptions()
-	res, err := core.NoIndex(core.NewUniverseTupleSource(u), xrand.New(43), opts, 200_000)
+	opts.MaxDraws = 200_000
+	res, err := core.Run(context.Background(), u, xrand.New(43), core.Spec{Algorithm: core.AlgoNoIndex, Opts: opts})
 	if err != nil {
 		t.Fatal(err)
 	}
