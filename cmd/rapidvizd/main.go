@@ -27,7 +27,7 @@
 //	-maxrounds N      per-query round budget (0 = unlimited); requests
 //	                  asking for more are capped, which voids the guarantee
 //	                  exactly as a client-side cap would
-//	-maxdraws N       per-query draw budget for noindex scans
+//	-maxdraws N       per-query draw budget, clamped like -maxrounds
 //	-cache N          whole-query result cache entries (0 = 256, <0 = off)
 //
 // The dashboard at / submits queries over the WebSocket stream and renders
@@ -58,7 +58,7 @@ func main() {
 		deadline    = flag.Duration("deadline", 30*time.Second, "default per-query deadline")
 		maxDeadline = flag.Duration("maxdeadline", 2*time.Minute, "maximum per-query deadline")
 		maxRounds   = flag.Int("maxrounds", 0, "per-query round budget (0 = unlimited)")
-		maxDraws    = flag.Int64("maxdraws", 0, "per-query draw budget for noindex (0 = unlimited)")
+		maxDraws    = flag.Int64("maxdraws", 0, "per-query draw budget (0 = unlimited)")
 		cache       = flag.Int("cache", 0, "result cache entries (0 = 256, negative = disabled)")
 		segments    = flag.String("segments", "", "serve an on-disk columnar segment directory (mmap-backed; instead of -csv/-demo)")
 	)

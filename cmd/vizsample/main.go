@@ -77,7 +77,7 @@ func main() {
 		workers    = flag.Int("workers", 0, "goroutines drawing per-group blocks each round (0 = all idle engine workers; identical results at any value)")
 		growth     = flag.Float64("growth", 0, "geometric per-round block growth factor (0/1 = fixed blocks)")
 		timeout    = flag.Duration("timeout", 0, "abort the query after this long (0 = no limit)")
-		maxDraws   = flag.Int64("maxdraws", 0, "cap total draws for -algo noindex (0 = unlimited; the cap voids the guarantee)")
+		maxDraws   = flag.Int64("maxdraws", 0, "cap total draws (0 = unlimited; the cap voids the guarantee)")
 		stream     = flag.Bool("stream", false, "print each group the moment its estimate settles")
 		where      = flag.String("where", "", `predicate filter, e.g. "elapsed>=150,value<600" or "group in AA|DL" (comma = AND)`)
 		segments   = flag.String("segments", "", "query an on-disk columnar segment directory (mmap-backed; instead of -csv/-demo)")

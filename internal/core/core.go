@@ -322,9 +322,10 @@ func isolatedEqualWidth(indices []int, estimates []float64, eps float64, isolate
 }
 
 // isolatedGeneral reports, for every interval, whether it is disjoint from
-// all others. Used by IREFINE, the SUM estimators, and NOINDEX, whose
-// per-group widths differ. Sorting by lower endpoint reduces the check to
-// two neighbour comparisons per interval — the running maximum of earlier
+// all others. Used by every run whose per-group widths differ — the SUM
+// estimators, and every run with per-group radii or a per-group plan.
+// Sorting by lower endpoint reduces the check to two neighbour
+// comparisons per interval — the running maximum of earlier
 // upper endpoints and the successor's lower endpoint — so the sweep costs
 // two neighbour comparisons per interval where the previous pairwise check
 // cost O(n²) every round.

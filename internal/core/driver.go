@@ -147,12 +147,10 @@ type roundLoop struct {
 	eps    float64
 	capped bool
 
-	workers  int         // resolved draw-phase fan-out cap (≤ 1 draws inline)
-	drawIdx  []int       // groups (scatter: units) drawing this phase, in index order
-	drawN    []int       // matching block sizes
-	drawPrev []int       // plan runs: samples in the estimate before the block
-	drawDone []int       // plan runs: samples drawn this round before the block
-	bufs     [][]float64 // per-worker block draw buffers
+	workers int         // resolved draw-phase fan-out cap (≤ 1 draws inline)
+	drawIdx []int       // groups (scatter: units) drawing this phase, in index order
+	drawN   []int       // matching block sizes
+	bufs    [][]float64 // per-worker block draw buffers
 
 	ivsBuf   []interval // scratch for the unequal-width sweep
 	orderBuf []int      // the isolation sweeps' sort permutation, carried across rounds
@@ -161,9 +159,9 @@ type roundLoop struct {
 
 	// scratch is the pooled arena behind every per-run buffer above that
 	// does not escape into the Result (estimates and settledR do escape and
-	// are always freshly allocated). release returns it, with the
-	// sampler's draw state, exactly once per run: at the end of run, on
-	// success or cancellation.
+	// are always freshly allocated), and home to the plan runs' per-block
+	// bookkeeping. release returns it, with the sampler's draw state,
+	// exactly once per run: at the end of run, on success or cancellation.
 	scratch *loopScratch
 }
 
@@ -182,11 +180,14 @@ type loopScratch struct {
 	actIdx    []int
 	drawIdx   []int
 	drawN     []int
-	drawPrev  []int
-	drawDone  []int
 	orderBuf  []int
 	ivsBuf    []interval
 	bufs      [][]float64
+
+	// Plan runs, per planned block: the samples in the group's estimate
+	// before it, and the samples the group drew this round before it.
+	drawPrev []int
+	drawDone []int
 }
 
 var loopScratchPool = sync.Pool{New: func() any { return new(loopScratch) }}
@@ -244,8 +245,6 @@ func (lp *roundLoop) release() {
 	sc.actIdx = lp.actIdx
 	sc.drawIdx = lp.drawIdx
 	sc.drawN = lp.drawN
-	sc.drawPrev = lp.drawPrev
-	sc.drawDone = lp.drawDone
 	sc.orderBuf = lp.orderBuf
 	sc.ivsBuf = lp.ivsBuf
 	sc.bufs = lp.bufs
@@ -348,8 +347,6 @@ func newRoundLoop(u *dataset.Universe, rng *xrand.RNG, opts *Options, algo round
 		workers:   workers,
 		drawIdx:   intScratch(sc.drawIdx, k),
 		drawN:     intScratch(sc.drawN, k),
-		drawPrev:  sc.drawPrev[:0],
-		drawDone:  sc.drawDone[:0],
 		bufs:      sc.bufs[:nb],
 		ivsBuf:    sc.ivsBuf[:0],
 		orderBuf:  sc.orderBuf[:0],
@@ -486,9 +483,9 @@ func (lp *roundLoop) drawRound(fresh int) {
 		budget -= int64(n)
 		return n
 	}
-	if sc := lp.algo.scatter; sc != nil {
-		per := lp.k / sc.units
-		for u := 0; u < sc.units; u++ {
+	if sd := lp.algo.scatter; sd != nil {
+		per := lp.k / sd.units
+		for u := 0; u < sd.units; u++ {
 			for _, a := range lp.active[u*per : (u+1)*per] {
 				if a {
 					if n := take(fresh * per); n > 0 {
@@ -502,10 +499,9 @@ func (lp *roundLoop) drawRound(fresh int) {
 		lp.drawPhase()
 		return
 	}
-	planned := lp.algo.plan != nil
+	planned, sc := lp.algo.plan != nil, lp.scratch
 	if planned {
-		lp.drawPrev = lp.drawPrev[:0]
-		lp.drawDone = lp.drawDone[:0]
+		sc.drawPrev, sc.drawDone = sc.drawPrev[:0], sc.drawDone[:0]
 	}
 	for i := 0; i < lp.k; i++ {
 		if !lp.active[i] || lp.drained[i] {
@@ -535,8 +531,8 @@ func (lp *roundLoop) drawRound(fresh int) {
 		lp.drawIdx = append(lp.drawIdx, i)
 		lp.drawN = append(lp.drawN, n)
 		if planned {
-			lp.drawPrev = append(lp.drawPrev, prev)
-			lp.drawDone = append(lp.drawDone, 0)
+			sc.drawPrev = append(sc.drawPrev, prev)
+			sc.drawDone = append(sc.drawDone, 0)
 		}
 	}
 	lp.drawPhase()
@@ -545,18 +541,18 @@ func (lp *roundLoop) drawRound(fresh int) {
 	for planned && len(lp.drawIdx) > 0 {
 		w := 0
 		for j, i := range lp.drawIdx {
-			done := lp.drawDone[j] + lp.drawN[j]
+			done := sc.drawDone[j] + lp.drawN[j]
 			n, _ := lp.algo.plan(i, done)
 			if n = take(min(n, lp.remaining(i))); n <= 0 {
 				continue
 			}
+			sc.drawPrev[w] = sc.drawPrev[j] + lp.drawN[j]
+			sc.drawDone[w] = done
 			lp.drawIdx[w], lp.drawN[w] = i, n
-			lp.drawPrev[w] = lp.drawPrev[j] + lp.drawN[j]
-			lp.drawDone[w] = done
 			w++
 		}
 		lp.drawIdx, lp.drawN = lp.drawIdx[:w], lp.drawN[:w]
-		lp.drawPrev, lp.drawDone = lp.drawPrev[:w], lp.drawDone[:w]
+		sc.drawPrev, sc.drawDone = sc.drawPrev[:w], sc.drawDone[:w]
 		lp.drawPhase()
 	}
 }
@@ -649,7 +645,7 @@ func (lp *roundLoop) drawBlock(w, j int) {
 	}
 	prev := int(lp.sampler.Count(i)) - n
 	if lp.algo.plan != nil {
-		prev = lp.drawPrev[j]
+		prev = lp.scratch.drawPrev[j]
 	}
 	lp.fold(i, prev, n, sum)
 }

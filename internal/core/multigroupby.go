@@ -63,8 +63,9 @@ func MultiGroupBy(src CellSource, rng *xrand.RNG, opts Options) (*RunResult, err
 		return nil, err
 	}
 	bad := make([]error, kx) // per stratum, so strata may draw concurrently
+	// Cells settle without OnPartial events: the public partial stream is
+	// indexed by the query's groups, which are strata here.
 	res, err := newRoundLoop(u, rng, &opts, roundAlgo{
-		notifyPartials: true,
 		scatter: &scatter{units: kx, draw: func(x int, r *xrand.RNG) (int, float64) {
 			z, y := src.Draw(x, r)
 			if z < 0 || z >= kz {

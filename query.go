@@ -186,9 +186,7 @@ type Query struct {
 	// per-draw dispatch and bookkeeping over dense block draws at the cost
 	// of up to BatchSize−1 extra samples per group. The confidence
 	// schedule is indexed by cumulative draws, so the ordering guarantee
-	// is unaffected at any block size. NOINDEX queries are the exception:
-	// their batch scales the interval-check cadence, so 0 keeps the scalar
-	// cadence there. Negative values are invalid.
+	// is unaffected at any block size. Negative values are invalid.
 	BatchSize int
 	// RoundGrowth, when above 1, grows the per-round block geometrically
 	// (a group holding c samples draws about (RoundGrowth−1)·c fresh ones
@@ -223,8 +221,9 @@ type Query struct {
 	// the guarantee and report Result.Capped. Zero means the engine
 	// default.
 	MaxRounds int
-	// MaxDraws caps total tuple draws for AlgoNoIndex and SubGroups
-	// queries (0 = unlimited).
+	// MaxDraws caps the total draws of any sampling query (0 =
+	// unlimited): a query that reaches it stops at exactly MaxDraws
+	// samples and reports Result.Capped, like MaxRounds.
 	MaxDraws int64
 
 	// OnRound, when non-nil, observes the run round by round: current
@@ -232,10 +231,9 @@ type Query struct {
 	// confidence half-widths — equal under the default schedule, per
 	// group under variance-adaptive bounds. It is called synchronously on
 	// the sampling goroutine; keep it cheap, and copy any slice you
-	// retain (they are reused between rounds). Supported by the sampling
-	// algorithms — AlgoNoIndex reports at its interval-check cadence,
-	// once every group has landed a tuple — but not by AlgoScan (no
-	// rounds) or SubGroups queries.
+	// retain (they are reused between rounds). Supported by every
+	// sampling query — a SubGroups query reports its cells, flattened
+	// row-major — but not by AlgoScan (no rounds).
 	OnRound func(RoundTrace)
 }
 
