@@ -91,8 +91,8 @@ type roundAlgo struct {
 	// seedTrace emits a tracer event for the seed round.
 	seedTrace bool
 	// keepExhaustedActive marks population-exhausted groups as drained —
-	// they stop drawing but stay active until decide ends the run
-	// (ROUNDROBIN) — instead of settling them.
+	// they stop drawing but stay active until decide settles them
+	// (ROUNDROBIN, IREFINE) — instead of settling them at width 0.
 	keepExhaustedActive bool
 	// notifyPartials emits OnPartial events for settled groups, the ones
 	// the round or draw cap force-settles included.
@@ -400,7 +400,7 @@ func (lp *roundLoop) run() (*Result, error) {
 		}
 		lp.drawRound(fresh)
 		lp.cum += fresh
-		if lp.bound != nil {
+		if lp.epsG != nil {
 			lp.updateRadii()
 		}
 		if lp.algo.afterDraws != nil {
@@ -429,31 +429,30 @@ func (lp *roundLoop) run() (*Result, error) {
 	return lp.result(), nil
 }
 
-// updateRadii recomputes the live per-group radii from each group's own
-// draw count, population, and incrementally maintained moments, then
-// refreshes lp.eps to the widest live radius — the scalar the tracer,
+// updateRadii refreshes the per-group widths after a draw phase: under a
+// bound, each active group's radius from its own draw count, population,
+// and incrementally maintained moments (a plan keeps its own widths); then
+// lp.eps becomes the widest live width — the scalar the tracer,
 // Result.FinalEpsilon, and round-cap settles see. Per-group bounds consume
 // each group's own n_i directly, where the shared schedule had to feed one
 // max_{i∈A} n_i to every group. Only non-settled groups are touched
 // (drained ones included: their frozen-in-place intervals still take part
 // in other groups' isolation checks).
 func (lp *roundLoop) updateRadii() {
-	maxEps := 0.0
+	lp.eps = 0
 	for i := 0; i < lp.k; i++ {
 		if !lp.active[i] {
 			continue
 		}
-		var n int64
-		if !lp.opts.WithReplacement {
-			n = lp.u.Groups[i].Size()
+		if lp.bound != nil {
+			var n int64
+			if !lp.opts.WithReplacement {
+				n = lp.u.Groups[i].Size()
+			}
+			lp.epsG[i] = lp.bound.Radius(int(lp.sampler.Count(i)), n, lp.sampler.MomentsFor(i)) / lp.opts.HeuristicFactor
 		}
-		eps := lp.bound.Radius(int(lp.sampler.Count(i)), n, lp.sampler.MomentsFor(i)) / lp.opts.HeuristicFactor
-		lp.epsG[i] = eps
-		if eps > maxEps {
-			maxEps = eps
-		}
+		lp.eps = max(lp.eps, lp.epsG[i])
 	}
-	lp.eps = maxEps
 }
 
 // drawRound plans and draws one round. The default plan gives every

@@ -87,12 +87,6 @@ func IRefine(u *dataset.Universe, rng *xrand.RNG, opts Options) (*Result, error)
 			return autoBatchSize(blocks[i]), true
 		},
 		decide: func(lp *roundLoop) {
-			lp.eps = 0
-			for i := 0; i < k; i++ {
-				if lp.active[i] && lp.epsG[i] > lp.eps {
-					lp.eps = lp.epsG[i]
-				}
-			}
 			// Deactivate groups whose intervals no longer intersect any
 			// other group's interval (Line 10), or — IREFINE-R — whose
 			// width fell below r/4.
