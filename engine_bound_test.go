@@ -142,8 +142,8 @@ func TestQueryOnRound(t *testing.T) {
 	}
 }
 
-// TestQueryOnRoundNoIndex: the hook also fires for AlgoNoIndex, at its
-// interval-check cadence, with per-group widths.
+// TestQueryOnRoundNoIndex: the hook also fires for AlgoNoIndex, once a
+// round like every driver run, with per-group widths.
 func TestQueryOnRoundNoIndex(t *testing.T) {
 	var rounds int
 	q := rapidviz.Query{

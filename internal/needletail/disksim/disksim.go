@@ -12,7 +12,10 @@
 // I/O — are preserved. See DESIGN.md §5.
 package disksim
 
-import "fmt"
+import (
+	"fmt"
+	"sync"
+)
 
 // CostModel holds the device and CPU constants, all in (simulated) seconds.
 type CostModel struct {
@@ -82,9 +85,12 @@ func (s Stats) TotalSeconds() float64 { return s.IOSeconds + s.CPUSeconds }
 
 // Device is a simulated block device: a cost accumulator over a logical
 // block space. It stores no bytes — tables keep their pages in memory (or
-// generate them) and charge the device for each access.
+// generate them) and charge the device for each access. It is safe for
+// concurrent use: a sampling run draws its groups on several goroutines,
+// and every group of a table charges the table's one device.
 type Device struct {
 	model  CostModel
+	mu     sync.Mutex
 	stats  Stats
 	cached map[int64]struct{}
 }
@@ -110,16 +116,24 @@ func MustNew(model CostModel) *Device {
 func (d *Device) Model() CostModel { return d.model }
 
 // Stats returns a snapshot of the accumulated costs.
-func (d *Device) Stats() Stats { return d.stats }
+func (d *Device) Stats() Stats {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.stats
+}
 
 // Reset zeroes the accumulated costs and drops the block cache.
 func (d *Device) Reset() {
+	d.mu.Lock()
+	defer d.mu.Unlock()
 	d.stats = Stats{}
 	d.cached = map[int64]struct{}{}
 }
 
 // ChargeSeqBlocks charges a sequential read of n blocks.
 func (d *Device) ChargeSeqBlocks(n int64) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
 	d.stats.SeqBlocks += n
 	d.stats.IOSeconds += float64(n) * d.model.SeqBlockTime
 }
@@ -127,6 +141,8 @@ func (d *Device) ChargeSeqBlocks(n int64) {
 // ChargeBlockRead charges one random access to the given block: a full
 // RandBlockTime on first touch, free afterwards (query-lifetime cache).
 func (d *Device) ChargeBlockRead(block int64) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
 	if _, ok := d.cached[block]; ok && !d.model.DisableCache {
 		d.stats.RandBlockHits++
 		return
@@ -138,11 +154,15 @@ func (d *Device) ChargeBlockRead(block int64) {
 
 // ChargeHashUpdates charges CPU time for n aggregate hash-map updates.
 func (d *Device) ChargeHashUpdates(n int64) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
 	d.stats.CPUSeconds += float64(n) * d.model.HashUpdateTime
 }
 
 // ChargeSampleCPU charges CPU time for n index samples.
 func (d *Device) ChargeSampleCPU(n int64) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
 	d.stats.CPUSeconds += float64(n) * d.model.SampleCPUTime
 }
 
