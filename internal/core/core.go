@@ -72,7 +72,9 @@ type Options struct {
 	// MaxDraws caps the run's total draws the same way (0 = no cap): each
 	// round's blocks are cut, in group order, to the draws the cap has
 	// left, so a capped run stops at exactly MaxDraws samples, reports
-	// Capped=true, and voids the guarantee.
+	// Capped=true, and voids the guarantee. The round that reaches the cap
+	// settles nothing on its merits: its widths were set for the blocks it
+	// planned, which the cap may have cut.
 	MaxDraws int64
 	// BatchSize is the number of fresh samples every still-active group
 	// draws per sampling round. 0 and 1 both select the paper's
@@ -239,8 +241,8 @@ type Result struct {
 	SettledRound []int
 	// FinalEpsilon is the interval half-width at termination.
 	FinalEpsilon float64
-	// Capped reports that MaxRounds terminated the run early; the ordering
-	// guarantee does not hold in that case.
+	// Capped reports that MaxRounds or MaxDraws terminated the run early;
+	// the ordering guarantee does not hold in that case.
 	Capped bool
 }
 

@@ -147,10 +147,9 @@ type roundLoop struct {
 	eps    float64
 	capped bool
 
-	workers int         // resolved draw-phase fan-out cap (≤ 1 draws inline)
-	drawIdx []int       // groups (scatter: units) drawing this phase, in index order
-	drawN   []int       // matching block sizes
-	bufs    [][]float64 // per-worker block draw buffers
+	workers int   // resolved draw-phase fan-out cap (≤ 1 draws inline)
+	drawIdx []int // groups (scatter: units) drawing this phase, in index order
+	drawN   []int // matching block sizes
 
 	ivsBuf   []interval // scratch for the unequal-width sweep
 	orderBuf []int      // the isolation sweeps' sort permutation, carried across rounds
@@ -167,9 +166,8 @@ type roundLoop struct {
 
 // loopScratch holds one run's reusable buffers between runs. An engine
 // serving a query stream re-runs the round loop constantly with the same
-// group counts, so recycling the per-run slices (and the per-worker block
-// buffers, the largest of them) takes the driver's steady-state allocation
-// rate to near zero.
+// group counts, so recycling the per-run slices takes the driver's
+// steady-state allocation rate to near zero.
 type loopScratch struct {
 	active    []bool
 	isolated  []bool
@@ -182,7 +180,6 @@ type loopScratch struct {
 	drawN     []int
 	orderBuf  []int
 	ivsBuf    []interval
-	bufs      [][]float64
 
 	// Plan runs, per planned block: the samples in the group's estimate
 	// before it, and the samples the group drew this round before it.
@@ -247,7 +244,6 @@ func (lp *roundLoop) release() {
 	sc.drawN = lp.drawN
 	sc.orderBuf = lp.orderBuf
 	sc.ivsBuf = lp.ivsBuf
-	sc.bufs = lp.bufs
 	loopScratchPool.Put(sc)
 }
 
@@ -266,11 +262,6 @@ const (
 // microseconds, so scalar and near-scalar rounds (one block per group,
 // tiny blocks) never pay for it.
 const minParallelRoundDraws = 1024
-
-// drawChunk bounds the per-worker block buffer of groups without a draw
-// kernel: a block larger than it (an IREFINE batch can run to 10⁵+
-// samples) streams through the buffer chunk by chunk.
-const drawChunk = 4096
 
 // newRoundLoop builds the loop state. opts must already be validated. The
 // run's RNG discipline is fixed here: one word is taken from rng and every
@@ -322,12 +313,6 @@ func newRoundLoop(u *dataset.Universe, rng *xrand.RNG, opts *Options, algo round
 	if opts.OnRound != nil {
 		traceEps = f64Scratch(sc.traceEps, k)
 	}
-	nb := max(1, workers)
-	if cap(sc.bufs) < nb {
-		grown := make([][]float64, nb)
-		copy(grown, sc.bufs)
-		sc.bufs = grown
-	}
 	return &roundLoop{
 		u:         u,
 		opts:      opts,
@@ -347,7 +332,6 @@ func newRoundLoop(u *dataset.Universe, rng *xrand.RNG, opts *Options, algo round
 		workers:   workers,
 		drawIdx:   intScratch(sc.drawIdx, k),
 		drawN:     intScratch(sc.drawN, k),
-		bufs:      sc.bufs[:nb],
 		ivsBuf:    sc.ivsBuf[:0],
 		orderBuf:  sc.orderBuf[:0],
 		traceEps:  traceEps,
@@ -406,6 +390,16 @@ func (lp *roundLoop) run() (*Result, error) {
 		if lp.algo.afterDraws != nil {
 			lp.algo.afterDraws(lp)
 		}
+		if lp.opts.MaxDraws > 0 && lp.sampler.Total() >= lp.opts.MaxDraws {
+			// The draw cap is spent, perhaps partway through the round: no
+			// group is judged at widths set for blocks the cap cut or
+			// skipped. Every group still active settles at the width its
+			// own samples support, the seed round included.
+			lp.earnedWidth()
+			lp.trace(lp.eps)
+			lp.capRun()
+			break
+		}
 		if lp.m == 1 && lp.algo.plan == nil {
 			// The seed round only draws: one block per group is no
 			// interval yet.
@@ -420,13 +414,41 @@ func (lp *roundLoop) run() (*Result, error) {
 		}
 		lp.algo.decide(lp)
 		lp.trace(lp.eps)
-		if lp.numActive > 0 && (lp.opts.MaxRounds > 0 && lp.m >= lp.opts.MaxRounds ||
-			lp.opts.MaxDraws > 0 && lp.sampler.Total() >= lp.opts.MaxDraws) {
-			lp.capped = true
-			lp.settleAllRemaining(lp.algo.notifyPartials)
+		if lp.opts.MaxRounds > 0 && lp.m >= lp.opts.MaxRounds {
+			lp.capRun()
 		}
 	}
 	return lp.result(), nil
+}
+
+// capRun ends a capped run: every group still active settles at its live
+// width, and the run reports Capped.
+func (lp *roundLoop) capRun() {
+	if lp.numActive > 0 {
+		lp.capped = true
+		lp.settleAllRemaining(lp.algo.notifyPartials)
+	}
+}
+
+// earnedWidth resets a lockstep run's shared ε to the width its
+// least-drawn active group has earned: the draw cap may have stopped the
+// round short of the count ε was computed for. Per-group radii are taken
+// at each group's own count already; a plan's widths are its own targets.
+func (lp *roundLoop) earnedWidth() {
+	if lp.epsG != nil || lp.numActive == 0 {
+		return
+	}
+	n := int64(math.MaxInt64)
+	for i, a := range lp.active {
+		if a {
+			n = min(n, lp.sampler.Count(i))
+		}
+	}
+	var maxN int64
+	if !lp.opts.WithReplacement {
+		maxN = maxActiveSize(lp.u, lp.active)
+	}
+	lp.eps = lp.sched.EpsilonN(int(n), maxN) / lp.opts.HeuristicFactor
 }
 
 // updateRadii refreshes the per-group widths after a draw phase: under a
@@ -569,10 +591,10 @@ func (lp *roundLoop) remaining(i int) int {
 }
 
 // drawPhase draws the planned blocks. Each draw touches only group-owned
-// state — the group's RNG stream and permutation, its running mean, a
-// per-worker buffer, and the sampler's atomic accounting — so the fan-out
-// needs no locks and the barrier at the end of ParallelForWorkers
-// publishes every estimate before decide reads them.
+// state — the group's RNG stream, permutation and draw scratch, its
+// running mean, and the sampler's atomic accounting — so the fan-out needs
+// no locks and the barrier at the end of ParallelFor publishes every
+// estimate before decide reads them.
 func (lp *roundLoop) drawPhase() {
 	planned := 0
 	for _, n := range lp.drawN {
@@ -584,11 +606,11 @@ func (lp *roundLoop) drawPhase() {
 			return
 		}
 		for j := range lp.drawIdx {
-			lp.drawBlock(0, j)
+			lp.drawBlock(j)
 		}
 		return
 	}
-	ParallelForWorkers(len(lp.drawIdx), lp.workers, lp.drawBlock)
+	ParallelFor(len(lp.drawIdx), lp.workers, lp.drawBlock)
 }
 
 // drawScalarRound draws an inline round of one sample per group through
@@ -606,9 +628,9 @@ func (lp *roundLoop) drawScalarRound() {
 	}
 }
 
-// drawBlock draws the j-th planned block, using worker w's scratch
-// buffer, and folds it into the group's estimate.
-func (lp *roundLoop) drawBlock(w, j int) {
+// drawBlock draws the j-th planned block and folds it into the group's
+// estimate.
+func (lp *roundLoop) drawBlock(j int) {
 	i, n := lp.drawIdx[j], lp.drawN[j]
 	if lp.algo.scatter != nil {
 		lp.drawUnit(i, n)
@@ -623,24 +645,7 @@ func (lp *roundLoop) drawBlock(w, j int) {
 			sum += x
 		}
 	default:
-		// Groups without a kernel (virtual distributions) buffer through
-		// the generic block path instead.
-		if s, ok := lp.sampler.DrawBlockSum(i, n); ok {
-			sum = s
-			break
-		}
-		for left := n; left > 0; {
-			c := min(left, drawChunk)
-			if cap(lp.bufs[w]) < c {
-				lp.bufs[w] = make([]float64, c)
-			}
-			buf := lp.bufs[w][:c]
-			lp.sampler.DrawBatch(i, buf)
-			for _, v := range buf {
-				sum += v
-			}
-			left -= c
-		}
+		sum, _ = lp.sampler.DrawBlockSum(i, n)
 	}
 	prev := int(lp.sampler.Count(i)) - n
 	if lp.algo.plan != nil {

@@ -5,6 +5,7 @@ import (
 	"sort"
 	"testing"
 
+	"repro/internal/conc"
 	"repro/internal/dataset"
 	"repro/internal/xrand"
 )
@@ -280,6 +281,56 @@ func TestNoIndexBatchCadence(t *testing.T) {
 	}
 	if !capped.Capped || capped.TotalSamples != 100 {
 		t.Fatalf("maxDraws ignored under batching: capped=%v total=%d", capped.Capped, capped.TotalSamples)
+	}
+}
+
+// TestMaxDrawsCutRoundIsCapped: a draw cap that stops a round partway —
+// one group's block cut short, the next one's skipped — leaves widths
+// computed or halved for draws that never happened, so the run must end
+// there, Capped, at exactly the cap, rather than settle the two
+// well-separated groups as if the round had completed. Caps fall one draw
+// short of the uncapped run, halfway, and inside the seed round. The
+// shared ε a lockstep run reports is the one its least-drawn group earned.
+func TestMaxDrawsCutRoundIsCapped(t *testing.T) {
+	two := func() *dataset.Universe {
+		lo, hi := make([]float64, 5000), make([]float64, 5000)
+		for i := range lo {
+			lo[i], hi[i] = float64(5+i%10), float64(85+i%10)
+		}
+		return dataset.NewUniverse(100, dataset.NewSliceGroup("lo", lo), dataset.NewSliceGroup("hi", hi))
+	}
+	irefine := func(u *dataset.Universe, rng *xrand.RNG, opts Options) (*Result, error) {
+		return IRefine(u, rng, opts)
+	}
+	seedCut := int64(autoBatchSize(1)) * 3 / 2 // hi gets half a block
+	for _, r := range []algoRunner{{"ifocus", IFocus}, {"irefine", irefine}} {
+		for _, bound := range []conc.Kind{conc.KindHoeffding, conc.KindBernstein} {
+			opts := DefaultOptions()
+			opts.BatchSize = BatchAuto
+			opts.Bound = bound
+			full, err := r.run(two(), xrand.New(5), opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			need := full.TotalSamples
+			for _, cap := range []int64{need - 1, need / 2, min(need-1, seedCut)} {
+				opts.MaxDraws = cap
+				res, err := r.run(two(), xrand.New(5), opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !res.Capped || res.TotalSamples != cap {
+					t.Errorf("%s/%s cap %d of %d: capped=%v after %d draws, want a capped run of exactly the cap",
+						r.name, bound, cap, need, res.Capped, res.TotalSamples)
+				}
+				least := min(res.SampleCounts[0], res.SampleCounts[1])
+				if r.name == "ifocus" && bound == conc.KindHoeffding {
+					if want := newSchedule(two(), &opts).Epsilon(int(least)); res.FinalEpsilon < want {
+						t.Errorf("ifocus cap %d: ε %v, narrower than the %v %d draws earn", cap, res.FinalEpsilon, want, least)
+					}
+				}
+			}
+		}
 	}
 }
 

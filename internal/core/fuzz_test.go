@@ -19,11 +19,15 @@ import (
 //   - without-replacement draws never exceed the group size;
 //   - an AVG run that exhausts every group equals AlgoScan;
 //   - a run that stops with an unsettled group reports Capped;
+//   - a capped run never draws past MaxDraws, and a run MaxDraws did not
+//     stop equals the uncapped run: the cap never shows in a result it
+//     does not mark;
 //   - Workers 4 reproduces Workers 1 bit for bit.
 //
 // The bytes decode to a fuzzCase: k ∈ [1, 8] groups of 0–300 rows on a
 // nine-point grid over [0, C] (so ties, 0 and C are common), a shape of
-// confShapes, a bound, a batch and a seed. Groups with no rows are left
+// confShapes, a bound, a batch and a seed; odd seeds also cap a
+// without-replacement run's draws (drawCap). Groups with no rows are left
 // out, as a table never holds an empty group.
 func FuzzRun(f *testing.F) {
 	f.Add([]byte{3, 0, 0, 0, 1, 0, 120, 2, 6, 0, 140, 2, 6, 0, 90, 0, 8})
@@ -106,8 +110,21 @@ func (fc fuzzCase) withoutReplacement() bool {
 	return true
 }
 
-// run executes the case at the given Workers count.
-func (fc fuzzCase) run(workers int) *fuzzOutcome {
+// drawCap is the case's MaxDraws: a fixed ceiling on the with-replacement
+// shapes, and for odd seeds a cap between 9 and 2 041 draws that can stop
+// a without-replacement run in any round, the seed round included.
+func (fc fuzzCase) drawCap() int64 {
+	switch {
+	case !fc.withoutReplacement():
+		return 20_000
+	case fc.seed%2 == 1:
+		return 1 + 8*int64(fc.seed)
+	}
+	return 0
+}
+
+// run executes the case at the given Workers count and draw cap.
+func (fc fuzzCase) run(workers int, maxDraws int64) *fuzzOutcome {
 	u := fc.universe()
 	spec := fc.shape.spec(u.K())
 	spec.Workers = workers
@@ -120,8 +137,8 @@ func (fc fuzzCase) run(workers int) *fuzzOutcome {
 	spec.Opts.MaxRounds = 24
 	if !fc.withoutReplacement() {
 		spec.Opts.MaxRounds = capRounds
-		spec.Opts.MaxDraws = 20_000
 	}
+	spec.Opts.MaxDraws = maxDraws
 	if u.K() > 0 && (spec.Aggregate == AggNormalizedSum || spec.Aggregate == AggNormalizedCount) {
 		spec.Fractions = dataset.NewMembershipFractionEstimator(u)
 	}
@@ -160,7 +177,8 @@ type zeroWidthEvent struct {
 
 // check runs the case and asserts every property.
 func (fc fuzzCase) check(t *testing.T) {
-	w1, w4 := fc.run(1), fc.run(4)
+	cap := fc.drawCap()
+	w1, w4 := fc.run(1, cap), fc.run(4, cap)
 	if got, want := w4.String(), w1.String(); got != want {
 		t.Fatalf("Workers 4 diverged from Workers 1\n got: %s\nwant: %s", got, want)
 	}
@@ -226,6 +244,14 @@ func (fc fuzzCase) check(t *testing.T) {
 			if r == 0 {
 				t.Errorf("group %d never settled, yet the run is not capped", g)
 			}
+		}
+	}
+	if cap > 0 {
+		if res.TotalSamples > cap {
+			t.Errorf("%d draws past the %d-draw cap", res.TotalSamples, cap)
+		}
+		if free := fc.run(1, 0); !res.Capped && free.String() != w1.String() {
+			t.Errorf("an uncapped result differs from the uncapped run\n got: %s\nwant: %s", w1.String(), free.String())
 		}
 	}
 }

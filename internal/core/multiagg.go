@@ -18,6 +18,11 @@ import (
 // is a scatter unit whose pair draws land in the group itself, and when
 // the last Y interval settles the run reopens every group on Z.
 //
+// opts.MaxRounds and opts.MaxDraws bound the two stages together: rounds
+// and draws count on from Y into Z. A cap that fires while Y is still
+// sampling ends the run there, Capped, without a Z stage, so
+// SecondEstimates are then the Z means of the Y stage's tuples alone.
+//
 // The result carries AVG(Y) in Estimates and AVG(Z) in SecondEstimates.
 // Pair draws are with replacement. Every group must implement
 // dataset.PairGroup.

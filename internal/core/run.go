@@ -296,9 +296,3 @@ func wrapResult(res *Result, err error) (*RunResult, error) {
 func ParallelFor(n, workers int, fn func(i int)) {
 	par.For(n, workers, fn)
 }
-
-// ParallelForWorkers is ParallelFor with the worker's identity passed to
-// each call, so fn can select per-worker scratch without synchronization.
-func ParallelForWorkers(n, workers int, fn func(w, i int)) {
-	par.ForWorkers(n, workers, fn)
-}

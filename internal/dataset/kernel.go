@@ -383,23 +383,37 @@ func (s *Sampler) EnableBlockKernels() {}
 // accumulated in draw order on one running total. A block larger than
 // blockSumChunk streams through the scratch chunk by chunk on that same
 // running total, so the scratch stays bounded and the sum is bit for bit
-// that of one pass. ok is false when group i does not draw through the
-// pipeline (virtual distributions); the caller falls back to DrawBatch.
+// that of one pass. Groups that do not draw through the pipeline (virtual
+// distributions) have no cursor scratch and stream the same chunks of
+// DrawBatch through a pooled buffer. ok is false, and nothing is drawn,
+// when n < 1.
 //
 // Like every draw path, at most one goroutine may call it for a given
 // group at a time; distinct groups may be drawn concurrently.
 func (s *Sampler) DrawBlockSum(i, n int) (sum float64, ok bool) {
-	c := &s.cursors[i]
-	if n <= 0 || c.drawCore == nil {
+	if n <= 0 {
 		return 0, false
 	}
+	c := &s.cursors[i]
+	var pooled *[]float64
+	if c.drawCore == nil {
+		pooled = blockSumPool.Get().(*[]float64)
+	}
 	for n > 0 {
-		vals := c.valScratch(min(n, blockSumChunk))
+		var vals []float64
+		if pooled != nil {
+			vals = (*pooled)[:min(n, blockSumChunk)]
+		} else {
+			vals = c.valScratch(min(n, blockSumChunk))
+		}
 		s.DrawBatch(i, vals)
 		for _, v := range vals {
 			sum += v
 		}
 		n -= len(vals)
+	}
+	if pooled != nil {
+		blockSumPool.Put(pooled)
 	}
 	return sum, true
 }
@@ -407,6 +421,13 @@ func (s *Sampler) DrawBlockSum(i, n int) (sum float64, ok bool) {
 // blockSumChunk bounds DrawBlockSum's value scratch: the largest block the
 // BatchAuto schedule draws.
 const blockSumChunk = 4096
+
+// blockSumPool holds DrawBlockSum's chunk buffers for groups without a
+// cursor scratch.
+var blockSumPool = sync.Pool{New: func() any {
+	b := make([]float64, blockSumChunk)
+	return &b
+}}
 
 // eachChunk is how many groups DrawEach stages at once: far more misses in
 // flight than the memory system overlaps, in staging that fits the stack.

@@ -241,25 +241,42 @@ func TestDrawUsingMatchesGroupDraw(t *testing.T) {
 }
 
 // TestKernelFallsBackOnVirtualGroups: distribution-backed groups have no
-// concrete kernel; DrawBlockSum must decline so the driver's generic path
-// serves them.
+// concrete kernel; DrawBlockSum serves them through DrawBatch, chunk by
+// chunk — the same stream, accounting and sum as DrawBatch in
+// blockSumChunk pieces — and serves a mixed universe's slice group through
+// the pipeline.
 func TestKernelFallsBackOnVirtualGroups(t *testing.T) {
-	u := NewUniverse(100,
-		NewDistGroup("d", xrand.TruncNormal{Mu: 50, Sigma: 8, Lo: 0, Hi: 100}, 1000))
-	s := NewStreamSampler(u, 1, false)
-	if _, ok := s.DrawBlockSum(0, 8); ok {
-		t.Fatal("kernel claimed a distribution-backed group")
+	dist := func() Group { return NewDistGroup("d", xrand.TruncNormal{Mu: 50, Sigma: 8, Lo: 0, Hi: 100}, 1000) }
+	u := NewUniverse(100, dist())
+	s, ref := NewStreamSampler(u, 1, false), NewStreamSampler(NewUniverse(100, dist()), 1, false)
+	buf := make([]float64, blockSumChunk)
+	for _, n := range []int{8, 2*blockSumChunk + 5} {
+		want := 0.0
+		for left := n; left > 0; left -= min(left, blockSumChunk) {
+			chunk := buf[:min(left, blockSumChunk)]
+			ref.DrawBatch(0, chunk)
+			for _, v := range chunk {
+				want += v
+			}
+		}
+		if got, ok := s.DrawBlockSum(0, n); !ok || got != want {
+			t.Fatalf("n=%d: DrawBlockSum %v (ok=%v), chunked DrawBatch %v", n, got, ok, want)
+		}
+		if s.Count(0) != ref.Count(0) {
+			t.Fatalf("n=%d: DrawBlockSum accounted %d draws, DrawBatch %d", n, s.Count(0), ref.Count(0))
+		}
 	}
-	// In a mixed universe only the concrete groups have a kernel.
-	mixed := NewUniverse(100,
-		NewSliceGroup("s", []float64{1, 2, 3, 4, 5}),
-		NewDistGroup("d", xrand.TruncNormal{Mu: 50, Sigma: 8, Lo: 0, Hi: 100}, 1000))
-	ms := NewStreamSampler(mixed, 1, false)
-	if _, ok := ms.DrawBlockSum(0, 3); !ok {
-		t.Fatal("kernel missing for the slice group in a mixed universe")
+	if _, ok := s.DrawBlockSum(0, 0); ok || s.Count(0) != ref.Count(0) {
+		t.Fatal("an empty block drew")
 	}
-	if _, ok := ms.DrawBlockSum(1, 3); ok {
-		t.Fatal("kernel claimed the virtual group in a mixed universe")
+	// In a mixed universe the slice group draws through its kernel.
+	mixed := NewUniverse(100, NewSliceGroup("s", []float64{1, 2, 3, 4, 5}), dist())
+	ms := NewStreamSampler(mixed, 1, true)
+	if got, ok := ms.DrawBlockSum(0, 5); !ok || got != 15 {
+		t.Fatalf("slice group in a mixed universe: sum %v (ok=%v), want all five rows", got, ok)
+	}
+	if _, ok := ms.DrawBlockSum(1, 3); !ok || ms.Count(1) != 3 {
+		t.Fatal("virtual group in a mixed universe not served")
 	}
 }
 
