@@ -659,13 +659,15 @@ func (lp *roundLoop) drawBlock(j int) {
 // is active.
 func (lp *roundLoop) drawUnit(u, n int) {
 	sc := lp.algo.scatter
-	r := lp.sampler.RNGFor(u * (lp.k / sc.units))
+	s, active := lp.sampler, lp.active
+	r := s.RNGFor(u * (lp.k / sc.units))
+	s.AddTotal(int64(n))
 	for ; n > 0; n-- {
 		i, v := sc.draw(u, r)
-		lp.sampler.Record(i, 1)
-		if lp.active[i] {
-			lp.sampler.Observe(i, v)
-			lp.fold(i, int(lp.sampler.Count(i))-1, 1, v)
+		c := s.Land(i)
+		if active[i] {
+			s.Observe(i, v)
+			lp.fold(i, int(c)-1, 1, v)
 		}
 	}
 }

@@ -215,6 +215,16 @@ func (s *Sampler) Record(i int, n int) {
 	atomic.AddInt64(&s.total, int64(n))
 }
 
+// Land accounts one draw for group i and returns the group's new count,
+// leaving the run's total to AddTotal: a scatter unit, which learns each
+// draw's group only as it draws it, adds its whole block to the total at
+// once. It is safe to call concurrently for distinct groups.
+func (s *Sampler) Land(i int) int64 { return atomic.AddInt64(&s.counts[i], 1) }
+
+// AddTotal adds n draws to the run's total without crediting a group; see
+// Land.
+func (s *Sampler) AddTotal(n int64) { atomic.AddInt64(&s.total, n) }
+
 // Counts returns the per-group sample counts m_i. The returned slice is
 // owned by the sampler; callers must copy it if they retain it, and must
 // not read it while draws are in flight on other goroutines.
