@@ -70,7 +70,7 @@ type Engine struct {
 
 	// views caches predicate selections: one dataset.View per (table,
 	// canonical predicate fingerprint), so repeated Where queries reuse
-	// the selection vectors and pay the filter scan once. Entries hold
+	// the selection vectors and pay the planning once. Entries hold
 	// selection state only — draw state lives in each run's sampler — so
 	// cached views are safe to share across concurrent queries. The cache
 	// is bounded: when a store would exceed
@@ -85,7 +85,7 @@ type Engine struct {
 	viewCount atomic.Int32
 
 	// View-cache introspection counters (see ViewCacheStats): lookups that
-	// reused a cached selection, lookups that paid the filter scan, and
+	// reused a cached selection, lookups that planned a new one, and
 	// entries dropped by overflow flushes.
 	viewHits      atomic.Int64
 	viewMisses    atomic.Int64
@@ -198,10 +198,10 @@ func (e *Engine) run(ctx context.Context, q Query, groups []Group, onPartial fun
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	// Take a worker slot before normalization: predicate filtering and
-	// bound inference scan every materialized group, so they must count
-	// against the engine's concurrency budget, and an already-canceled
-	// context must not pay for them.
+	// Take a worker slot before normalization: predicate planning walks
+	// every predicate column and bound inference scans every materialized
+	// group, so both must count against the engine's concurrency budget,
+	// and an already-canceled context must not pay for them.
 	var admitted time.Time
 	if e.cfg.OnAdmission != nil {
 		admitted = time.Now()
@@ -302,11 +302,12 @@ func (e *Engine) BrokerStats() BrokerStats { return BrokerStats{} }
 
 // whereGroups resolves a Where conjunction against table-backed groups:
 // it validates that the groups are one table's full group set in table
-// order, then returns the groups of the table's filtered view — cached per (table, predicate fingerprint), so only the first
-// query with a given filter pays the selection scan. Planning lives in
-// dataset.Table.Filter: group-inclusion predicates answer from the group
-// index without touching rows; value predicates, which have no
-// precomputed index, fall back to one scan-and-filter pass.
+// order, then returns the groups of the table's filtered view — cached
+// per (table, predicate fingerprint), so only the first query with a given
+// filter plans it. Planning lives in dataset.Table.Filter: group-inclusion
+// predicates answer from the group index without touching rows; value
+// predicates compare in place on the stored column blocks, with zone maps
+// skipping whole blocks, and decode nothing.
 func (e *Engine) whereGroups(preds []Predicate, groups []Group) ([]Group, error) {
 	if len(groups) == 0 {
 		return nil, fmt.Errorf("rapidviz: no groups")

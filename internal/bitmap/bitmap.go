@@ -287,6 +287,37 @@ func (b *Bitmap) Rank(i int) int {
 	return int(r)
 }
 
+// OrWords ORs n bits of the bit string words, starting at bit srcBit
+// (bit i of the string is bit i%64 of words[i/64]), into b starting at bit
+// dst. The source offset lets one block-wide verdict string feed every
+// group bitmap the block overlaps. Panics if the range leaves b.
+func (b *Bitmap) OrWords(dst int, words []uint64, srcBit, n int) {
+	if n <= 0 {
+		return
+	}
+	if dst < 0 || dst+n > b.n {
+		panic(fmt.Sprintf("bitmap: OrWords range [%d,%d) out of range [0,%d)", dst, dst+n, b.n))
+	}
+	for i := 0; i < n; {
+		d := dst + i
+		k := min(wordBits-d%wordBits, n-i) // bits that land in d's word
+		b.words[d/wordBits] |= (bitsAt(words, srcBit+i) & (1<<k - 1)) << (d % wordBits)
+		i += k
+	}
+	b.dirty()
+}
+
+// bitsAt returns the 64 bits of words starting at bit pos, zero past the
+// end.
+func bitsAt(words []uint64, pos int) uint64 {
+	w, off := pos/wordBits, uint(pos%wordBits)
+	v := words[w] >> off
+	if off != 0 && w+1 < len(words) {
+		v |= words[w+1] << (wordBits - off)
+	}
+	return v
+}
+
 // And returns the intersection of b and o. Panics if lengths differ.
 func (b *Bitmap) And(o *Bitmap) *Bitmap {
 	b.checkSameLen(o)

@@ -253,3 +253,51 @@ func TestSelectRankDense(t *testing.T) {
 		}
 	}
 }
+
+// TestOrWords checks OrWords against a bit-by-bit reference for every
+// source offset within a word, destination offsets on and off word
+// boundaries, and lengths that stay inside one word or cross several: the
+// range's bits are ORed in, bits already set stay set, and nothing outside
+// the range changes.
+func TestOrWords(t *testing.T) {
+	rng := xrand.New(41)
+	src := make([]uint64, 6)
+	for i := range src {
+		src[i] = rng.Uint64()
+	}
+	srcBit := func(i int) bool { return src[i/64]>>(i%64)&1 == 1 }
+	const size = 300
+	for sb := 0; sb < 64; sb++ {
+		for _, dst := range []int{0, 1, 31, 63, 64, 65, 127, 130} {
+			for _, n := range []int{0, 1, 2, 33, 63, 64, 65, 127, 128, 129, 150} {
+				if sb+n > 64*len(src) || dst+n > size {
+					continue
+				}
+				b := New(size)
+				for i := 0; i < size; i += 7 { // pre-existing bits survive
+					b.Set(i)
+				}
+				want := make([]bool, size)
+				for i := range want {
+					want[i] = b.Get(i)
+				}
+				for i := 0; i < n; i++ {
+					want[dst+i] = want[dst+i] || srcBit(sb+i)
+				}
+				b.OrWords(dst, src, sb, n)
+				count := 0
+				for i, w := range want {
+					if b.Get(i) != w {
+						t.Fatalf("srcBit %d dst %d n %d: bit %d = %v, want %v", sb, dst, n, i, b.Get(i), w)
+					}
+					if w {
+						count++
+					}
+				}
+				if b.Count() != count {
+					t.Fatalf("srcBit %d dst %d n %d: Count %d, want %d", sb, dst, n, b.Count(), count)
+				}
+			}
+		}
+	}
+}

@@ -33,10 +33,14 @@
 //     (low-cardinality columns, including non-finite values). Payload: the
 //     dictionary in first-appearance order, then bit-packed indices.
 //
-// DecodeBlock validates the header, the payload checksum, and every
-// structural invariant (widths, counts, dictionary bounds) before touching
-// the payload, so arbitrarily corrupt input yields a descriptive error,
-// never a panic — the property the fuzz targets pin.
+// Open validates the header, the payload checksum, and every structural
+// invariant (widths, counts, dictionary bounds, the ±2^53 scaled-integer
+// domain) before anything reads the payload, so arbitrarily corrupt input
+// yields a descriptive error, never a panic — the property the fuzz
+// targets pin. The handle it returns decodes the block (DecodeBlock is
+// Open plus Decode) or compares it in place: Select evaluates v op c for
+// every value straight from the encoded bytes, 64 verdicts per word,
+// without materialising a float.
 package colcodec
 
 import (
@@ -84,8 +88,8 @@ const (
 
 	// maxPackWidth bounds the bit width of any packed entry. The scaled
 	// integers are confined to ±2^53, so FOR deltas need ≤ 55 bits and
-	// zigzagged first-differences ≤ 56; the unpack loop's accumulator
-	// arithmetic is only valid to 56 bits.
+	// zigzagged first-differences ≤ 56; a field read loads one 64-bit word
+	// and starts up to 7 bits into it, so 57 is the most it can hold.
 	maxPackWidth = 56
 
 	// maxScale is the largest decimal scale the scaled-integer codecs try.
@@ -162,47 +166,165 @@ func chooseCodec(vals []float64) (Codec, int) {
 // DecodeBlock decodes the block at the start of blk into dst (grown as
 // needed) and returns the decoded values, the codec, and the total encoded
 // length consumed. Corrupt input — truncation, checksum mismatch, unknown
-// codec, inconsistent structure — returns a descriptive error.
+// codec, inconsistent structure — returns a descriptive error. It is Open
+// followed by Block.Decode, so both report the same errors.
 func DecodeBlock(dst []float64, blk []byte) ([]float64, Codec, int, error) {
+	b, err := Open(blk)
+	if err != nil {
+		return nil, 0, 0, err
+	}
+	return b.Decode(dst), b.codec, b.size, nil
+}
+
+// Block is one validated encoded block, returned by Open. It is a small
+// value over the encoded bytes (no allocation): Decode materialises the
+// values, Select compares them in place.
+type Block struct {
+	codec  Codec
+	n      int    // value count
+	size   int    // encoded length: header plus payload
+	scale  int    // FOR/Delta decimal scale
+	w      uint   // packed field width (FOR/Delta/Dict)
+	base   int64  // FOR frame base; Delta's first scaled value
+	dict   []byte // Dict entries, 8-byte LE bit patterns
+	packed []byte // bit-packed fields, or Raw's 8-byte values
+}
+
+// Open validates the block at the start of blk — header, lengths, payload
+// CRC-32C, codec structure, dictionary indices, and that every FOR/Delta
+// scaled integer lies within ±2^53 (the encoder's domain) — and returns a
+// handle on it. Every later Decode or Select on the handle is infallible.
+func Open(blk []byte) (Block, error) {
 	if len(blk) < HeaderSize {
-		return nil, 0, 0, fmt.Errorf("colcodec: block is %d bytes, shorter than the %d-byte header (truncated?)", len(blk), HeaderSize)
+		return Block{}, fmt.Errorf("colcodec: block is %d bytes, shorter than the %d-byte header (truncated?)", len(blk), HeaderSize)
 	}
 	codec := Codec(blk[0])
 	count := int(binary.LittleEndian.Uint32(blk[4:8]))
 	payloadLen := int(binary.LittleEndian.Uint32(blk[8:12]))
 	wantCRC := binary.LittleEndian.Uint32(blk[12:16])
 	if codec >= numCodecs {
-		return nil, 0, 0, fmt.Errorf("colcodec: unknown codec id %d (reader supports 0..%d)", blk[0], numCodecs-1)
+		return Block{}, fmt.Errorf("colcodec: unknown codec id %d (reader supports 0..%d)", blk[0], numCodecs-1)
 	}
 	if count <= 0 || count > MaxBlockLen {
-		return nil, 0, 0, fmt.Errorf("colcodec: block declares %d values (want 1..%d)", count, MaxBlockLen)
+		return Block{}, fmt.Errorf("colcodec: block declares %d values (want 1..%d)", count, MaxBlockLen)
 	}
 	if payloadLen < 0 || payloadLen > len(blk)-HeaderSize {
-		return nil, 0, 0, fmt.Errorf("colcodec: block declares %d payload bytes but only %d remain (truncated?)", payloadLen, len(blk)-HeaderSize)
+		return Block{}, fmt.Errorf("colcodec: block declares %d payload bytes but only %d remain (truncated?)", payloadLen, len(blk)-HeaderSize)
 	}
 	payload := blk[HeaderSize : HeaderSize+payloadLen]
 	if got := crc32.Checksum(payload, castagnoli); got != wantCRC {
-		return nil, 0, 0, fmt.Errorf("colcodec: %s block payload checksum mismatch (header %08x, payload %08x)", codec.Name(), wantCRC, got)
+		return Block{}, fmt.Errorf("colcodec: %s block payload checksum mismatch (header %08x, payload %08x)", codec.Name(), wantCRC, got)
 	}
-	if cap(dst) < count {
-		dst = make([]float64, count)
-	}
-	dst = dst[:count]
+	b := Block{codec: codec, n: count, size: HeaderSize + payloadLen}
 	var err error
 	switch codec {
 	case CodecRaw:
-		err = decodeRaw(dst, payload)
+		err = b.openRaw(payload)
 	case CodecFOR:
-		err = decodeFOR(dst, payload)
+		err = b.openFOR(payload)
 	case CodecDelta:
-		err = decodeDelta(dst, payload)
+		err = b.openDelta(payload)
 	case CodecDict:
-		err = decodeDict(dst, payload)
+		err = b.openDict(payload)
 	}
 	if err != nil {
-		return nil, 0, 0, fmt.Errorf("colcodec: %s block: %w", codec.Name(), err)
+		return Block{}, fmt.Errorf("colcodec: %s block: %w", codec.Name(), err)
 	}
-	return dst, codec, HeaderSize + payloadLen, nil
+	return b, nil
+}
+
+// Codec returns the block's codec.
+func (b *Block) Codec() Codec { return b.codec }
+
+// Len returns the block's value count.
+func (b *Block) Len() int { return b.n }
+
+// Size returns the block's encoded length, header included.
+func (b *Block) Size() int { return b.size }
+
+// Decode writes the block's values into dst (grown as needed) and returns
+// it.
+func (b *Block) Decode(dst []float64) []float64 {
+	if cap(dst) < b.n {
+		dst = make([]float64, b.n)
+	}
+	dst = dst[:b.n]
+	switch b.codec {
+	case CodecRaw:
+		for i := range dst {
+			dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(b.packed[8*i:]))
+		}
+	case CodecFOR:
+		// Divide, don't multiply by a precomputed inverse: decode must round
+		// the true quotient exactly as the encoder's applicability check did.
+		// Scale 0 divides by 1, which is exact.
+		div := pow10[b.scale]
+		for i := range dst {
+			dst[i] = float64(b.base+int64(b.field(i))) / div
+		}
+	case CodecDelta:
+		div := pow10[b.scale]
+		m := b.base
+		for i := range dst {
+			if i > 0 {
+				m += unzigzag(b.field(i - 1))
+			}
+			dst[i] = float64(m) / div
+		}
+	case CodecDict:
+		var tab [maxDictSize]float64
+		for e := range len(b.dict) / 8 {
+			tab[e] = b.entry(uint64(e))
+		}
+		var idx [64]uint8
+		for i := 0; i < b.n; i += 64 {
+			for j, x := range b.indices(i, &idx) {
+				dst[i+j] = tab[x]
+			}
+		}
+	}
+	return dst
+}
+
+// indices unpacks Dict fields [i, i+64) — fewer at the block's end — into
+// buf and returns them. i is a multiple of 8, so each run of 8 fields
+// starts on a byte and, at ≤ 8 bits a field, fits one word.
+func (b *Block) indices(i int, buf *[64]uint8) []uint8 {
+	out := buf[:min(64, b.n-i)]
+	mask := uint64(1)<<b.w - 1
+	for k := 0; k < len(out); k += 8 {
+		x := load64(b.packed, uint(i+k)*b.w/8)
+		for j := k; j < min(k+8, len(out)); j++ {
+			out[j] = uint8(x & mask)
+			x >>= b.w
+		}
+	}
+	return out
+}
+
+// field returns the i-th packed field.
+func (b *Block) field(i int) uint64 {
+	bit := uint(i) * b.w
+	return load64(b.packed, bit>>3) >> (bit & 7) & (1<<b.w - 1)
+}
+
+// entry returns dictionary entry e.
+func (b *Block) entry(e uint64) float64 {
+	return math.Float64frombits(binary.LittleEndian.Uint64(b.dict[8*e:]))
+}
+
+// load64 reads the little-endian word at byte off of p, zero-filling past
+// its end. A packed field starts at most 7 bits into its first byte and is
+// at most maxPackWidth bits wide, so one word always holds it.
+func load64(p []byte, off uint) uint64 {
+	if off+8 <= uint(len(p)) {
+		return binary.LittleEndian.Uint64(p[off:])
+	}
+	var x uint64
+	for j := uint(0); off+j < uint(len(p)); j++ {
+		x |= uint64(p[off+j]) << (8 * j)
+	}
+	return x
 }
 
 // BlockCount reads just the value count from a block header (0 and an error
@@ -227,13 +349,11 @@ func appendRaw(dst []byte, vals []float64) []byte {
 	return dst
 }
 
-func decodeRaw(dst []float64, payload []byte) error {
-	if len(payload) != 8*len(dst) {
-		return fmt.Errorf("payload is %d bytes for %d values (want %d)", len(payload), len(dst), 8*len(dst))
+func (b *Block) openRaw(payload []byte) error {
+	if len(payload) != 8*b.n {
+		return fmt.Errorf("payload is %d bytes for %d values (want %d)", len(payload), b.n, 8*b.n)
 	}
-	for i := range dst {
-		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(payload[8*i:]))
-	}
+	b.packed = payload
 	return nil
 }
 
@@ -329,9 +449,11 @@ func appendFOR(dst []byte, vals []float64) []byte {
 	return p.finish()
 }
 
-func decodeFOR(dst []float64, payload []byte) error {
+// openScaled reads the FOR/Delta prologue — scale, bit width, and the
+// int64 that seeds the scaled integers — and checks the payload length.
+func (b *Block) openScaled(payload []byte, name string, size func(n, w int) int) error {
 	if len(payload) < 10 {
-		return fmt.Errorf("payload is %d bytes, shorter than the 10-byte FOR prologue", len(payload))
+		return fmt.Errorf("payload is %d bytes, shorter than the 10-byte %s prologue", len(payload), name)
 	}
 	scale, w := int(payload[0]), int(payload[1])
 	if scale > maxScale {
@@ -340,24 +462,30 @@ func decodeFOR(dst []float64, payload []byte) error {
 	if w > maxPackWidth {
 		return fmt.Errorf("bit width %d out of range (max %d)", w, maxPackWidth)
 	}
-	base := int64(binary.LittleEndian.Uint64(payload[2:10]))
-	if want := forSize(len(dst), w); len(payload) != want {
-		return fmt.Errorf("payload is %d bytes for %d values at width %d (want %d)", len(payload), len(dst), w, want)
+	if want := size(b.n, w); len(payload) != want {
+		return fmt.Errorf("payload is %d bytes for %d values at width %d (want %d)", len(payload), b.n, w, want)
 	}
-	u := unpacker{payload: payload[10:], w: uint(w)}
-	for i := range dst {
-		delta, err := u.next()
-		if err != nil {
-			return err
-		}
-		m := base + int64(delta)
-		if scale == 0 {
-			dst[i] = float64(m)
-		} else {
-			// Divide, don't multiply by a precomputed inverse: decode must
-			// round the true quotient exactly as the encoder's applicability
-			// check did.
-			dst[i] = float64(m) / pow10[scale]
+	b.scale, b.w = scale, uint(w)
+	b.base = int64(binary.LittleEndian.Uint64(payload[2:10]))
+	b.packed = payload[10:]
+	if b.base < -maxScaled || b.base > maxScaled {
+		return fmt.Errorf("first scaled integer %d outside ±2^53", b.base)
+	}
+	return nil
+}
+
+func (b *Block) openFOR(payload []byte) error {
+	if err := b.openScaled(payload, "FOR", forSize); err != nil {
+		return err
+	}
+	// The width bounds every field, so only a frame near +2^53 needs the
+	// fields themselves checked.
+	if b.base+(1<<b.w-1) <= maxScaled {
+		return nil
+	}
+	for i := 0; i < b.n; i++ {
+		if m := b.base + int64(b.field(i)); m > maxScaled {
+			return fmt.Errorf("value %d: scaled integer %d outside ±2^53", i, m)
 		}
 	}
 	return nil
@@ -389,34 +517,27 @@ func appendDelta(dst []byte, vals []float64) []byte {
 	return p.finish()
 }
 
-func decodeDelta(dst []float64, payload []byte) error {
-	if len(payload) < 10 {
-		return fmt.Errorf("payload is %d bytes, shorter than the 10-byte delta prologue", len(payload))
+func (b *Block) openDelta(payload []byte) error {
+	if err := b.openScaled(payload, "delta", deltaSize); err != nil {
+		return err
 	}
-	scale, w := int(payload[0]), int(payload[1])
-	if scale > maxScale {
-		return fmt.Errorf("scale %d out of range (max %d)", scale, maxScale)
+	if b.w == 0 || b.n == 1 {
+		return nil
 	}
-	if w > maxPackWidth {
-		return fmt.Errorf("bit width %d out of range (max %d)", w, maxPackWidth)
+	// A zigzagged field below 2^w moves the running value by at most
+	// 2^(w-1); walk the fields only when that bound cannot keep every
+	// value within ±2^53.
+	first := b.base
+	if first < 0 {
+		first = -first
 	}
-	if want := deltaSize(len(dst), w); len(payload) != want {
-		return fmt.Errorf("payload is %d bytes for %d values at width %d (want %d)", len(payload), len(dst), w, want)
+	if int64(b.n-1) <= (maxScaled-first)>>(b.w-1) {
+		return nil
 	}
-	m := int64(binary.LittleEndian.Uint64(payload[2:10]))
-	u := unpacker{payload: payload[10:], w: uint(w)}
-	for i := range dst {
-		if i > 0 {
-			z, err := u.next()
-			if err != nil {
-				return err
-			}
-			m += unzigzag(z)
-		}
-		if scale == 0 {
-			dst[i] = float64(m)
-		} else {
-			dst[i] = float64(m) / pow10[scale]
+	m := b.base
+	for i := 1; i < b.n; i++ {
+		if m += unzigzag(b.field(i - 1)); m < -maxScaled || m > maxScaled {
+			return fmt.Errorf("value %d: scaled integer %d outside ±2^53", i, m)
 		}
 	}
 	return nil
@@ -466,7 +587,7 @@ func appendDict(dst []byte, vals []float64) []byte {
 	return p.finish()
 }
 
-func decodeDict(dst []float64, payload []byte) error {
+func (b *Block) openDict(payload []byte) error {
 	if len(payload) < 2 {
 		return fmt.Errorf("payload is %d bytes, shorter than the 2-byte dict prologue", len(payload))
 	}
@@ -475,23 +596,22 @@ func decodeDict(dst []float64, payload []byte) error {
 	if w > 8 {
 		return fmt.Errorf("index bit width %d out of range (max 8)", w)
 	}
-	if want := dictSize(len(dst), card, w); len(payload) != want {
-		return fmt.Errorf("payload is %d bytes for %d values, %d dict entries at width %d (want %d)", len(payload), len(dst), card, w, want)
+	if want := dictSize(b.n, card, w); len(payload) != want {
+		return fmt.Errorf("payload is %d bytes for %d values, %d dict entries at width %d (want %d)", len(payload), b.n, card, w, want)
 	}
-	dict := make([]float64, card)
-	for i := range dict {
-		dict[i] = math.Float64frombits(binary.LittleEndian.Uint64(payload[2+8*i:]))
+	b.w = uint(w)
+	b.dict = payload[2 : 2+8*card]
+	b.packed = payload[2+8*card:]
+	if card >= 1<<w {
+		return nil // every w-bit index names an entry
 	}
-	u := unpacker{payload: payload[2+8*card:], w: uint(w)}
-	for i := range dst {
-		idx, err := u.next()
-		if err != nil {
-			return err
+	var idx [64]uint8
+	for i := 0; i < b.n; i += 64 {
+		for _, x := range b.indices(i, &idx) {
+			if int(x) >= card {
+				return fmt.Errorf("index %d out of range (dictionary holds %d entries)", x, card)
+			}
 		}
-		if idx >= uint64(card) {
-			return fmt.Errorf("index %d out of range (dictionary holds %d entries)", idx, card)
-		}
-		dst[i] = dict[idx]
 	}
 	return nil
 }
@@ -524,32 +644,4 @@ func (p *packer) finish() []byte {
 		p.acc, p.n = 0, 0
 	}
 	return p.dst
-}
-
-// unpacker reads fixed-width bit fields; widths of 0 yield zeros without
-// consuming input (the all-equal FOR block).
-type unpacker struct {
-	payload []byte
-	pos     int
-	acc     uint64
-	n       uint
-	w       uint
-}
-
-func (u *unpacker) next() (uint64, error) {
-	if u.w == 0 {
-		return 0, nil
-	}
-	for u.n < u.w {
-		if u.pos >= len(u.payload) {
-			return 0, fmt.Errorf("packed data exhausted at byte %d (truncated?)", u.pos)
-		}
-		u.acc |= uint64(u.payload[u.pos]) << u.n
-		u.pos++
-		u.n += 8
-	}
-	v := u.acc & (1<<u.w - 1)
-	u.acc >>= u.w
-	u.n -= u.w
-	return v, nil
 }

@@ -232,3 +232,44 @@ func TestEncodeAppends(t *testing.T) {
 		t.Fatalf("second block: %v %v", err, got)
 	}
 }
+
+// TestOpenRejectsOutOfDomain: FOR and Delta blocks whose scaled integers
+// leave ±2^53 — which no encoder writes — fail Open and DecodeBlock alike,
+// whether the frame base, a FOR field, or a Delta walk leaves the domain.
+func TestOpenRejectsOutOfDomain(t *testing.T) {
+	reseal := func(blk []byte) []byte {
+		binary.LittleEndian.PutUint32(blk[12:16], crc32.Checksum(blk[HeaderSize:], castagnoli))
+		return blk
+	}
+	setBase := func(blk []byte, base int64) []byte {
+		binary.LittleEndian.PutUint64(blk[HeaderSize+2:], uint64(base))
+		return reseal(blk)
+	}
+	forBlk, _ := encodeAs(CodecFOR, []float64{0, 3})        // width 2, fields 0 and 3
+	deltaBlk, _ := encodeAs(CodecDelta, []float64{0, 1, 2}) // width 2, steps +1
+	cases := []struct {
+		name string
+		blk  []byte
+	}{
+		{"for-base", setBase(append([]byte(nil), forBlk...), -maxScaled-1)},
+		{"for-field", setBase(append([]byte(nil), forBlk...), maxScaled-2)},
+		{"delta-first", setBase(append([]byte(nil), deltaBlk...), maxScaled+1)},
+		{"delta-walk", setBase(append([]byte(nil), deltaBlk...), maxScaled-1)},
+	}
+	for _, tc := range cases {
+		_, err := Open(tc.blk)
+		_, _, _, derr := DecodeBlock(nil, tc.blk)
+		if err == nil || !strings.Contains(err.Error(), "outside ±2^53") {
+			t.Fatalf("%s: Open error %v, want an out-of-domain error", tc.name, err)
+		}
+		if derr == nil || derr.Error() != err.Error() {
+			t.Fatalf("%s: DecodeBlock error %v, Open error %v", tc.name, derr, err)
+		}
+	}
+	// The walk check runs only when the width cannot bound it: at the edge
+	// of the domain a valid block still opens.
+	ok := setBase(append([]byte(nil), deltaBlk...), maxScaled-2)
+	if _, err := Open(ok); err != nil {
+		t.Fatalf("delta block ending at 2^53: %v", err)
+	}
+}

@@ -117,3 +117,131 @@ func FuzzDecodeResealed(f *testing.F) {
 		DecodeBlock(nil, b) // must not panic; errors are expected
 	})
 }
+
+// encodeAs encodes vals with the given codec, reporting false when the
+// codec cannot represent them exactly.
+func encodeAs(codec Codec, vals []float64) ([]byte, bool) {
+	switch codec {
+	case CodecFOR, CodecDelta:
+		if _, _, _, _, ok := scaledAnalysis(vals); !ok {
+			return nil, false
+		}
+	case CodecDict:
+		if _, _, ok := dictAnalysis(vals); !ok {
+			return nil, false
+		}
+	}
+	blk := make([]byte, HeaderSize)
+	switch codec {
+	case CodecFOR:
+		blk = appendFOR(blk, vals)
+	case CodecDelta:
+		blk = appendDelta(blk, vals)
+	case CodecDict:
+		blk = appendDict(blk, vals)
+	default:
+		blk = appendRaw(blk, vals)
+	}
+	payload := blk[HeaderSize:]
+	blk[0] = byte(codec)
+	binary.LittleEndian.PutUint32(blk[4:8], uint32(len(vals)))
+	binary.LittleEndian.PutUint32(blk[8:12], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(blk[12:16], crc32.Checksum(payload, castagnoli))
+	return blk, true
+}
+
+// errText renders an error for comparison ("" for nil).
+func errText(err error) string {
+	if err == nil {
+		return ""
+	}
+	return err.Error()
+}
+
+// checkSelect opens blk and requires Open to fail exactly as DecodeBlock
+// does; on success, every op × constant's Select verdicts must equal the
+// decoded values compared one by one, tail bits clear, and SelectFloats
+// over the decoded values must agree word for word.
+func checkSelect(t *testing.T, blk []byte, consts []float64) {
+	t.Helper()
+	b, err := Open(blk)
+	vals, _, _, derr := DecodeBlock(nil, blk)
+	if errText(err) != errText(derr) {
+		t.Fatalf("Open error %q, DecodeBlock error %q", errText(err), errText(derr))
+	}
+	if err != nil {
+		return
+	}
+	nw := (len(vals) + 63) / 64
+	words := make([]uint64, nw)
+	flat := make([]uint64, nw)
+	for op := OpLT; op <= OpNE; op++ {
+		for _, c := range consts {
+			for i := range words {
+				words[i] = ^uint64(0) // Select must overwrite, not OR
+			}
+			b.Select(op, c, words)
+			for i, v := range vals {
+				if got, want := words[i/64]>>(i%64)&1 == 1, op.Eval(v, c); got != want {
+					t.Fatalf("%s block, value %d (%v %x) op %d c %v (%x): Select %v, decode-then-compare %v",
+						b.Codec().Name(), i, v, math.Float64bits(v), op, c, math.Float64bits(c), got, want)
+				}
+			}
+			if r := len(vals) % 64; r != 0 && words[nw-1]>>r != 0 {
+				t.Fatalf("%s block op %d c %v: bits set past the block's %d values", b.Codec().Name(), op, c, len(vals))
+			}
+			SelectFloats(op, c, vals, flat)
+			for i := range words {
+				if words[i] != flat[i] {
+					t.Fatalf("%s block op %d c %v word %d: Select %x, SelectFloats %x", b.Codec().Name(), op, c, i, words[i], flat[i])
+				}
+			}
+		}
+	}
+}
+
+// FuzzSelectMatchesDecode: for every codec that can hold the fuzzed values,
+// Block.Select's verdicts under all six operators equal decode-then-compare,
+// for constants at, next to, and far from the stored values (NaN, ±0 and
+// ±Inf included). A corrupted-then-resealed copy must fail Open exactly as
+// it fails DecodeBlock, or, if it still opens, select as it decodes.
+func FuzzSelectMatchesDecode(f *testing.F) {
+	seed := func(vals ...float64) []byte {
+		b := make([]byte, 8*len(vals))
+		for i, v := range vals {
+			binary.LittleEndian.PutUint64(b[8*i:], math.Float64bits(v))
+		}
+		return b
+	}
+	f.Add(seed(1, 2, 3, 700, 5, 6), uint64(0x4008000000000000), uint16(1), uint16(0), uint8(0))
+	f.Add(seed(0.0001, 0.0002, 0.0003, 0.1234), math.Float64bits(0.0002), uint16(2), uint16(3), uint8(1))
+	f.Add(seed(1000, 1001, 1002, 1003, 1004, 1005), math.Float64bits(1002.5), uint16(0), uint16(9), uint8(0x80))
+	f.Add(seed(math.NaN(), math.Inf(1), -0.0, 0.0, math.Inf(-1), math.NaN()), math.Float64bits(0), uint16(3), uint16(0), uint8(0))
+	f.Add(seed(math.Pi, math.E, math.Pi, -0.0, math.Pi, math.E), math.Float64bits(math.Pi), uint16(5), uint16(1), uint8(4))
+	f.Add(seed(0.1234567890123, 7.5e300, -2.5e-300, math.Inf(1)), math.Float64bits(math.Inf(1)), uint16(1), uint16(0), uint8(0))
+	f.Add(seed(-9007199254740992, 9007199254740992, 0), math.Float64bits(9007199254740991), uint16(1), uint16(0), uint8(0))
+	f.Add(seed(-3.25, -3.5, 2.75, -0.125), math.Float64bits(-3.25), uint16(0), uint16(2), uint8(0xff))
+	f.Fuzz(func(t *testing.T, data []byte, cbits uint64, pick uint16, pos uint16, xor uint8) {
+		vals := bytesToVals(data)
+		if vals == nil {
+			t.Skip()
+		}
+		at := vals[int(pick)%len(vals)]
+		consts := []float64{
+			math.Float64frombits(cbits), at,
+			math.Nextafter(at, math.Inf(1)), math.Nextafter(at, math.Inf(-1)),
+			0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.NaN(),
+		}
+		for codec := CodecRaw; codec < numCodecs; codec++ {
+			if blk, ok := encodeAs(codec, vals); ok {
+				checkSelect(t, blk, consts)
+			}
+		}
+		blk, _ := EncodeBlock(nil, vals)
+		p := HeaderSize + int(pos)%(len(blk)-HeaderSize)
+		blk[p] ^= xor
+		payload := blk[HeaderSize:]
+		binary.LittleEndian.PutUint32(blk[12:16], crc32.Checksum(payload, castagnoli))
+		checkSelect(t, blk, consts)
+	})
+}

@@ -119,6 +119,7 @@ type blockColumn struct {
 	rows     int64
 	blockLen int
 	colID    int
+	name     string // column name, for errors
 	cache    *blockCache
 }
 
@@ -136,22 +137,32 @@ func (bc *blockColumn) blockRows(b int) int {
 	return int(n)
 }
 
-// decode decodes block b directly (no cache), validating the codec payload
-// and the decoded row count.
-func (bc *blockColumn) decode(dst []float64, b int) ([]float64, colcodec.Codec, error) {
+// open validates block b's encoding against the manifest layout (its
+// byte length and row count) and returns a handle that decodes it or
+// compares in place. It touches no cache.
+func (bc *blockColumn) open(b int) (colcodec.Block, error) {
 	lo, hi := bc.offs[b], bc.offs[b+1]
-	vals, codec, n, err := colcodec.DecodeBlock(dst, bc.raw[lo:hi])
+	blk, err := colcodec.Open(bc.raw[lo:hi])
+	switch {
+	case err != nil:
+	case int64(blk.Size()) != hi-lo:
+		err = fmt.Errorf("decoded %d bytes of a %d-byte block", blk.Size(), hi-lo)
+	case blk.Len() != bc.blockRows(b):
+		err = fmt.Errorf("decoded %d values, manifest layout expects %d", blk.Len(), bc.blockRows(b))
+	}
 	if err != nil {
-		return nil, 0, fmt.Errorf("dataset: segments: column %d block %d: %w", bc.colID, b, err)
+		return colcodec.Block{}, fmt.Errorf("dataset: segments: column %q block %d: %w", bc.name, b, err)
 	}
-	if int64(n) != hi-lo {
-		return nil, 0, fmt.Errorf("dataset: segments: column %d block %d: decoded %d bytes of a %d-byte block", bc.colID, b, n, hi-lo)
+	return blk, nil
+}
+
+// decode decodes block b directly (no cache).
+func (bc *blockColumn) decode(dst []float64, b int) ([]float64, colcodec.Codec, error) {
+	blk, err := bc.open(b)
+	if err != nil {
+		return nil, 0, err
 	}
-	if len(vals) != bc.blockRows(b) {
-		return nil, 0, fmt.Errorf("dataset: segments: column %d block %d: decoded %d values, manifest layout expects %d",
-			bc.colID, b, len(vals), bc.blockRows(b))
-	}
-	return vals, codec, nil
+	return blk.Decode(dst), blk.Codec(), nil
 }
 
 // block returns block b's decoded values through the cache. Decode errors

@@ -6,6 +6,8 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+
+	"repro/internal/colcodec"
 )
 
 // PredicateOp is a comparison operator of a value predicate.
@@ -14,17 +16,17 @@ type PredicateOp int
 // PredicateOp values.
 const (
 	// OpLT keeps rows whose column is strictly below the constant.
-	OpLT PredicateOp = iota
+	OpLT = PredicateOp(colcodec.OpLT)
 	// OpLE keeps rows whose column is at most the constant.
-	OpLE
+	OpLE = PredicateOp(colcodec.OpLE)
 	// OpGT keeps rows whose column is strictly above the constant.
-	OpGT
+	OpGT = PredicateOp(colcodec.OpGT)
 	// OpGE keeps rows whose column is at least the constant.
-	OpGE
+	OpGE = PredicateOp(colcodec.OpGE)
 	// OpEQ keeps rows whose column equals the constant exactly.
-	OpEQ
+	OpEQ = PredicateOp(colcodec.OpEQ)
 	// OpNE keeps rows whose column differs from the constant.
-	OpNE
+	OpNE = PredicateOp(colcodec.OpNE)
 )
 
 // String returns the SQL-style operator spelling.
@@ -46,24 +48,9 @@ func (op PredicateOp) String() string {
 	return fmt.Sprintf("PredicateOp(%d)", int(op))
 }
 
-// eval applies the comparison to one row value.
-func (op PredicateOp) eval(v, c float64) bool {
-	switch op {
-	case OpLT:
-		return v < c
-	case OpLE:
-		return v <= c
-	case OpGT:
-		return v > c
-	case OpGE:
-		return v >= c
-	case OpEQ:
-		return v == c
-	case OpNE:
-		return v != c
-	}
-	return false
-}
+// codec returns the operator as the codec layer's in-place comparison;
+// the two enumerations share their values.
+func (op PredicateOp) codec() colcodec.Op { return colcodec.Op(op) }
 
 // valid reports whether op is a known operator.
 func (op PredicateOp) valid() bool { return op >= OpLT && op <= OpNE }

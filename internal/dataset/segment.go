@@ -669,12 +669,6 @@ func (st *SegmentTable) VerifyChecksums() error {
 // CRC-32C sums checked against the manifest — the same decoded-byte CRCs a
 // v1 segment of this table would carry.
 func (st *SegmentTable) verifyCompressed() error {
-	colName := func(c int) string {
-		if c == 0 {
-			return st.man.ValueName
-		}
-		return st.man.ExtraNames[c-1]
-	}
 	var le [8]byte
 	var scratch []float64
 	for c, bc := range st.Table.bcols {
@@ -689,7 +683,7 @@ func (st *SegmentTable) verifyCompressed() error {
 			scratch = vals
 			if got, want := zoneOf(vals), bc.zones[b]; got != want {
 				return fmt.Errorf("dataset: segments: column %q block %d zone map mismatch (manifest [%v, %v] nz=%v, decoded [%v, %v] nz=%v)",
-					colName(c), b, want.min, want.max, !want.ok, got.min, got.max, !got.ok)
+					bc.name, b, want.min, want.max, !want.ok, got.min, got.max, !got.ok)
 			}
 			for _, v := range vals {
 				binary.LittleEndian.PutUint64(le[:], math.Float64bits(v))
@@ -705,7 +699,7 @@ func (st *SegmentTable) verifyCompressed() error {
 					}
 					if crc != want {
 						return fmt.Errorf("dataset: segments: group %q column %q checksum mismatch (manifest %08x, decoded data %08x)",
-							g.Name, colName(c), want, crc)
+							g.Name, bc.name, want, crc)
 					}
 					crc = 0
 					if gi++; gi < len(st.man.Groups) {
@@ -924,6 +918,11 @@ func OpenSegments(dir string) (*SegmentTable, error) {
 			t.bcols[c] = &blockColumn{
 				raw: data, offs: offs, zones: zones,
 				rows: man.Rows, blockLen: man.BlockLen, colID: c, cache: st.cache,
+			}
+			if c == 0 {
+				t.bcols[c].name = man.ValueName
+			} else {
+				t.bcols[c].name = man.ExtraNames[c-1]
 			}
 		}
 		for gi, g := range man.Groups {

@@ -322,6 +322,7 @@ func BenchmarkFilterPlan(b *testing.B) {
 			b.Fatal(err)
 		}
 		defer st.Close()
+		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			v, err := st.Filter(pred)
@@ -338,6 +339,7 @@ func BenchmarkFilterPlan(b *testing.B) {
 			b.Fatal(err)
 		}
 		defer st.Close()
+		b.ReportAllocs()
 		b.ResetTimer()
 		var got int64
 		for i := 0; i < b.N; i++ {

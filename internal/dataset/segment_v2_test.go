@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/colcodec"
 )
 
 // writeCompressed writes tab as a v2 segment directory with a small block
@@ -242,13 +244,25 @@ func TestCompressedFilterMatchesInMemory(t *testing.T) {
 }
 
 // TestCompressedFilterSkipsBlocks proves the pushdown actually skips: a
-// clustered predicate on the monotone "distance" extra must decode only the
-// blocks whose zones straddle the cut, leaving most of the column untouched
-// in the cache.
+// block whose zone rules a predicate out is never read, so damage inside
+// it cannot fail the filter, while a predicate the zone cannot settle
+// opens the block and reports the damage. Neither plan decodes anything
+// into the cache.
 func TestCompressedFilterSkipsBlocks(t *testing.T) {
 	tab := buildTestTable(t)
 	dir := t.TempDir()
 	writeCompressed(t, tab, dir, 32)
+	// Block 6 holds rows 192..223, inside group DL (rows 135..293), whose
+	// "distance" counts 57..88 there.
+	man, err := readSegManifest(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	off := man.Columns[2].Blocks[6].Off
+	corruptFile(t, filepath.Join(dir, "extra.1.seg"), func(b []byte) []byte {
+		b[SegmentDataOffset+off+colcodec.HeaderSize+1] ^= 0x40
+		return b
+	})
 	st, err := OpenSegments(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -258,14 +272,17 @@ func TestCompressedFilterSkipsBlocks(t *testing.T) {
 	// distance counts 0..rows-1 within each group, so "distance < 5" is
 	// provably false for every block past each group's first.
 	if _, err := st.Filter(Predicate{Column: "distance", Op: OpLT, Value: 5}); err != nil {
-		t.Fatal(err)
+		t.Fatalf("zone-skipped damage failed the filter: %v", err)
+	}
+	_, err = st.Filter(Predicate{Column: "distance", Op: OpEQ, Value: 70})
+	if err == nil || !strings.Contains(err.Error(), `column "distance" block 6: `) {
+		t.Fatalf("filter reading the damaged block: %v", err)
 	}
 	st.cache.mu.Lock()
 	decoded := len(st.cache.entries)
 	st.cache.mu.Unlock()
-	total := st.Table.bcols[0].nblocks() * len(st.Table.bcols)
-	if decoded*4 > total {
-		t.Fatalf("filter decoded %d of %d blocks; zone maps should have skipped most", decoded, total)
+	if decoded != 0 {
+		t.Fatalf("filters decoded %d blocks into the cache; planning compares in place", decoded)
 	}
 }
 

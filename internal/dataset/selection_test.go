@@ -45,7 +45,7 @@ func TestPredicateOps(t *testing.T) {
 		{OpNE, 1, 2, true}, {OpNE, 2, 2, false},
 	}
 	for _, c := range cases {
-		if got := c.op.eval(c.v, c.c); got != c.want {
+		if got := c.op.codec().Eval(c.v, c.c); got != c.want {
 			t.Errorf("%v.eval(%v, %v) = %v, want %v", c.op, c.v, c.c, got, c.want)
 		}
 	}

@@ -298,3 +298,48 @@ func TestSegmentBoundedResidency(t *testing.T) {
 	}
 	t.Logf("heap growth %d bytes, RSS growth %d kB over a %d-row mapped table", heapGrowth, rssGrowthKB, 2*rows)
 }
+
+// TestWhereAfterCorruptDrawFails: once a draw has hit a damaged value
+// block, the table has recorded the failure, and the next Where query
+// returns it instead of planning a view over known-corrupt data — and the
+// engine caches no view for it, so asking again fails again.
+func TestWhereAfterCorruptDrawFails(t *testing.T) {
+	tbl := segTestTable(t)
+	dir := t.TempDir()
+	if err := tbl.WriteSegmentsOptions(dir, rapidviz.SegmentOptions{Compress: true, BlockLen: 512}); err != nil {
+		t.Fatal(err)
+	}
+	path := dataset.SegmentValuePath(dir)
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b[dataset.SegmentDataOffset+20] ^= 0x40 // inside the first value block's payload
+	if err := os.WriteFile(path, b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	st, err := rapidviz.OpenSegments(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	eng, err := rapidviz.NewEngine(rapidviz.EngineConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	q := rapidviz.Query{Bound: tbl.MaxValue(), Seed: 5, BatchSize: 64}
+	eng.Run(ctx, q, st.Groups()) // draws from the damaged block; its result is not the point
+	if st.Err() == nil {
+		t.Fatal("the draw did not reach the damaged block")
+	}
+	q.Where = []rapidviz.Predicate{rapidviz.Where("elapsed", rapidviz.OpGE, 150)}
+	for i := 0; i < 2; i++ {
+		if _, err := eng.Run(ctx, q, st.Groups()); err == nil || !strings.Contains(err.Error(), "checksum mismatch") {
+			t.Fatalf("Where query %d after the corrupt draw: %v", i, err)
+		}
+	}
+	if s := eng.ViewCacheStats(); s.Entries != 0 || s.Hits != 0 {
+		t.Fatalf("engine cached a view over the corrupt table: %+v", s)
+	}
+}

@@ -142,9 +142,10 @@ type Query struct {
 	// groups — pass Table.Groups() — because predicates
 	// evaluate against the table's columns, not the sample stream. The
 	// engine plans each filter once (group inclusion answers from the
-	// group index; value predicates scan-and-filter) and caches the
-	// resulting selection per table, keyed by the predicates' canonical
-	// fingerprint, so repeated filtered queries pay the scan once. Groups
+	// group index; value predicates compare in place on the stored
+	// columns, decoding nothing) and caches the resulting selection per
+	// table, keyed by the predicates' canonical fingerprint, so repeated
+	// filtered queries pay the planning once. Groups
 	// left empty by the filter are dropped from the result; sampling over
 	// the survivors carries the same 1−δ ordering guarantee, with group
 	// sizes taken from the selection cardinalities.
