@@ -119,14 +119,14 @@ func EncodeBlock(dst []byte, vals []float64) ([]byte, Codec) {
 	if len(vals) == 0 || len(vals) > MaxBlockLen {
 		panic(fmt.Sprintf("colcodec: block of %d values (want 1..%d)", len(vals), MaxBlockLen))
 	}
-	codec, payloadLen := chooseCodec(vals)
+	codec, payloadLen, sc := chooseCodec(vals)
 	start := len(dst)
 	dst = append(dst, make([]byte, HeaderSize)...)
 	switch codec {
 	case CodecFOR:
-		dst = appendFOR(dst, vals)
+		dst = appendFOR(dst, vals, sc)
 	case CodecDelta:
-		dst = appendDelta(dst, vals)
+		dst = appendDelta(dst, vals, sc)
 	case CodecDict:
 		dst = appendDict(dst, vals)
 	default:
@@ -144,14 +144,17 @@ func EncodeBlock(dst []byte, vals []float64) ([]byte, Codec) {
 	return dst, codec
 }
 
-// chooseCodec sizes every applicable codec and picks the smallest.
-func chooseCodec(vals []float64) (Codec, int) {
+// chooseCodec sizes every applicable codec and picks the smallest. It
+// also returns the block's scaled-integer analysis, which the FOR and
+// Delta encoders reuse rather than redo.
+func chooseCodec(vals []float64) (Codec, int, scaledInts) {
 	best, bestLen := CodecRaw, rawSize(vals)
-	if _, _, forW, deltaW, ok := scaledAnalysis(vals); ok {
-		if n := forSize(len(vals), forW); n < bestLen {
+	sc, scalable := scaledAnalysis(vals)
+	if scalable {
+		if n := forSize(len(vals), sc.forW); n < bestLen {
 			best, bestLen = CodecFOR, n
 		}
-		if n := deltaSize(len(vals), deltaW); n < bestLen {
+		if n := deltaSize(len(vals), sc.deltaW); n < bestLen {
 			best, bestLen = CodecDelta, n
 		}
 	}
@@ -160,7 +163,7 @@ func chooseCodec(vals []float64) (Codec, int) {
 			best, bestLen = CodecDict, n
 		}
 	}
-	return best, bestLen
+	return best, bestLen, sc
 }
 
 // DecodeBlock decodes the block at the start of blk into dst (grown as
@@ -383,11 +386,19 @@ func scaledAt(v float64, s int) (int64, bool) {
 	return m, true
 }
 
+// scaledInts is a block's scaled-integer analysis: the decimal scale, the
+// FOR base (the least scaled value) and the bit widths both scaled-integer
+// codecs need.
+type scaledInts struct {
+	scale        int
+	base         int64
+	forW, deltaW int
+}
+
 // scaledAnalysis finds the smallest scale at which every value is an exact
-// scaled integer and returns the FOR base plus the bit widths both
-// scaled-integer codecs would need. ok is false when no scale ≤ maxScale
-// works.
-func scaledAnalysis(vals []float64) (scale int, base int64, forW, deltaW int, ok bool) {
+// scaled integer and returns the analysis at that scale. ok is false when
+// no scale ≤ maxScale works.
+func scaledAnalysis(vals []float64) (sc scaledInts, ok bool) {
 scales:
 	for s := 0; s <= maxScale; s++ {
 		minM, maxM := int64(0), int64(0)
@@ -413,14 +424,13 @@ scales:
 			}
 			prev = m
 		}
-		forW = bits.Len64(uint64(maxM - minM))
-		deltaW = bits.Len64(maxDelta)
-		if forW > maxPackWidth || deltaW > maxPackWidth {
-			return 0, 0, 0, 0, false
+		sc = scaledInts{scale: s, base: minM, forW: bits.Len64(uint64(maxM - minM)), deltaW: bits.Len64(maxDelta)}
+		if sc.forW > maxPackWidth || sc.deltaW > maxPackWidth {
+			return scaledInts{}, false
 		}
-		return s, minM, forW, deltaW, true
+		return sc, true
 	}
-	return 0, 0, 0, 0, false
+	return scaledInts{}, false
 }
 
 func zigzag(d int64) uint64   { return uint64((d << 1) ^ (d >> 63)) }
@@ -432,19 +442,16 @@ func unzigzag(z uint64) int64 { return int64(z>>1) ^ -int64(z&1) }
 // count entries of (m − base) packed at the bit width.
 func forSize(n, w int) int { return 10 + (n*w+7)/8 }
 
-func appendFOR(dst []byte, vals []float64) []byte {
-	scale, base, w, _, ok := scaledAnalysis(vals)
-	if !ok {
-		panic("colcodec: FOR encoder called on a non-scalable block")
-	}
-	dst = append(dst, byte(scale), byte(w))
+// appendFOR encodes vals, whose scaledAnalysis is sc.
+func appendFOR(dst []byte, vals []float64, sc scaledInts) []byte {
+	dst = append(dst, byte(sc.scale), byte(sc.forW))
 	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], uint64(base))
+	binary.LittleEndian.PutUint64(b[:], uint64(sc.base))
 	dst = append(dst, b[:]...)
-	p := packer{dst: dst, w: uint(w)}
+	p := packer{dst: dst, w: uint(sc.forW)}
 	for _, v := range vals {
-		m, _ := scaledAt(v, scale)
-		p.add(uint64(m - base))
+		m, _ := scaledAt(v, sc.scale)
+		p.add(uint64(m - sc.base))
 	}
 	return p.finish()
 }
@@ -497,20 +504,17 @@ func (b *Block) openFOR(payload []byte) error {
 // LE, then count−1 zigzagged first-differences packed at the bit width.
 func deltaSize(n, w int) int { return 10 + ((n-1)*w+7)/8 }
 
-func appendDelta(dst []byte, vals []float64) []byte {
-	scale, _, _, w, ok := scaledAnalysis(vals)
-	if !ok {
-		panic("colcodec: delta encoder called on a non-scalable block")
-	}
-	first, _ := scaledAt(vals[0], scale)
-	dst = append(dst, byte(scale), byte(w))
+// appendDelta encodes vals, whose scaledAnalysis is sc.
+func appendDelta(dst []byte, vals []float64, sc scaledInts) []byte {
+	first, _ := scaledAt(vals[0], sc.scale)
+	dst = append(dst, byte(sc.scale), byte(sc.deltaW))
 	var b [8]byte
 	binary.LittleEndian.PutUint64(b[:], uint64(first))
 	dst = append(dst, b[:]...)
-	p := packer{dst: dst, w: uint(w)}
+	p := packer{dst: dst, w: uint(sc.deltaW)}
 	prev := first
 	for _, v := range vals[1:] {
-		m, _ := scaledAt(v, scale)
+		m, _ := scaledAt(v, sc.scale)
 		p.add(zigzag(m - prev))
 		prev = m
 	}

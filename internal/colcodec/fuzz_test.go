@@ -121,9 +121,10 @@ func FuzzDecodeResealed(f *testing.F) {
 // encodeAs encodes vals with the given codec, reporting false when the
 // codec cannot represent them exactly.
 func encodeAs(codec Codec, vals []float64) ([]byte, bool) {
+	sc, scalable := scaledAnalysis(vals)
 	switch codec {
 	case CodecFOR, CodecDelta:
-		if _, _, _, _, ok := scaledAnalysis(vals); !ok {
+		if !scalable {
 			return nil, false
 		}
 	case CodecDict:
@@ -134,9 +135,9 @@ func encodeAs(codec Codec, vals []float64) ([]byte, bool) {
 	blk := make([]byte, HeaderSize)
 	switch codec {
 	case CodecFOR:
-		blk = appendFOR(blk, vals)
+		blk = appendFOR(blk, vals, sc)
 	case CodecDelta:
-		blk = appendDelta(blk, vals)
+		blk = appendDelta(blk, vals, sc)
 	case CodecDict:
 		blk = appendDict(blk, vals)
 	default:
