@@ -1,10 +1,8 @@
 package core
 
 import (
-	"bytes"
 	"fmt"
 	"runtime"
-	"strings"
 	"sync"
 	"testing"
 
@@ -185,39 +183,6 @@ func BenchmarkScalarRound(b *testing.B) {
 				})
 			}
 		}
-	}
-}
-
-// BenchmarkIngestCSV measures sharded CSV ingestion throughput (rows/sec)
-// at increasing worker counts over an in-memory payload.
-func BenchmarkIngestCSV(b *testing.B) {
-	payload := func() []byte {
-		var sb strings.Builder
-		r := xrand.New(0xc5f)
-		for i := 0; i < 2_000_000; i++ {
-			fmt.Fprintf(&sb, "g%02d,%.4f\n", i%50, 100*r.Float64())
-		}
-		return []byte(sb.String())
-	}()
-	counts := []int{1, 8}
-	if n := runtime.NumCPU(); n != 1 && n != 8 {
-		counts = append(counts, n)
-	}
-	for _, workers := range counts {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			var rows int
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				tb, err := dataset.ReadCSVWorkers(bytes.NewReader(payload), workers)
-				if err != nil {
-					b.Fatal(err)
-				}
-				rows += tb.NumRows()
-			}
-			b.StopTimer()
-			b.ReportMetric(float64(rows)/b.Elapsed().Seconds(), "rows/sec")
-		})
 	}
 }
 
