@@ -3,6 +3,7 @@ package dataset
 import (
 	"fmt"
 	"hash/crc32"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -106,4 +107,128 @@ func TestIngestFilesPinned(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestIngestRejectsInvalidValues: a NaN, an infinity or a negative value
+// in the value column fails every ingest boundary — the row builder,
+// BuildTable, the sequential and the sharded CSV parser, and the segment
+// writer — with the one error checkValue words.
+func TestIngestRejectsInvalidValues(t *testing.T) {
+	// Enough valid rows that the sharded parse has work on every shard.
+	var valid strings.Builder
+	for i := 0; i < 2_000; i++ {
+		fmt.Fprintf(&valid, "g%d,%d\n", i%7, i)
+	}
+	for _, tc := range []struct {
+		text string
+		v    float64
+	}{
+		{"NaN", math.NaN()},
+		{"nan", math.NaN()},
+		{"Inf", math.Inf(1)},
+		{"+Infinity", math.Inf(1)},
+		{"-Inf", math.Inf(-1)},
+		{"-1", -1},
+		{"-0.5", -0.5},
+	} {
+		want := checkValue(tc.v)
+		if want == nil {
+			t.Fatalf("checkValue(%v) accepted it", tc.v)
+		}
+		paths := map[string]func() error{
+			"AddRow": func() error {
+				return NewTableBuilderColumns("v", "x").AddRow("a", tc.v, 1)
+			},
+			"BuildTable": func() error {
+				_, err := BuildTableWorkers([]Row{{"a", 1}, {"b", tc.v}, {"a", 2}}, 1)
+				return err
+			},
+			"BuildTable sharded": func() error {
+				_, err := BuildTableWorkers([]Row{{"a", 1}, {"b", 2}, {"c", tc.v}, {"a", 2}}, 3)
+				return err
+			},
+			"SegmentWriter.Append": func() error {
+				w, err := CreateSegments(t.TempDir(), "v")
+				if err != nil {
+					return err
+				}
+				defer w.abort()
+				if err := w.StartGroup("a"); err != nil {
+					return err
+				}
+				return w.Append(tc.v)
+			},
+		}
+		for _, workers := range []int{1, 2, 4} {
+			csv := valid.String() + "bad, " + tc.text + "\n" + valid.String()
+			paths[fmt.Sprintf("ReadCSV workers=%d", workers)] = func() error {
+				_, err := ReadCSVWorkers(strings.NewReader(csv), workers)
+				return err
+			}
+		}
+		for name, run := range paths {
+			if err := run(); err == nil || err.Error() != want.Error() {
+				t.Errorf("%s with value %s: error %v, want %q", name, tc.text, err, want)
+			}
+		}
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("TableBuilder.Add accepted NaN")
+			}
+		}()
+		NewTableBuilder().Add("a", math.NaN())
+	}()
+}
+
+// FuzzReadCSV: the sharded parser must read any input exactly as the
+// sequential reference does — the same table, extra columns included, or
+// the same error.
+func FuzzReadCSV(f *testing.F) {
+	for _, seed := range []string{
+		"group,value\na,1\nb,2.5\na,3\n",
+		"a,1\nb,2\na,3,extra,fields\n",
+		"g,v,x,t\na,1,2,3\nb,4,5,6\na,7,8,9\n",
+		"g,v,x,t\na,1,2\n",
+		"g,v,x\na,1,2,\nb,3,,4\n",
+		"\"a\",1\nb,2\n",
+		"\"multi\nline\",1\nb,2\n",
+		"a,1\r\nb,2\r\na,3\r\n",
+		"a,1\rb,2\n",
+		"a,1\r\r\nb,2\n",
+		"\n\na,1\n\n\nb,2\n\n",
+		"\r\n\r\na,1\r\n",
+		"  a , 1 \n\tb,\t2\t\n c ,3",
+		"group , value , x \n a , 1 , 2 \n",
+		"a,NaN\nb,1\n",
+		"a,1\nb,Inf\n",
+		"a,-Inf\n",
+		"a,-1\nb,2\n",
+		"g,v,x\na,1,NaN\nb,2,-Inf\n",
+		"u0,1\nu1,2\nu2,3\nu3,4\nu4,5\nu5,6\nu6,7\nu7,8\n",
+		"a\n", "a,\n", ",1\n", "", "\n", "group,value\n", "a,1,\n",
+		"a,0x1p-2\nb,1_0\nc,1e3\n",
+		"a,-0\nb,0\n",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, in string) {
+		ref, refErr := readCSVSequential(strings.NewReader(in))
+		for _, workers := range []int{2, 3, 8} {
+			got, err := ReadCSVWorkers(strings.NewReader(in), workers)
+			switch {
+			case refErr != nil:
+				if err == nil || err.Error() != refErr.Error() {
+					t.Fatalf("workers=%d: error %v, sequential %q", workers, err, refErr)
+				}
+			case err != nil:
+				t.Fatalf("workers=%d: error %v, sequential parse succeeded", workers, err)
+			default:
+				if g, w := tableFingerprint(got), tableFingerprint(ref); g != w {
+					t.Fatalf("workers=%d: table\n%s\nsequential\n%s", workers, g, w)
+				}
+			}
+		}
+	})
 }

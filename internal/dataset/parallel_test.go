@@ -102,11 +102,15 @@ func TestStreamSamplerOrderInvariance(t *testing.T) {
 	}
 }
 
-// tableFingerprint renders every structural property of a table.
+// tableFingerprint renders every structural property of a table, its
+// column names and extra columns included.
 func tableFingerprint(tb *Table) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "k=%d rows=%d min=%v max=%v names=%v offsets=%v col=%v",
-		tb.K(), tb.NumRows(), tb.MinValue(), tb.MaxValue(), tb.Names(), tb.offsets, tb.col)
+	fmt.Fprintf(&b, "k=%d rows=%d min=%v max=%v names=%q offsets=%v value=%q col=%v",
+		tb.K(), tb.NumRows(), tb.MinValue(), tb.MaxValue(), tb.Names(), tb.offsets, tb.ValueColumnName(), tb.col)
+	for e, name := range tb.ExtraColumnNames() {
+		fmt.Fprintf(&b, " extra %q=%v", name, tb.extras[e])
+	}
 	return b.String()
 }
 

@@ -302,8 +302,8 @@ func (w *SegmentWriter) StartGroup(name string) error {
 }
 
 // Append writes one row of the current group: the aggregated value plus one
-// entry per declared extra column. Values must be non-negative — every
-// sampling algorithm requires values in [0, c].
+// entry per declared extra column. Values must be finite and non-negative
+// — every sampling algorithm requires values in [0, c].
 func (w *SegmentWriter) Append(value float64, extras ...float64) error {
 	if w.err != nil {
 		return w.err
@@ -315,8 +315,8 @@ func (w *SegmentWriter) Append(value float64, extras ...float64) error {
 		return w.fail(fmt.Errorf("dataset: segments: row has %d extra values, writer declared %d extra columns %v",
 			len(extras), len(w.extraNames), w.extraNames))
 	}
-	if value < 0 {
-		return w.fail(fmt.Errorf("dataset: segments: negative value %v; shift values into [0, c]", value))
+	if err := checkValue(value); err != nil {
+		return w.fail(err)
 	}
 	// Per-group CRCs are always over the decoded little-endian bytes —
 	// in compressed mode too, so VerifyChecksums proves the decode end to

@@ -7,11 +7,14 @@
 // as zero-copy SliceGroup views over column segments.
 //
 // Ingestion is sharded: BuildTable and ReadCSV split their input into
-// per-worker shards, stage each shard's groups in parallel, and merge the
-// shards in input order. The merge is stable — group order is the global
-// first-seen order and every group's rows keep their file order — so the
-// produced table is byte-identical to a sequential build no matter how
-// many workers ran or in what order shards completed.
+// per-worker shards, work on the shards in parallel, and lay the shards'
+// groups out in input order (placeGroups). BuildTable stages each shard
+// and copies the stages into place; the CSV parser counts each shard's
+// rows per group first and then parses every value straight into its
+// final row. The layout is stable — group order is the global first-seen
+// order and every group's rows keep their file order — so the produced
+// table is byte-identical to a sequential build no matter how many
+// workers ran or in what order shards completed.
 package dataset
 
 import (
@@ -19,6 +22,8 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
+	"math"
+	"os"
 	"runtime"
 	"strconv"
 	"strings"
@@ -202,8 +207,9 @@ func NewTableBuilderColumns(valueName string, extraNames ...string) *TableBuilde
 	return &TableBuilder{stage: newTableStageCols(valueName, extraNames)}
 }
 
-// Add ingests one raw row with no extras. It panics if the builder
-// declared extra columns — those rows carry more fields; use AddRow.
+// Add ingests one raw row with no extras. It panics where AddRow would
+// return an error: the builder declared extra columns (those rows carry
+// more fields; use AddRow), or the value is negative or not finite.
 func (b *TableBuilder) Add(group string, value float64) {
 	if err := b.AddRow(group, value); err != nil {
 		panic(err.Error())
@@ -211,11 +217,15 @@ func (b *TableBuilder) Add(group string, value float64) {
 }
 
 // AddRow ingests one raw row, extras matching the builder's extra columns
-// positionally.
+// positionally. A value that is negative or not finite is rejected and the
+// row is not added.
 func (b *TableBuilder) AddRow(group string, value float64, extras ...float64) error {
 	if len(extras) != len(b.stage.extraNames) {
 		return fmt.Errorf("dataset: row has %d extra values, builder declared %d extra columns %v",
 			len(extras), len(b.stage.extraNames), b.stage.extraNames)
+	}
+	if err := checkValue(value); err != nil {
+		return err
 	}
 	b.stage.add(group, value, extras)
 	return nil
@@ -226,8 +236,7 @@ func (b *TableBuilder) Len() int { return b.stage.rows }
 
 // Build packs the accumulated rows into a Table. The per-group staging
 // slices are released; the builder can be reused afterwards (it restarts
-// empty, keeping its declared columns). Negative values are rejected
-// because every algorithm requires values in [0, c].
+// empty, keeping its declared columns).
 func (b *TableBuilder) Build() (*Table, error) {
 	t, err := mergeStages([]*tableStage{&b.stage}, 1)
 	*b = *NewTableBuilderColumns(b.stage.valueName, b.stage.extraNames...)
@@ -243,11 +252,7 @@ type tableStage struct {
 	names  []string
 	cols   [][]float64
 	extras [][][]float64 // [group][extra][row], parallel to cols
-	rows   int
-	minV   float64
-	maxV   float64
-	neg    bool
-	negV   float64
+	valueRange
 
 	valueName  string
 	extraNames []string
@@ -281,17 +286,77 @@ func (s *tableStage) add(group string, value float64, extras []float64) {
 	for e, v := range extras {
 		s.extras[i][e] = append(s.extras[i][e], v)
 	}
-	if s.rows == 0 || value < s.minV {
-		s.minV = value
+	s.valueRange.add(value)
+}
+
+// valueRange folds a value column's row count, range and first invalid
+// value in input order; a table's range is its shards' ranges merged in
+// input order, so it does not depend on how the input was sharded.
+type valueRange struct {
+	rows       int
+	minV, maxV float64
+	bad        bool    // a value failed checkValue
+	badV       float64 // the first such value
+}
+
+func (r *valueRange) add(v float64) {
+	if r.rows == 0 || v < r.minV {
+		r.minV = v
 	}
-	if s.rows == 0 || value > s.maxV {
-		s.maxV = value
+	if r.rows == 0 || v > r.maxV {
+		r.maxV = v
 	}
-	if value < 0 && !s.neg {
-		s.neg = true
-		s.negV = value
+	if !r.bad && !validValue(v) {
+		r.bad, r.badV = true, v
 	}
-	s.rows++
+	r.rows++
+}
+
+// merge folds the range of the input that follows r's.
+func (r *valueRange) merge(o valueRange) {
+	switch {
+	case o.rows == 0:
+		return
+	case r.rows == 0:
+		*r = o
+		return
+	}
+	if o.minV < r.minV {
+		r.minV = o.minV
+	}
+	if o.maxV > r.maxV {
+		r.maxV = o.maxV
+	}
+	if !r.bad && o.bad {
+		r.bad, r.badV = true, o.badV
+	}
+	r.rows += o.rows
+}
+
+// err reports an empty column or the first invalid value.
+func (r *valueRange) err() error {
+	if r.rows == 0 {
+		return fmt.Errorf("dataset: table has no rows")
+	}
+	if r.bad {
+		return checkValue(r.badV)
+	}
+	return nil
+}
+
+// validValue reports whether v may enter a value column: every algorithm
+// needs values in [0, c], so v must be finite and non-negative (NaN fails
+// both comparisons).
+func validValue(v float64) bool { return v >= 0 && v <= math.MaxFloat64 }
+
+// checkValue is the one value rule of every ingest boundary — the row
+// builder, BuildTable, both CSV parsers and SegmentWriter.Append — with
+// one error wording.
+func checkValue(v float64) error {
+	if validValue(v) {
+		return nil
+	}
+	return fmt.Errorf("dataset: value %v is negative or not finite; values must lie in [0, c] (shift or drop them)", v)
 }
 
 // mergeStages packs input-ordered shard stages into one Table. Iterating
@@ -301,51 +366,76 @@ func (s *tableStage) add(group string, value float64, extras []float64) {
 // how the shards were scheduled. Column packing and per-group mean
 // computation fan out over workers (group destinations are disjoint).
 func mergeStages(stages []*tableStage, workers int) (*Table, error) {
-	total := 0
+	var vr valueRange
 	for _, s := range stages {
-		total += s.rows
+		vr.merge(s.valueRange)
 	}
-	if total == 0 {
-		return nil, fmt.Errorf("dataset: table has no rows")
+	if err := vr.err(); err != nil {
+		return nil, err
 	}
-	for _, s := range stages {
-		if s.neg {
-			return nil, fmt.Errorf("dataset: table holds negative value %v; shift values into [0, c]", s.negV)
-		}
-	}
-
-	t := &Table{valueName: stages[0].valueName, extraNames: stages[0].extraNames}
+	t := &Table{valueName: stages[0].valueName, extraNames: stages[0].extraNames, minV: vr.minV, maxV: vr.maxV}
 	for _, s := range stages[1:] {
 		if s.valueName != t.valueName || !equalStrings(s.extraNames, t.extraNames) {
 			return nil, fmt.Errorf("dataset: ingestion shards disagree on column schema (%q%v vs %q%v)",
 				t.valueName, t.extraNames, s.valueName, s.extraNames)
 		}
 	}
-	seeded := false
-	for _, s := range stages {
-		if s.rows == 0 {
-			continue
-		}
-		if !seeded {
-			t.minV, t.maxV = s.minV, s.maxV
-			seeded = true
-			continue
-		}
-		if s.minV < t.minV {
-			t.minV = s.minV
-		}
-		if s.maxV > t.maxV {
-			t.maxV = s.maxV
+
+	names := make([][]string, len(stages))
+	counts := make([][]int, len(stages))
+	for si, s := range stages {
+		names[si] = s.names
+		counts[si] = make([]int, len(s.cols))
+		for li, c := range s.cols {
+			counts[si][li] = len(c)
 		}
 	}
+	dst := t.placeGroups(names, counts)
+	t.col = make([]float64, vr.rows)
+	t.extras = make([][]float64, len(t.extraNames))
+	for e := range t.extras {
+		t.extras[e] = make([]float64, vr.rows)
+	}
 
-	// Global first-seen group order, and each shard's local→global map.
-	index := map[string]int{}
-	locals := make([][]int, len(stages))
-	lengths := []int{}
+	// Copy every (shard, local group) segment to its destination in
+	// parallel: the destinations are disjoint by construction, so the fan-
+	// out needs no locks.
+	type segment struct{ si, li int }
+	var segs []segment
 	for si, s := range stages {
-		locals[si] = make([]int, len(s.names))
-		for li, name := range s.names {
+		for li := range s.cols {
+			segs = append(segs, segment{si, li})
+		}
+	}
+	par.For(len(segs), workers, func(j int) {
+		sg := segs[j]
+		s := stages[sg.si]
+		at := dst[sg.si][sg.li]
+		copy(t.col[at:], s.cols[sg.li])
+		for e := range t.extras {
+			copy(t.extras[e][at:], s.extras[sg.li][e])
+		}
+	})
+	t.buildGroups(workers)
+	return t, nil
+}
+
+// placeGroups lays out the groups of input-ordered shards, given each
+// shard's group names in local first-seen order and its row count per
+// local group. It sets t.names to the global first-seen order and
+// t.offsets to each group's span, and returns dst[si][li]: the row where
+// shard si's local group li starts. Walking shards in input order hands
+// each (shard, group) segment the next rows of its group's column, which is
+// exactly the stable merge, and keeps the layout linear in the segments
+// (high-cardinality ingests have K within a constant factor of the row
+// count, so anything superlinear in K is superlinear in rows).
+func (t *Table) placeGroups(names [][]string, counts [][]int) (dst [][]int) {
+	index := map[string]int{}
+	locals := make([][]int, len(names))
+	var lengths []int
+	for si := range names {
+		locals[si] = make([]int, len(names[si]))
+		for li, name := range names[si] {
 			gi, ok := index[name]
 			if !ok {
 				gi = len(t.names)
@@ -354,48 +444,28 @@ func mergeStages(stages []*tableStage, workers int) (*Table, error) {
 				lengths = append(lengths, 0)
 			}
 			locals[si][li] = gi
-			lengths[gi] += len(s.cols[li])
+			lengths[gi] += counts[si][li]
 		}
 	}
-
 	t.offsets = make([]int, len(t.names)+1)
 	for gi, n := range lengths {
 		t.offsets[gi+1] = t.offsets[gi] + n
 	}
-	t.col = make([]float64, total)
-	t.extras = make([][]float64, len(t.extraNames))
-	for e := range t.extras {
-		t.extras[e] = make([]float64, total)
-	}
-	t.groups = make([]Group, len(t.names))
-
-	// Lay out every (shard, local group) segment: walking shards in input
-	// order hands each segment the next destination within its group's
-	// column, which is exactly the stable merge — and makes the pack one
-	// linear pass over the segments instead of a per-group rescan of every
-	// shard (high-cardinality ingests have K within a constant factor of
-	// the row count, so anything superlinear in K is superlinear in rows).
-	type segment struct{ si, li, dst int }
-	var segs []segment
 	next := append([]int(nil), t.offsets[:len(t.names)]...)
-	for si, s := range stages {
+	dst = locals // reuse: each entry is read once, then overwritten
+	for si := range names {
 		for li, gi := range locals[si] {
-			segs = append(segs, segment{si, li, next[gi]})
-			next[gi] += len(s.cols[li])
+			dst[si][li] = next[gi]
+			next[gi] += counts[si][li]
 		}
 	}
+	return dst
+}
 
-	// Copy segments, then build the group views, each in parallel: the
-	// segment destinations are disjoint by construction, and every group
-	// owns a disjoint column slice, so neither fan-out needs locks.
-	par.For(len(segs), workers, func(j int) {
-		sg := segs[j]
-		s := stages[sg.si]
-		copy(t.col[sg.dst:], s.cols[sg.li])
-		for e := range t.extras {
-			copy(t.extras[e][sg.dst:], s.extras[sg.li][e])
-		}
-	})
+// buildGroups makes the group views over the packed value column, in
+// parallel: every group owns a disjoint column slice.
+func (t *Table) buildGroups(workers int) {
+	t.groups = make([]Group, len(t.names))
 	par.For(len(t.names), workers, func(gi int) {
 		t.groups[gi] = &TableGroup{
 			SliceGroup: *NewSliceGroup(t.names[gi], t.col[t.offsets[gi]:t.offsets[gi+1]]),
@@ -403,7 +473,6 @@ func mergeStages(stages []*tableStage, workers int) (*Table, error) {
 			index:      gi,
 		}
 	})
-	return t, nil
 }
 
 // equalStrings reports element-wise equality of two string slices.
@@ -490,48 +559,86 @@ func ReadCSV(r io.Reader) (*Table, error) {
 // is split at record boundaries into shards parsed concurrently, then
 // merged in file order, so the produced table is byte-identical for every
 // workers value — per-group row order included. workers == 0 uses all
-// CPUs for large inputs; workers == 1 forces the sequential path. Inputs
-// containing quoted fields fall back to the sequential parser (a quoted
-// field may hide a record separator, so byte-split points cannot be
-// trusted), as does any input a shard fails to parse — the sequential
-// rerun reports the canonical error with its record number.
+// CPUs for large inputs; workers == 1 forces the sequential path, which
+// streams from r. The sharded path holds the input in memory once — one
+// buffer, sized up front when r reports its length (bytes and strings
+// readers, regular files) — plus the table's final columns, which it
+// parses every value straight into. Inputs holding a quote or a '\r' that
+// does not end a line fall back to the sequential parser (a quoted field
+// may hide a record separator, so byte-split points cannot be trusted), as
+// does any input a shard fails to parse — the sequential rerun reports the
+// canonical error with its record number.
 func ReadCSVWorkers(r io.Reader, workers int) (*Table, error) {
 	if workers == 1 {
 		// Explicit sequential parse streams straight from r — no whole-
 		// input buffer.
 		return readCSVSequential(r)
 	}
+	size := inputSize(r)
 	if workers == 0 {
+		size = max(size, autoShardMinBytes)
+	}
+	buf := make([]byte, 0, size+512)
+	if workers == 0 {
+		workers = runtime.GOMAXPROCS(0)
 		// Auto mode peeks up to the sharding threshold before committing
 		// memory: small inputs stream through the sequential parser
 		// without ever being slurped whole; anything larger is worth both
 		// the buffer (sharding needs byte-splittable input) and the fan-
-		// out.
-		head := make([]byte, autoShardMinBytes)
-		n, err := io.ReadFull(r, head)
+		// out. The peeked bytes stay in place at the head of the buffer.
+		buf = buf[:autoShardMinBytes]
+		n, err := io.ReadFull(r, buf)
 		if err == io.EOF || err == io.ErrUnexpectedEOF {
-			return readCSVSequential(bytes.NewReader(head[:n]))
+			return readCSVSequential(bytes.NewReader(buf[:n]))
 		}
 		if err != nil {
 			return nil, fmt.Errorf("dataset: csv: %w", err)
 		}
-		rest, err := io.ReadAll(r)
-		if err != nil {
-			return nil, fmt.Errorf("dataset: csv: %w", err)
-		}
-		return readCSVData(append(head[:n], rest...), runtime.GOMAXPROCS(0))
 	}
-	data, err := io.ReadAll(r)
+	data, err := readRest(buf, r)
 	if err != nil {
 		return nil, fmt.Errorf("dataset: csv: %w", err)
 	}
 	return readCSVData(data, workers)
 }
 
+// inputSize is the number of bytes r holds when r can tell without being
+// read: bytes and strings readers report their length, a regular file its
+// size (TableFromCSVFile reads from offset 0). Otherwise it is 0.
+func inputSize(r io.Reader) int {
+	switch r := r.(type) {
+	case interface{ Len() int }:
+		return r.Len()
+	case *os.File:
+		if fi, err := r.Stat(); err == nil && fi.Mode().IsRegular() {
+			return int(fi.Size())
+		}
+	}
+	return 0
+}
+
+// readRest appends the rest of r to buf, as io.ReadAll does; when buf has
+// room for all of it, nothing is reallocated.
+func readRest(buf []byte, r io.Reader) ([]byte, error) {
+	for {
+		if len(buf) == cap(buf) {
+			buf = append(buf, 0)[:len(buf)]
+		}
+		n, err := r.Read(buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+n]
+		if err == io.EOF {
+			return buf, nil
+		}
+		if err != nil {
+			return nil, err
+		}
+	}
+}
+
 // readCSVData parses in-memory CSV bytes, sharding when workers and the
 // content allow it and falling back to the sequential parser otherwise.
 func readCSVData(data []byte, workers int) (*Table, error) {
-	if workers > 1 && !bytes.ContainsRune(data, '"') {
+	if workers > 1 {
 		if t, ok := readCSVSharded(data, workers); ok {
 			return t, nil
 		}
@@ -633,25 +740,35 @@ func readCSVSequential(r io.Reader) (*Table, error) {
 	return mergeStages([]*tableStage{&s}, 1)
 }
 
-// readCSVSharded parses quote-free CSV bytes in parallel shards split at
-// newline boundaries. It reports ok=false when any shard hits a malformed
-// record, in which case the caller redoes the sequential pass to produce
-// the canonical error.
+// readCSVSharded parses CSV bytes in parallel shards split at newline
+// boundaries and writes every value straight into its final column. It
+// reads the subset of CSV a byte splitter can (see splittable), in two
+// passes over each shard: the first splits off each record's group field
+// and counts rows per group; placeGroups then lays out the columns, which
+// are allocated once; the second parses every value field in place and
+// stores it at its row. It reports ok=false for input outside the subset,
+// for a malformed record, an invalid value or no rows at all, in which case
+// the caller reruns the sequential parser for the canonical error.
 func readCSVSharded(data []byte, workers int) (*Table, bool) {
-	// Replicate the sequential header rule up front: the first record is a
-	// header iff its value column does not parse, and a header fixes the
-	// column schema (value name, extra filterable columns) every shard
-	// stage must share.
-	head := csv.NewReader(bytes.NewReader(data))
-	head.FieldsPerRecord = -1
-	head.TrimLeadingSpace = true
-	rec, err := head.Read()
-	if err != nil || len(rec) < 2 {
+	if !splittable(data) {
+		return nil, false
+	}
+	// The first record fixes the column schema, by the sequential parser's
+	// header rule.
+	var rec []string
+	rest := data
+	for len(rest) > 0 && rec == nil {
+		var line []byte
+		if line, rest = cutLine(rest); len(line) > 0 {
+			rec = strings.Split(string(line), ",")
+		}
+	}
+	if len(rec) < 2 {
 		return nil, false
 	}
 	valueName, extraNames, extraFields, isHeader := csvSchema(rec)
 	if isHeader {
-		data = data[head.InputOffset():]
+		data = rest
 	}
 
 	// Shard at newline boundaries. Quote-free CSV cannot carry a record
@@ -673,49 +790,179 @@ func readCSVSharded(data []byte, workers int) (*Table, bool) {
 		}
 	}
 	bounds = append(bounds, len(data))
+	shards := make([]csvShard, len(bounds)-1)
+	for si := range shards {
+		shards[si].data = data[bounds[si]:bounds[si+1]]
+	}
 
-	nshards := len(bounds) - 1
-	stages := make([]*tableStage, nshards)
-	failed := make([]bool, nshards)
-	par.For(nshards, workers, func(si int) {
-		cr := csv.NewReader(bytes.NewReader(data[bounds[si]:bounds[si+1]]))
-		cr.FieldsPerRecord = -1
-		cr.TrimLeadingSpace = true
-		s := newTableStageCols(valueName, extraNames)
-		scratch := make([]float64, 0, len(extraFields))
-		for {
-			rec, err := cr.Read()
-			if err == io.EOF {
-				break
-			}
-			if err != nil || len(rec) < 2 {
-				failed[si] = true
-				return
-			}
-			v, err := strconv.ParseFloat(strings.TrimSpace(rec[1]), 64)
-			if err != nil {
-				failed[si] = true
-				return
-			}
-			extras, err := csvExtras(rec, extraFields, extraNames, 0, scratch)
-			if err != nil {
-				failed[si] = true
-				return
-			}
-			s.add(strings.TrimSpace(rec[0]), v, extras)
-		}
-		stages[si] = &s
-	})
-	for _, f := range failed {
-		if f {
+	par.For(len(shards), workers, func(si int) { shards[si].ok = shards[si].count() })
+	names := make([][]string, len(shards))
+	counts := make([][]int, len(shards))
+	for si := range shards {
+		if !shards[si].ok {
 			return nil, false
 		}
+		names[si], counts[si] = shards[si].names, shards[si].counts
 	}
-	t, err := mergeStages(stages, workers)
-	if err != nil {
-		// Canonical error wording (negative value, empty input) comes from
-		// the sequential pass.
+	t := &Table{valueName: valueName, extraNames: extraNames}
+	dst := t.placeGroups(names, counts)
+	rows := t.offsets[len(t.names)]
+	if rows == 0 {
 		return nil, false
 	}
+	t.col = make([]float64, rows)
+	t.extras = make([][]float64, len(extraNames))
+	for e := range t.extras {
+		t.extras[e] = make([]float64, rows)
+	}
+
+	par.For(len(shards), workers, func(si int) { shards[si].ok = shards[si].parse(t, dst[si], extraFields) })
+	var vr valueRange
+	for si := range shards {
+		if !shards[si].ok {
+			return nil, false
+		}
+		vr.merge(shards[si].valueRange)
+	}
+	t.minV, t.maxV = vr.minV, vr.maxV
+	t.buildGroups(workers)
 	return t, true
+}
+
+// splittable reports whether data lies in the subset of CSV that
+// readCSVSharded parses: no quote, and no '\r' except one that ends a line
+// (encoding/csv drops those; any other stays in its field).
+func splittable(data []byte) bool {
+	if bytes.IndexByte(data, '"') >= 0 {
+		return false
+	}
+	for i := 0; ; {
+		j := bytes.IndexByte(data[i:], '\r')
+		if j < 0 {
+			return true
+		}
+		i += j + 1
+		if i < len(data) && data[i] != '\n' {
+			return false
+		}
+	}
+}
+
+// cutLine splits off data's first line, without its '\n' and a '\r'
+// before it. Empty lines are no records: callers skip them, as
+// encoding/csv does.
+func cutLine(data []byte) (line, rest []byte) {
+	line, rest = data, nil
+	if i := bytes.IndexByte(data, '\n'); i >= 0 {
+		line, rest = data[:i], data[i+1:]
+	}
+	if n := len(line); n > 0 && line[n-1] == '\r' {
+		line = line[:n-1]
+	}
+	return line, rest
+}
+
+// cutField splits off the first field of a record's remaining text; more
+// reports whether another field follows it.
+func cutField(text []byte) (field, rest []byte, more bool) {
+	if i := bytes.IndexByte(text, ','); i >= 0 {
+		return text[:i], text[i+1:], true
+	}
+	return text, nil, false
+}
+
+// parseField parses one numeric field, spaces around it ignored, as the
+// sequential parser does.
+func parseField(field []byte) (float64, error) {
+	return strconv.ParseFloat(string(bytes.TrimSpace(field)), 64)
+}
+
+// csvShard is one shard of readCSVSharded: its bytes, its groups in local
+// first-seen order with their row counts, and its value range.
+type csvShard struct {
+	data   []byte
+	index  map[string]int // group name → local index
+	names  []string
+	counts []int
+	valueRange
+	ok bool
+}
+
+// group returns the local index of the record's group field, trying the
+// previous record's group first (input is often sorted by group). With add
+// it registers a new name; without, the name must be known.
+func (s *csvShard) group(field []byte, prev int, add bool) int {
+	name := bytes.TrimSpace(field)
+	if prev >= 0 && string(name) == s.names[prev] {
+		return prev
+	}
+	li, ok := s.index[string(name)]
+	if !ok && add {
+		li = len(s.names)
+		n := string(name)
+		s.index[n] = li
+		s.names = append(s.names, n)
+		s.counts = append(s.counts, 0)
+	}
+	return li
+}
+
+// count is pass 1: it counts the shard's rows per group. It fails on a
+// record without a value field.
+func (s *csvShard) count() bool {
+	s.index = map[string]int{}
+	li := -1
+	for rest := s.data; len(rest) > 0; {
+		var line []byte
+		if line, rest = cutLine(rest); len(line) == 0 {
+			continue
+		}
+		comma := bytes.IndexByte(line, ',')
+		if comma < 0 {
+			return false
+		}
+		li = s.group(line[:comma], li, true)
+		s.counts[li]++
+	}
+	return true
+}
+
+// parse is pass 2: it parses the shard's value and extra fields into t's
+// columns, next[li] being the row where local group li's next value goes.
+// It fails on a field that does not parse, a record missing a declared
+// extra field, or a value checkValue rejects.
+func (s *csvShard) parse(t *Table, next []int, extraFields []int) bool {
+	li := -1
+	for rest := s.data; len(rest) > 0; {
+		var line []byte
+		if line, rest = cutLine(rest); len(line) == 0 {
+			continue
+		}
+		comma := bytes.IndexByte(line, ',')
+		li = s.group(line[:comma], li, false)
+		field, tail, more := cutField(line[comma+1:])
+		v, err := parseField(field)
+		if err != nil || !validValue(v) {
+			return false
+		}
+		s.valueRange.add(v)
+		row := next[li]
+		next[li]++
+		t.col[row] = v
+		f := 1 // index of field
+		for e, want := range extraFields {
+			for ; f < want; f++ {
+				if !more {
+					return false
+				}
+				field, tail, more = cutField(tail)
+			}
+			x, err := parseField(field)
+			if err != nil {
+				return false
+			}
+			t.extras[e][row] = x
+		}
+	}
+	return true
 }

@@ -58,24 +58,27 @@ func NewTableBuilderColumns(valueName string, extraNames ...string) *TableBuilde
 // during ingestion, so a query with no Bound would rescan every column to
 // re-infer it on each run.
 //
-// Values must be non-negative (every algorithm requires values in [0, c]);
-// shift or clamp before ingesting otherwise.
+// Values must be finite and non-negative (every algorithm requires values
+// in [0, c]); shift, clamp or drop them before ingesting otherwise.
 func NewTableUniverse(rows []Row) (*Table, error) {
 	return dataset.BuildTable(rows)
 }
 
 // TableFromCSV ingests group,value records from r. The first column is the
-// group label and the second the numeric value (extra columns are
-// ignored); a header row is skipped automatically when its value column
-// does not parse as a number. Large inputs are parsed in parallel shards
-// across all CPUs and merged in file order, so the table is byte-identical
-// to a sequential read.
+// group label and the second the numeric value; a header row is detected
+// automatically when its value column does not parse as a number, and
+// names the value column and any extra filterable columns (without a
+// header, extra fields are ignored). A value that is negative, NaN or
+// infinite is an error. Large inputs are parsed in parallel shards across
+// all CPUs and laid out in file order, so the table is byte-identical to a
+// sequential read.
 func TableFromCSV(r io.Reader) (*Table, error) {
 	return dataset.ReadCSV(r)
 }
 
 // TableFromCSVFile ingests a CSV file by path, sharding the parse across
-// all CPUs like TableFromCSV.
+// all CPUs like TableFromCSV. The file's size sizes the one buffer the
+// sharded parse reads it into.
 func TableFromCSVFile(path string) (*Table, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -116,11 +119,13 @@ func OpenSegments(dir string) (*SegmentTable, error) {
 type SegmentOptions = dataset.SegmentOptions
 
 // TableFromCSVWorkers is TableFromCSV with an explicit parallelism bound.
-// Sharded parsing (workers > 1, or 0 for all CPUs) buffers the whole
-// input in memory to split it at record boundaries; workers == 1 streams
-// through the sequential parser instead, with memory proportional to the
-// staged columns only — the right mode for inputs near the machine's
-// memory budget. The produced table is byte-identical in every mode.
+// Sharded parsing (workers > 1, or 0 for all CPUs on inputs of 512 KiB or
+// more) holds the whole input in memory once, to split it at record
+// boundaries, plus the table's final columns, which it parses every value
+// straight into; workers == 1 streams through the sequential parser
+// instead, with memory proportional to the staged columns only — the right
+// mode for inputs near the machine's memory budget. The produced table is
+// byte-identical in every mode.
 func TableFromCSVWorkers(r io.Reader, workers int) (*Table, error) {
 	return dataset.ReadCSVWorkers(r, workers)
 }
