@@ -2,7 +2,10 @@ package dataset
 
 import (
 	"fmt"
+	"io"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -197,21 +200,40 @@ func csvPayload(rows []Row) string {
 }
 
 // TestReadCSVWorkersIdentical: the sharded CSV parse must produce a table
-// byte-identical to the sequential parse at every worker count.
+// byte-identical to the sequential parse at every worker count, whether
+// the reader reports its size (a strings reader, a file) or not.
 func TestReadCSVWorkersIdentical(t *testing.T) {
-	payload := csvPayload(shardRows(8_000))
+	payload := csvPayload(shardRows(40_000))
 	ref, err := ReadCSVWorkers(strings.NewReader(payload), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := tableFingerprint(ref)
-	for _, workers := range []int{2, 3, 4, 9, 32} {
-		got, err := ReadCSVWorkers(strings.NewReader(payload), workers)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if fp := tableFingerprint(got); fp != want {
-			t.Fatalf("workers=%d table differs from sequential parse", workers)
+	path := filepath.Join(t.TempDir(), "in.csv")
+	if err := os.WriteFile(path, []byte(payload), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	readers := map[string]func() io.Reader{
+		"strings": func() io.Reader { return strings.NewReader(payload) },
+		"unsized": func() io.Reader { return struct{ io.Reader }{strings.NewReader(payload)} },
+		"file": func() io.Reader {
+			f, err := os.Open(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { f.Close() })
+			return f
+		},
+	}
+	for name, reader := range readers {
+		for _, workers := range []int{0, 2, 3, 4, 9, 32} {
+			got, err := ReadCSVWorkers(reader(), workers)
+			if err != nil {
+				t.Fatalf("%s workers=%d: %v", name, workers, err)
+			}
+			if fp := tableFingerprint(got); fp != want {
+				t.Fatalf("%s workers=%d table differs from sequential parse", name, workers)
+			}
 		}
 	}
 	// Headerless input must shard identically too.

@@ -429,7 +429,7 @@ func mergeStages(stages []*tableStage, workers int) (*Table, error) {
 // exactly the stable merge, and keeps the layout linear in the segments
 // (high-cardinality ingests have K within a constant factor of the row
 // count, so anything superlinear in K is superlinear in rows).
-func (t *Table) placeGroups(names [][]string, counts [][]int) (dst [][]int) {
+func (t *Table) placeGroups(names [][]string, counts [][]int) [][]int {
 	index := map[string]int{}
 	locals := make([][]int, len(names))
 	var lengths []int
@@ -451,15 +451,15 @@ func (t *Table) placeGroups(names [][]string, counts [][]int) (dst [][]int) {
 	for gi, n := range lengths {
 		t.offsets[gi+1] = t.offsets[gi] + n
 	}
+	// Each segment's global group index becomes its first row.
 	next := append([]int(nil), t.offsets[:len(t.names)]...)
-	dst = locals // reuse: each entry is read once, then overwritten
-	for si := range names {
+	for si := range locals {
 		for li, gi := range locals[si] {
-			dst[si][li] = next[gi]
+			locals[si][li] = next[gi]
 			next[gi] += counts[si][li]
 		}
 	}
-	return dst
+	return locals
 }
 
 // buildGroups makes the group views over the packed value column, in
@@ -574,19 +574,17 @@ func ReadCSVWorkers(r io.Reader, workers int) (*Table, error) {
 		// input buffer.
 		return readCSVSequential(r)
 	}
-	size := inputSize(r)
+	// Auto mode peeks up to the sharding threshold before committing
+	// memory: small inputs stream through the sequential parser without
+	// ever being slurped whole; anything larger is worth both the buffer
+	// (sharding needs byte-splittable input) and the fan-out. The peeked
+	// bytes stay in place at the head of the one buffer.
+	peek := 0
 	if workers == 0 {
-		size = max(size, autoShardMinBytes)
+		workers, peek = runtime.GOMAXPROCS(0), autoShardMinBytes
 	}
-	buf := make([]byte, 0, size+512)
-	if workers == 0 {
-		workers = runtime.GOMAXPROCS(0)
-		// Auto mode peeks up to the sharding threshold before committing
-		// memory: small inputs stream through the sequential parser
-		// without ever being slurped whole; anything larger is worth both
-		// the buffer (sharding needs byte-splittable input) and the fan-
-		// out. The peeked bytes stay in place at the head of the buffer.
-		buf = buf[:autoShardMinBytes]
+	buf := make([]byte, peek, max(inputSize(r), peek)+512)
+	if peek > 0 {
 		n, err := io.ReadFull(r, buf)
 		if err == io.EOF || err == io.ErrUnexpectedEOF {
 			return readCSVSequential(bytes.NewReader(buf[:n]))
