@@ -236,6 +236,11 @@ func TestReadCSVWorkersIdentical(t *testing.T) {
 			}
 		}
 	}
+	// The sharded parser must serve this input itself: a fallback to the
+	// sequential parser would pass every check above.
+	if _, ok := readCSVSharded([]byte(payload), 4); !ok {
+		t.Fatal("sharded parser fell back on quote-free, well-formed input")
+	}
 	// Headerless input must shard identically too.
 	headerless := strings.TrimPrefix(payload, "group,value\n")
 	ref2, err := ReadCSVWorkers(strings.NewReader(headerless), 1)
@@ -248,6 +253,9 @@ func TestReadCSVWorkersIdentical(t *testing.T) {
 	}
 	if tableFingerprint(got2) != tableFingerprint(ref2) {
 		t.Fatal("headerless sharded parse differs from sequential")
+	}
+	if _, ok := readCSVSharded([]byte(headerless), 4); !ok {
+		t.Fatal("sharded parser fell back on headerless input")
 	}
 }
 
