@@ -886,14 +886,10 @@ type csvShard struct {
 	ok bool
 }
 
-// group returns the local index of the record's group field, trying the
-// previous record's group first (input is often sorted by group). With add
-// it registers a new name; without, the name must be known.
-func (s *csvShard) group(field []byte, prev int, add bool) int {
+// group returns the local index of the record's group field. With add it
+// registers a new name; without, the name must be known.
+func (s *csvShard) group(field []byte, add bool) int {
 	name := bytes.TrimSpace(field)
-	if prev >= 0 && string(name) == s.names[prev] {
-		return prev
-	}
 	li, ok := s.index[string(name)]
 	if !ok && add {
 		li = len(s.names)
@@ -909,7 +905,6 @@ func (s *csvShard) group(field []byte, prev int, add bool) int {
 // record without a value field.
 func (s *csvShard) count() bool {
 	s.index = map[string]int{}
-	li := -1
 	for rest := s.data; len(rest) > 0; {
 		var line []byte
 		if line, rest = cutLine(rest); len(line) == 0 {
@@ -919,8 +914,7 @@ func (s *csvShard) count() bool {
 		if comma < 0 {
 			return false
 		}
-		li = s.group(line[:comma], li, true)
-		s.counts[li]++
+		s.counts[s.group(line[:comma], true)]++
 	}
 	return true
 }
@@ -930,14 +924,13 @@ func (s *csvShard) count() bool {
 // It fails on a field that does not parse, a record missing a declared
 // extra field, or a value checkValue rejects.
 func (s *csvShard) parse(t *Table, next []int, extraFields []int) bool {
-	li := -1
 	for rest := s.data; len(rest) > 0; {
 		var line []byte
 		if line, rest = cutLine(rest); len(line) == 0 {
 			continue
 		}
 		comma := bytes.IndexByte(line, ',')
-		li = s.group(line[:comma], li, false)
+		li := s.group(line[:comma], false)
 		field, tail, more := cutField(line[comma+1:])
 		v, err := parseField(field)
 		if err != nil || !validValue(v) {
