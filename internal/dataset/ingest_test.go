@@ -110,9 +110,10 @@ func TestIngestFilesPinned(t *testing.T) {
 }
 
 // TestIngestRejectsInvalidValues: a NaN, an infinity or a negative value
-// in the value column fails every ingest boundary — the row builder,
-// BuildTable, the sequential and the sharded CSV parser, and the segment
-// writer — with the one error checkValue words.
+// in the value column fails every ingest boundary — the row builder
+// (AddRow at once, Add when the builder builds), BuildTable, the
+// sequential and the sharded CSV parser, and the segment writer — with the
+// one error checkValue words.
 func TestIngestRejectsInvalidValues(t *testing.T) {
 	// Enough valid rows that the sharded parse has work on every shard.
 	var valid strings.Builder
@@ -138,6 +139,14 @@ func TestIngestRejectsInvalidValues(t *testing.T) {
 		paths := map[string]func() error{
 			"AddRow": func() error {
 				return NewTableBuilderColumns("v", "x").AddRow("a", tc.v, 1)
+			},
+			"Add, then Build": func() error {
+				b := NewTableBuilder()
+				b.Add("a", 1)
+				b.Add("b", tc.v)
+				b.Add("a", 2)
+				_, err := b.Build()
+				return err
 			},
 			"BuildTable": func() error {
 				_, err := BuildTableWorkers([]Row{{"a", 1}, {"b", tc.v}, {"a", 2}}, 1)
@@ -172,14 +181,18 @@ func TestIngestRejectsInvalidValues(t *testing.T) {
 			}
 		}
 	}
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("TableBuilder.Add accepted NaN")
-			}
-		}()
-		NewTableBuilder().Add("a", math.NaN())
+}
+
+// TestAddPanicsOnExtraColumns: Add carries no extras, so on a builder with
+// extra columns it panics with the error AddRow returns for the same row.
+func TestAddPanicsOnExtraColumns(t *testing.T) {
+	want := NewTableBuilderColumns("v", "x").AddRow("a", 1)
+	defer func() {
+		if got := recover(); want == nil || got != want.Error() {
+			t.Errorf("Add panicked with %v, want %v", got, want)
+		}
 	}()
+	NewTableBuilderColumns("v", "x").Add("a", 1)
 }
 
 // FuzzReadCSV: the sharded parser must read any input exactly as the

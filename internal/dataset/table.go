@@ -207,27 +207,38 @@ func NewTableBuilderColumns(valueName string, extraNames ...string) *TableBuilde
 	return &TableBuilder{stage: newTableStageCols(valueName, extraNames)}
 }
 
-// Add ingests one raw row with no extras. It panics where AddRow would
-// return an error: the builder declared extra columns (those rows carry
-// more fields; use AddRow), or the value is negative or not finite.
+// Add ingests one raw row with no extras. It panics if the builder
+// declared extra columns (those rows carry more fields; use AddRow). A
+// value that is negative or not finite is staged like any other and makes
+// Build fail with the error AddRow would have returned.
 func (b *TableBuilder) Add(group string, value float64) {
-	if err := b.AddRow(group, value); err != nil {
+	if err := b.checkWidth(0); err != nil {
 		panic(err.Error())
 	}
+	b.stage.add(group, value, nil)
 }
 
 // AddRow ingests one raw row, extras matching the builder's extra columns
 // positionally. A value that is negative or not finite is rejected and the
 // row is not added.
 func (b *TableBuilder) AddRow(group string, value float64, extras ...float64) error {
-	if len(extras) != len(b.stage.extraNames) {
-		return fmt.Errorf("dataset: row has %d extra values, builder declared %d extra columns %v",
-			len(extras), len(b.stage.extraNames), b.stage.extraNames)
+	if err := b.checkWidth(len(extras)); err != nil {
+		return err
 	}
 	if err := checkValue(value); err != nil {
 		return err
 	}
 	b.stage.add(group, value, extras)
+	return nil
+}
+
+// checkWidth reports a row whose extra values do not match the builder's
+// extra columns.
+func (b *TableBuilder) checkWidth(extras int) error {
+	if extras != len(b.stage.extraNames) {
+		return fmt.Errorf("dataset: row has %d extra values, builder declared %d extra columns %v",
+			extras, len(b.stage.extraNames), b.stage.extraNames)
+	}
 	return nil
 }
 
