@@ -6,6 +6,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"strings"
 	"testing"
@@ -193,6 +194,30 @@ func TestAddPanicsOnExtraColumns(t *testing.T) {
 		}
 	}()
 	NewTableBuilderColumns("v", "x").Add("a", 1)
+}
+
+// TestReadCSVSmallSizedInput: in auto mode a reader that reports a size
+// under the sharding threshold goes straight to the sequential parser,
+// without allocating the threshold-sized peek buffer.
+func TestReadCSVSmallSizedInput(t *testing.T) {
+	const text = "group,value,x\na,1,2\nb,2,3\na,3,4\n"
+	want, err := readCSVSequential(strings.NewReader(text))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	got, err := ReadCSVWorkers(strings.NewReader(text), 0)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g, w := tableFingerprint(got), tableFingerprint(want); g != w {
+		t.Errorf("table %s, want %s", g, w)
+	}
+	if n := after.TotalAlloc - before.TotalAlloc; n >= autoShardMinBytes {
+		t.Errorf("reading %d bytes allocated %d bytes, not under the %d-byte peek", len(text), n, autoShardMinBytes)
+	}
 }
 
 // FuzzReadCSV: the sharded parser must read any input exactly as the

@@ -588,13 +588,18 @@ func ReadCSVWorkers(r io.Reader, workers int) (*Table, error) {
 	// Auto mode peeks up to the sharding threshold before committing
 	// memory: small inputs stream through the sequential parser without
 	// ever being slurped whole; anything larger is worth both the buffer
-	// (sharding needs byte-splittable input) and the fan-out. The peeked
+	// (sharding needs byte-splittable input) and the fan-out. A reader
+	// that reports a size below the threshold skips the peek. The peeked
 	// bytes stay in place at the head of the one buffer.
 	peek := 0
 	if workers == 0 {
 		workers, peek = runtime.GOMAXPROCS(0), autoShardMinBytes
 	}
-	buf := make([]byte, peek, max(inputSize(r), peek)+512)
+	size := inputSize(r)
+	if 0 < size && size < peek {
+		return readCSVSequential(r)
+	}
+	buf := make([]byte, peek, max(size, peek)+512)
 	if peek > 0 {
 		n, err := io.ReadFull(r, buf)
 		if err == io.EOF || err == io.ErrUnexpectedEOF {
