@@ -10,9 +10,10 @@
 //     are idempotent); decode failures are sticky and surface through
 //     SegmentTable.Err, because draw paths cannot return errors.
 //   - blockWindow: one group's (or filtered view's) row range of a column,
-//     read through a blockMemo that remembers the current block, so sorted
-//     gathers and scans touch the cache mutex once per block, not once per
-//     row. The memo belongs to the reader (a run's cursor), not the window.
+//     read through a blockMemo that remembers the current block, so
+//     block-bucketed gathers and scans touch the cache mutex once per
+//     block, not once per row. The memo belongs to the reader (a run's
+//     cursor), not the window.
 package dataset
 
 import (
@@ -129,12 +130,7 @@ func (bc *blockColumn) nblocks() int { return len(bc.offs) - 1 }
 // blockRows returns how many rows block b holds (the last block may be
 // short).
 func (bc *blockColumn) blockRows(b int) int {
-	lo := int64(b) * int64(bc.blockLen)
-	n := bc.rows - lo
-	if n > int64(bc.blockLen) {
-		n = int64(bc.blockLen)
-	}
-	return int(n)
+	return int(min(bc.rows-int64(b)*int64(bc.blockLen), int64(bc.blockLen)))
 }
 
 // open validates block b's encoding against the manifest layout (its
@@ -196,7 +192,7 @@ func newBlockWindow(col *blockColumn, lo int64, n int) *blockWindow {
 }
 
 // blockMemo remembers the decoded block a reader last touched, so
-// block-sorted gathers and scans pay one cache lookup per block, not one
+// block-bucketed gathers and scans pay one cache lookup per block, not one
 // per row. The zero value is empty. A run's cursor holds one per group.
 type blockMemo struct {
 	b int
@@ -205,38 +201,27 @@ type blockMemo struct {
 
 // at returns the window-local row's value, through the memo m.
 func (w *blockWindow) at(m *blockMemo, row int) float64 {
-	abs := w.lo + int64(row)
-	b := int(abs / int64(w.col.blockLen))
+	abs, bl := w.lo+int64(row), int64(w.col.blockLen)
+	return w.block(m, int(abs/bl))[abs%bl]
+}
+
+// block returns the column's block b, through the memo m.
+func (w *blockWindow) block(m *blockMemo, b int) []float64 {
 	if m.v == nil || b != m.b {
 		m.v = w.col.block(b)
 		m.b = b
 	}
-	return m.v[abs-int64(b)*int64(w.col.blockLen)]
-}
-
-// gatherKeys fills dst from cursor.gather's sorted keys (row<<32 | slot,
-// ascending): ascending rows visit each block once through the memo.
-func (w *blockWindow) gatherKeys(m *blockMemo, keys []uint64, dst []float64) {
-	for _, k := range keys {
-		dst[uint32(k)] = w.at(m, int(int32(k>>32)))
-	}
+	return m.v
 }
 
 // scan visits every row of the window in order.
 func (w *blockWindow) scan(fn func(v float64)) {
-	bl := int64(w.col.blockLen)
-	for abs := w.lo; abs < w.lo+int64(w.n); {
-		b := int(abs / bl)
-		vals := w.col.block(b)
-		start := abs - int64(b)*bl
-		end := int64(len(vals))
-		if rem := w.lo + int64(w.n) - int64(b)*bl; rem < end {
-			end = rem
-		}
-		for _, v := range vals[start:end] {
+	bl, hi := int64(w.col.blockLen), w.lo+int64(w.n)
+	for b := w.lo / bl; b*bl < hi; b++ {
+		vals := w.col.block(int(b))
+		for _, v := range vals[max(w.lo-b*bl, 0):min(hi-b*bl, int64(len(vals)))] {
 			fn(v)
 		}
-		abs = int64(b)*bl + end
 	}
 }
 

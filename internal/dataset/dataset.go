@@ -109,8 +109,8 @@ func NewSliceGroup(name string, values []float64) *SliceGroup {
 // newSegmentSliceGroup returns a group over an mmapped column chunk whose
 // mean and max were recorded in the segment manifest at write time — no
 // construction scan, so opening a table faults in zero data pages. Block
-// draws gather such a column in ascending row order, and a group past
-// sparsePermGate keeps its permutation sparse.
+// draws gather such a column span by span of DefaultBlockLen rows, and a
+// group past sparsePermGate keeps its permutation sparse.
 func newSegmentSliceGroup(name string, values []float64, mean, maxv float64) *SliceGroup {
 	if len(values) == 0 {
 		panic(fmt.Sprintf("dataset: group %q has no values", name))

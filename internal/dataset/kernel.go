@@ -11,7 +11,7 @@
 //  2. swap    the targets through the permutation, leaving the drawn ranks
 //     in the scratch (without replacement only);
 //  3. gather  map rank→row (identity | SelectBatch | index slice) and read
-//     the values, in ascending row order on mmapped and compressed columns;
+//     the values, bucketed by block on mmapped and compressed columns;
 //
 // and the caller folds sum and Welford moments over the values in draw
 // order. A draw costs two dependent cache misses (permutation slot, value);
@@ -38,7 +38,6 @@ package dataset
 
 import (
 	"runtime"
-	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -47,10 +46,10 @@ import (
 
 // drawScratch is the recyclable part of one run's draw state in a group.
 type drawScratch struct {
-	perm []int32   // dense Fisher–Yates permutation; the identity whenever pooled
-	rows []int32   // a block's targets, then drawn ranks, then rows — draw order
-	keys []uint64  // (row<<32 | slot) sort keys of the row-ordered gather
-	vals []float64 // a block's values, draw order (DrawBlockSum)
+	perm  []int32   // dense Fisher–Yates permutation; the identity whenever pooled
+	rows  []int32   // a block's targets, then drawn ranks, then rows — draw order
+	order []int32   // the block-bucketed gather's slots by block, then its bucket ends
+	vals  []float64 // a block's values, draw order (DrawBlockSum)
 }
 
 // drawPool is the free list of draw scratch every run over one group
@@ -99,10 +98,10 @@ type drawCore struct {
 	win    *blockWindow // compressed backing: reads decode through the block cache
 	sel    *selection   // nil: every row is in the population and rank == row
 	total  int          // population: the rows, or the selection's cardinality
-	// seg marks values as an mmapped chunk: blocks gather in ascending row
-	// order, so a round touches its O(batch) pages clustered instead of
-	// faulting them in random order. Windows always gather that way, so
-	// each block decodes every touched column block once.
+	// seg marks values as an mmapped chunk: blocks gather span by span of
+	// DefaultBlockLen rows, so a round touches its O(batch) pages clustered
+	// instead of faulting them in random order. Windows gather by column
+	// block, so a draw block fetches each column block it touches once.
 	seg bool
 	// sparse keeps a cursor's permutation as a map of displaced entries
 	// (disp), identity elsewhere: the same arrangement and RNG discipline
@@ -195,22 +194,13 @@ func (c *cursor) densePerm() []int32 {
 	return sc.perm
 }
 
-// rowScratch returns the staging buffer with length n.
-func (c *cursor) rowScratch(n int) []int32 {
-	sc := c.scratch()
-	if cap(sc.rows) < n {
-		sc.rows = make([]int32, n)
+// grow returns the scratch buffer *buf with length n, reallocating it
+// only when it is too short.
+func grow[T any](buf *[]T, n int) []T {
+	if cap(*buf) < n {
+		*buf = make([]T, n)
 	}
-	return sc.rows[:n]
-}
-
-// valScratch returns the value buffer with length n.
-func (c *cursor) valScratch(n int) []float64 {
-	sc := c.scratch()
-	if cap(sc.vals) < n {
-		sc.vals = make([]float64, n)
-	}
-	return sc.vals[:n]
+	return (*buf)[:n]
 }
 
 // read reads the row a population rank denotes through the cursor's memo.
@@ -261,7 +251,7 @@ func (c *cursor) stageWithoutReplacement(r *xrand.RNG, n int) []int32 {
 	if n > total-next {
 		n = total - next
 	}
-	rows := c.rowScratch(n)
+	rows := grow(&c.scratch().rows, n)
 	if c.sparse {
 		for t := range rows {
 			rows[t] = c.permStep(r)
@@ -288,7 +278,7 @@ func (c *cursor) stageWithoutReplacement(r *xrand.RNG, n int) []int32 {
 // stageWithReplacement stages n uniform ranks, exactly the stream n
 // successive with-replacement draws consume.
 func (c *cursor) stageWithReplacement(r *xrand.RNG, n int) []int32 {
-	rows := c.rowScratch(n)
+	rows := grow(&c.scratch().rows, n)
 	for i := range rows {
 		rows[i] = int32(r.Intn(c.total))
 	}
@@ -297,9 +287,10 @@ func (c *cursor) stageWithReplacement(r *xrand.RNG, n int) []int32 {
 
 // gather maps the staged ranks to rows, in place, and reads their values
 // into dst in draw order. On a plain column the reads are n independent
-// loads; on an mmapped or compressed one they run in ascending row order:
-// keys pack (row<<32 | slot), so one sort yields both the visit order and
-// where each value belongs.
+// loads. On a compressed window (or an mmapped chunk, in DefaultBlockLen-row
+// spans) they go block by block, each block fetched once and read in one
+// tight loop; a window with more blocks than the batch has rows reads in
+// draw order, as its rows would sit mostly one to a block.
 func (c *cursor) gather(rows []int32, dst []float64) {
 	if s := c.sel; s != nil {
 		if s.bits != nil {
@@ -312,28 +303,61 @@ func (c *cursor) gather(rows []int32, dst []float64) {
 			}
 		}
 	}
-	vals := c.values
-	if c.win == nil && !c.seg {
+	vals, w := c.values, c.win
+	if w == nil && !c.seg {
 		for i, row := range rows {
 			dst[i] = vals[row]
 		}
 		return
 	}
-	sc := c.sc
-	if cap(sc.keys) < len(rows) {
-		sc.keys = make([]uint64, len(rows))
+	span, off, n := DefaultBlockLen, 0, len(vals)
+	if w != nil {
+		span, off, n = w.col.blockLen, int(w.lo%int64(w.col.blockLen)), w.n
 	}
-	keys := sc.keys[:len(rows)]
-	for slot, row := range rows {
-		keys[slot] = uint64(uint32(row))<<32 | uint64(uint32(slot))
-	}
-	slices.Sort(keys)
-	if c.win != nil {
-		c.win.gatherKeys(&c.memo, keys, dst)
+	nb := (off+n-1)/span + 1
+	if nb > len(rows) {
+		for i, row := range rows {
+			dst[i] = c.at(&c.memo, int(row))
+		}
 		return
 	}
-	for _, k := range keys {
-		dst[uint32(k)] = vals[int32(k>>32)]
+	order := grow(&c.sc.order, len(rows)+nb)
+	ends := order[len(rows):]
+	blockOrder(rows, off, span, order[:len(rows)], ends)
+	start := int32(0)
+	for b, end := range ends {
+		if start == end {
+			continue
+		}
+		base := 0 // the local row vals[0] holds
+		if w != nil {
+			vals, base = w.block(&c.memo, int(w.lo)/span+b), b*span-off
+		}
+		for _, slot := range order[start:end] {
+			dst[slot] = vals[int(rows[slot])-base]
+		}
+		start = end
+	}
+}
+
+// blockOrder is the gather's counting sort. It writes the slots of rows to
+// order grouped by block, local row r being in block (off+r)/span: blocks
+// ascending, slots ascending within a block. ends[b] becomes the end of
+// block b's run in order, which starts at ends[b-1] (0 for b = 0).
+func blockOrder(rows []int32, off, span int, order, ends []int32) {
+	clear(ends)
+	for _, row := range rows {
+		ends[(off+int(row))/span]++
+	}
+	var sum int32
+	for b, n := range ends {
+		ends[b] = sum
+		sum += n
+	}
+	for slot, row := range rows {
+		b := (off + int(row)) / span
+		order[ends[b]] = int32(slot)
+		ends[b]++
 	}
 }
 
@@ -395,25 +419,22 @@ func (s *Sampler) DrawBlockSum(i, n int) (sum float64, ok bool) {
 		return 0, false
 	}
 	c := &s.cursors[i]
-	var pooled *[]float64
-	if c.drawCore == nil {
-		pooled = blockSumPool.Get().(*[]float64)
+	var buf *[]float64
+	if c.drawCore != nil {
+		buf = &c.scratch().vals
+	} else {
+		buf = blockSumPool.Get().(*[]float64)
 	}
 	for n > 0 {
-		var vals []float64
-		if pooled != nil {
-			vals = (*pooled)[:min(n, blockSumChunk)]
-		} else {
-			vals = c.valScratch(min(n, blockSumChunk))
-		}
+		vals := grow(buf, min(n, blockSumChunk))
 		s.DrawBatch(i, vals)
 		for _, v := range vals {
 			sum += v
 		}
 		n -= len(vals)
 	}
-	if pooled != nil {
-		blockSumPool.Put(pooled)
+	if c.drawCore == nil {
+		blockSumPool.Put(buf)
 	}
 	return sum, true
 }
@@ -424,10 +445,7 @@ const blockSumChunk = 4096
 
 // blockSumPool holds DrawBlockSum's chunk buffers for groups without a
 // cursor scratch.
-var blockSumPool = sync.Pool{New: func() any {
-	b := make([]float64, blockSumChunk)
-	return &b
-}}
+var blockSumPool = sync.Pool{New: func() any { return new([]float64) }}
 
 // eachChunk is how many groups DrawEach stages at once: far more misses in
 // flight than the memory system overlaps, in staging that fits the stack.

@@ -215,6 +215,66 @@ func TestKernelMatchesGenericPath(t *testing.T) {
 	}
 }
 
+// TestBlockOrder checks the gather's counting sort on its own: the order
+// it writes holds every slot exactly once, visits the blocks in ascending
+// order (slots ascending within a block), and its ends delimit each
+// block's run.
+func TestBlockOrder(t *testing.T) {
+	cases := []struct {
+		name         string
+		off, span, n int     // the window: its first row's place in its block, block length, rows
+		rows         []int32 // nil: 50 uniform rows, then the first and the last
+	}{
+		{"window starts mid-block", 5, 8, 40, nil},
+		{"short last block", 0, 8, 21, nil},
+		{"duplicate rows", 3, 4, 10, []int32{7, 2, 7, 7, 0, 9, 2, 0}},
+		{"one row", 6, 8, 30, []int32{17}},
+		{"one block", 2, 64, 40, nil},
+		{"block length 1", 0, 1, 12, nil},
+	}
+	r := xrand.New(0xb10c)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			rows := tc.rows
+			if rows == nil {
+				for range 50 {
+					rows = append(rows, int32(r.Intn(tc.n)))
+				}
+				rows = append(rows, 0, int32(tc.n-1))
+			}
+			block := func(slot int32) int { return (tc.off + int(rows[slot])) / tc.span }
+			order := make([]int32, len(rows))
+			ends := make([]int32, (tc.off+tc.n-1)/tc.span+1)
+			blockOrder(rows, tc.off, tc.span, order, ends)
+
+			seen := make([]bool, len(rows))
+			for i, slot := range order {
+				if seen[slot] {
+					t.Fatalf("slot %d visited twice", slot)
+				}
+				seen[slot] = true
+				if i > 0 {
+					if prev := order[i-1]; block(prev) > block(slot) || block(prev) == block(slot) && prev > slot {
+						t.Fatalf("visit %d: slot %d (block %d) after slot %d (block %d)", i, slot, block(slot), prev, block(prev))
+					}
+				}
+			}
+			start := int32(0)
+			for b, end := range ends {
+				for _, slot := range order[start:end] {
+					if block(slot) != b {
+						t.Fatalf("slot %d (block %d) in block %d's run", slot, block(slot), b)
+					}
+				}
+				start = end
+			}
+			if int(start) != len(rows) {
+				t.Fatalf("block runs end at %d, want %d", start, len(rows))
+			}
+		})
+	}
+}
+
 // TestDrawUsingMatchesGroupDraw: DrawUsing through a sampler's cursor
 // returns bit for bit what Group.Draw returns on the same RNG, on every
 // backing and selection, and consumes the RNG identically.

@@ -549,8 +549,8 @@ func (t *Table) WriteSegmentsOptions(dir string, opts SegmentOptions) error {
 
 // SegmentTable is a Table served from a segment directory: its columns
 // alias mmapped files (zero-copy; the OS page cache is the tiering layer),
-// its groups are segment-backed SliceGroups whose block draws gather in
-// page order, and its statistics come from the manifest so Open faults in
+// its groups are segment-backed SliceGroups whose block draws gather span
+// by span, and its statistics come from the manifest so Open faults in
 // no data pages. It satisfies every Table consumer — views, filters,
 // kernels, the serving layer — unchanged.
 //
