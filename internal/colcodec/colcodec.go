@@ -119,7 +119,7 @@ func EncodeBlock(dst []byte, vals []float64) ([]byte, Codec) {
 	if len(vals) == 0 || len(vals) > MaxBlockLen {
 		panic(fmt.Sprintf("colcodec: block of %d values (want 1..%d)", len(vals), MaxBlockLen))
 	}
-	codec, payloadLen, sc := chooseCodec(vals)
+	codec, payloadLen, sc, dict := chooseCodec(vals)
 	start := len(dst)
 	dst = append(dst, make([]byte, HeaderSize)...)
 	switch codec {
@@ -128,7 +128,7 @@ func EncodeBlock(dst []byte, vals []float64) ([]byte, Codec) {
 	case CodecDelta:
 		dst = appendDelta(dst, vals, sc)
 	case CodecDict:
-		dst = appendDict(dst, vals)
+		dst = appendDict(dst, vals, dict)
 	default:
 		dst = appendRaw(dst, vals)
 	}
@@ -145,9 +145,9 @@ func EncodeBlock(dst []byte, vals []float64) ([]byte, Codec) {
 }
 
 // chooseCodec sizes every applicable codec and picks the smallest. It
-// also returns the block's scaled-integer analysis, which the FOR and
-// Delta encoders reuse rather than redo.
-func chooseCodec(vals []float64) (Codec, int, scaledInts) {
+// also returns the block's scaled-integer analysis and its dictionary
+// index, which the FOR, Delta and Dict encoders reuse rather than redo.
+func chooseCodec(vals []float64) (Codec, int, scaledInts, map[uint64]uint8) {
 	best, bestLen := CodecRaw, rawSize(vals)
 	sc, scalable := scaledAnalysis(vals)
 	if scalable {
@@ -158,12 +158,13 @@ func chooseCodec(vals []float64) (Codec, int, scaledInts) {
 			best, bestLen = CodecDelta, n
 		}
 	}
-	if card, idxW, ok := dictAnalysis(vals); ok {
-		if n := dictSize(len(vals), card, idxW); n < bestLen {
+	dict, ok := dictAnalysis(vals)
+	if ok {
+		if n := dictSize(len(vals), len(dict), bits.Len(uint(len(dict)-1))); n < bestLen {
 			best, bestLen = CodecDict, n
 		}
 	}
-	return best, bestLen, sc
+	return best, bestLen, sc, dict
 }
 
 // DecodeBlock decodes the block at the start of blk into dst (grown as
@@ -554,35 +555,31 @@ func (b *Block) openDelta(payload []byte) error {
 // count indices packed at the bit width.
 func dictSize(n, card, w int) int { return 2 + 8*card + (n*w+7)/8 }
 
-// dictAnalysis scans for ≤ maxDictSize distinct bit patterns.
-func dictAnalysis(vals []float64) (card, idxW int, ok bool) {
-	seen := make(map[uint64]struct{}, maxDictSize+1)
-	for _, v := range vals {
-		seen[math.Float64bits(v)] = struct{}{}
-		if len(seen) > maxDictSize {
-			return 0, 0, false
-		}
-	}
-	card = len(seen)
-	return card, bits.Len(uint(card - 1)), true
-}
-
-func appendDict(dst []byte, vals []float64) []byte {
-	index := make(map[uint64]int, maxDictSize)
-	var dict []uint64
+// dictAnalysis scans for ≤ maxDictSize distinct bit patterns and returns
+// the dictionary index: each pattern's entry number, in first-appearance
+// order.
+func dictAnalysis(vals []float64) (index map[uint64]uint8, ok bool) {
+	index = make(map[uint64]uint8, maxDictSize)
 	for _, v := range vals {
 		b := math.Float64bits(v)
 		if _, ok := index[b]; !ok {
-			index[b] = len(dict)
-			dict = append(dict, b)
+			if len(index) == maxDictSize {
+				return nil, false
+			}
+			index[b] = uint8(len(index))
 		}
 	}
-	w := bits.Len(uint(len(dict) - 1))
-	dst = append(dst, byte(len(dict)-1), byte(w))
-	var b [8]byte
-	for _, d := range dict {
-		binary.LittleEndian.PutUint64(b[:], d)
-		dst = append(dst, b[:]...)
+	return index, true
+}
+
+// appendDict encodes vals against dictAnalysis's index of them.
+func appendDict(dst []byte, vals []float64, index map[uint64]uint8) []byte {
+	w := bits.Len(uint(len(index) - 1))
+	dst = append(dst, byte(len(index)-1), byte(w))
+	at := len(dst)
+	dst = append(dst, make([]byte, 8*len(index))...)
+	for b, i := range index {
+		binary.LittleEndian.PutUint64(dst[at+8*int(i):], b)
 	}
 	p := packer{dst: dst, w: uint(w)}
 	for _, v := range vals {

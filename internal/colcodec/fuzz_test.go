@@ -128,7 +128,7 @@ func encodeAs(codec Codec, vals []float64) ([]byte, bool) {
 			return nil, false
 		}
 	case CodecDict:
-		if _, _, ok := dictAnalysis(vals); !ok {
+		if _, ok := dictAnalysis(vals); !ok {
 			return nil, false
 		}
 	}
@@ -139,7 +139,8 @@ func encodeAs(codec Codec, vals []float64) ([]byte, bool) {
 	case CodecDelta:
 		blk = appendDelta(blk, vals, sc)
 	case CodecDict:
-		blk = appendDict(blk, vals)
+		dict, _ := dictAnalysis(vals)
+		blk = appendDict(blk, vals, dict)
 	default:
 		blk = appendRaw(blk, vals)
 	}
