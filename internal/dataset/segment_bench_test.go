@@ -1,6 +1,7 @@
 package dataset
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"sync"
@@ -48,26 +49,49 @@ func segBenchFixture(b *testing.B) (*Table, string) {
 	return segBench.tbl, segBench.dir
 }
 
-// benchSegDraws runs the fixed draw workload — per group, 64-row
+// benchSegDraws runs the fixed draw workload — per group, block-row
 // without-replacement blocks until 16384 draws — against the given groups
-// and reports draws/sec.
-func benchSegDraws(b *testing.B, groups []Group) {
-	const perGroup = 16384
-	const block = 64
-	buf := make([]float64, block)
-	total := 0
+// and reports draws/sec and ns/draw.
+func benchSegDraws(b *testing.B, groups []Group, block int) {
 	u := NewUniverse(1, groups...)
 	for i := 0; i < b.N; i++ {
-		s := NewStreamSampler(u, 7, true)
-		for gi := range groups {
-			for d := 0; d < perGroup; d += block {
-				s.DrawBatch(gi, buf)
-				total += block
-			}
-		}
-		s.Release()
+		benchSegDrawsOnce(u, block)
 	}
-	b.ReportMetric(float64(total)/b.Elapsed().Seconds(), "draws/sec")
+	reportSegDraws(b, len(groups))
+}
+
+// benchSegDrawsOnce is one iteration of the fixed workload, for callers
+// managing the timer themselves.
+func benchSegDrawsOnce(u *Universe, block int) {
+	const perGroup = 16384
+	buf := make([]float64, block)
+	s := NewStreamSampler(u, 7, true)
+	for gi := range u.Groups {
+		for d := 0; d < perGroup; d += block {
+			s.DrawBatch(gi, buf)
+		}
+	}
+	s.Release()
+}
+
+// reportSegDraws reports the throughput of b.N iterations of the fixed
+// workload over the given number of groups.
+func reportSegDraws(b *testing.B, groups int) {
+	draws := float64(b.N * groups * 16384)
+	b.ReportMetric(draws/b.Elapsed().Seconds(), "draws/sec")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/draws, "ns/draw")
+}
+
+// forBlocks runs fn once per draw-block size as a sub-benchmark that
+// reports allocations: the 64-row block the out-of-core acceptance is
+// stated at, and the 4096-row block, BatchAuto's largest.
+func forBlocks(b *testing.B, fn func(b *testing.B, block int)) {
+	for _, block := range []int{64, blockSumChunk} {
+		b.Run(fmt.Sprintf("block=%d", block), func(b *testing.B) {
+			b.ReportAllocs()
+			fn(b, block)
+		})
+	}
 }
 
 // BenchmarkSegmentDraw compares the block-draw hot path across backings:
@@ -75,15 +99,13 @@ func benchSegDraws(b *testing.B, groups []Group) {
 // (pages resident — the steady state of a served table), and a cold one
 // (page cache dropped before every iteration, readahead disabled — each
 // draw block pays real faults). The out-of-core acceptance is warm
-// staying within 2x of in-memory at batch=64.
+// staying within 2x of in-memory at block=64.
 func BenchmarkSegmentDraw(b *testing.B) {
 	tbl, dir := segBenchFixture(b)
 
 	b.Run("inmem", func(b *testing.B) {
-		b.ReportAllocs()
 		groups := tbl.Groups()
-		b.ResetTimer()
-		benchSegDraws(b, groups)
+		forBlocks(b, func(b *testing.B, block int) { benchSegDraws(b, groups, block) })
 	})
 
 	b.Run("warm-mmap", func(b *testing.B) {
@@ -97,10 +119,8 @@ func BenchmarkSegmentDraw(b *testing.B) {
 		if err := st.VerifyChecksums(); err != nil {
 			b.Fatal(err)
 		}
-		b.ReportAllocs()
 		groups := st.Groups()
-		b.ResetTimer()
-		benchSegDraws(b, groups)
+		forBlocks(b, func(b *testing.B, block int) { benchSegDraws(b, groups, block) })
 	})
 
 	b.Run("cold-mmap", func(b *testing.B) {
@@ -115,34 +135,19 @@ func BenchmarkSegmentDraw(b *testing.B) {
 		if err := st.AdviseRandom(); err != nil {
 			b.Fatal(err)
 		}
-		b.ReportAllocs()
-		groups := st.Groups()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			b.StopTimer()
-			if err := st.DropPageCache(); err != nil {
-				b.Fatal(err)
+		u := NewUniverse(1, st.Groups()...)
+		forBlocks(b, func(b *testing.B, block int) {
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				if err := st.DropPageCache(); err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+				benchSegDrawsOnce(u, block)
 			}
-			b.StartTimer()
-			benchSegDrawsOnce(b, groups)
-		}
-		b.ReportMetric(float64(b.N*4*16384)/b.Elapsed().Seconds(), "draws/sec")
+			reportSegDraws(b, len(u.Groups))
+		})
 	})
-}
-
-// benchSegDrawsOnce is one iteration of the fixed workload, for callers
-// managing the timer themselves.
-func benchSegDrawsOnce(b *testing.B, groups []Group) {
-	const perGroup = 16384
-	const block = 64
-	buf := make([]float64, block)
-	s := NewStreamSampler(NewUniverse(1, groups...), 7, true)
-	for gi := range groups {
-		for d := 0; d < perGroup; d += block {
-			s.DrawBatch(gi, buf)
-		}
-	}
-	s.Release()
 }
 
 // segBenchCompressed lazily writes the shared fixture as a v2 directory.
@@ -190,38 +195,40 @@ func BenchmarkSegmentDrawCompressed(b *testing.B) {
 		}
 		defer st.Close()
 		groups := st.Groups()
-		benchSegDrawsOnce(b, groups) // populate the block cache
-		b.ReportAllocs()
-		b.ResetTimer()
-		benchSegDraws(b, groups)
+		benchSegDrawsOnce(NewUniverse(1, groups...), 64) // populate the block cache
+		forBlocks(b, func(b *testing.B, block int) { benchSegDraws(b, groups, block) })
 		if err := st.Err(); err != nil {
 			b.Fatal(err)
 		}
 	})
 
 	b.Run("cold", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			b.StopTimer()
-			st, err := OpenSegments(dir) // fresh open: empty block cache
-			if err != nil {
-				b.Fatal(err)
-			}
-			if st.Mapped() {
-				if err := st.DropPageCache(); err != nil {
+		forBlocks(b, func(b *testing.B, block int) {
+			groups := 0
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				st, err := OpenSegments(dir) // fresh open: empty block cache
+				if err != nil {
 					b.Fatal(err)
 				}
+				if st.Mapped() {
+					if err := st.DropPageCache(); err != nil {
+						b.Fatal(err)
+					}
+				}
+				u := NewUniverse(1, st.Groups()...)
+				groups = len(u.Groups)
+				b.StartTimer()
+				benchSegDrawsOnce(u, block)
+				b.StopTimer()
+				if err := st.Err(); err != nil {
+					b.Fatal(err)
+				}
+				st.Close()
+				b.StartTimer()
 			}
-			b.StartTimer()
-			benchSegDrawsOnce(b, st.Groups())
-			b.StopTimer()
-			if err := st.Err(); err != nil {
-				b.Fatal(err)
-			}
-			st.Close()
-			b.StartTimer()
-		}
-		b.ReportMetric(float64(b.N*4*16384)/b.Elapsed().Seconds(), "draws/sec")
+			reportSegDraws(b, groups)
+		})
 	})
 }
 
@@ -273,10 +280,10 @@ func BenchmarkSegmentDrawCodec(b *testing.B) {
 			}
 			defer st.Close()
 			grps := st.Groups()
-			benchSegDrawsOnce(b, grps) // warm the cache
+			benchSegDrawsOnce(NewUniverse(1, grps...), 64) // warm the cache
 			b.ReportAllocs()
 			b.ResetTimer()
-			benchSegDraws(b, grps)
+			benchSegDraws(b, grps, 64)
 			if err := st.Err(); err != nil {
 				b.Fatal(err)
 			}
