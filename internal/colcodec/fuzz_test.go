@@ -2,6 +2,7 @@ package colcodec
 
 import (
 	"encoding/binary"
+	"fmt"
 	"hash/crc32"
 	"math"
 	"testing"
@@ -161,10 +162,11 @@ func errText(err error) string {
 }
 
 // checkSelect opens blk and requires Open to fail exactly as DecodeBlock
-// does; on success, every op × constant's Select verdicts must equal the
-// decoded values compared one by one, tail bits clear, and SelectFloats
-// over the decoded values must agree word for word.
-func checkSelect(t *testing.T, blk []byte, consts []float64) {
+// does; on success, every conjunction's Select verdicts must equal the
+// decoded values tested one by one against each of its comparisons, tail
+// bits clear, and SelectFloats over the decoded values must agree word for
+// word.
+func checkSelect(t *testing.T, blk []byte, conjs [][]Cmp) {
 	t.Helper()
 	b, err := Open(blk)
 	vals, _, _, derr := DecodeBlock(nil, blk)
@@ -177,36 +179,62 @@ func checkSelect(t *testing.T, blk []byte, consts []float64) {
 	nw := (len(vals) + 63) / 64
 	words := make([]uint64, nw)
 	flat := make([]uint64, nw)
-	for op := OpLT; op <= OpNE; op++ {
-		for _, c := range consts {
-			for i := range words {
-				words[i] = ^uint64(0) // Select must overwrite, not OR
+	for _, conj := range conjs {
+		for i := range words {
+			words[i] = ^uint64(0) // Select must overwrite, not OR
+		}
+		b.Select(conj, words)
+		for i, v := range vals {
+			want := true
+			for _, cmp := range conj {
+				want = want && cmp.Op.Eval(v, cmp.C)
 			}
-			b.Select(op, c, words)
-			for i, v := range vals {
-				if got, want := words[i/64]>>(i%64)&1 == 1, op.Eval(v, c); got != want {
-					t.Fatalf("%s block, value %d (%v %x) op %d c %v (%x): Select %v, decode-then-compare %v",
-						b.Codec().Name(), i, v, math.Float64bits(v), op, c, math.Float64bits(c), got, want)
-				}
+			if got := words[i/64]>>(i%64)&1 == 1; got != want {
+				t.Fatalf("%s block, value %d (%v %x) conjunction %v: Select %v, decode-then-compare %v",
+					b.Codec().Name(), i, v, math.Float64bits(v), conj, got, want)
 			}
-			if r := len(vals) % 64; r != 0 && words[nw-1]>>r != 0 {
-				t.Fatalf("%s block op %d c %v: bits set past the block's %d values", b.Codec().Name(), op, c, len(vals))
-			}
-			SelectFloats(op, c, vals, flat)
-			for i := range words {
-				if words[i] != flat[i] {
-					t.Fatalf("%s block op %d c %v word %d: Select %x, SelectFloats %x", b.Codec().Name(), op, c, i, words[i], flat[i])
-				}
+		}
+		if r := len(vals) % 64; r != 0 && words[nw-1]>>r != 0 {
+			t.Fatalf("%s block conjunction %v: bits set past the block's %d values", b.Codec().Name(), conj, len(vals))
+		}
+		SelectFloats(conj, vals, flat)
+		for i := range words {
+			if words[i] != flat[i] {
+				t.Fatalf("%s block conjunction %v word %d: Select %x, SelectFloats %x", b.Codec().Name(), conj, i, words[i], flat[i])
 			}
 		}
 	}
 }
 
+// selectConjunctions returns the conjunctions FuzzSelectMatchesDecode
+// checks over consts: every operator alone against every constant, every
+// ordered operator pair against two neighbouring constants (ranges, empty
+// intersections and OpNE holes among them), the empty conjunction, and one
+// conjunction of 1–3 comparisons that shape picks, 8 bits a comparison.
+func selectConjunctions(consts []float64, shape uint32) [][]Cmp {
+	conjs := [][]Cmp{nil}
+	for op := OpLT; op <= OpNE; op++ {
+		for _, c := range consts {
+			conjs = append(conjs, []Cmp{{op, c}})
+		}
+		for op2 := OpLT; op2 <= OpNE; op2++ {
+			conjs = append(conjs, []Cmp{{op, consts[1]}, {op2, consts[2]}}, []Cmp{{op, consts[0]}, {op2, consts[3]}})
+		}
+	}
+	var conj []Cmp
+	for k := range 1 + shape%3 {
+		x := shape >> (2 + 8*k)
+		conj = append(conj, Cmp{Op(x % 6), consts[int(x/6%32)%len(consts)]})
+	}
+	return append(conjs, conj)
+}
+
 // FuzzSelectMatchesDecode: for every codec that can hold the fuzzed values,
-// Block.Select's verdicts under all six operators equal decode-then-compare,
-// for constants at, next to, and far from the stored values (NaN, ±0 and
-// ±Inf included). A corrupted-then-resealed copy must fail Open exactly as
-// it fails DecodeBlock, or, if it still opens, select as it decodes.
+// Block.Select's verdicts on conjunctions of one to three comparisons —
+// every operator, OpNE holes, constants at, next to and far from the
+// stored values (NaN, ±0 and ±Inf included) — equal decode-then-compare. A
+// corrupted-then-resealed copy must fail Open exactly as it fails
+// DecodeBlock, or, if it still opens, select as it decodes.
 func FuzzSelectMatchesDecode(f *testing.F) {
 	seed := func(vals ...float64) []byte {
 		b := make([]byte, 8*len(vals))
@@ -215,15 +243,15 @@ func FuzzSelectMatchesDecode(f *testing.F) {
 		}
 		return b
 	}
-	f.Add(seed(1, 2, 3, 700, 5, 6), uint64(0x4008000000000000), uint16(1), uint16(0), uint8(0))
-	f.Add(seed(0.0001, 0.0002, 0.0003, 0.1234), math.Float64bits(0.0002), uint16(2), uint16(3), uint8(1))
-	f.Add(seed(1000, 1001, 1002, 1003, 1004, 1005), math.Float64bits(1002.5), uint16(0), uint16(9), uint8(0x80))
-	f.Add(seed(math.NaN(), math.Inf(1), -0.0, 0.0, math.Inf(-1), math.NaN()), math.Float64bits(0), uint16(3), uint16(0), uint8(0))
-	f.Add(seed(math.Pi, math.E, math.Pi, -0.0, math.Pi, math.E), math.Float64bits(math.Pi), uint16(5), uint16(1), uint8(4))
-	f.Add(seed(0.1234567890123, 7.5e300, -2.5e-300, math.Inf(1)), math.Float64bits(math.Inf(1)), uint16(1), uint16(0), uint8(0))
-	f.Add(seed(-9007199254740992, 9007199254740992, 0), math.Float64bits(9007199254740991), uint16(1), uint16(0), uint8(0))
-	f.Add(seed(-3.25, -3.5, 2.75, -0.125), math.Float64bits(-3.25), uint16(0), uint16(2), uint8(0xff))
-	f.Fuzz(func(t *testing.T, data []byte, cbits uint64, pick uint16, pos uint16, xor uint8) {
+	f.Add(seed(1, 2, 3, 700, 5, 6), uint64(0x4008000000000000), uint16(1), uint16(0), uint8(0), uint32(0))
+	f.Add(seed(0.0001, 0.0002, 0.0003, 0.1234), math.Float64bits(0.0002), uint16(2), uint16(3), uint8(1), uint32(0x0c_1e_02))
+	f.Add(seed(1000, 1001, 1002, 1003, 1004, 1005), math.Float64bits(1002.5), uint16(0), uint16(9), uint8(0x80), uint32(0x14_0d_01))
+	f.Add(seed(math.NaN(), math.Inf(1), -0.0, 0.0, math.Inf(-1), math.NaN()), math.Float64bits(0), uint16(3), uint16(0), uint8(0), uint32(0xd6_25_02))
+	f.Add(seed(math.Pi, math.E, math.Pi, -0.0, math.Pi, math.E), math.Float64bits(math.Pi), uint16(5), uint16(1), uint8(4), uint32(0x15_16_01))
+	f.Add(seed(0.1234567890123, 7.5e300, -2.5e-300, math.Inf(1)), math.Float64bits(math.Inf(1)), uint16(1), uint16(0), uint8(0), uint32(0x27_2a_02))
+	f.Add(seed(-9007199254740992, 9007199254740992, 0), math.Float64bits(9007199254740991), uint16(1), uint16(0), uint8(0), uint32(0x3c_0f_02))
+	f.Add(seed(-3.25, -3.5, 2.75, -0.125), math.Float64bits(-3.25), uint16(0), uint16(2), uint8(0xff), uint32(0x11_17_02))
+	f.Fuzz(func(t *testing.T, data []byte, cbits uint64, pick uint16, pos uint16, xor uint8, shape uint32) {
 		vals := bytesToVals(data)
 		if vals == nil {
 			t.Skip()
@@ -234,9 +262,10 @@ func FuzzSelectMatchesDecode(f *testing.F) {
 			math.Nextafter(at, math.Inf(1)), math.Nextafter(at, math.Inf(-1)),
 			0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.NaN(),
 		}
+		conjs := selectConjunctions(consts, shape)
 		for codec := CodecRaw; codec < numCodecs; codec++ {
 			if blk, ok := encodeAs(codec, vals); ok {
-				checkSelect(t, blk, consts)
+				checkSelect(t, blk, conjs)
 			}
 		}
 		blk, _ := EncodeBlock(nil, vals)
@@ -244,6 +273,52 @@ func FuzzSelectMatchesDecode(f *testing.F) {
 		blk[p] ^= xor
 		payload := blk[HeaderSize:]
 		binary.LittleEndian.PutUint32(blk[12:16], crc32.Checksum(payload, castagnoli))
-		checkSelect(t, blk, consts)
+		checkSelect(t, blk, conjs)
 	})
+}
+
+// TestSelectLongBlocks runs FuzzSelectMatchesDecode's check on blocks
+// longer than the fuzzer's inputs usually grow: several 64-value runs,
+// ragged tails, and FOR/Delta widths from 0 to near the ±2^53 domain, so
+// the run unpacking and its zero-padded last runs are exercised at every
+// codec.
+func TestSelectLongBlocks(t *testing.T) {
+	r := uint64(0x5e1ec7)
+	next := func() uint64 { // xorshift64
+		r ^= r << 13
+		r ^= r >> 7
+		r ^= r << 17
+		return r
+	}
+	gens := map[string]func(i int) float64{
+		"const":    func(int) float64 { return 42 },
+		"narrow":   func(int) float64 { return float64(next() % 7) },
+		"decimal":  func(int) float64 { return float64(int64(next()%200001)-100000) / 100 },
+		"wide":     func(int) float64 { return float64(int64(next()>>11) - 1<<52) },
+		"sorted":   func(i int) float64 { return float64(3*i) + float64(next()%3) },
+		"dict":     func(int) float64 { return []float64{-1.5, 0, 2.25, math.Inf(1)}[next()%4] },
+		"noise":    func(int) float64 { return math.Float64frombits(next()>>2 | 1<<62) },
+		"negative": func(i int) float64 { return -float64(i+1) / 8 },
+	}
+	for name, gen := range gens {
+		for _, n := range []int{1, 63, 64, 65, 129, 1000, 4096} {
+			vals := make([]float64, n)
+			for i := range vals {
+				vals[i] = gen(i)
+			}
+			at := vals[n/2]
+			consts := []float64{
+				vals[n/3], at, math.Nextafter(at, math.Inf(1)), vals[(2*n)/3],
+				0, math.Inf(1), math.Inf(-1), math.NaN(),
+			}
+			conjs := selectConjunctions(consts, uint32(n)*0x9e3779b9)
+			for codec := CodecRaw; codec < numCodecs; codec++ {
+				if blk, ok := encodeAs(codec, vals); ok {
+					t.Run(fmt.Sprintf("%s/%d/%s", name, n, codec.Name()), func(t *testing.T) {
+						checkSelect(t, blk, conjs)
+					})
+				}
+			}
+		}
+	}
 }

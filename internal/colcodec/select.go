@@ -39,18 +39,26 @@ func (op Op) Eval(v, c float64) bool {
 	return false
 }
 
-// Select writes the verdict of v op c for each of the block's values into
-// words, 64 to a word: value i is bit i%64 of words[i/64], and the bits
-// past Len() in the last word are zero. words must hold (Len()+63)/64
-// words. The verdicts equal Decode followed by op.Eval on every value,
-// but no value is materialised:
+// Cmp is one comparison, v Op C, of a conjunction.
+type Cmp struct {
+	Op Op
+	C  float64
+}
+
+// Select writes the verdict of the conjunction conj — every comparison
+// holds; an empty conjunction holds everywhere — for each of the block's
+// values into words, 64 to a word: value i is bit i%64 of words[i/64], and
+// the bits past Len() in the last word are zero. words must hold
+// (Len()+63)/64 words. The verdicts equal Decode followed by Eval of every
+// comparison on every value, but no value is materialised:
 //
-//   - FOR and Delta map (op, c) once to an interval of scaled integers,
-//     then compare each packed integer against it;
-//   - Dict evaluates the op once per dictionary entry, then looks each
-//     index up;
+//   - FOR and Delta map each comparison once to an interval of scaled
+//     integers and intersect them (selectScaled), so a range such as
+//     lo ≤ v < hi is one pass over the packed fields;
+//   - Dict evaluates the conjunction once per dictionary entry, then looks
+//     each index up;
 //   - Raw compares the stored values through SelectFloats' kernel.
-func (b *Block) Select(op Op, c float64, words []uint64) {
+func (b *Block) Select(conj []Cmp, words []uint64) {
 	words = words[:(b.n+63)/64]
 	switch b.codec {
 	case CodecRaw:
@@ -60,15 +68,16 @@ func (b *Block) Select(op Op, c float64, words []uint64) {
 			for j := range vals {
 				vals[j] = math.Float64frombits(binary.LittleEndian.Uint64(b.packed[8*(64*wi+j):]))
 			}
-			words[wi] = selectWord(op, c, vals)
+			words[wi] = selectWord(conj, vals)
 		}
 	case CodecDict:
+		var tab [maxDictSize]float64
 		var lut [maxDictSize / 64]uint64
-		for e := 0; e < len(b.dict)/8; e++ {
-			if op.Eval(b.entry(uint64(e)), c) {
-				lut[e/64] |= 1 << (e % 64)
-			}
+		card := len(b.dict) / 8
+		for e := range card {
+			tab[e] = b.entry(uint64(e))
 		}
+		SelectFloats(conj, tab[:card], lut[:])
 		var idx [64]uint8
 		for wi := range words {
 			var w uint64
@@ -78,30 +87,80 @@ func (b *Block) Select(op Op, c float64, words []uint64) {
 			words[wi] = w
 		}
 	case CodecFOR, CodecDelta:
-		// Verdict: m - lo < span as unsigned, so values below lo wrap high.
-		// Open proved every m within ±2^53, so nothing overflows.
-		lo, hi, neg := scaledInterval(op, c, b.scale)
-		span := uint64(hi - lo)
-		m := b.base // Delta's running value
-		for wi := range words {
-			var w uint64
-			for j, i := 0, 64*wi; j < 64 && i < b.n; j, i = j+1, i+1 {
-				if b.codec == CodecFOR {
-					m = b.base + int64(b.field(i))
-				} else if i > 0 {
-					m += unzigzag(b.field(i - 1))
-				}
-				w |= b2u(uint64(m-lo) < span) << j
-			}
-			if neg {
-				w = ^w
-				if r := b.n - 64*wi; r < 64 {
-					w &= 1<<r - 1
-				}
-			}
-			words[wi] = w
+		b.selectScaled(conj, words)
+	}
+}
+
+// selectScaled is Select on FOR and Delta blocks. The conjunction becomes
+// one interval [lo, hi) of scaled integers less the holes OpNE cuts (NaN
+// constants land in either, per scaledInterval). Each run of 64 fields,
+// 8·w bytes from a byte boundary, takes one kernel call; the last runs
+// read through a copy, whose stale bytes feed only fields the mask drops.
+func (b *Block) selectScaled(conj []Cmp, words []uint64) {
+	lo, hi := int64(-maxScaled), int64(maxScaled+1)
+	var holes [][2]int64
+	for _, cmp := range conj {
+		if l, h, neg := scaledInterval(cmp.Op, cmp.C, b.scale); neg {
+			holes = append(holes, [2]int64{l, h})
+		} else {
+			lo, hi = max(lo, l), min(hi, h)
 		}
 	}
+	span := uint64(max(hi-lo, 0))
+	kernel := deltaRun
+	if b.codec == CodecFOR {
+		kernel = forRun
+	}
+	var tail [runBuf]byte
+	run, acc := 8*int(b.w), int64(0)
+	for wi := range words {
+		src := b.packed[min(run*wi, len(b.packed)):]
+		if len(src) < runBuf {
+			copy(tail[:], src)
+			src = tail[:]
+		}
+		p := (*[runBuf]byte)(src)
+		w, next := kernel(p, b.w, acc, lo-b.base, span)
+		for _, h := range holes {
+			out, _ := kernel(p, b.w, acc, h[0]-b.base, uint64(h[1]-h[0]))
+			w &^= out
+		}
+		if r := b.n - 64*wi; r < 64 {
+			w &= 1<<r - 1
+		}
+		words[wi], acc = w, next
+	}
+}
+
+// runBuf bounds a kernel's reads, ≤ 8·maxPackWidth bytes of run and a
+// word: loads at offsets masked to 9 bits are proven in bounds.
+const runBuf = 512 + 8
+
+// forRun returns the verdicts lo ≤ f < lo+span (f − lo < span unsigned)
+// on the 64 w-bit fields f = m − base packed from p[0], field j in bit j,
+// and acc unchanged. Open proved every m within ±2^53: nothing overflows.
+func forRun(p *[runBuf]byte, w uint, acc, lo int64, span uint64) (uint64, int64) {
+	mask := uint64(1)<<(w&63) - 1
+	var word uint64
+	for j, bit := 0, uint(0); j < 64; j, bit = j+1, bit+w {
+		k := bit >> 3 & 511
+		f := int64(binary.LittleEndian.Uint64(p[k:k+8:k+8]) >> (bit & 7) & mask)
+		word = word>>1 | b2u(uint64(f-lo) < span)<<63
+	}
+	return word, acc
+}
+
+// deltaRun is forRun on Delta's running sum acc = m − base, each verdict
+// taken before its zigzagged field is added, and returns the sum after.
+func deltaRun(p *[runBuf]byte, w uint, acc, lo int64, span uint64) (uint64, int64) {
+	mask := uint64(1)<<(w&63) - 1
+	var word uint64
+	for j, bit := 0, uint(0); j < 64; j, bit = j+1, bit+w {
+		k := bit >> 3 & 511
+		word = word>>1 | b2u(uint64(acc-lo) < span)<<63
+		acc += unzigzag(binary.LittleEndian.Uint64(p[k:k+8:k+8]) >> (bit & 7) & mask)
+	}
+	return word, acc
 }
 
 func b2u(ok bool) uint64 {
@@ -157,17 +216,26 @@ func firstScaled(c float64, s int, strict bool) int64 {
 	return lo
 }
 
-// SelectFloats writes the verdict of v op c for each value of vals into
-// words, in Block.Select's layout: flat in-memory columns and Raw blocks
-// share this kernel.
-func SelectFloats(op Op, c float64, vals []float64, words []uint64) {
+// SelectFloats writes the verdict of the conjunction conj for each value
+// of vals into words, in Block.Select's layout: flat in-memory columns and
+// Raw blocks share this kernel.
+func SelectFloats(conj []Cmp, vals []float64, words []uint64) {
 	for wi := range (len(vals) + 63) / 64 {
-		words[wi] = selectWord(op, c, vals[64*wi:min(len(vals), 64*wi+64)])
+		words[wi] = selectWord(conj, vals[64*wi:min(len(vals), 64*wi+64)])
 	}
 }
 
-// selectWord packs the verdicts of up to 64 values into one word.
-func selectWord(op Op, c float64, vals []float64) uint64 {
+// selectWord packs the conjunction's verdicts on ≤ 64 values into a word.
+func selectWord(conj []Cmp, vals []float64) uint64 {
+	w := uint64(1)<<len(vals) - 1
+	for _, cmp := range conj {
+		w &= cmpWord(cmp.Op, cmp.C, vals)
+	}
+	return w
+}
+
+// cmpWord packs the verdicts of v op c on up to 64 values into one word.
+func cmpWord(op Op, c float64, vals []float64) uint64 {
 	var w uint64
 	switch op {
 	case OpLT:

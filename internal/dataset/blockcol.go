@@ -17,9 +17,9 @@
 package dataset
 
 import (
+	"container/list"
 	"fmt"
 	"math"
-	"slices"
 	"sync"
 
 	"repro/internal/colcodec"
@@ -43,13 +43,20 @@ type blockZone struct {
 }
 
 // blockCache is the decoded-block LRU shared by every blockColumn of one
-// table. Keys combine column id and block index.
+// table. Keys combine column id and block index. Hits move to the back of
+// a recency list, puts evict from its front: both O(1) under the mutex.
 type blockCache struct {
 	mu      sync.Mutex
 	limit   int // decoded blocks, not bytes; computed from blockCacheBytes
-	entries map[uint64][]float64
-	order   []uint64 // LRU order, least recent first (small: a few dozen)
-	err     error    // first decode failure, sticky
+	entries map[uint64]*list.Element
+	order   list.List // of *cachedBlock, least recently used first
+	err     error     // first decode failure, sticky
+}
+
+// cachedBlock is one entry of a blockCache's recency list.
+type cachedBlock struct {
+	key  uint64
+	vals []float64
 }
 
 func newBlockCache(blockLen int) *blockCache {
@@ -57,22 +64,19 @@ func newBlockCache(blockLen int) *blockCache {
 	if limit < 4 {
 		limit = 4
 	}
-	return &blockCache{limit: limit, entries: make(map[uint64][]float64)}
+	return &blockCache{limit: limit, entries: make(map[uint64]*list.Element)}
 }
 
 // get returns the cached decoded block, or nil.
 func (c *blockCache) get(key uint64) []float64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	vals, ok := c.entries[key]
+	e, ok := c.entries[key]
 	if !ok {
 		return nil
 	}
-	if i := slices.Index(c.order, key); i >= 0 && i != len(c.order)-1 {
-		copy(c.order[i:], c.order[i+1:])
-		c.order[len(c.order)-1] = key
-	}
-	return vals
+	c.order.MoveToBack(e)
+	return e.Value.(*cachedBlock).vals
 }
 
 // put inserts a decoded block, evicting the least recently used entries
@@ -82,14 +86,11 @@ func (c *blockCache) put(key uint64, vals []float64) []float64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if prev, ok := c.entries[key]; ok {
-		return prev
+		return prev.Value.(*cachedBlock).vals
 	}
-	c.entries[key] = vals
-	c.order = append(c.order, key)
-	for len(c.order) > c.limit {
-		victim := c.order[0]
-		c.order = c.order[1:]
-		delete(c.entries, victim)
+	c.entries[key] = c.order.PushBack(&cachedBlock{key, vals})
+	for c.order.Len() > c.limit {
+		delete(c.entries, c.order.Remove(c.order.Front()).(*cachedBlock).key)
 	}
 	return vals
 }

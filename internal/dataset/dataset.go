@@ -94,7 +94,7 @@ func NewSliceGroup(name string, values []float64) *SliceGroup {
 	if len(values) == 0 {
 		panic(fmt.Sprintf("dataset: group %q has no values", name))
 	}
-	g := &SliceGroup{name: name, maxv: values[0], drawCore: newDrawCore(values, nil, nil)}
+	g := &SliceGroup{name: name, maxv: values[0], drawCore: newDrawCore(values, nil, nil, nil)}
 	sum := 0.0
 	for _, v := range values {
 		sum += v
@@ -115,7 +115,7 @@ func newSegmentSliceGroup(name string, values []float64, mean, maxv float64) *Sl
 	if len(values) == 0 {
 		panic(fmt.Sprintf("dataset: group %q has no values", name))
 	}
-	g := &SliceGroup{name: name, mean: mean, maxv: maxv, drawCore: newDrawCore(values, nil, nil)}
+	g := &SliceGroup{name: name, mean: mean, maxv: maxv, drawCore: newDrawCore(values, nil, nil, nil)}
 	g.seg = true
 	g.sparse = g.total > sparsePermGate
 	return g
@@ -128,7 +128,7 @@ func newBlockSliceGroup(name string, win *blockWindow, mean, maxv float64) *Slic
 	if win.n == 0 {
 		panic(fmt.Sprintf("dataset: group %q has no values", name))
 	}
-	g := &SliceGroup{name: name, mean: mean, maxv: maxv, drawCore: newDrawCore(nil, win, nil)}
+	g := &SliceGroup{name: name, mean: mean, maxv: maxv, drawCore: newDrawCore(nil, win, nil, nil)}
 	g.sparse = g.total > sparsePermGate
 	return g
 }

@@ -199,11 +199,14 @@ func TestFilterLeavesBlockCacheUntouched(t *testing.T) {
 	snapshot := func() ([]uint64, map[uint64]*float64) {
 		st.cache.mu.Lock()
 		defer st.cache.mu.Unlock()
+		var order []uint64
 		vals := map[uint64]*float64{}
-		for k, v := range st.cache.entries {
-			vals[k] = &v[0]
+		for e := st.cache.order.Front(); e != nil; e = e.Next() {
+			b := e.Value.(*cachedBlock)
+			order = append(order, b.key)
+			vals[b.key] = &b.vals[0]
 		}
-		return slices.Clone(st.cache.order), vals
+		return order, vals
 	}
 	order, entries := snapshot()
 	if len(order) == 0 {

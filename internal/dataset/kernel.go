@@ -31,9 +31,9 @@
 // is a cursor its Sampler owns, so any number of runs may draw from one
 // group set at once. Draw state is recycled, not per-query garbage: a
 // cursor's permutation and staging buffers live in a drawScratch taken
-// from a free list every run over the group shares, and handed back — the
-// permutation restored to the identity — when the run ends
-// (Sampler.Release).
+// from a free list every run over the group shares — runs over the
+// group's filtered views included — and handed back, the permutation
+// restored to the identity, when the run ends (Sampler.Release).
 package dataset
 
 import (
@@ -53,16 +53,17 @@ type drawScratch struct {
 }
 
 // drawPool is the free list of draw scratch every run over one group
-// shares. It is last in, first out, so a run takes the scratch the
-// previous run released, and it keeps at most max idle entries — the
-// GOMAXPROCS of the group's creation, as many runs as can draw at once —
-// for the group's lifetime. Unlike a sync.Pool it is not emptied by a
-// garbage collection, so a query's allocation does not depend on when the
-// collector last ran.
+// shares, runs over its filtered views included. It is last in, first
+// out, so a run takes the scratch the previous run released, and it keeps
+// at most max idle entries — the GOMAXPROCS of the group's creation, as
+// many runs as can draw at once — for the group's lifetime. Unlike a
+// sync.Pool it is not emptied by a garbage collection, so a query's
+// allocation does not depend on when the collector last ran.
 type drawPool struct {
 	mu   sync.Mutex
 	free []*drawScratch
 	max  int
+	rows int // every pooled permutation's length, all of it the identity
 }
 
 // get pops the most recently released scratch, or returns a new one.
@@ -109,18 +110,22 @@ type drawCore struct {
 	// a group far larger than RAM be sampled without replacement. Only
 	// segment-backed groups past sparsePermGate use it.
 	sparse bool
-	// pool recycles drawScratch among every run over the group, so its
-	// permutations all have length total.
+	// pool recycles drawScratch among every run over the group and, for
+	// a filtered view, over its base group: pool.rows ≥ total.
 	pool *drawPool
 }
 
-func newDrawCore(values []float64, win *blockWindow, sel *selection) drawCore {
-	g := drawCore{values: values, win: win, sel: sel, total: len(values), pool: &drawPool{max: runtime.GOMAXPROCS(0)}}
+// newDrawCore builds the draw machinery; a nil pool gives it its own.
+func newDrawCore(values []float64, win *blockWindow, sel *selection, pool *drawPool) drawCore {
+	g := drawCore{values: values, win: win, sel: sel, total: len(values), pool: pool}
 	if win != nil {
 		g.total = win.n
 	}
 	if sel != nil {
 		g.total = sel.count
+	}
+	if pool == nil {
+		g.pool = &drawPool{max: runtime.GOMAXPROCS(0), rows: g.total}
 	}
 	return g
 }
@@ -181,17 +186,17 @@ func (c *cursor) scratch() *drawScratch {
 	return c.sc
 }
 
-// densePerm returns the dense permutation, built as the identity the first
-// time a scratch is used without replacement.
+// densePerm returns perm[:total] of the scratch's permutation, built as
+// the identity over the pool's rows the first time it is drawn from.
 func (c *cursor) densePerm() []int32 {
 	sc := c.scratch()
 	if sc.perm == nil {
-		sc.perm = make([]int32, c.total)
+		sc.perm = make([]int32, c.pool.rows)
 		for i := range sc.perm {
 			sc.perm[i] = int32(i)
 		}
 	}
-	return sc.perm
+	return sc.perm[:c.total]
 }
 
 // grow returns the scratch buffer *buf with length n, reallocating it
@@ -366,7 +371,8 @@ func blockOrder(rows []int32, off, span int, order, ends []int32) {
 // O(draws), not O(rows): a consumed prefix [0, next) displaces exactly the
 // suffix slots {perm[t] : t < next, perm[t] ≥ next} — a slot leaves the
 // identity only by being a step's target, which moves its own index into
-// the prefix for good — so one pass over the prefix repairs both.
+// the prefix for good — so one pass over the prefix repairs both. It
+// touches no slot past total, the tail a view of fewer rows never uses.
 func (c *cursor) release() {
 	if c.sc == nil {
 		return

@@ -411,6 +411,177 @@ func TestDrawPoolKeepsAtMostGOMAXPROCS(t *testing.T) {
 	}
 }
 
+// prefiltered builds the table a view of tab should equal: every row of
+// every group that keep accepts, in row order, with its extra columns.
+func prefiltered(t *testing.T, tab *Table, keep func(row int) bool) *Table {
+	t.Helper()
+	b := NewTableBuilderColumns(tab.valueName, tab.extraNames...)
+	for gi, name := range tab.names {
+		for row := tab.offsets[gi]; row < tab.offsets[gi+1]; row++ {
+			if !keep(row) {
+				continue
+			}
+			extras := make([]float64, len(tab.extras))
+			for e, col := range tab.extras {
+				extras[e] = col[row]
+			}
+			if err := b.AddRow(name, tab.col[row], extras...); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	pre, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pre
+}
+
+// TestViewsShareBaseDrawState: a bitmap-selected view draws from its
+// base group's pool. A fresh view's cursor takes the very permutation the
+// base group's run released; runs over the base group and over two views
+// of different selectivity, interleaved and overlapping, leave every
+// pooled permutation the identity over its whole capacity, the base
+// group's rows; and each view's draws, across blocks, scalar steps and
+// exhaustion, equal those over a table pre-filtered to its survivors. An
+// index-selected view, whose permutation is no larger than its index,
+// keeps a pool of its own.
+func TestViewsShareBaseDrawState(t *testing.T) {
+	tab := kernelTestTable(t)
+	base := NewStreamSampler(NewUniverse(100, tab.Groups()...), 1, true)
+	base.DrawBatch(0, make([]float64, 64))
+	released := base.cursors[0].sc.perm
+	base.Release()
+
+	type viewCase struct {
+		view *View
+		pre  *Table
+	}
+	var views []viewCase
+	for _, f := range []struct {
+		pred Predicate
+		keep func(row int) bool
+	}{
+		{Predicate{Column: "delay", Op: OpLT, Value: 70}, func(row int) bool { return tab.col[row] < 70 }},
+		{Predicate{Column: "dist", Op: OpLT, Value: 300}, func(row int) bool { return tab.extras[0][row] < 300 }},
+	} {
+		v, err := tab.Filter(f.pred)
+		if err != nil {
+			t.Fatal(err)
+		}
+		views = append(views, viewCase{v, prefiltered(t, tab, f.keep)})
+	}
+	for vi, vc := range views {
+		for gi, g := range vc.view.Groups() {
+			if fg := g.(*FilteredGroup); fg.sel.bits == nil || fg.pool != tab.groups[gi].(*TableGroup).pool {
+				t.Fatalf("view %d group %d: not a bitmap view on its base group's pool", vi, gi)
+			}
+		}
+	}
+	index, err := tab.Filter(Predicate{Column: "dist", Op: OpLT, Value: 60})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fg := index.groups[0].(*FilteredGroup); fg.sel.idx == nil || fg.pool == tab.groups[0].(*TableGroup).pool {
+		t.Fatal("the index view was meant to keep a pool of its own")
+	}
+
+	fresh := NewStreamSampler(NewUniverse(100, views[0].view.Groups()...), 2, true)
+	fresh.Draw(0)
+	if got := fresh.cursors[0].sc.perm; &got[0] != &released[0] {
+		t.Fatal("a fresh view built its own permutation instead of taking the one its base group released")
+	}
+	fresh.Release()
+
+	for round := 0; round < 3; round++ {
+		// The base run stays open while the views draw, so the pool hands
+		// out a second permutation, and it is released between them.
+		open := NewStreamSampler(NewUniverse(100, tab.Groups()...), uint64(10+round), true)
+		open.DrawBatch(0, make([]float64, 300*(round+1)))
+		for vi, vc := range views {
+			seed := uint64(100*round + vi)
+			got := NewStreamSampler(NewUniverse(100, vc.view.Groups()...), seed, true)
+			want := NewStreamSampler(NewUniverse(100, vc.pre.Groups()...), seed, true)
+			for gi := range vc.view.Groups() {
+				for step, n := range []int{1, 64, 1, 700, 4096, 3} {
+					g, w := make([]float64, n), make([]float64, n)
+					got.DrawBatch(gi, g)
+					want.DrawBatch(gi, w)
+					if fmt.Sprint(g) != fmt.Sprint(w) {
+						t.Fatalf("round %d view %d group %d step %d: view draws differ from the pre-filtered table's", round, vi, gi, step)
+					}
+				}
+			}
+			got.Release()
+			want.Release()
+			if vi == 0 {
+				open.Release()
+			}
+		}
+	}
+	for gi, g := range tab.Groups() {
+		perms, _ := DrainDrawPool(g)
+		if len(perms) == 0 {
+			t.Fatalf("group %d: no permutation came back to the pool", gi)
+		}
+		for _, perm := range perms {
+			if len(perm) != int(g.Size()) {
+				t.Fatalf("group %d: pooled permutation of %d entries, want the base group's %d", gi, len(perm), g.Size())
+			}
+			for i, v := range perm {
+				if int(v) != i {
+					t.Fatalf("group %d: pooled permutation has perm[%d] = %d", gi, i, v)
+				}
+			}
+		}
+	}
+}
+
+// TestFreshFilterAllocatesNoPermutation: once its base group has run, a
+// fresh Filter and a without-replacement run over 30 % of its survivors
+// allocate less than a quarter of the 4 B per survivor a permutation of
+// their own would take.
+func TestFreshFilterAllocatesNoPermutation(t *testing.T) {
+	const rows = 200_000
+	b := NewTableBuilderColumns("v", "x")
+	r := xrand.New(0xa110c)
+	for i := 0; i < rows; i++ {
+		if err := b.AddRow("g", r.Float64(), r.Float64()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tab, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	warm := NewStreamSampler(NewUniverse(1, tab.Groups()...), 1, true)
+	warm.DrawBatch(0, make([]float64, 64))
+	warm.Release()
+
+	best := uint64(math.MaxUint64)
+	survivors := 0
+	for trial := 0; trial < 3; trial++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		v, err := tab.Filter(Predicate{Column: "x", Op: OpLT, Value: 0.7 + 0.01*float64(trial)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		survivors = int(v.NumRows())
+		s := NewStreamSampler(NewUniverse(1, v.Groups()...), uint64(trial), true)
+		buf := make([]float64, blockSumChunk)
+		for drawn := 0; drawn < survivors*3/10; drawn += len(buf) {
+			s.DrawBatch(0, buf[:min(len(buf), survivors*3/10-drawn)])
+		}
+		s.Release()
+		runtime.ReadMemStats(&after)
+		best = min(best, after.TotalAlloc-before.TotalAlloc)
+	}
+	if limit := uint64(survivors); best >= limit {
+		t.Fatalf("a fresh filter and a 30 %% run allocated %d B, want < %d B (¼ of 4 B × %d survivors)", best, limit, survivors)
+	}
+}
+
 // TestDrawEachMatchesDraw holds DrawEach's contract: drawing one sample
 // from each of a random subset of groups per call must give exactly what
 // one Sampler.Draw per listed group gives on an identical universe — the

@@ -41,8 +41,9 @@ func poolTestTable(t *testing.T) *dataset.Table {
 // with the tied groups consumed whole, capped on the one-sample-per-round
 // schedule, cancelled between rounds — core.Run's sampler hands every
 // group's draw state back, and every permutation waiting in a pool is the
-// identity, which is what lets the next run start from it without an
-// O(rows) fill.
+// identity over its whole capacity — the base group's rows, which a
+// filtered view's pool shares — which is what lets the next run, over the
+// group or any view of it, start from it without an O(rows) fill.
 func TestReleasedDrawStateIsIdentity(t *testing.T) {
 	tab := poolTestTable(t)
 	view, err := tab.Filter(dataset.Predicate{Column: "x", Op: dataset.OpLT, Value: 6})
@@ -74,6 +75,10 @@ func TestReleasedDrawStateIsIdentity(t *testing.T) {
 			return core.Spec{Opts: opts}
 		}, context.Canceled},
 	}
+	baseRows := map[string]int{}
+	for _, g := range tab.Groups() {
+		baseRows[g.Name()] = int(g.Size())
+	}
 	inspected := 0
 	for _, backing := range []struct {
 		name  string
@@ -100,8 +105,8 @@ func TestReleasedDrawStateIsIdentity(t *testing.T) {
 						t.Fatalf("group %d: the run handed back %d permutations, want 1", gi, len(perms))
 					}
 					for _, perm := range perms {
-						if len(perm) != int(g.Size()) {
-							t.Fatalf("group %d: pooled permutation of %d entries for %d rows", gi, len(perm), g.Size())
+						if len(perm) != baseRows[g.Name()] {
+							t.Fatalf("group %d: pooled permutation of %d entries for a base group of %d rows", gi, len(perm), baseRows[g.Name()])
 						}
 						for i, v := range perm {
 							if int(v) != i {

@@ -18,7 +18,9 @@
 package dataset
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sync"
 
 	"repro/internal/bitmap"
@@ -183,11 +185,15 @@ func (t *Table) Filter(preds ...Predicate) (*View, error) {
 		default:
 			sel := seal(sels[gi], count)
 			fg := &FilteredGroup{name: t.names[gi]}
-			if t.bcols != nil {
-				fg.drawCore = newDrawCore(nil, newBlockWindow(t.bcols[0], int64(lo), hi-lo), sel)
-			} else {
-				fg.drawCore = newDrawCore(t.col[lo:hi], nil, sel)
+			// A bitmap view borrows its base group's pool; an index view
+			// keeps its own, no larger than its index (DESIGN §8).
+			base := &t.groups[gi].(*TableGroup).drawCore
+			pool := base.pool
+			if sel.bits == nil {
+				pool = nil
 			}
+			fg.drawCore = newDrawCore(base.values, base.win, sel, pool)
+			fg.sparse = base.sparse
 			v.groups = append(v.groups, fg)
 			v.rows += int64(count)
 		}
@@ -213,6 +219,7 @@ func (v *View) addWhole(t *Table, gi int) {
 // string, which is ORed into every included group the block overlaps: a
 // block can span group boundaries, so each group takes its own bit range.
 func (t *Table) selectRows(preds []resolvedPredicate, include map[int]bool) ([]*bitmap.Bitmap, error) {
+	slices.SortStableFunc(preds, func(a, b resolvedPredicate) int { return cmp.Compare(a.col, b.col) })
 	sels := make([]*bitmap.Bitmap, len(t.names))
 	for gi := range sels {
 		if include == nil || include[gi] {
@@ -259,12 +266,13 @@ func (t *Table) selectRows(preds []resolvedPredicate, include map[int]bool) ([]*
 
 // verdicts writes into words the conjunction's verdicts for rows [lo, hi),
 // block b of the table, one bit per row; it reports false when a zone map
-// proves no row of the block matches. Zone maps settle predicates whole
-// blocks at a time; the rest compare in place, and their verdict strings
-// are ANDed.
+// proves no row of the block matches. preds come sorted by column. Zone
+// maps settle predicates whole blocks at a time; each column's remaining
+// predicates compare in place as one conjunction, and the columns' verdict
+// strings are ANDed into words.
 func (t *Table) verdicts(b, lo, hi int, preds []resolvedPredicate, words, scratch []uint64) (bool, error) {
 	nw := (hi - lo + 63) / 64
-	words = words[:nw]
+	words, scratch = words[:nw], scratch[:nw]
 	if t.bcols != nil {
 		for _, p := range preds {
 			if t.bcols[1+p.col].zones[b].relate(p.op, p.c) == zoneNone {
@@ -272,43 +280,40 @@ func (t *Table) verdicts(b, lo, hi int, preds []resolvedPredicate, words, scratc
 			}
 		}
 	}
-	live := 0
-	for _, p := range preds {
-		dst := words
-		if live > 0 {
-			dst = scratch[:nw]
+	for i := range words {
+		words[i] = ^uint64(0)
+	}
+	if r := (hi - lo) % 64; r != 0 {
+		words[nw-1] = 1<<r - 1
+	}
+	conj := make([]colcodec.Cmp, 0, 8)
+	for i := 0; i < len(preds); {
+		col := preds[i].col
+		conj = conj[:0]
+		for ; i < len(preds) && preds[i].col == col; i++ {
+			p := preds[i]
+			if t.bcols == nil || t.bcols[1+col].zones[b].relate(p.op, p.c) != zoneAll {
+				conj = append(conj, colcodec.Cmp{Op: p.op.codec(), C: p.c})
+			}
+		}
+		if len(conj) == 0 {
+			continue
 		}
 		if t.bcols != nil {
-			bc := t.bcols[1+p.col]
-			if bc.zones[b].relate(p.op, p.c) == zoneAll {
-				continue
-			}
-			blk, err := bc.open(b)
+			blk, err := t.bcols[1+col].open(b)
 			if err != nil {
 				return false, err
 			}
-			blk.Select(p.op.codec(), p.c, dst)
+			blk.Select(conj, scratch)
 		} else {
-			col := t.col
-			if p.col >= 0 {
-				col = t.extras[p.col]
+			vals := t.col
+			if col >= 0 {
+				vals = t.extras[col]
 			}
-			colcodec.SelectFloats(p.op.codec(), p.c, col[lo:hi], dst)
+			colcodec.SelectFloats(conj, vals[lo:hi], scratch)
 		}
-		if live > 0 {
-			for i := range words {
-				words[i] &= dst[i]
-			}
-		}
-		live++
-	}
-	if live == 0 {
-		// Every predicate holds on the whole block.
-		for i := range words {
-			words[i] = ^uint64(0)
-		}
-		if r := (hi - lo) % 64; r != 0 {
-			words[nw-1] = 1<<r - 1
+		for k := range words {
+			words[k] &= scratch[k]
 		}
 	}
 	return true, nil
