@@ -49,6 +49,7 @@ import (
 	"hash/crc32"
 	"math"
 	"math/bits"
+	"slices"
 )
 
 // Codec identifies one block encoding.
@@ -120,6 +121,7 @@ func EncodeBlock(dst []byte, vals []float64) ([]byte, Codec) {
 		panic(fmt.Sprintf("colcodec: block of %d values (want 1..%d)", len(vals), MaxBlockLen))
 	}
 	codec, payloadLen, sc, dict := chooseCodec(vals)
+	dst = slices.Grow(dst, HeaderSize+payloadLen)
 	start := len(dst)
 	dst = append(dst, make([]byte, HeaderSize)...)
 	switch codec {

@@ -47,9 +47,11 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 
 	"repro/internal/colcodec"
 	"repro/internal/mmapfile"
+	"repro/internal/par"
 )
 
 const (
@@ -98,6 +100,14 @@ type segManifest struct {
 	Columns  []segColumn `json:"columns,omitempty"`
 }
 
+// colName names column c: 0 is the value column, 1+e extra e.
+func (m *segManifest) colName(c int) string {
+	if c == 0 {
+		return m.ValueName
+	}
+	return m.ExtraNames[c-1]
+}
+
 // segColumn is one compressed column's block index.
 type segColumn struct {
 	Blocks []segBlock `json:"blocks"`
@@ -125,40 +135,43 @@ type segGroup struct {
 	ExtraCRCs []uint32 `json:"extra_crcs,omitempty"`
 }
 
-// SegmentWriter streams a table's rows into a segment directory without
-// ever materializing the table: groups are declared in order with
-// StartGroup and rows appended group-contiguously, so a writer's peak
-// memory is one bufio buffer per column regardless of row count. Close
-// finalizes headers and writes the manifest last (via rename), so a
-// directory with a valid manifest always has complete column files.
-type SegmentWriter struct {
-	dir        string
-	valueName  string
-	extraNames []string
-	opts       SegmentOptions
-
-	files []*os.File // [0] = value column, [1+e] = extra e
-	bufs  []*bufWriter
-	man   segManifest
-
-	// Compressed mode: per-column block staging. encs[c].vals buffers up
-	// to BlockLen values; a full buffer is encoded, appended to the column
-	// file, and indexed in the manifest with its zone map.
-	encs   []colEncoder
-	encBuf []byte
-
-	cur     *segGroup
-	curSum  float64
-	names   map[string]struct{}
-	scratch [8]byte
-	closed  bool
-	err     error // sticky: first failure poisons the writer
+// crc returns the group's CRC-32C of column c (0 = the value column).
+func (g *segGroup) crc(c int) *uint32 {
+	if c == 0 {
+		return &g.ValueCRC
+	}
+	return &g.ExtraCRCs[c-1]
 }
 
-// colEncoder is one compressed column's write-side state.
-type colEncoder struct {
-	vals []float64 // staged values of the current block
-	off  int64     // encoded bytes written so far
+// SegmentWriter streams a table's rows into a segment directory without
+// ever materializing the table: groups are declared in order with
+// StartGroup and rows appended group-contiguously. Append stages BlockLen
+// values per column (in v1 too, allocated on first use) and flushes each
+// full block, so peak memory is one block per column plus one encode
+// buffer, whatever the row count. Close finalizes headers and writes the
+// manifest last (via rename), so a directory with a valid manifest always
+// has complete column files.
+type SegmentWriter struct {
+	dir  string
+	opts SegmentOptions
+	cols []colSink // [0] = value column, [1+e] = extra e
+	man  segManifest
+	sums []float64   // per group: the value sum, folded in row order
+	sc   *colScratch // Append's and Close's buffers
+	row  []float64   // the row Append hands the columns
+
+	cur    *segGroup
+	names  map[string]struct{}
+	closed bool
+	err    error // sticky: first failure poisons the writer
+}
+
+// colSink is one column file's write side.
+type colSink struct {
+	f     *os.File
+	off   int64     // data bytes written
+	stage []float64 // rows of a part block, waiting for the rest of it
+	gc    groupCursor
 }
 
 // SegmentOptions selects the on-disk segment format.
@@ -172,37 +185,57 @@ type SegmentOptions struct {
 	BlockLen int
 }
 
-// bufWriter is a minimal buffered writer (we avoid bufio to keep the flush
-// and error paths explicit and the per-value write inlineable).
-type bufWriter struct {
-	f   *os.File
-	buf []byte
+// colScratch is one worker's buffers: the little-endian bytes of up to
+// 512 values, an encoded block, and a decoded block.
+type colScratch struct {
+	le  [4096]byte
+	enc []byte
+	dec []float64
 }
 
-func (w *bufWriter) write8(p [8]byte) error {
-	w.buf = append(w.buf, p[:]...)
-	if len(w.buf) >= 1<<16 {
-		return w.flush()
+// eachLE converts vals to little-endian bytes, 512 at a time, and calls
+// fn with each chunk and its bytes.
+func (sc *colScratch) eachLE(vals []float64, fn func(chunk []float64, le []byte) error) error {
+	for len(vals) > 0 {
+		chunk := vals[:min(len(sc.le)/8, len(vals))]
+		le := sc.le[:8*len(chunk)]
+		for i, v := range chunk {
+			binary.LittleEndian.PutUint64(le[8*i:], math.Float64bits(v))
+		}
+		if err := fn(chunk, le); err != nil {
+			return err
+		}
+		vals = vals[len(chunk):]
 	}
 	return nil
 }
 
-// write appends an arbitrary byte run (encoded blocks).
-func (w *bufWriter) write(p []byte) error {
-	w.buf = append(w.buf, p...)
-	if len(w.buf) >= 1<<16 {
-		return w.flush()
-	}
-	return nil
+// groupCursor walks one column's rows in order through the manifest's
+// groups.
+type groupCursor struct {
+	gi  int   // group of row
+	row int64 // absolute row of the next value
 }
 
-func (w *bufWriter) flush() error {
-	if len(w.buf) == 0 {
-		return nil
+// runs advances over the next n rows and calls fn(gi, row, i, j) once per
+// group run: rows [i, j) of the n lie in group gi, starting at absolute
+// row row.
+func (gc *groupCursor) runs(groups []segGroup, n int, fn func(gi int, row int64, i, j int) error) error {
+	for i := 0; i < n; {
+		g := &groups[gc.gi]
+		left := g.Offset + g.Rows - gc.row
+		if left == 0 {
+			gc.gi++
+			continue
+		}
+		j := i + int(min(left, int64(n-i)))
+		if err := fn(gc.gi, gc.row, i, j); err != nil {
+			return err
+		}
+		gc.row += int64(j - i)
+		i = j
 	}
-	_, err := w.f.Write(w.buf)
-	w.buf = w.buf[:0]
-	return err
+	return nil
 }
 
 // CreateSegments opens a segment writer over dir (created if missing) with
@@ -233,25 +266,22 @@ func CreateSegmentsOptions(dir string, opts SegmentOptions, valueName string, ex
 		return nil, fmt.Errorf("dataset: segments: %w", err)
 	}
 	w := &SegmentWriter{
-		dir:        dir,
-		valueName:  valueName,
-		extraNames: extraNames,
-		opts:       opts,
-		names:      map[string]struct{}{},
+		dir:   dir,
+		opts:  opts,
+		sc:    &colScratch{},
+		names: map[string]struct{}{},
 		man: segManifest{
 			Magic:      segTableMagic,
 			Version:    version,
 			ValueName:  valueName,
 			ExtraNames: extraNames,
+			MinValue:   math.Inf(1), // below and above every valid value:
+			MaxValue:   -1,          // the first row seeds both, as in fold
 		},
 	}
 	if opts.Compress {
 		w.man.BlockLen = opts.BlockLen
 		w.man.Columns = make([]segColumn, 1+len(extraNames))
-		w.encs = make([]colEncoder, 1+len(extraNames))
-		for c := range w.encs {
-			w.encs[c].vals = make([]float64, 0, opts.BlockLen)
-		}
 	}
 	paths := []string{SegmentValuePath(dir)}
 	for e := range extraNames {
@@ -263,8 +293,7 @@ func CreateSegmentsOptions(dir string, opts SegmentOptions, valueName string, ex
 			w.abort()
 			return nil, fmt.Errorf("dataset: segments: %w", err)
 		}
-		w.files = append(w.files, f)
-		w.bufs = append(w.bufs, &bufWriter{f: f, buf: make([]byte, 0, 1<<16)})
+		w.cols = append(w.cols, colSink{f: f})
 		// Header placeholder; the real header is written at Close, once the
 		// row count is known.
 		if _, err := f.Write(make([]byte, SegmentDataOffset)); err != nil {
@@ -294,16 +323,20 @@ func (w *SegmentWriter) StartGroup(name string) error {
 	w.man.Groups = append(w.man.Groups, segGroup{
 		Name:      name,
 		Offset:    w.man.Rows,
-		ExtraCRCs: make([]uint32, len(w.extraNames)),
+		Max:       -1,
+		ExtraCRCs: make([]uint32, len(w.man.ExtraNames)),
 	})
+	w.sums = append(w.sums, 0)
 	w.cur = &w.man.Groups[len(w.man.Groups)-1]
-	w.curSum = 0
 	return nil
 }
 
 // Append writes one row of the current group: the aggregated value plus one
 // entry per declared extra column. Values must be finite and non-negative
-// — every sampling algorithm requires values in [0, c].
+// — every sampling algorithm requires values in [0, c]. Rows are staged
+// per column and flushed a block at a time; the flush folds each block's
+// little-endian bytes into the group CRCs with one crc32.Update per group
+// run.
 func (w *SegmentWriter) Append(value float64, extras ...float64) error {
 	if w.err != nil {
 		return w.err
@@ -311,79 +344,123 @@ func (w *SegmentWriter) Append(value float64, extras ...float64) error {
 	if w.cur == nil {
 		return w.fail(fmt.Errorf("dataset: segments: Append before StartGroup"))
 	}
-	if len(extras) != len(w.extraNames) {
+	if len(extras) != len(w.man.ExtraNames) {
 		return w.fail(fmt.Errorf("dataset: segments: row has %d extra values, writer declared %d extra columns %v",
-			len(extras), len(w.extraNames), w.extraNames))
+			len(extras), len(w.man.ExtraNames), w.man.ExtraNames))
 	}
 	if err := checkValue(value); err != nil {
 		return w.fail(err)
 	}
-	// Per-group CRCs are always over the decoded little-endian bytes —
-	// in compressed mode too, so VerifyChecksums proves the decode end to
-	// end and the manifests stay comparable across formats.
-	binary.LittleEndian.PutUint64(w.scratch[:], math.Float64bits(value))
-	w.cur.ValueCRC = crc32.Update(w.cur.ValueCRC, castagnoli, w.scratch[:])
-	if err := w.writeValue(0, value, w.scratch); err != nil {
-		return w.fail(err)
-	}
-	for e, v := range extras {
-		binary.LittleEndian.PutUint64(w.scratch[:], math.Float64bits(v))
-		w.cur.ExtraCRCs[e] = crc32.Update(w.cur.ExtraCRCs[e], castagnoli, w.scratch[:])
-		if err := w.writeValue(1+e, v, w.scratch); err != nil {
+	w.cur.Rows++
+	w.man.Rows++
+	w.row = append(append(w.row[:0], value), extras...)
+	for c := range w.cols {
+		if err := w.put(c, w.row[c:c+1], false, w.sc); err != nil {
 			return w.fail(err)
 		}
 	}
-	// Statistics fold in append order, matching NewSliceGroup's scan order
-	// bit for bit (sum from 0.0, max seeded by the first value), so opened
-	// groups report identical TrueMean/MaxValue to their in-memory twins.
-	if w.cur.Rows == 0 || value > w.cur.Max {
-		w.cur.Max = value
-	}
-	w.curSum += value
-	if w.man.Rows == 0 || value < w.man.MinValue {
-		w.man.MinValue = value
-	}
-	if w.man.Rows == 0 || value > w.man.MaxValue {
-		w.man.MaxValue = value
-	}
-	w.cur.Rows++
-	w.man.Rows++
 	return nil
 }
 
-// writeValue routes one column value to its sink: the raw byte stream in
-// v1, the block stager in v2.
-func (w *SegmentWriter) writeValue(c int, v float64, le [8]byte) error {
-	if !w.opts.Compress {
-		return w.bufs[c].write8(le)
-	}
-	enc := &w.encs[c]
-	enc.vals = append(enc.vals, v)
-	if len(enc.vals) == w.opts.BlockLen {
-		return w.flushBlock(c)
+// put hands column c its next rows. Whole blocks — and, when last, the
+// column's final rows — flush straight from vals; the rest is staged
+// until later rows complete its block, and last seals it. Every feeder
+// writes through put: Append a row at a time, WriteSegmentsOptions a
+// column or a decoded source block at a time, Close nothing but last.
+func (w *SegmentWriter) put(c int, vals []float64, last bool, sc *colScratch) error {
+	cs, bl := &w.cols[c], w.opts.BlockLen
+	for len(vals) > 0 || last && len(cs.stage) > 0 {
+		if len(cs.stage) == 0 && (len(vals) >= bl || last) {
+			n := min(bl, len(vals))
+			if err := w.flush(c, vals[:n], sc); err != nil {
+				return err
+			}
+			vals = vals[n:]
+			continue
+		}
+		if cs.stage == nil {
+			cs.stage = make([]float64, 0, bl)
+		}
+		n := min(bl-len(cs.stage), len(vals))
+		cs.stage = append(cs.stage, vals[:n]...)
+		vals = vals[n:]
+		if len(cs.stage) == bl || last && len(vals) == 0 {
+			if err := w.flush(c, cs.stage, sc); err != nil {
+				return err
+			}
+			cs.stage = cs.stage[:0]
+		}
 	}
 	return nil
 }
 
-// flushBlock encodes column c's staged values as one block, appends it to
-// the column file, and records its offset and zone map in the manifest.
-func (w *SegmentWriter) flushBlock(c int) error {
-	enc := &w.encs[c]
-	if len(enc.vals) == 0 {
+// flush writes vals, column c's next rows: in v2 as one encoded block,
+// indexed with its zone map, in v1 as raw little-endian bytes. Either way
+// it folds those bytes into the group CRCs, one crc32.Update per group run
+// of each 512-value chunk, and the value column into the group statistics.
+// A flush touches only its column's state, so columns flush in parallel.
+func (w *SegmentWriter) flush(c int, vals []float64, sc *colScratch) error {
+	cs := &w.cols[c]
+	if w.opts.Compress {
+		blk, _ := colcodec.EncodeBlock(sc.enc[:0], vals)
+		sc.enc = blk
+		z := zoneOf(vals)
+		w.man.Columns[c].Blocks = append(w.man.Columns[c].Blocks, segBlock{
+			Off: cs.off, Min: z.min, Max: z.max, NZ: !z.ok,
+		})
+		if _, err := cs.f.Write(blk); err != nil {
+			return fmt.Errorf("dataset: segments: %w", err)
+		}
+		cs.off += int64(len(blk))
+	}
+	return sc.eachLE(vals, func(chunk []float64, le []byte) error {
+		err := cs.gc.runs(w.man.Groups, len(chunk), func(gi int, _ int64, i, j int) error {
+			crc := w.man.Groups[gi].crc(c)
+			*crc = crc32.Update(*crc, castagnoli, le[8*i:8*j])
+			if c > 0 {
+				return nil
+			}
+			return w.fold(gi, chunk[i:j])
+		})
+		if err != nil || w.opts.Compress {
+			return err
+		}
+		if _, err := cs.f.Write(le); err != nil {
+			return fmt.Errorf("dataset: segments: %w", err)
+		}
+		cs.off += int64(len(le))
 		return nil
-	}
-	blk, _ := colcodec.EncodeBlock(w.encBuf[:0], enc.vals)
-	w.encBuf = blk
-	z := zoneOf(enc.vals)
-	w.man.Columns[c].Blocks = append(w.man.Columns[c].Blocks, segBlock{
-		Off: enc.off, Min: z.min, Max: z.max, NZ: !z.ok,
 	})
-	enc.off += int64(len(blk))
-	enc.vals = enc.vals[:0]
-	return w.bufs[c].write(blk)
 }
 
-// finishGroup seals the current group's statistics.
+// fold adds a run of group gi's values to the group's and the table's
+// statistics. It sees the value column in row order — sum from 0.0,
+// maxima seeded below every valid value, so the first value replaces the
+// seed — and opened groups report TrueMean/MaxValue bit-identical to
+// NewSliceGroup's scan.
+func (w *SegmentWriter) fold(gi int, vals []float64) error {
+	g, man := &w.man.Groups[gi], &w.man
+	sum := w.sums[gi]
+	for _, v := range vals {
+		if !validValue(v) {
+			return checkValue(v)
+		}
+		sum += v
+		if v > g.Max {
+			g.Max = v
+		}
+		if v < man.MinValue {
+			man.MinValue = v
+		}
+		if v > man.MaxValue {
+			man.MaxValue = v
+		}
+	}
+	w.sums[gi] = sum
+	return nil
+}
+
+// finishGroup checks the current group's row count and closes it.
 func (w *SegmentWriter) finishGroup() error {
 	if w.cur == nil {
 		return nil
@@ -395,7 +472,6 @@ func (w *SegmentWriter) finishGroup() error {
 		return w.fail(fmt.Errorf("dataset: segments: group %q has %d rows; the draw layer addresses rows as int32 (max %d per group)",
 			w.cur.Name, w.cur.Rows, math.MaxInt32))
 	}
-	w.cur.Mean = w.curSum / float64(w.cur.Rows)
 	w.cur = nil
 	return nil
 }
@@ -411,16 +487,16 @@ func (w *SegmentWriter) fail(err error) error {
 // abort closes the column files without finalizing headers, leaving the
 // directory manifest-less (and therefore unopenable, by design).
 func (w *SegmentWriter) abort() {
-	for _, f := range w.files {
-		f.Close()
+	for _, cs := range w.cols {
+		cs.f.Close()
 	}
 	w.closed = true
 }
 
-// Close seals the last group, rewrites every column header with the final
-// row count, syncs the column files, and writes the manifest via a
-// temp-file rename so a crash mid-Close never leaves a valid manifest over
-// incomplete columns.
+// Close seals the last group and every column's staged rows, rewrites
+// every column header with the final row count, syncs the column files,
+// and writes the manifest via a temp-file rename so a crash mid-Close
+// never leaves a valid manifest over incomplete columns.
 func (w *SegmentWriter) Close() error {
 	if w.closed {
 		return w.err
@@ -438,40 +514,32 @@ func (w *SegmentWriter) Close() error {
 		w.abort()
 		return fmt.Errorf("dataset: segments: table has no rows")
 	}
-	if w.opts.Compress {
-		// Seal the trailing partial block of every column.
-		for c := range w.encs {
-			if err := w.flushBlock(c); err != nil {
-				w.abort()
-				return fmt.Errorf("dataset: segments: %w", err)
-			}
+	for c := range w.cols {
+		if err := w.put(c, nil, true, w.sc); err != nil {
+			w.abort()
+			return err
 		}
 	}
-	for c, f := range w.files {
+	for gi, sum := range w.sums {
+		w.man.Groups[gi].Mean = sum / float64(w.man.Groups[gi].Rows)
+	}
+	for _, cs := range w.cols {
 		var header [SegmentDataOffset]byte
 		copy(header[0:8], segColMagic)
 		binary.LittleEndian.PutUint32(header[8:12], uint32(w.man.Version))
 		binary.LittleEndian.PutUint32(header[12:16], segEndianMarker)
 		binary.LittleEndian.PutUint64(header[16:24], uint64(w.man.Rows))
-		dataLen := uint64(w.man.Rows) * 8
-		if w.opts.Compress {
-			dataLen = uint64(w.encs[c].off)
-		}
-		binary.LittleEndian.PutUint64(header[24:32], dataLen)
+		binary.LittleEndian.PutUint64(header[24:32], uint64(cs.off))
 		binary.LittleEndian.PutUint32(header[32:36], crc32.Checksum(header[:32], castagnoli))
-		if err := w.bufs[c].flush(); err != nil {
+		if _, err := cs.f.WriteAt(header[:], 0); err != nil {
 			w.abort()
 			return fmt.Errorf("dataset: segments: %w", err)
 		}
-		if _, err := f.WriteAt(header[:], 0); err != nil {
+		if err := cs.f.Sync(); err != nil {
 			w.abort()
 			return fmt.Errorf("dataset: segments: %w", err)
 		}
-		if err := f.Sync(); err != nil {
-			w.abort()
-			return fmt.Errorf("dataset: segments: %w", err)
-		}
-		if err := f.Close(); err != nil {
+		if err := cs.f.Close(); err != nil {
 			return fmt.Errorf("dataset: segments: %w", err)
 		}
 	}
@@ -496,55 +564,65 @@ func (t *Table) WriteSegments(dir string) error {
 }
 
 // WriteSegmentsOptions is WriteSegments with an explicit format choice —
-// SegmentOptions{Compress: true} writes v2 block-compressed columns. The
-// source table may itself be compressed (a recompression pass); its blocks
-// are decoded streaming, never fully materialized.
+// SegmentOptions{Compress: true} writes v2 block-compressed columns. It
+// declares the groups, then writes the columns in parallel, one worker per
+// column: an in-memory column goes to the block writer in one piece, a
+// compressed source's (a recompression pass) one decoded block at a time,
+// never fully materialized.
 func (t *Table) WriteSegmentsOptions(dir string, opts SegmentOptions) error {
 	w, err := CreateSegmentsOptions(dir, opts, t.valueName, t.extraNames...)
 	if err != nil {
 		return err
-	}
-	scratch := make([]float64, len(t.extraNames))
-	var wins []*blockWindow
-	var memos []blockMemo
-	if t.bcols != nil {
-		wins = make([]*blockWindow, len(t.bcols))
-		memos = make([]blockMemo, len(t.bcols))
-		for c, bc := range t.bcols {
-			wins[c] = newBlockWindow(bc, 0, int(bc.rows))
-		}
 	}
 	for gi, name := range t.names {
 		if err := w.StartGroup(name); err != nil {
 			w.abort()
 			return err
 		}
-		for row := t.offsets[gi]; row < t.offsets[gi+1]; row++ {
-			var v float64
-			if wins != nil {
-				v = wins[0].at(&memos[0], row)
-				for e := range scratch {
-					scratch[e] = wins[1+e].at(&memos[1+e], row)
-				}
-			} else {
-				v = t.col[row]
-				for e := range scratch {
-					scratch[e] = t.extras[e][row]
-				}
+		w.cur.Rows = int64(t.offsets[gi+1] - t.offsets[gi])
+		w.man.Rows += w.cur.Rows
+	}
+	err = perColumn(len(w.cols), func(c int, sc *colScratch) error {
+		if t.bcols == nil {
+			col := t.col
+			if c > 0 {
+				col = t.extras[c-1]
 			}
-			if err := w.Append(v, scratch...); err != nil {
-				w.abort()
+			return w.put(c, col, true, sc)
+		}
+		bc := t.bcols[c]
+		for b := range bc.nblocks() {
+			vals, _, err := bc.decode(sc.dec[:0], b)
+			if err != nil {
+				return err
+			}
+			sc.dec = vals
+			if err := w.put(c, vals, b == bc.nblocks()-1, sc); err != nil {
 				return err
 			}
 		}
+		return nil
+	})
+	if err != nil {
+		w.abort()
+		return err
 	}
-	if t.bcols != nil {
-		if err := t.bcols[0].cache.Err(); err != nil {
-			w.abort()
+	return w.Close()
+}
+
+// perColumn runs fn(c, sc) for columns 0..n-1, one worker per column up
+// to GOMAXPROCS, each worker with its own scratch, and returns the first
+// error in column order, whatever the schedule.
+func perColumn(n int, fn func(c int, sc *colScratch) error) error {
+	errs := make([]error, n)
+	scs := make([]colScratch, min(runtime.GOMAXPROCS(0), n))
+	par.ForWorkers(n, len(scs), func(wk, c int) { errs[c] = fn(c, &scs[wk]) })
+	for _, err := range errs {
+		if err != nil {
 			return err
 		}
 	}
-	return w.Close()
+	return nil
 }
 
 // SegmentTable is a Table served from a segment directory: its columns
@@ -639,74 +717,52 @@ func (st *SegmentTable) AdviseRandom() error {
 // compressed tables it decodes every block (bypassing the cache) and also
 // proves each manifest zone map consistent with the decoded values, so a
 // clean pass means draws, filters, and zone pruning all see sound data.
+// Columns verify in parallel, one worker per column, each folding its
+// little-endian bytes into the group CRCs with one crc32.Update per group
+// run; the error returned is the first in column order, whatever the
+// schedule.
 func (st *SegmentTable) VerifyChecksums() error {
-	if st.cache != nil {
-		return st.verifyCompressed()
-	}
-	for _, g := range st.man.Groups {
-		lo, hi := g.Offset*8, (g.Offset+g.Rows)*8
-		if got := crc32.Checksum(st.data[0][lo:hi], castagnoli); got != g.ValueCRC {
-			return fmt.Errorf("dataset: segments: group %q value column checksum mismatch (manifest %08x, data %08x)",
-				g.Name, g.ValueCRC, got)
-		}
-		for e := range st.man.ExtraNames {
-			want := uint32(0)
-			if e < len(g.ExtraCRCs) {
-				want = g.ExtraCRCs[e]
-			}
-			if got := crc32.Checksum(st.data[1+e][lo:hi], castagnoli); got != want {
-				return fmt.Errorf("dataset: segments: group %q column %q checksum mismatch (manifest %08x, data %08x)",
-					g.Name, st.man.ExtraNames[e], want, got)
-			}
-		}
-	}
-	return nil
+	return perColumn(len(st.data), st.verifyColumn)
 }
 
-// verifyCompressed is VerifyChecksums for v2 tables: per column, decode
-// every block directly, compare its recomputed zone against the manifest's,
-// and fold the decoded values (as little-endian bytes) into per-group
-// CRC-32C sums checked against the manifest — the same decoded-byte CRCs a
-// v1 segment of this table would carry.
-func (st *SegmentTable) verifyCompressed() error {
-	var le [8]byte
-	var scratch []float64
-	for c, bc := range st.Table.bcols {
-		gi := 0
-		rowsLeft := st.man.Groups[0].Rows
-		crc := uint32(0)
-		for b := 0; b < bc.nblocks(); b++ {
-			vals, _, err := bc.decode(scratch[:0], b)
-			if err != nil {
-				return err
+// verifyColumn is VerifyChecksums for column c. A v1 column's data already
+// is the little-endian bytes the group CRCs cover; a v2 column decodes
+// each block into sc, checks its zone map, and converts. Either way the
+// CRCs are the same decoded-byte CRCs, so v1 and v2 manifests agree.
+func (st *SegmentTable) verifyColumn(c int, sc *colScratch) error {
+	var gc groupCursor
+	crc := uint32(0)
+	check := func(_ []float64, le []byte) error {
+		return gc.runs(st.man.Groups, len(le)/8, func(gi int, row int64, i, j int) error {
+			crc = crc32.Update(crc, castagnoli, le[8*i:8*j])
+			g := &st.man.Groups[gi]
+			if row+int64(j-i) < g.Offset+g.Rows {
+				return nil
 			}
-			scratch = vals
-			if got, want := zoneOf(vals), bc.zones[b]; got != want {
-				return fmt.Errorf("dataset: segments: column %q block %d zone map mismatch (manifest [%v, %v] nz=%v, decoded [%v, %v] nz=%v)",
-					bc.name, b, want.min, want.max, !want.ok, got.min, got.max, !got.ok)
+			if want := *g.crc(c); crc != want {
+				return fmt.Errorf("dataset: segments: group %q column %q checksum mismatch (manifest %08x, data %08x)",
+					g.Name, st.man.colName(c), want, crc)
 			}
-			for _, v := range vals {
-				binary.LittleEndian.PutUint64(le[:], math.Float64bits(v))
-				crc = crc32.Update(crc, castagnoli, le[:])
-				if rowsLeft--; rowsLeft == 0 {
-					g := &st.man.Groups[gi]
-					want := g.ValueCRC
-					if c > 0 {
-						want = 0
-						if c-1 < len(g.ExtraCRCs) {
-							want = g.ExtraCRCs[c-1]
-						}
-					}
-					if crc != want {
-						return fmt.Errorf("dataset: segments: group %q column %q checksum mismatch (manifest %08x, decoded data %08x)",
-							g.Name, bc.name, want, crc)
-					}
-					crc = 0
-					if gi++; gi < len(st.man.Groups) {
-						rowsLeft = st.man.Groups[gi].Rows
-					}
-				}
-			}
+			crc = 0
+			return nil
+		})
+	}
+	if st.cache == nil {
+		return check(nil, st.data[c])
+	}
+	bc := st.Table.bcols[c]
+	for b := range bc.nblocks() {
+		vals, _, err := bc.decode(sc.dec[:0], b)
+		if err != nil {
+			return err
+		}
+		sc.dec = vals
+		if got, want := zoneOf(vals), bc.zones[b]; got != want {
+			return fmt.Errorf("dataset: segments: column %q block %d zone map mismatch (manifest [%v, %v] nz=%v, decoded [%v, %v] nz=%v)",
+				bc.name, b, want.min, want.max, !want.ok, got.min, got.max, !got.ok)
+		}
+		if err := sc.eachLE(vals, check); err != nil {
+			return err
 		}
 	}
 	return nil
@@ -747,6 +803,10 @@ func readSegManifest(dir string) (*segManifest, error) {
 		seen[g.Name] = struct{}{}
 		if g.Rows <= 0 {
 			return nil, fmt.Errorf("dataset: segments: %s: group %q declares %d rows", dir, g.Name, g.Rows)
+		}
+		if len(g.ExtraCRCs) != len(man.ExtraNames) {
+			return nil, fmt.Errorf("dataset: segments: %s: group %q carries %d extra-column checksums for %d extra columns",
+				dir, g.Name, len(g.ExtraCRCs), len(man.ExtraNames))
 		}
 		if g.Rows > math.MaxInt32 {
 			return nil, fmt.Errorf("dataset: segments: %s: group %q declares %d rows; the draw layer addresses rows as int32 (max %d per group)",
@@ -918,11 +978,7 @@ func OpenSegments(dir string) (*SegmentTable, error) {
 			t.bcols[c] = &blockColumn{
 				raw: data, offs: offs, zones: zones,
 				rows: man.Rows, blockLen: man.BlockLen, colID: c, cache: st.cache,
-			}
-			if c == 0 {
-				t.bcols[c].name = man.ValueName
-			} else {
-				t.bcols[c].name = man.ExtraNames[c-1]
+				name: man.colName(c),
 			}
 		}
 		for gi, g := range man.Groups {

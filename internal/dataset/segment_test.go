@@ -242,6 +242,13 @@ func TestOpenSegmentsCorruption(t *testing.T) {
 			errHas: "sum to",
 		},
 		{
+			name: "manifest-extra-crcs-missing",
+			corrupt: func(t *testing.T, dir string) {
+				editManifestV2(t, dir, func(man *segManifest) { man.Groups[1].ExtraCRCs = nil })
+			},
+			errHas: "extra-column checksums",
+		},
+		{
 			name:    "value-missing",
 			corrupt: func(t *testing.T, dir string) { os.Remove(filepath.Join(dir, "value.seg")) },
 			errHas:  "value.seg",
