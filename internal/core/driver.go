@@ -2,7 +2,6 @@ package core
 
 import (
 	"math"
-	"runtime"
 	"sync"
 
 	"repro/internal/conc"
@@ -22,37 +21,24 @@ import (
 // polls the context, applies MaxRounds and MaxDraws, emits OnRound and
 // OnPartial, and releases the run's Sampler; a roundAlgo supplies step 4.
 //
-// What a round draws comes from one of two hooks, or the default:
-//   - the default plan draws one block per active group — BatchSize
-//     samples, the BatchAuto block for the round, or the RoundGrowth block
-//     — and folds it into the group's running mean;
-//   - a per-group plan (IREFINE) lays out each group's blocks itself, one
-//     or more per round, and may start a fresh estimate from the round's
-//     first block instead of extending the running mean;
-//   - a scatter draw (NOINDEX, multiple group-by, multiple aggregates)
-//     draws from units that cannot target a group: every tuple a unit draws
-//     lands in the group it reveals.
+// The driver only plans what a round draws: a phase is a list of takes,
+// one per group, that one Sampler.DrawRound call draws — choosing the
+// strategy, fanning it across Options.Workers, keeping counts, total and
+// moments — and the driver then folds each take into its group's running
+// mean. The default plan draws one block per active group (BatchSize, the
+// BatchAuto block or the RoundGrowth block); a per-group plan (IREFINE)
+// lays out each group's blocks itself; a scatter layout (NOINDEX, multiple
+// group-by, multiple aggregates) draws from units whose tuples land, and
+// are folded, in the groups they reveal.
 //
-// Batching: BatchSize ≤ 1 reproduces the paper's one-sample rounds bit for
-// bit, incremental running-mean update included — pinned by TestGoldenPins.
-// Such a round draws across the groups (Sampler.DrawEach), so the groups'
-// cache misses overlap rather than queue one behind the next. Because the
-// anytime schedule is simultaneously valid at every sample count, indexing
-// ε by each group's own draw count keeps the union bound intact at any
-// block size; batching only trades bookkeeping frequency for up to one
-// block of extra samples per group.
-//
-// Parallelism: every group owns a deterministic RNG stream derived from
-// the run seed and its index (dataset.NewStreamSampler), and a scatter
-// unit draws on the stream of its first group, so a group's draws are a
-// pure function of (seed, index, samples taken) and never of the order
-// groups are visited. The draw phase of each round can therefore fan the
-// per-group (or per-unit) draws across Options.Workers goroutines, while
-// every decision that touches cross-group state (planning, settling, the
-// isolation sweep, partial-result events) runs before or after the draw
-// barrier, in deterministic group order. Workers=1 and Workers=N produce
-// bit-identical results; the conformance matrix (conformance_test.go) and
-// FuzzRun pin it.
+// BatchSize ≤ 1 reproduces the paper's one-sample rounds bit for bit
+// (TestGoldenPins). The anytime schedule is valid at every sample count,
+// so indexing ε by each group's own count keeps the union bound at any
+// block size. Every group draws on its own RNG stream (a scatter unit on
+// its first group's), and everything that touches cross-group state —
+// planning, folding, settling, partial-result events — runs before or
+// after a phase's barrier in group order, so Workers=1 and Workers=N give
+// bit-identical results (the conformance matrix and FuzzRun pin it).
 
 // roundAlgo packages what distinguishes one round-based algorithm from
 // another.
@@ -62,28 +48,26 @@ type roundAlgo struct {
 	// e.g. the resolution relaxation or the allowed-mistakes quota).
 	decide func(lp *roundLoop)
 	// plan, when set, replaces the default block: it returns group i's
-	// next block this round, given the drawn samples the group already
-	// took this round (0 ends the group's round), and — on the round's
-	// first call — whether the round starts a fresh estimate, the mean of
-	// this round's draws alone, instead of extending the running mean. A
-	// planned run decides from round 1 on, and keeps per-group widths in
-	// epsG, which the plan maintains itself.
-	plan func(i, drawn int) (n int, fresh bool)
+	// next block this round, given the samples the group already drew this
+	// round (0 ends the group's round). Each round's blocks make a fresh
+	// estimate, the mean of that round's draws alone. A planned run decides
+	// from round 1 on, and keeps per-group widths in epsG, which the plan
+	// maintains itself.
+	plan func(i, drawn int) int
 	// scatter, when set, replaces per-group draws with draw units whose
-	// tuples land in the groups they reveal. Scatter runs take per-group
-	// radii at each group's own count.
-	scatter *scatter
-	// drawOne, when set, replaces the sampler-native draw path (normalized
-	// draws with auxiliary randomness). Block rounds loop it; accounting
-	// must go through sampler.Record inside the hook unless the hook itself
-	// draws through the sampler.
-	drawOne func(i int) float64
+	// tuples land in the groups they reveal; the driver sets its Fold.
+	// Scatter runs take per-group radii at each group's own count.
+	scatter *dataset.Scatter
 	// afterDraws, when set, runs right after every draw phase (the seed
 	// round included) — e.g. the SUM estimator rescaling means into sums.
 	afterDraws func(lp *roundLoop)
 	// display, when set, is the estimate vector exposed to the tracer,
 	// OnPartial and the final Result (default: the running means).
 	display []float64
+	// scale, when set, converts group i's live width to the units of its
+	// displayed estimate (SUM's n_i) wherever the driver settles or
+	// reports it.
+	scale []float64
 	// traceFlags, when set, is passed to the tracer instead of the live
 	// active flags (ROUNDROBIN reports every group as active, as the
 	// scalar implementation always did).
@@ -97,21 +81,6 @@ type roundAlgo struct {
 	// notifyPartials emits OnPartial events for settled groups, the ones
 	// the round or draw cap force-settles included.
 	notifyPartials bool
-}
-
-// scatter lays out the draws of an algorithm that cannot target a group:
-// units draw whole tuples, each landing in the group it reveals. Unit u
-// serves groups [u·k/units, (u+1)·k/units) and draws while any of them is
-// active, one block per group it serves each round, on the stream of its
-// first group. Every landed tuple counts towards its group's SampleCounts;
-// only active groups fold it into their estimate. Scatter draws are with
-// replacement.
-type scatter struct {
-	units int
-	// draw takes one tuple from unit u on r and returns the group it
-	// lands in and its value. Units may draw concurrently, so draw may
-	// touch only state owned by u's groups.
-	draw func(u int, r *xrand.RNG) (group int, v float64)
 }
 
 // roundLoop is the shared state of one run.
@@ -134,34 +103,22 @@ type roundLoop struct {
 
 	k         int
 	estimates []float64 // running means
-	active    []bool
 	settledR  []int
-	frozenEps []float64 // interval half-width at settle time
-	isolated  []bool
-	actIdx    []int
-	drained   []bool // keepExhaustedActive mode: drawing stopped
 	numActive int
 
-	m      int // round number
-	cum    int // cumulative default blocks per still-active group
-	eps    float64
-	capped bool
+	m        int // round number
+	cum      int // cumulative default blocks per still-active group
+	eps      float64
+	capped   bool
+	orderFor int8      // which sweep family orderBuf belongs to
+	traceEps []float64 // scratch per-group widths handed to OnRound
 
-	workers int   // resolved draw-phase fan-out cap (≤ 1 draws inline)
-	drawIdx []int // groups (scatter: units) drawing this phase, in index order
-	drawN   []int // matching block sizes
-
-	ivsBuf   []interval // scratch for the unequal-width sweep
-	orderBuf []int      // the isolation sweeps' sort permutation, carried across rounds
-	orderFor int8       // which sweep family orderBuf belongs to
-	traceEps []float64  // scratch per-group widths handed to OnRound
-
-	// scratch is the pooled arena behind every per-run buffer above that
-	// does not escape into the Result (estimates and settledR do escape and
-	// are always freshly allocated), and home to the plan runs' per-block
-	// bookkeeping. release returns it, with the sampler's draw state,
-	// exactly once per run: at the end of run, on success or cancellation.
-	scratch *loopScratch
+	// loopScratch is the pooled arena behind every per-run buffer that does
+	// not escape into the Result (estimates and settledR do escape and are
+	// always freshly allocated). release returns it, with the sampler's
+	// draw state, exactly once per run: at the end of run, on success or
+	// cancellation.
+	*loopScratch
 }
 
 // loopScratch holds one run's reusable buffers between runs. An engine
@@ -171,80 +128,39 @@ type roundLoop struct {
 type loopScratch struct {
 	active    []bool
 	isolated  []bool
-	drained   []bool
-	frozenEps []float64
-	epsG      []float64
-	traceEps  []float64
+	drained   []bool    // keepExhaustedActive mode: drawing stopped
+	frozenEps []float64 // interval half-width at settle time
 	actIdx    []int
-	drawIdx   []int
-	drawN     []int
-	orderBuf  []int
-	ivsBuf    []interval
+	orderBuf  []int      // the isolation sweeps' sort permutation, carried across rounds
+	ivsBuf    []interval // scratch for the unequal-width sweep
+	epsBuf    []float64  // epsG's storage
+	traceBuf  []float64  // traceEps's storage
 
-	// Plan runs, per planned block: the samples in the group's estimate
-	// before it, and the samples the group drew this round before it.
-	drawPrev []int
-	drawDone []int
+	// plan is the phase being drawn: one take per group (scatter: unit),
+	// in index order. Plan runs also keep, per take, the samples the group
+	// drew this round before it.
+	plan  []dataset.Take
+	drawn []int
 }
 
 var loopScratchPool = sync.Pool{New: func() any { return new(loopScratch) }}
 
-// boolScratch returns a zeroed length-k slice reusing buf's storage.
-func boolScratch(buf []bool, k int) []bool {
+// zeroed returns buf resized to k zero values, reusing its storage.
+func zeroed[T any](buf []T, k int) []T {
 	if cap(buf) < k {
-		return make([]bool, k)
+		return make([]T, k)
 	}
 	buf = buf[:k]
-	for i := range buf {
-		buf[i] = false
-	}
+	clear(buf)
 	return buf
-}
-
-// f64Scratch returns a zeroed length-k slice reusing buf's storage.
-func f64Scratch(buf []float64, k int) []float64 {
-	if cap(buf) < k {
-		return make([]float64, k)
-	}
-	buf = buf[:k]
-	for i := range buf {
-		buf[i] = 0
-	}
-	return buf
-}
-
-// intScratch returns an empty slice with capacity ≥ k reusing buf's storage.
-func intScratch(buf []int, k int) []int {
-	if cap(buf) < k {
-		return make([]int, 0, k)
-	}
-	return buf[:0]
 }
 
 // release hands the run's draw state and scratch buffers back to their
 // pools. The roundLoop must not be used afterwards.
 func (lp *roundLoop) release() {
 	lp.sampler.Release()
-	sc := lp.scratch
-	lp.scratch = nil
-	// Store back the possibly grown/reallocated slices so the pool keeps
-	// the largest incarnation of each buffer.
-	sc.active = lp.active
-	sc.isolated = lp.isolated
-	sc.drained = lp.drained
-	sc.frozenEps = lp.frozenEps
-	if lp.epsG != nil {
-		sc.epsG = lp.epsG
-	}
-	if lp.traceEps != nil {
-		sc.traceEps = lp.traceEps
-	}
-	sc.actIdx = lp.actIdx
-	sc.drawIdx = lp.drawIdx
-	sc.drawN = lp.drawN
-	sc.orderBuf = lp.orderBuf
-	sc.ivsBuf = lp.ivsBuf
-	loopScratchPool.Put(sc)
+	loopScratchPool.Put(lp.loopScratch)
+	lp.loopScratch = nil
 }
 
 // orderFor values: which call family the carried orderBuf permutation
@@ -257,12 +173,6 @@ const (
 	orderGeneral
 )
 
-// minParallelRoundDraws is the planned draw volume below which a round
-// always runs inline: dispatching the pool costs on the order of
-// microseconds, so scalar and near-scalar rounds (one block per group,
-// tiny blocks) never pay for it.
-const minParallelRoundDraws = 1024
-
 // newRoundLoop builds the loop state. opts must already be validated. The
 // run's RNG discipline is fixed here: one word is taken from rng and every
 // group derives its own stream from it, keyed by group index — so the
@@ -270,73 +180,45 @@ const minParallelRoundDraws = 1024
 // how many draws it has taken, never on draw interleaving across groups.
 func newRoundLoop(u *dataset.Universe, rng *xrand.RNG, opts *Options, algo roundAlgo) *roundLoop {
 	k := u.K()
-	// Resolve the fan-out cap: Workers=0 sizes it to the machine, and any
-	// request is clamped to GOMAXPROCS (goroutines beyond the schedulable
-	// parallelism only add handoff cost — the measured 25% workers=8 tax
-	// on a single core) and to the group count. Whether a given round
-	// actually fans out is decided per round by the volume gate in
-	// drawPhase.
-	maxPar := runtime.GOMAXPROCS(0)
-	workers := opts.Workers
-	if workers == 0 {
-		workers = maxPar
-	}
-	if workers > maxPar {
-		workers = maxPar
-	}
-	if workers > k {
-		workers = k
-	}
-	sampler := dataset.NewStreamSampler(u, rng.Uint64(), !opts.WithReplacement)
-	bound := newRunBound(u, opts)
-	if bound == nil && algo.scatter != nil {
-		// Tuples land where they land, so counts differ per group: every
-		// width is the radius at the group's own count, which for the
-		// Hoeffding bound is exactly the shared schedule's ε.
-		bound = conc.MustBound(conc.KindHoeffding, u.C, k, opts.Delta, opts.Kappa)
-	}
-	// Per-run buffers come from the scratch pool; only estimates and
-	// settledR escape into the Result and are always freshly allocated.
 	sc := loopScratchPool.Get().(*loopScratch)
-	var epsG []float64
-	if bound != nil || algo.plan != nil {
-		epsG = f64Scratch(sc.epsG, k)
+	sc.active = zeroed(sc.active, k)
+	sc.isolated = zeroed(sc.isolated, k)
+	sc.drained = zeroed(sc.drained, k)
+	sc.frozenEps = zeroed(sc.frozenEps, k)
+	sc.actIdx, sc.orderBuf, sc.ivsBuf, sc.plan = sc.actIdx[:0], sc.orderBuf[:0], sc.ivsBuf[:0], sc.plan[:0]
+	lp := &roundLoop{
+		u:           u,
+		opts:        opts,
+		sched:       newSchedule(u, opts),
+		bound:       newRunBound(u, opts),
+		algo:        algo,
+		k:           k,
+		estimates:   make([]float64, k),
+		settledR:    make([]int, k),
+		loopScratch: sc,
 	}
-	if bound != nil && bound.NeedsMoments() {
-		// Native draws fold straight into the sampler's per-group moments;
-		// algorithms with a transform hook (drawOne) or scatter draws
-		// observe the values they fold instead, so the moments describe
-		// the variable actually being estimated.
-		sampler.EnableMoments(algo.drawOne == nil)
+	if sd := algo.scatter; sd != nil {
+		sd.Fold = lp.land
+		if lp.bound == nil {
+			// Tuples land where they land, so counts differ per group:
+			// every width is the radius at the group's own count, which for
+			// the Hoeffding bound is exactly the shared schedule's ε.
+			lp.bound = conc.MustBound(conc.KindHoeffding, u.C, k, opts.Delta, opts.Kappa)
+		}
 	}
-	var traceEps []float64
+	if lp.bound != nil || algo.plan != nil {
+		sc.epsBuf = zeroed(sc.epsBuf, k)
+		lp.epsG = sc.epsBuf
+	}
 	if opts.OnRound != nil {
-		traceEps = f64Scratch(sc.traceEps, k)
+		sc.traceBuf = zeroed(sc.traceBuf, k)
+		lp.traceEps = sc.traceBuf
 	}
-	return &roundLoop{
-		u:         u,
-		opts:      opts,
-		sched:     newSchedule(u, opts),
-		sampler:   sampler,
-		bound:     bound,
-		epsG:      epsG,
-		algo:      algo,
-		k:         k,
-		estimates: make([]float64, k),
-		active:    boolScratch(sc.active, k),
-		settledR:  make([]int, k),
-		frozenEps: f64Scratch(sc.frozenEps, k),
-		isolated:  boolScratch(sc.isolated, k),
-		actIdx:    intScratch(sc.actIdx, k),
-		drained:   boolScratch(sc.drained, k),
-		workers:   workers,
-		drawIdx:   intScratch(sc.drawIdx, k),
-		drawN:     intScratch(sc.drawN, k),
-		ivsBuf:    sc.ivsBuf[:0],
-		orderBuf:  sc.orderBuf[:0],
-		traceEps:  traceEps,
-		scratch:   sc,
+	lp.sampler = dataset.NewRoundSampler(u, rng.Uint64(), !opts.WithReplacement, opts.Workers, algo.scatter)
+	if lp.bound != nil && lp.bound.NeedsMoments() {
+		lp.sampler.EnableMoments(true)
 	}
+	return lp
 }
 
 // blockSize returns how many fresh samples each active group draws this
@@ -396,24 +278,23 @@ func (lp *roundLoop) run() (*Result, error) {
 			// skipped. Every group still active settles at the width its
 			// own samples support, the seed round included.
 			lp.earnedWidth()
-			lp.trace(lp.eps)
+			lp.trace()
 			lp.capRun()
 			break
 		}
 		if lp.m == 1 && lp.algo.plan == nil {
 			// The seed round only draws: one block per group is no
-			// interval yet.
+			// interval yet, though its trace shows the width it earned.
 			if lp.algo.seedTrace {
-				eps := lp.eps
 				if lp.epsG == nil {
-					eps = lp.sched.Epsilon(lp.cum) / lp.opts.HeuristicFactor
+					lp.eps = lp.sched.Epsilon(lp.cum) / lp.opts.HeuristicFactor
 				}
-				lp.trace(eps)
+				lp.trace()
 			}
 			continue
 		}
 		lp.algo.decide(lp)
-		lp.trace(lp.eps)
+		lp.trace()
 		if lp.opts.MaxRounds > 0 && lp.m >= lp.opts.MaxRounds {
 			lp.capRun()
 		}
@@ -433,7 +314,8 @@ func (lp *roundLoop) capRun() {
 // earnedWidth resets a lockstep run's shared ε to the width its
 // least-drawn active group has earned: the draw cap may have stopped the
 // round short of the count ε was computed for. Per-group radii are taken
-// at each group's own count already; a plan's widths are its own targets.
+// at each group's own count already, and a plan's afterDraws holds a
+// batch the cap cut to the width its draws earned.
 func (lp *roundLoop) earnedWidth() {
 	if lp.epsG != nil || lp.numActive == 0 {
 		return
@@ -485,16 +367,14 @@ func (lp *roundLoop) updateRadii() {
 //
 // Planning runs sequentially, in group order — block sizes, exhaustion
 // settles, the MaxDraws budget, the only parts that touch cross-group
-// state — and each planned phase then fans across the worker pool (see
-// drawPhase). Without replacement, a group whose remaining population
-// cannot cover its block draws what is left, and one that has nothing left
+// state. Without replacement, a group whose remaining population cannot
+// cover its block draws what is left, and one that has nothing left
 // settles at width zero — its estimate is exact — or, in
 // keepExhaustedActive mode, is marked drained. Under MaxDraws, blocks are
 // cut to the draws the cap has left, in group order, so a capped run stops
 // at the cap exactly.
 func (lp *roundLoop) drawRound(fresh int) {
-	lp.drawIdx = lp.drawIdx[:0]
-	lp.drawN = lp.drawN[:0]
+	plan := lp.plan[:0]
 	budget := int64(math.MaxInt64)
 	if lp.opts.MaxDraws > 0 {
 		budget = lp.opts.MaxDraws - lp.sampler.Total()
@@ -505,25 +385,23 @@ func (lp *roundLoop) drawRound(fresh int) {
 		return n
 	}
 	if sd := lp.algo.scatter; sd != nil {
-		per := lp.k / sd.units
-		for u := 0; u < sd.units; u++ {
+		per := lp.k / sd.Units
+		for u := 0; u < sd.Units; u++ {
 			for _, a := range lp.active[u*per : (u+1)*per] {
 				if a {
 					if n := take(fresh * per); n > 0 {
-						lp.drawIdx = append(lp.drawIdx, u)
-						lp.drawN = append(lp.drawN, n)
+						plan = append(plan, dataset.Take{I: u, N: n})
 					}
 					break
 				}
 			}
 		}
-		lp.drawPhase()
+		lp.plan = plan
+		lp.sampler.DrawRound(plan)
 		return
 	}
-	planned, sc := lp.algo.plan != nil, lp.scratch
-	if planned {
-		sc.drawPrev, sc.drawDone = sc.drawPrev[:0], sc.drawDone[:0]
-	}
+	planned := lp.algo.plan != nil
+	lp.drawn = lp.drawn[:0]
 	for i := 0; i < lp.k; i++ {
 		if !lp.active[i] || lp.drained[i] {
 			continue
@@ -537,45 +415,61 @@ func (lp *roundLoop) drawRound(fresh int) {
 			}
 			continue
 		}
-		n, prev := fresh, 0
+		n := fresh
 		if planned {
-			var restart bool
-			if n, restart = lp.algo.plan(i, 0); !restart {
-				prev = int(lp.sampler.Count(i))
-			} else if m := lp.sampler.MomentsFor(i); m != nil {
+			n = lp.algo.plan(i, 0)
+			if m := lp.sampler.MomentsFor(i); m != nil {
 				m.Reset()
 			}
 		}
 		if n = take(min(n, left)); n <= 0 {
 			continue
 		}
-		lp.drawIdx = append(lp.drawIdx, i)
-		lp.drawN = append(lp.drawN, n)
+		plan = append(plan, dataset.Take{I: i, N: n})
 		if planned {
-			sc.drawPrev = append(sc.drawPrev, prev)
-			sc.drawDone = append(sc.drawDone, 0)
+			lp.drawn = append(lp.drawn, 0)
 		}
 	}
-	lp.drawPhase()
+	lp.plan = plan
+	lp.phase()
 	// A plan may lay out further blocks after seeing each one drawn; each
 	// later phase extends the estimate the round's first block began.
-	for planned && len(lp.drawIdx) > 0 {
+	for planned && len(lp.plan) > 0 {
 		w := 0
-		for j, i := range lp.drawIdx {
-			done := sc.drawDone[j] + lp.drawN[j]
-			n, _ := lp.algo.plan(i, done)
-			if n = take(min(n, lp.remaining(i))); n <= 0 {
-				continue
+		for j, t := range lp.plan {
+			done := lp.drawn[j] + t.N
+			if n := take(min(lp.algo.plan(t.I, done), lp.remaining(t.I))); n > 0 {
+				lp.drawn[w] = done
+				lp.plan[w] = dataset.Take{I: t.I, N: n}
+				w++
 			}
-			sc.drawPrev[w] = sc.drawPrev[j] + lp.drawN[j]
-			sc.drawDone[w] = done
-			lp.drawIdx[w], lp.drawN[w] = i, n
-			w++
 		}
-		lp.drawIdx, lp.drawN = lp.drawIdx[:w], lp.drawN[:w]
-		sc.drawPrev, sc.drawDone = sc.drawPrev[:w], sc.drawDone[:w]
-		lp.drawPhase()
+		lp.plan, lp.drawn = lp.plan[:w], lp.drawn[:w]
+		lp.phase()
 	}
+}
+
+// phase draws the planned takes with one Sampler.DrawRound call and, after
+// its barrier, folds each into its group's estimate in group order.
+func (lp *roundLoop) phase() {
+	lp.sampler.DrawRound(lp.plan)
+	for j, t := range lp.plan {
+		prev := int(lp.sampler.Count(t.I)) - t.N
+		if lp.algo.plan != nil {
+			prev = lp.drawn[j]
+		}
+		lp.fold(t.I, prev, t.N, t.Sum)
+	}
+}
+
+// land folds a scatter tuple into group i's estimate, count being the
+// group's draws with it, while the group is active.
+func (lp *roundLoop) land(i int, count int64, v float64) bool {
+	if !lp.active[i] {
+		return false
+	}
+	lp.fold(i, int(count)-1, 1, v)
+	return true
 }
 
 // remaining returns how many more samples group i can take: the rest of
@@ -588,88 +482,6 @@ func (lp *roundLoop) remaining(i int) int {
 		}
 	}
 	return math.MaxInt
-}
-
-// drawPhase draws the planned blocks. Each draw touches only group-owned
-// state — the group's RNG stream, permutation and draw scratch, its
-// running mean, and the sampler's atomic accounting — so the fan-out needs
-// no locks and the barrier at the end of ParallelFor publishes every
-// estimate before decide reads them.
-func (lp *roundLoop) drawPhase() {
-	planned := 0
-	for _, n := range lp.drawN {
-		planned += n
-	}
-	if lp.workers <= 1 || len(lp.drawIdx) <= 1 || planned < minParallelRoundDraws {
-		if planned == len(lp.drawIdx) && lp.algo.drawOne == nil && lp.algo.plan == nil && lp.algo.scatter == nil {
-			lp.drawScalarRound()
-			return
-		}
-		for j := range lp.drawIdx {
-			lp.drawBlock(j)
-		}
-		return
-	}
-	ParallelFor(len(lp.drawIdx), lp.workers, lp.drawBlock)
-}
-
-// drawScalarRound draws an inline round of one sample per group through
-// Sampler.DrawEach, staging values on the stack 64 groups at a time. A
-// fanned-out one runs per group through drawBlock, one pipeline step each.
-func (lp *roundLoop) drawScalarRound() {
-	var vals [64]float64
-	for idx := lp.drawIdx; len(idx) > 0; {
-		n := min(len(idx), len(vals))
-		lp.sampler.DrawEach(idx[:n], vals[:n])
-		for j, i := range idx[:n] {
-			lp.fold(i, int(lp.sampler.Count(i))-1, 1, vals[j])
-		}
-		idx = idx[n:]
-	}
-}
-
-// drawBlock draws the j-th planned block and folds it into the group's
-// estimate.
-func (lp *roundLoop) drawBlock(j int) {
-	i, n := lp.drawIdx[j], lp.drawN[j]
-	if lp.algo.scatter != nil {
-		lp.drawUnit(i, n)
-		return
-	}
-	sum := 0.0
-	switch {
-	case lp.algo.drawOne != nil:
-		for t := 0; t < n; t++ {
-			x := lp.algo.drawOne(i)
-			lp.sampler.Observe(i, x)
-			sum += x
-		}
-	default:
-		sum, _ = lp.sampler.DrawBlockSum(i, n)
-	}
-	prev := int(lp.sampler.Count(i)) - n
-	if lp.algo.plan != nil {
-		prev = lp.scratch.drawPrev[j]
-	}
-	lp.fold(i, prev, n, sum)
-}
-
-// drawUnit draws n tuples from scatter unit u, each recorded for the
-// group it lands in and folded into that group's estimate while the group
-// is active.
-func (lp *roundLoop) drawUnit(u, n int) {
-	sc := lp.algo.scatter
-	s, active := lp.sampler, lp.active
-	r := s.RNGFor(u * (lp.k / sc.units))
-	s.AddTotal(int64(n))
-	for ; n > 0; n-- {
-		i, v := sc.draw(u, r)
-		c := s.Land(i)
-		if active[i] {
-			s.Observe(i, v)
-			lp.fold(i, int(c)-1, 1, v)
-		}
-	}
 }
 
 // fold folds n fresh samples summing to sum into group i's estimate, which
@@ -711,12 +523,17 @@ func (lp *roundLoop) reopen() {
 }
 
 // groupEps returns group i's live radius: the shared ε under the default
-// schedule, its own per-group width otherwise.
+// schedule, its own per-group width otherwise, in the units of its
+// displayed estimate.
 func (lp *roundLoop) groupEps(i int) float64 {
+	eps := lp.eps
 	if lp.epsG != nil {
-		return lp.epsG[i]
+		eps = lp.epsG[i]
 	}
-	return lp.eps
+	if lp.algo.scale != nil {
+		eps *= lp.algo.scale[i]
+	}
+	return eps
 }
 
 // width returns group i's current interval half-width: the live radius
@@ -831,9 +648,8 @@ func (lp *roundLoop) settleAllRemaining(notify bool) {
 
 // trace emits one OnRound event for the current round, honoring the
 // algorithm's display and flag overrides. The per-group widths are frozen
-// for settled groups and the live radius (eps under the default schedule)
-// for active ones.
-func (lp *roundLoop) trace(eps float64) {
+// for settled groups and the live radius for active ones.
+func (lp *roundLoop) trace() {
 	if lp.opts.OnRound == nil {
 		return
 	}
@@ -845,17 +661,10 @@ func (lp *roundLoop) trace(eps float64) {
 	if lp.algo.display != nil {
 		est = lp.algo.display
 	}
-	for i := 0; i < lp.k; i++ {
-		switch {
-		case !lp.active[i]:
-			lp.traceEps[i] = lp.frozenEps[i]
-		case lp.epsG != nil:
-			lp.traceEps[i] = lp.epsG[i]
-		default:
-			lp.traceEps[i] = eps
-		}
+	for i := range lp.traceEps {
+		lp.traceEps[i] = lp.width(i)
 	}
-	lp.opts.OnRound(lp.m, eps, lp.traceEps, flags, est, lp.sampler.Total())
+	lp.opts.OnRound(lp.m, lp.eps, lp.traceEps, flags, est, lp.sampler.Total())
 }
 
 // result assembles the common Result shape and releases the run — it must

@@ -150,7 +150,7 @@ var scalarPools = sync.OnceValue(func() map[int][]dataset.Group {
 
 // BenchmarkScalarRound measures the paper's one-sample rounds (BatchSize=1,
 // Workers=1): fixed-work IFOCUS runs over k identically distributed groups,
-// whose draws go through Sampler.DrawEach one round at a time and whose
+// whose draws go through Sampler.DrawRound one round at a time and whose
 // settle sweep and radii run every round. ns/draw is the whole run divided
 // by its samples.
 func BenchmarkScalarRound(b *testing.B) {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"testing"
 
@@ -330,6 +331,122 @@ func TestMaxDrawsCutRoundIsCapped(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+}
+
+// TestIRefineCappedWidthIsEarned: when the draw cap stops IREFINE inside a
+// round, a group whose batch the cap cut reports the Hoeffding width its
+// draws of the round earned at the round's δ_i, not the halved target it
+// was drawing towards, and a group the cap reached before it drew keeps
+// the estimate and width of the round before. Four 200 000-row groups of
+// one uniform distribution never separate, so only the cap ends the run:
+// at 3 000 draws, inside round 3, after group 0's full batch and part of
+// group 1's.
+func TestIRefineCappedWidthIsEarned(t *testing.T) {
+	const k, rows = 4, 200_000
+	r := xrand.New(0x1ef)
+	groups := make([]dataset.Group, k)
+	for g := range groups {
+		vals := make([]float64, rows)
+		for i := range vals {
+			vals[i] = 100 * r.Float64()
+		}
+		groups[g] = dataset.NewSliceGroup(fmt.Sprint(g), vals)
+	}
+	u := dataset.NewUniverse(100, groups...)
+	opts := DefaultOptions()
+	opts.MaxDraws = 3000
+	type event struct {
+		widths, est []float64
+	}
+	var events []event
+	opts.OnRound = func(_ int, _ float64, widths []float64, _ []bool, est []float64, _ int64) {
+		events = append(events, event{append([]float64(nil), widths...), append([]float64(nil), est...)})
+	}
+	res, err := IRefine(u, xrand.New(5), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Capped || res.TotalSamples != opts.MaxDraws || len(events) < 2 {
+		t.Fatalf("capped=%v after %d draws and %d rounds, want a capped run of exactly the cap", res.Capped, res.TotalSamples, len(events))
+	}
+	// Every round before the last drew each group's whole batch.
+	prev, delta := 0, opts.Delta/(2*k)
+	for m := 1; m < res.Rounds; m++ {
+		delta /= 2
+		prev += conc.HoeffdingSampleSize(u.C, u.C/math.Pow(2, float64(m+1)), delta)
+	}
+	delta /= 2
+	last, before := events[len(events)-1], events[len(events)-2]
+	var cut, skipped int
+	for g := 0; g < k; g++ {
+		n := int(res.SampleCounts[g]) - prev
+		switch {
+		case n == 0:
+			skipped++
+			if last.widths[g] != before.widths[g] || last.est[g] != before.est[g] {
+				t.Errorf("group %d drew nothing in the capped round, yet went from %v ± %v to %v ± %v",
+					g, before.est[g], before.widths[g], last.est[g], last.widths[g])
+			}
+		case n < conc.HoeffdingSampleSize(u.C, u.C/math.Pow(2, float64(res.Rounds+1)), delta):
+			cut++
+			fallthrough
+		default:
+			if earned := conc.HoeffdingRadius(u.C, n, delta); last.widths[g] < earned {
+				t.Errorf("group %d reports width %v after %d draws in the capped round, which earn %v", g, last.widths[g], n, earned)
+			}
+		}
+		if earned := conc.HoeffdingRadius(u.C, int(res.SampleCounts[g]), opts.Delta/(2*k)); last.widths[g] < earned {
+			t.Errorf("group %d reports width %v, narrower than all its %d draws earn at δ/2k: %v", g, last.widths[g], res.SampleCounts[g], earned)
+		}
+	}
+	if cut == 0 || skipped == 0 {
+		t.Fatalf("the cap cut %d batches and skipped %d groups; the fixture must do both", cut, skipped)
+	}
+}
+
+// TestRunAllocsIndependentOfRounds: a run's allocations are its set-up —
+// sampler, streams, result — and never a round's. IFOCUS at BatchSize 1
+// and at BatchAuto, each over a universe that settles in R rounds and one
+// that takes about 4R, allocates the same per run. The slack covers the
+// scratch pools refilling after a collection, never a per-round cost.
+func TestRunAllocsIndependentOfRounds(t *testing.T) {
+	universe := func(gap float64) *dataset.Universe {
+		r := xrand.New(3)
+		groups := make([]dataset.Group, 2)
+		for g := range groups {
+			vals := make([]float64, 400_000)
+			for i := range vals {
+				vals[i] = 40 + float64(g)*gap + 20*r.Float64()
+			}
+			groups[g] = dataset.NewSliceGroup(fmt.Sprint(g), vals)
+		}
+		return dataset.NewUniverse(100, groups...)
+	}
+	for _, tc := range []struct {
+		batch     int
+		near, far float64 // the gaps settling in R and about 4R rounds
+	}{{1, 16, 8}, {BatchAuto, 4, 1}} {
+		opts := DefaultOptions()
+		opts.BatchSize = tc.batch
+		var rounds [2]int
+		var allocs [2]float64
+		for j, gap := range []float64{tc.near, tc.far} {
+			u := universe(gap)
+			allocs[j] = testing.AllocsPerRun(10, func() {
+				res, err := IFocus(u, xrand.New(1), opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				rounds[j] = res.Rounds
+			})
+		}
+		if rounds[1] < 3*rounds[0] {
+			t.Fatalf("batch %s: the universes settle in %d and %d rounds; the fixture needs about 4×", batchLabel(tc.batch), rounds[0], rounds[1])
+		}
+		if allocs[1] > allocs[0]+2 {
+			t.Errorf("batch %s: %v allocations per run over %d rounds, %v over %d", batchLabel(tc.batch), allocs[0], rounds[0], allocs[1], rounds[1])
 		}
 	}
 }

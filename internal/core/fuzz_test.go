@@ -22,6 +22,9 @@ import (
 //   - a capped run never draws past MaxDraws, and a run MaxDraws did not
 //     stop equals the uncapped run: the cap never shows in a result it
 //     does not mark;
+//   - every settled group's width in the last OnRound event is at least
+//     the radius its own draws earn (earnedFloor), whatever settled it:
+//     decide, exhaustion, MaxDraws or MaxRounds;
 //   - Workers 4 reproduces Workers 1 bit for bit.
 //
 // The bytes decode to a fuzzCase: k ∈ [1, 8] groups of 0–300 rows on a
@@ -152,6 +155,7 @@ func (fc fuzzCase) run(workers int, maxDraws int64) *fuzzOutcome {
 	}
 	spec.Opts.OnRound = func(m int, eps float64, widths []float64, active []bool, est []float64, total int64) {
 		o.trace.OnRound(m, eps, widths, active, est, total)
+		o.widths = append(o.widths[:0], widths...)
 		for g, w := range widths {
 			if w == 0 {
 				o.zeroWidth = append(o.zeroWidth, zeroWidthEvent{g, m, est[g]})
@@ -162,10 +166,42 @@ func (fc fuzzCase) run(workers int, maxDraws int64) *fuzzOutcome {
 	return o
 }
 
-// fuzzOutcome is an outcome plus every estimate reported at width 0.
+// earnedFloor is the narrowest width n draws from group g earn under any
+// of the case's bounds at δ — the largest δ_i any shape gives a group, so
+// the floor holds for every shape: the Hoeffding–Serfling radius (0 once a
+// without-replacement group is drawn out), and under an empirical-Bernstein
+// kind also that bound's variance-free term, 3·c·ln(3/δ)/n. Both are capped
+// at c, which covers the domain, so the floor never grows with n: it holds
+// at a run's final counts, draws that landed in a settled group or fed an
+// earlier round's estimate included. A SUM width is the mean's times the
+// group's size; a COUNT runs on fractions, c = 1.
+func (fc fuzzCase) earnedFloor(g int, n int64) float64 {
+	spec := fc.shape.spec(len(fc.rows))
+	c, size := float64(fuzzC), int64(len(fc.rows[g]))
+	if spec.Aggregate == AggNormalizedCount {
+		c = 1
+	}
+	var pop int64
+	if fc.withoutReplacement() {
+		pop = size
+	}
+	delta := spec.Opts.Delta
+	floor := min(c, conc.SerflingRadius(c, int(n), pop, delta))
+	if fc.bound != conc.KindHoeffding && n >= 2 {
+		floor = min(floor, 3*c*math.Log(3/delta)/float64(n))
+	}
+	if spec.Aggregate == AggSum {
+		floor *= float64(size)
+	}
+	return floor
+}
+
+// fuzzOutcome is an outcome plus every estimate reported at width 0 and
+// the widths of the last OnRound event.
 type fuzzOutcome struct {
 	outcome
 	zeroWidth []zeroWidthEvent
+	widths    []float64
 }
 
 // zeroWidthEvent is one estimate reported at width 0, by OnPartial or
@@ -237,6 +273,11 @@ func (fc fuzzCase) check(t *testing.T) {
 			if math.Abs(est-scan[g]) > tol {
 				t.Errorf("all groups exhausted, but group %d = %v where AlgoScan = %v", g, est, scan[g])
 			}
+		}
+	}
+	for g, w := range w1.widths {
+		if floor := fc.earnedFloor(g, res.SampleCounts[g]); res.SettledRound[g] > 0 && w < floor*(1-1e-12) {
+			t.Errorf("group %d settled at width %v after %d draws, which earn %v", g, w, res.SampleCounts[g], floor)
 		}
 	}
 	if !res.Capped {

@@ -29,6 +29,10 @@ import (
 // one halving, each group's batch (or Bernstein blocks) is its plan, and
 // every round's batch starts a fresh estimate. A batch that reaches the end
 // of a group without replacement leaves the group's exact mean at width 0.
+// A batch the draw cap cuts short holds the Hoeffding width its n draws
+// earned at δ_i (the whole domain, c, for a group that never drew); a
+// group the cap stops before this round's batch keeps its previous
+// estimate and width.
 func IRefine(u *dataset.Universe, rng *xrand.RNG, opts Options) (*Result, error) {
 	if err := opts.validate(u); err != nil {
 		return nil, err
@@ -41,35 +45,39 @@ func IRefine(u *dataset.Universe, rng *xrand.RNG, opts Options) (*Result, error)
 	plain := opts
 	plain.Bound = conc.KindHoeffding
 	deltas := make([]float64, k)
-	blocks := make([]int, k) // Bernstein blocks drawn this round
+	blocks := make([]int, k)  // Bernstein blocks drawn this round
+	start := make([]int64, k) // draws before this round's batch
+	done := make([]bool, k)   // this round's batch reached its target
 	var lp *roundLoop
 	lp = newRoundLoop(u, rng, &plain, roundAlgo{
 		notifyPartials: true,
 		// An exhausted group keeps its exact mean at width 0 and stays in
 		// play until its interval clears the others'.
 		keepExhaustedActive: true,
-		plan: func(i, drawn int) (int, bool) {
+		plan: func(i, drawn int) int {
 			eps, c := lp.epsG[i], u.C
 			if drawn == 0 {
 				// Halve the target width and failure budget, then
 				// re-estimate (Lines 8–9). The heuristic factor lets the
 				// Figure 5 experiments shrink faster than theory allows.
+				start[i], done[i] = lp.sampler.Count(i), false
 				eps /= 2
 				lp.epsG[i] = eps
 				deltas[i] /= 2
 				blocks[i] = 0
 				if !adaptive {
-					return conc.HoeffdingSampleSize(c, eps*opts.HeuristicFactor, deltas[i]), true
+					return conc.HoeffdingSampleSize(c, eps*opts.HeuristicFactor, deltas[i])
 				}
 			} else {
 				if lp.remaining(i) == 0 {
 					// The whole population has been drawn: the mean is known.
 					lp.estimates[i] = exactMean(u.Groups[i])
-					lp.epsG[i] = 0
-					return 0, false
+					lp.epsG[i], done[i] = 0, true
+					return 0
 				}
 				if !adaptive {
-					return 0, false
+					done[i] = drawn >= conc.HoeffdingSampleSize(c, eps*opts.HeuristicFactor, deltas[i])
+					return 0
 				}
 				// The stopping rule peeks at the data, so the budget is
 				// spread over the checkpoints as δ/(j(j+1)), a series
@@ -78,13 +86,30 @@ func IRefine(u *dataset.Universe, rng *xrand.RNG, opts Options) (*Result, error)
 				mom := lp.sampler.MomentsFor(i)
 				if conc.EBRadius(c, drawn, mom.Variance(), deltas[i]/float64(j*(j+1))) <= eps*opts.HeuristicFactor {
 					lp.estimates[i] = mom.Mean
-					return 0, false
+					done[i] = true
+					return 0
 				}
 			}
 			// Blocks grow as the BatchAuto schedule does: 64, doubling, to
 			// 4096.
 			blocks[i]++
-			return autoBatchSize(blocks[i]), true
+			return autoBatchSize(blocks[i])
+		},
+		afterDraws: func(lp *roundLoop) {
+			// Only the draw cap leaves a batch short of its target. A group
+			// it stopped before the batch began keeps last round's estimate
+			// and width, twice this round's target.
+			for i := 0; i < k; i++ {
+				if !lp.active[i] || lp.drained[i] || done[i] {
+					continue
+				}
+				if n := int(lp.sampler.Count(i) - start[i]); n == 0 && start[i] > 0 {
+					lp.epsG[i] *= 2
+				} else {
+					lp.epsG[i] = conc.HoeffdingRadius(u.C, n, deltas[i]) / opts.HeuristicFactor
+				}
+			}
+			lp.updateRadii()
 		},
 		decide: func(lp *roundLoop) {
 			// Deactivate groups whose intervals no longer intersect any

@@ -57,7 +57,7 @@ func MultiAgg(u *dataset.Universe, rng *xrand.RNG, opts Options) (*RunResult, er
 	lp = newRoundLoop(u, rng, &opts, roundAlgo{
 		// Group i's tuples land in group i; the hook touches only group-
 		// owned cells, so units draw concurrently.
-		scatter: &scatter{units: k, draw: func(i int, r *xrand.RNG) (int, float64) {
+		scatter: &dataset.Scatter{Units: k, Draw: func(i int, r *xrand.RNG) (int, float64) {
 			y, z := pairs[i].DrawPair(r)
 			if onZ {
 				y, z = z, y

@@ -66,7 +66,7 @@ func MultiGroupBy(src CellSource, rng *xrand.RNG, opts Options) (*RunResult, err
 	// Cells settle without OnPartial events: the public partial stream is
 	// indexed by the query's groups, which are strata here.
 	res, err := newRoundLoop(u, rng, &opts, roundAlgo{
-		scatter: &scatter{units: kx, draw: func(x int, r *xrand.RNG) (int, float64) {
+		scatter: &dataset.Scatter{Units: kx, Draw: func(x int, r *xrand.RNG) (int, float64) {
 			z, y := src.Draw(x, r)
 			if z < 0 || z >= kz {
 				bad[x] = fmt.Errorf("core: stratum %d produced invalid z=%d", x, z)

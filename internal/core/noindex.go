@@ -20,9 +20,9 @@ import (
 // SampleCounts — but no longer move its estimate.
 //
 // Tuples are drawn with replacement, and u's group sizes must be known:
-// a random tuple belongs to group i with probability n_i / Σ n_j. Values
-// are read through the run's Sampler. opts.MaxDraws caps the table draws;
-// the cap voids the guarantee and is reported via Capped.
+// a random tuple belongs to group i with probability n_i / Σ n_j. The
+// Sampler reads each tuple's value as it lands. opts.MaxDraws caps the
+// table draws; the cap voids the guarantee and is reported via Capped.
 //
 // As the paper notes, when groups are near-equal in size this behaves like
 // a round-robin scheme that cannot skip settled groups, which is exactly
@@ -42,22 +42,20 @@ func NoIndex(u *dataset.Universe, rng *xrand.RNG, opts Options) (*Result, error)
 		run += float64(g.Size()) / float64(total)
 		cum[i] = run
 	}
-	var lp *roundLoop
-	lp = newRoundLoop(u, rng, &opts, roundAlgo{
+	return newRoundLoop(u, rng, &opts, roundAlgo{
 		notifyPartials: true,
 		// One unit, the whole table: a tuple picks its group by size.
-		scatter: &scatter{units: 1, draw: func(_ int, r *xrand.RNG) (int, float64) {
+		scatter: &dataset.Scatter{Units: 1, Pick: func(_ int, r *xrand.RNG) int {
 			x := r.Float64()
 			i := 0
 			for i < len(cum)-1 && x >= cum[i] {
 				i++
 			}
-			return i, lp.sampler.DrawUsing(i, r)
+			return i
 		}},
 		decide: func(lp *roundLoop) {
 			lp.settleIsolated()
 			lp.resolutionExit()
 		},
-	})
-	return lp.run()
+	}).run()
 }

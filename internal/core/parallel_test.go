@@ -96,10 +96,10 @@ func TestWorkersValidation(t *testing.T) {
 	}
 }
 
-// TestWorkerInvarianceWideScalar: with more than minParallelRoundDraws
-// groups at BatchSize=1, a one-sample-per-group round clears the volume
-// gate and fans out one group at a time; that must agree bit for bit with
-// the inline cross-group round (Sampler.DrawEach), under the default Hoeffding
+// TestWorkerInvarianceWideScalar: with more than 1024 groups at
+// BatchSize=1, a one-sample-per-group round clears DrawRound's volume gate
+// and fans out one group at a time; that must agree bit for bit with the
+// inline phase staged across the groups, under the default Hoeffding
 // schedule and the variance-adaptive Bernstein bound alike. Groups of 24–40
 // rows exhaust without replacement, so the run ends and the fanned rounds
 // give way to inline ones as groups settle.

@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"repro/internal/dataset"
-	"repro/internal/par"
 	"repro/internal/xrand"
 )
 
@@ -286,13 +285,4 @@ func wrapResult(res *Result, err error) (*RunResult, error) {
 		return nil, err
 	}
 	return &RunResult{Result: *res}, nil
-}
-
-// ParallelFor runs fn(0..n-1) across at most workers goroutines (clamped
-// to n; workers <= 1 runs inline). Each fn call must touch only its own
-// index. It is the bounded work-queue primitive (internal/par) shared by
-// the exact scan, the round driver's draw fan-out, the public engine's
-// per-group preprocessing, and sharded table ingestion.
-func ParallelFor(n, workers int, fn func(i int)) {
-	par.For(n, workers, fn)
 }

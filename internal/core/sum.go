@@ -35,6 +35,7 @@ func SumKnownSizes(u *dataset.Universe, rng *xrand.RNG, opts Options) (*Result, 
 	lp := newRoundLoop(u, rng, &opts, roundAlgo{
 		notifyPartials: true,
 		display:        sums,
+		scale:          sizes,
 		afterDraws: func(lp *roundLoop) {
 			// The driver advances the running means; rescale into sums.
 			// Settled groups' means are frozen, so recomputing every entry
@@ -51,7 +52,7 @@ func SumKnownSizes(u *dataset.Universe, rng *xrand.RNG, opts Options) (*Result, 
 			for i := 0; i < k; i++ {
 				w := lp.frozenEps[i]
 				if lp.active[i] {
-					w = sizes[i] * lp.groupEps(i)
+					w = lp.groupEps(i)
 				}
 				ivs[i] = interval{sums[i] - w, sums[i] + w}
 			}
@@ -63,7 +64,7 @@ func SumKnownSizes(u *dataset.Universe, rng *xrand.RNG, opts Options) (*Result, 
 				}
 			}
 			for _, i := range toSettle {
-				lp.settle(i, sizes[i]*lp.groupEps(i), true)
+				lp.settle(i, lp.groupEps(i), true)
 			}
 			// The resolution r of Problem 2 is interpreted in sum units
 			// here: stop once every active group's scaled width is below
@@ -71,7 +72,7 @@ func SumKnownSizes(u *dataset.Universe, rng *xrand.RNG, opts Options) (*Result, 
 			if opts.Resolution > 0 {
 				all := true
 				for i := 0; i < k; i++ {
-					if lp.active[i] && sizes[i]*lp.groupEps(i) >= opts.Resolution/4 {
+					if lp.active[i] && lp.groupEps(i) >= opts.Resolution/4 {
 						all = false
 						break
 					}
@@ -79,7 +80,7 @@ func SumKnownSizes(u *dataset.Universe, rng *xrand.RNG, opts Options) (*Result, 
 				if all {
 					for i := 0; i < k; i++ {
 						if lp.active[i] {
-							lp.settle(i, sizes[i]*lp.groupEps(i), true)
+							lp.settle(i, lp.groupEps(i), true)
 						}
 					}
 				}
@@ -108,23 +109,34 @@ func SumUnknownSizes(u *dataset.Universe, est dataset.FractionEstimator, rng *xr
 	if err := opts.validate(u); err != nil {
 		return nil, err
 	}
-	// Each normalized draw needs auxiliary randomness for the membership
-	// indicator, so the batched native path does not apply; the driver
-	// loops the hook per block instead. The indicator draws from group i's
-	// own stream (RNGFor), keeping the hook safe under the parallel draw
-	// fan-out and the run worker-invariant.
-	var lp *roundLoop
-	lp = newRoundLoop(u, rng, &opts, roundAlgo{
+	// Every group draws its normalized samples x·z itself, the membership
+	// indicator on the group's own stream right after the value, so the
+	// run stays worker-invariant and the sampler's moments see x·z.
+	groups := make([]dataset.Group, u.K())
+	for i, g := range u.Groups {
+		groups[i] = fractionGroup{g, est, i}
+	}
+	normalized := &dataset.Universe{Groups: groups, C: u.C}
+	return newRoundLoop(normalized, rng, &opts, roundAlgo{
 		notifyPartials: true,
-		drawOne: func(i int) float64 {
-			x := lp.sampler.Draw(i)
-			z := est.DrawFractionEstimate(i, lp.sampler.RNGFor(i))
-			return x * z
-		},
 		decide: func(lp *roundLoop) {
 			lp.settleIsolated()
 			lp.resolutionExit()
 		},
-	})
-	return lp.run()
+	}).run()
+}
+
+// fractionGroup is group i of a normalized sum: each draw is a value x of
+// the group times an unbiased estimate z of its fractional size, both
+// taken from the stream it is handed.
+type fractionGroup struct {
+	dataset.Group
+	est dataset.FractionEstimator
+	i   int
+}
+
+// Draw returns x·z.
+func (g fractionGroup) Draw(r *xrand.RNG) float64 {
+	x := g.Group.Draw(r)
+	return x * g.est.DrawFractionEstimate(g.i, r)
 }

@@ -17,22 +17,23 @@ import (
 // samples than the group holds — the accountant records this in Exhausted
 // so experiments can report it.
 //
-// Draws come in two granularities: Draw takes one sample, DrawBatch fills
-// a block with one dispatch. Both produce the same stream for the same
-// total number of samples, so algorithms can batch freely without changing
-// their statistics.
+// A round-based run draws a whole phase at once through DrawRound (one
+// take per group, or per scatter unit); Draw, DrawBatch and DrawBlockSum
+// draw one group's sample or block through the same staged code. Every
+// path produces the same stream for the same number of samples, so a run
+// can batch freely without changing its statistics.
 //
 // Concurrency: all accounting (counts, total, exhausted flags) is atomic,
 // so distinct groups of one sampler may be drawn from concurrently — the
-// discipline of the parallel round driver, which fans groups across a
-// worker pool. Draw state itself (a group's cursor, its RNG stream) is
+// discipline of DrawRound, which fans a phase's takes across a worker
+// pool. Draw state itself (a group's cursor, its RNG stream) is
 // still per group and unsynchronized: at most one goroutine may draw from
 // a given group at a time. The sampler owns all of it — the groups are
 // immutable — so samplers over one group set never interfere.
 type Sampler struct {
 	u *Universe
 	// streams holds the per-group generators as one contiguous value slice
-	// (one allocation for k streams, not k); RNGFor hands out &streams[i].
+	// (one allocation for k streams, not k).
 	streams []xrand.RNG
 	without bool
 
@@ -47,17 +48,16 @@ type Sampler struct {
 	// at most one goroutine may draw from (or observe values for) a given
 	// group at a time.
 	moments []conc.Moments
-	// autoObserve folds every value the sampler itself draws into the
-	// group's moments. Algorithms whose draws pass through a transform
-	// (normalized draws, pair draws) disable it and feed the transformed
-	// values via Observe instead, so the moments describe the variable
-	// actually being estimated.
-	autoObserve bool
 
 	// cursors holds the run's draw state in each group that draws through
 	// the staged pipeline (kernel.go): its permutation position, scratch
 	// and block memo. cursors[i] has a nil drawCore for other groups.
 	cursors []cursor
+
+	// workers caps DrawRound's fan-out (≤ 1 draws inline), and scatter,
+	// when set, makes plans name its units; see NewRoundSampler.
+	workers int
+	scatter *Scatter
 }
 
 // NewStreamSampler returns a sampler over u in which every group owns a
@@ -98,21 +98,19 @@ func NewStreamSampler(u *Universe, base uint64, withoutReplacement bool) *Sample
 	}
 }
 
-// Draw samples once from group i and records the draw.
+// Draw samples once from group i and records the draw: a phase of one
+// single draw.
 func (s *Sampler) Draw(i int) float64 {
-	s.Record(i, 1)
-	v := s.draw(i)
-	if s.moments != nil && s.autoObserve {
-		s.moments[i].Add(v)
-	}
-	return v
+	t := [1]Take{{I: i, N: 1}}
+	s.drawEach(t[:])
+	return t[0].Sum
 }
 
-// DrawUsing samples group i once with replacement on the caller's RNG,
-// without accounting: bit for bit what Groups[i].Draw(r) returns, but a
-// table-backed group reads through the sampler's cursor, whose block memo
-// serves repeated reads of one compressed block without the block cache.
-func (s *Sampler) DrawUsing(i int, r *xrand.RNG) float64 {
+// read samples group i once with replacement on r, without accounting:
+// bit for bit what Groups[i].Draw(r) returns, but a table-backed group
+// reads through the sampler's cursor, whose block memo serves repeated
+// reads of one compressed block without the block cache.
+func (s *Sampler) read(i int, r *xrand.RNG) float64 {
 	if c := &s.cursors[i]; c.drawCore != nil {
 		return c.read(r.Intn(c.total))
 	}
@@ -124,25 +122,20 @@ func (s *Sampler) DrawUsing(i int, r *xrand.RNG) float64 {
 // a uniform element otherwise.
 func (s *Sampler) draw(i int) float64 {
 	r := &s.streams[i]
-	if c := &s.cursors[i]; c.drawCore != nil {
-		if s.without {
+	if s.without {
+		if c := &s.cursors[i]; c.drawCore != nil {
 			if c.next < c.total {
 				return c.read(int(c.permStep(r)))
 			}
 			s.exhausted[i].Store(true)
-		}
-		return c.read(r.Intn(c.total))
-	}
-	g := s.u.Groups[i]
-	if s.without {
-		if wg, ok := g.(WithoutReplacementGroup); ok {
+		} else if wg, ok := s.u.Groups[i].(WithoutReplacementGroup); ok {
 			if x, ok := wg.DrawWithoutReplacement(r); ok {
 				return x
 			}
 			s.exhausted[i].Store(true)
 		}
 	}
-	return g.Draw(r)
+	return s.read(i, r)
 }
 
 // DrawBatch fills dst with samples from group i and records them. One call
@@ -156,14 +149,15 @@ func (s *Sampler) DrawBatch(i int, dst []float64) {
 		return
 	}
 	s.drawBatch(i, dst)
-	if s.moments != nil && s.autoObserve {
+	if s.moments != nil {
 		s.moments[i].AddAll(dst)
 	}
 }
 
 // drawBatch is DrawBatch without the moments fold.
 func (s *Sampler) drawBatch(i int, dst []float64) {
-	s.Record(i, len(dst))
+	atomic.AddInt64(&s.counts[i], int64(len(dst)))
+	atomic.AddInt64(&s.total, int64(len(dst)))
 	r := &s.streams[i]
 	if c := &s.cursors[i]; c.drawCore != nil {
 		if s.without {
@@ -206,25 +200,6 @@ func (s *Sampler) drawBatch(i int, dst []float64) {
 	}
 }
 
-// Record accounts n samples that were drawn outside the sampler's Group
-// interface (pair draws, normalized draws with auxiliary randomness), so
-// Counts and Total stay exact for algorithms with custom draw paths. It is
-// safe to call concurrently for any groups.
-func (s *Sampler) Record(i int, n int) {
-	atomic.AddInt64(&s.counts[i], int64(n))
-	atomic.AddInt64(&s.total, int64(n))
-}
-
-// Land accounts one draw for group i and returns the group's new count,
-// leaving the run's total to AddTotal: a scatter unit, which learns each
-// draw's group only as it draws it, adds its whole block to the total at
-// once. It is safe to call concurrently for distinct groups.
-func (s *Sampler) Land(i int) int64 { return atomic.AddInt64(&s.counts[i], 1) }
-
-// AddTotal adds n draws to the run's total without crediting a group; see
-// Land.
-func (s *Sampler) AddTotal(n int64) { atomic.AddInt64(&s.total, n) }
-
 // Counts returns the per-group sample counts m_i. The returned slice is
 // owned by the sampler; callers must copy it if they retain it, and must
 // not read it while draws are in flight on other goroutines.
@@ -239,37 +214,15 @@ func (s *Sampler) Total() int64 { return atomic.LoadInt64(&s.total) }
 // Exhausted reports whether group i ran out of without-replacement samples.
 func (s *Sampler) Exhausted(i int) bool { return s.exhausted[i].Load() }
 
-// RNGFor returns the generator that feeds group i's draws: the group's own
-// stream. Algorithms with custom draw paths (pair draws, membership
-// indicators) must take their auxiliary randomness from here so the
-// per-group stream discipline — and with it worker invariance — extends to
-// every sample they consume.
-func (s *Sampler) RNGFor(i int) *xrand.RNG { return &s.streams[i] }
-
 // EnableMoments switches on per-group moment accounting: one Welford
-// accumulator per group, maintained incrementally. With autoObserve set,
-// every value the sampler draws (Draw, DrawBatch) is folded into its
-// group's moments as part of the draw — the right mode when the drawn
-// values are the variable being estimated. Algorithms that transform
-// draws (normalized sums, pair attributes) pass false and feed the
-// transformed values through Observe at the point they fold them into
-// their estimates. Call before any draws.
-func (s *Sampler) EnableMoments(autoObserve bool) {
+// accumulator per group, maintained incrementally. Every value a draw
+// yields joins its group's moments as part of the draw; a scatter tuple
+// joins them only while Fold reports its group still estimating. A run
+// that estimates a transform of the rows (x·z for normalized sums) draws
+// through a group that applies it, so the moments always describe the
+// variable being estimated. The flag is ignored. Call before any draws.
+func (s *Sampler) EnableMoments(bool) {
 	s.moments = make([]conc.Moments, s.u.K())
-	s.autoObserve = autoObserve
-}
-
-// MomentsEnabled reports whether per-group moments are being maintained.
-func (s *Sampler) MomentsEnabled() bool { return s.moments != nil }
-
-// Observe folds one value of the estimated variable into group i's
-// moments (no draw is recorded). It is the value-level companion of
-// Record for custom draw paths, and a no-op when moments are disabled so
-// hooks can call it unconditionally.
-func (s *Sampler) Observe(i int, x float64) {
-	if s.moments != nil {
-		s.moments[i].Add(x)
-	}
 }
 
 // MomentsFor returns group i's accumulator, nil when moments are

@@ -22,10 +22,12 @@
 // a target depends on (total, next, t) only, never on the permutation's
 // contents — so every stream is bit for bit what the scalar path produces.
 //
-// A round of one sample per group has no block to overlap within, so
-// Sampler.DrawEach runs the same loops across the groups instead. On the
-// benchmark's round_bound workload (BatchSize=1, 20 groups of 50 k rows)
-// that took the query p50 from 35.5 to 17.9 ms (2-vCPU Xeon, ten pairs).
+// Sampler.DrawRound is the round driver's one entry point: it takes a
+// whole draw phase, one take per group. A phase of one sample per group
+// has no block to overlap within, so it runs the same loops across the
+// groups instead. On the benchmark's round_bound workload (BatchSize=1,
+// 20 groups of 50 k rows) that took the query p50 from 35.5 to 17.9 ms
+// (2-vCPU Xeon, ten pairs).
 //
 // Groups hold no draw state: a run's position in each group's permutation
 // is a cursor its Sampler owns, so any number of runs may draw from one
@@ -41,6 +43,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/par"
 	"repro/internal/xrand"
 )
 
@@ -148,8 +151,8 @@ func (g *drawCore) value(m *blockMemo, rank int) float64 {
 }
 
 // Draw samples uniformly with replacement: one rank draw, one rank→row
-// map, no rejection. Sampler draws, DrawUsing's included, go through the
-// run's cursor and its block memo instead.
+// map, no rejection. Sampler draws go through the run's cursor and its
+// block memo instead.
 func (g *drawCore) Draw(r *xrand.RNG) float64 {
 	var m blockMemo
 	return g.value(&m, r.Intn(g.total))
@@ -453,36 +456,115 @@ const blockSumChunk = 4096
 // cursor scratch.
 var blockSumPool = sync.Pool{New: func() any { return new([]float64) }}
 
-// eachChunk is how many groups DrawEach stages at once: far more misses in
-// flight than the memory system overlaps, in staging that fits the stack.
+// eachChunk is how many groups a phase of single draws stages at once:
+// far more misses in flight than the memory system overlaps, in staging
+// that fits the stack.
 const eachChunk = 64
 
-// DrawEach draws one sample from each group idx[t] into dst[t], bit for
-// bit what Draw(idx[t]) returns, accounting and moments included. It runs
-// the pipeline's loops across the groups: stage every target (or WR rank)
-// from each group's own stream, swap every permutation slot, read every
-// value, then account (one total add per call) and fold moments. Groups
-// with no pipeline, a sparse permutation, or an exhausted population fall
-// back to Draw in the same call. idx must not repeat a group; at most one
-// goroutine may draw a given group at a time.
-func (s *Sampler) DrawEach(idx []int, dst []float64) {
-	for len(idx) > 0 {
-		n := min(len(idx), eachChunk)
-		s.drawEach(idx[:n], dst[:n])
-		idx, dst = idx[n:], dst[n:]
+// minParallelRoundDraws is the phase volume below which DrawRound always
+// runs inline: dispatching the pool costs on the order of microseconds, so
+// scalar and near-scalar phases (one block per group, tiny blocks) never
+// pay for it.
+const minParallelRoundDraws = 1024
+
+// Take is one entry of a draw phase's plan: N draws from group I or, in a
+// scatter sampler, from unit I. DrawRound sets a group take's Sum to the
+// sum of its values, accumulated in draw order; a unit's tuples land in
+// the groups they reveal instead.
+type Take struct {
+	I, N int
+	Sum  float64
+}
+
+// Scatter lays out the draws of a run whose units cannot target a group:
+// each tuple a unit draws lands in the group it reveals. Unit u serves
+// groups [u·k/Units, (u+1)·k/Units) and draws on the stream of its first
+// group. Units may draw concurrently, so the functions may touch only
+// state owned by the unit's groups.
+type Scatter struct {
+	Units int
+	// Draw takes one tuple from unit u on r: the group it lands in and its
+	// value.
+	Draw func(u int, r *xrand.RNG) (group int, v float64)
+	// Pick, set instead of Draw, only chooses the tuple's group; the
+	// landing reads one of the group's rows, uniformly with replacement, on
+	// r.
+	Pick func(u int, r *xrand.RNG) (group int)
+	// Fold folds a tuple's value into group i's estimate, count being the
+	// group's draws with this one, and reports whether the group still
+	// estimates: only then does the value join the group's moments.
+	Fold func(i int, count int64, v float64) bool
+}
+
+// NewRoundSampler is NewStreamSampler for a round-based run. DrawRound
+// fans a phase across at most workers goroutines: 0 sizes the fan-out to
+// the machine, and any request is clamped to GOMAXPROCS (goroutines beyond
+// the schedulable parallelism only add handoff cost) and to the group
+// count. With sc set, plans name sc's units rather than groups.
+func NewRoundSampler(u *Universe, base uint64, withoutReplacement bool, workers int, sc *Scatter) *Sampler {
+	s := NewStreamSampler(u, base, withoutReplacement)
+	if maxPar := runtime.GOMAXPROCS(0); workers == 0 || workers > maxPar {
+		workers = maxPar
+	}
+	s.workers = min(workers, u.K())
+	s.scatter = sc
+	return s
+}
+
+// DrawRound draws one phase of a round: every take of plan, each group (or
+// unit) listed at most once. It picks the strategy: a phase of single
+// draws is staged across the groups, 64 at a time, so their cache misses
+// overlap rather than queue; any other phase draws each take through the
+// staged block pipeline; a scatter sampler lands each unit's tuples. A
+// phase of at least minParallelRoundDraws draws over more than one take
+// fans the takes across the sampler's workers. Counts, the total and the
+// moments are kept as the values are drawn. Every group's stream, and so
+// every value and Sum, is the same whichever way the phase runs; a Fold
+// call runs on the goroutine that draws its unit, in the unit's draw
+// order.
+func (s *Sampler) DrawRound(plan []Take) {
+	draws := 0
+	for _, t := range plan {
+		draws += t.N
+	}
+	switch {
+	case s.workers > 1 && len(plan) > 1 && draws >= minParallelRoundDraws:
+		par.For(len(plan), s.workers, func(j int) { s.take(&plan[j]) })
+	case s.scatter == nil && draws == len(plan):
+		for j := 0; j < len(plan); j += eachChunk {
+			s.drawEach(plan[j:min(j+eachChunk, len(plan))])
+		}
+	default:
+		for j := range plan {
+			s.take(&plan[j])
+		}
 	}
 }
 
-// drawEach is DrawEach over at most eachChunk groups.
-func (s *Sampler) drawEach(idx []int, dst []float64) {
+// take draws one take of a phase.
+func (s *Sampler) take(t *Take) {
+	if s.scatter != nil {
+		s.land(t.I, t.N)
+		return
+	}
+	t.Sum, _ = s.DrawBlockSum(t.I, t.N)
+}
+
+// drawEach draws one sample for each of at most eachChunk takes into their
+// Sums. It runs the pipeline's loops across the groups: stage every target
+// (or WR rank) from each group's own stream, swap every permutation slot,
+// read every value, then account and fold moments. Groups with no
+// pipeline, a sparse permutation, or an exhausted population take their
+// one draw through draw.
+func (s *Sampler) drawEach(plan []Take) {
 	var curBuf [eachChunk]*cursor
 	var ranks [eachChunk]int32 // targets, then drawn ranks
-	curs := curBuf[:len(idx)]  // nil where Draw served the group
-	staged := 0
-	for t, i := range idx {
+	curs := curBuf[:len(plan)] // nil where draw served the group
+	for t := range plan {
+		i := plan[t].I
 		c := &s.cursors[i]
 		if c.drawCore == nil || c.sparse || s.without && c.next >= c.total {
-			dst[t] = s.Draw(i)
+			plan[t].Sum = s.draw(i)
 			continue
 		}
 		r := &s.streams[i]
@@ -492,7 +574,6 @@ func (s *Sampler) drawEach(idx []int, dst []float64) {
 			ranks[t] = int32(r.Intn(c.total))
 		}
 		curs[t] = c
-		staged++
 	}
 	if s.without {
 		for t, c := range curs {
@@ -507,16 +588,35 @@ func (s *Sampler) drawEach(idx []int, dst []float64) {
 	}
 	for t, c := range curs {
 		if c != nil {
-			dst[t] = c.read(int(ranks[t]))
+			plan[t].Sum = c.read(int(ranks[t]))
 		}
 	}
-	for t, c := range curs {
-		if c != nil {
-			atomic.AddInt64(&s.counts[idx[t]], 1)
-			if s.moments != nil && s.autoObserve {
-				s.moments[idx[t]].Add(dst[t])
-			}
+	for _, t := range plan {
+		atomic.AddInt64(&s.counts[t.I], 1)
+		if s.moments != nil {
+			s.moments[t.I].Add(t.Sum)
 		}
 	}
-	atomic.AddInt64(&s.total, int64(staged))
+	atomic.AddInt64(&s.total, int64(len(plan)))
+}
+
+// land draws n tuples from scatter unit u on the stream of its first
+// group. Each is counted for the group it lands in and handed to Fold.
+func (s *Sampler) land(u, n int) {
+	sc := s.scatter
+	r := &s.streams[u*(len(s.streams)/sc.Units)]
+	atomic.AddInt64(&s.total, int64(n))
+	for ; n > 0; n-- {
+		var i int
+		var v float64
+		if sc.Pick != nil {
+			i = sc.Pick(u, r)
+			v = s.read(i, r)
+		} else {
+			i, v = sc.Draw(u, r)
+		}
+		if sc.Fold(i, atomic.AddInt64(&s.counts[i], 1), v) && s.moments != nil {
+			s.moments[i].Add(v)
+		}
+	}
 }

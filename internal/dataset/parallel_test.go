@@ -29,36 +29,50 @@ func hammerUniverse(k, n int) *Universe {
 
 // TestSamplerConcurrentGroupDraws is the race regression for the atomic
 // accounting: one sampler over one universe is hammered by a goroutine per
-// group — mixed single draws, block draws, and Record calls — and the
-// shared counters must reconcile exactly. Run with -race this pins the
-// concurrency contract of the parallel round driver: distinct groups of
-// one sampler may be drawn concurrently.
+// group — single-draw phases, block phases and the Draw and DrawBatch
+// wrappers, each phase a DrawRound call of its own — while whole-universe
+// phases fan out across the sampler's workers in between, and the shared
+// counters must reconcile exactly. Run with -race this pins the
+// concurrency contract of the round driver: distinct groups of one sampler
+// may be drawn concurrently.
 func TestSamplerConcurrentGroupDraws(t *testing.T) {
 	const (
 		k       = 16
 		rows    = 2000
 		rounds  = 50
 		perStep = 7
+		wide    = 3 // whole-universe phases of 128 draws per group
 	)
 	for _, without := range []bool{false, true} {
 		t.Run(fmt.Sprintf("without=%v", without), func(t *testing.T) {
 			u := hammerUniverse(k, rows)
-			s := NewStreamSampler(u, 0xfeedbeef, without)
+			s := NewRoundSampler(u, 0xfeedbeef, without, 4, nil)
 			var wg sync.WaitGroup
 			for i := 0; i < k; i++ {
 				wg.Add(1)
 				go func(i int) {
 					defer wg.Done()
 					buf := make([]float64, perStep)
+					plan := []Take{{I: i}}
 					for r := 0; r < rounds; r++ {
+						plan[0].N = 1
+						s.DrawRound(plan)
+						plan[0].N = perStep
+						s.DrawRound(plan)
 						s.Draw(i)
 						s.DrawBatch(i, buf)
-						s.Record(i, 2)
 					}
 				}(i)
 			}
 			wg.Wait()
-			want := int64(rounds * (1 + perStep + 2))
+			plan := make([]Take, k)
+			for r := 0; r < wide; r++ {
+				for i := range plan {
+					plan[i] = Take{I: i, N: 128}
+				}
+				s.DrawRound(plan)
+			}
+			want := int64(rounds*(2+2*perStep) + wide*128)
 			var total int64
 			for i := 0; i < k; i++ {
 				if got := s.Count(i); got != want {
