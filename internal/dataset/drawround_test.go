@@ -170,12 +170,12 @@ func (d *drawRef) draw(without bool) float64 {
 	return d.g.Draw(&d.r)
 }
 
-// checkDrawRound runs one input and returns the behaviours it reached.
-func checkDrawRound(t *testing.T, name string, u *Universe, mode uint8, seed uint64, phases int) map[string]bool {
-	without := mode&drWithout != 0 && mode&(drPick|drUnits) == 0
-	k := u.K()
-	reached := map[string]bool{}
-	refs := make([]drawRef, k)
+// newDrawRefs returns the reference state of every group of u, on the
+// streams a sampler seeded with seed gives them; name is the fixture's, whose
+// "-index" suffix says which selection representation its groups must have.
+func newDrawRefs(t testing.TB, name string, u *Universe, seed uint64) []drawRef {
+	t.Helper()
+	refs := make([]drawRef, u.K())
 	for i, g := range u.Groups {
 		refs[i] = drawRef{r: xrand.Stream(seed, uint64(i)), g: g}
 		if bd, ok := g.(blockDrawer); ok {
@@ -189,6 +189,15 @@ func checkDrawRound(t *testing.T, name string, u *Universe, mode uint8, seed uin
 			}
 		}
 	}
+	return refs
+}
+
+// checkDrawRound runs one input and returns the behaviours it reached.
+func checkDrawRound(t *testing.T, name string, u *Universe, mode uint8, seed uint64, phases int) map[string]bool {
+	without := mode&drWithout != 0 && mode&(drPick|drUnits) == 0
+	k := u.K()
+	reached := map[string]bool{}
+	refs := newDrawRefs(t, name, u, seed)
 
 	// Scatter layouts: Fold records each group's landed values, and a group
 	// estimates while (group + phase) % 3 != 0.
@@ -330,23 +339,7 @@ func checkDrawRound(t *testing.T, name string, u *Universe, mode uint8, seed uin
 				}
 			}
 		}
-		var total int64
-		for i := range refs {
-			d := &refs[i]
-			total += d.count
-			if s.Count(i) != d.count || s.Exhausted(i) != d.exhausted {
-				t.Fatalf("phase %d group %d: count %d/%d, exhausted %v/%v", phase, i, s.Count(i), d.count, s.Exhausted(i), d.exhausted)
-			}
-			if s.streams[i] != d.r {
-				t.Fatalf("phase %d group %d: RNG streams diverge", phase, i)
-			}
-			if m := s.MomentsFor(i); m != nil && *m != d.mom {
-				t.Fatalf("phase %d group %d: moments %+v, one at a time %+v", phase, i, *m, d.mom)
-			}
-		}
-		if s.Total() != total {
-			t.Fatalf("phase %d: total %d, want %d", phase, s.Total(), total)
-		}
+		checkRefs(t, s, refs, phase)
 	}
 	reached["exhausted"] = without
 	for i := range refs {
@@ -355,6 +348,29 @@ func checkDrawRound(t *testing.T, name string, u *Universe, mode uint8, seed uin
 		}
 	}
 	return reached
+}
+
+// checkRefs fails t unless s's counts, exhaustion flags, streams, moments
+// and total, after phase, are the references'.
+func checkRefs(t testing.TB, s *Sampler, refs []drawRef, phase int) {
+	t.Helper()
+	var total int64
+	for i := range refs {
+		d := &refs[i]
+		total += d.count
+		if s.Count(i) != d.count || s.Exhausted(i) != d.exhausted {
+			t.Fatalf("phase %d group %d: count %d/%d, exhausted %v/%v", phase, i, s.Count(i), d.count, s.Exhausted(i), d.exhausted)
+		}
+		if s.streams[i] != d.r {
+			t.Fatalf("phase %d group %d: RNG streams diverge", phase, i)
+		}
+		if m := s.MomentsFor(i); m != nil && *m != d.mom {
+			t.Fatalf("phase %d group %d: moments %+v, one at a time %+v", phase, i, *m, d.mom)
+		}
+	}
+	if s.Total() != total {
+		t.Fatalf("phase %d: total %d, want %d", phase, s.Total(), total)
+	}
 }
 
 // markHazards recomputes the Fisher–Yates targets a without-replacement
@@ -371,4 +387,182 @@ func markHazards(reached map[string]bool, r xrand.RNG, next, total, n int) {
 		seen[j] = true
 	}
 	reached["crossing"] = reached["crossing"] || next < total && next+n > total
+}
+
+// TestKernelMatchesGenericPath holds the block pipeline to one-at-a-time
+// draws: a random schedule of blocks (n ∈ {1, 2, 63, 64, 4096}, through
+// DrawBlockSum or DrawBatch at random) must produce exactly what Group.Draw
+// and a Fisher–Yates permutation of the group's rows produce on a copy of
+// its stream — the same values (bit for bit, or their draw-order sum),
+// moments, counts, exhaustion flags and RNG state — with and without
+// replacement, across blocks in which a step targets its own slot, two
+// steps share a slot, and the population runs out mid-block and is topped
+// up with replacement.
+func TestKernelMatchesGenericPath(t *testing.T) {
+	sizes := []int{1, 2, 63, 64, 4096}
+	for _, tc := range kernelCases(t) {
+		for _, without := range []bool{true, false} {
+			t.Run(fmt.Sprintf("%s/without=%v", tc.name, without), func(t *testing.T) {
+				u := tc.build(t)
+				s := NewStreamSampler(u, 0x5eed, without)
+				defer s.Release()
+				s.EnableMoments(true)
+				refs := newDrawRefs(t, tc.name, u, 0x5eed)
+
+				plan := xrand.New(0x9e37)
+				buf := make([]float64, 4096)
+				reached := map[string]bool{}
+				for gi, g := range u.Groups {
+					d := &refs[gi]
+					if d.pop == nil {
+						t.Fatalf("group %d: no block pipeline", gi)
+					}
+					for step := 0; s.Count(gi) < 3*g.Size(); step++ {
+						n := sizes[plan.Intn(len(sizes))]
+						if without {
+							markHazards(reached, d.r, d.next, len(d.pop), n)
+						}
+						want := func() float64 {
+							v := d.draw(without)
+							d.count++
+							d.mom.Add(v)
+							return v
+						}
+						if plan.Intn(2) == 0 {
+							sum, ok := s.DrawBlockSum(gi, n)
+							if !ok {
+								t.Fatalf("group %d: no block pipeline", gi)
+							}
+							w := 0.0
+							for j := 0; j < n; j++ {
+								w += want()
+							}
+							if math.Float64bits(sum) != math.Float64bits(w) {
+								t.Fatalf("group %d step %d (n=%d): block sum %v, one at a time %v", gi, step, n, sum, w)
+							}
+						} else {
+							s.DrawBatch(gi, buf[:n])
+							for j, v := range buf[:n] {
+								if w := want(); math.Float64bits(v) != math.Float64bits(w) {
+									t.Fatalf("group %d step %d (n=%d) draw %d: block %v, one at a time %v", gi, step, n, j, v, w)
+								}
+							}
+						}
+						checkRefs(t, s, refs, step)
+					}
+				}
+				if without && !(reached["self"] && reached["shared"] && reached["crossing"]) {
+					t.Fatalf("schedule missed a case: own-slot target, shared target or mid-block exhaustion (reached %v)", reached)
+				}
+			})
+		}
+	}
+}
+
+// TestDrawEachMatchesDraw holds DrawRound's phases of single draws, which
+// are staged across the groups, to one-at-a-time draws: one sample from
+// each of a random subset of groups per phase must give exactly what
+// Group.Draw and a Fisher–Yates permutation give on a copy of every stream
+// — the same values bit for bit, counts, total, exhaustion flags, moments
+// and RNG state — on every backing × selection, with and without
+// replacement, moments on and off, until every group has run out of its
+// population and fallen back to with-replacement draws. Beside the kernel
+// cases, a mixed universe puts virtual groups (no pipeline) among slice
+// groups, and a wide one spans several staging chunks in one phase.
+func TestDrawEachMatchesDraw(t *testing.T) {
+	for _, tc := range drawRoundFixtures(t) {
+		for _, without := range []bool{true, false} {
+			for _, moments := range []bool{true, false} {
+				t.Run(fmt.Sprintf("%s/without=%v/moments=%v", tc.name, without, moments), func(t *testing.T) {
+					u := tc.build(t)
+					s := NewStreamSampler(u, 0x5eed, without)
+					defer s.Release()
+					if moments {
+						s.EnableMoments(true)
+					}
+					refs := newDrawRefs(t, tc.name, u, 0x5eed)
+					k := u.K()
+					choose := xrand.New(0x7a11)
+					plan := make([]Take, 0, k)
+					past := func() bool {
+						for i, g := range u.Groups {
+							if s.Count(i) <= g.Size()+4 {
+								return false
+							}
+						}
+						return true
+					}
+					for step := 0; !past(); step++ {
+						plan = plan[:0]
+						for i := 0; i < k; i++ {
+							if choose.Intn(3) != 0 {
+								plan = append(plan, Take{I: i, N: 1})
+							}
+						}
+						s.DrawRound(plan)
+						for _, tk := range plan {
+							d := &refs[tk.I]
+							w := d.draw(without)
+							d.count++
+							if moments {
+								d.mom.Add(w)
+							}
+							if math.Float64bits(tk.Sum) != math.Float64bits(w) {
+								t.Fatalf("step %d group %d: DrawRound %v, one at a time %v", step, tk.I, tk.Sum, w)
+							}
+						}
+						checkRefs(t, s, refs, step)
+					}
+				})
+			}
+		}
+	}
+}
+
+// TestDrawUsingMatchesGroupDraw: a scatter landing's read — the one a
+// NOINDEX run makes once Pick has chosen a tuple's group — returns bit for
+// bit what Group.Draw returns on the same stream, on every backing and
+// selection, consumes the stream identically, and counts each tuple for
+// the group it lands in.
+func TestDrawUsingMatchesGroupDraw(t *testing.T) {
+	const draws = 2000
+	for _, tc := range kernelCases(t) {
+		t.Run(tc.name, func(t *testing.T) {
+			u := tc.build(t)
+			k := u.K()
+			picked := 0
+			var landed []float64
+			s := NewRoundSampler(u, 1, false, 1, &Scatter{
+				Units: 1,
+				Pick: func(int, *xrand.RNG) int {
+					picked++
+					return (picked - 1) % k
+				},
+				Fold: func(i int, count int64, v float64) bool {
+					if n := len(landed); i != n%k || count != int64(n/k+1) {
+						t.Fatalf("tuple %d landed in group %d at count %d, want group %d at count %d", n, i, count, n%k, n/k+1)
+					}
+					landed = append(landed, v)
+					return true
+				},
+			})
+			defer s.Release()
+			s.DrawRound([]Take{{I: 0, N: draws}})
+			if len(landed) != draws {
+				t.Fatalf("landed %d tuples, want %d", len(landed), draws)
+			}
+			r := xrand.Stream(1, 0)
+			for n, v := range landed {
+				if want := u.Groups[n%k].Draw(&r); math.Float64bits(v) != math.Float64bits(want) {
+					t.Fatalf("draw %d from group %d: landed %v, Group.Draw %v", n, n%k, v, want)
+				}
+			}
+			if s.streams[0] != r {
+				t.Fatal("RNG streams diverge")
+			}
+			if s.Total() != draws {
+				t.Fatalf("total %d, want %d", s.Total(), draws)
+			}
+		})
+	}
 }
