@@ -67,9 +67,10 @@ type Sampler struct {
 // groups were visited — so runs produce identical results whether groups
 // are drawn sequentially or fanned across any number of workers.
 //
-// If withoutReplacement is true, table- and slice-backed groups (and
-// other groups implementing WithoutReplacementGroup) are consumed without
-// replacement. Every sampler starts from the identity arrangement: its
+// If withoutReplacement is true, every group that draws through the
+// staged pipeline (slice-, table-, filter- and bitmap-backed groups) is
+// consumed without replacement; virtual groups draw with replacement
+// regardless. Every sampler starts from the identity arrangement: its
 // cursors are its own, so any number of samplers may draw from one
 // universe, one after another or at the same time, and each replays the
 // same streams.
@@ -82,10 +83,6 @@ func NewStreamSampler(u *Universe, base uint64, withoutReplacement bool) *Sample
 	for i, g := range u.Groups {
 		if bd, ok := g.(blockDrawer); ok {
 			cursors[i].drawCore = bd.core()
-		} else if withoutReplacement {
-			if wg, ok := g.(WithoutReplacementGroup); ok {
-				wg.ResetDraws()
-			}
 		}
 	}
 	return &Sampler{
@@ -122,18 +119,11 @@ func (s *Sampler) read(i int, r *xrand.RNG) float64 {
 // a uniform element otherwise.
 func (s *Sampler) draw(i int) float64 {
 	r := &s.streams[i]
-	if s.without {
-		if c := &s.cursors[i]; c.drawCore != nil {
-			if c.next < c.total {
-				return c.read(int(c.permStep(r)))
-			}
-			s.exhausted[i].Store(true)
-		} else if wg, ok := s.u.Groups[i].(WithoutReplacementGroup); ok {
-			if x, ok := wg.DrawWithoutReplacement(r); ok {
-				return x
-			}
-			s.exhausted[i].Store(true)
+	if c := &s.cursors[i]; s.without && c.drawCore != nil {
+		if c.next < c.total {
+			return c.read(int(c.permStep(r)))
 		}
+		s.exhausted[i].Store(true)
 	}
 	return s.read(i, r)
 }
@@ -173,24 +163,6 @@ func (s *Sampler) drawBatch(i int, dst []float64) {
 		return
 	}
 	g := s.u.Groups[i]
-	if s.without {
-		if wg, ok := g.(WithoutReplacementGroup); ok {
-			taken := 0
-			for taken < len(dst) {
-				v, ok := wg.DrawWithoutReplacement(r)
-				if !ok {
-					s.exhausted[i].Store(true)
-					break
-				}
-				dst[taken] = v
-				taken++
-			}
-			if taken == len(dst) {
-				return
-			}
-			dst = dst[taken:]
-		}
-	}
 	if bg, ok := g.(BatchGroup); ok {
 		bg.DrawBatch(r, dst)
 		return

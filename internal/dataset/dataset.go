@@ -2,11 +2,15 @@
 // algorithm in this repository: a group is a (possibly enormous) multiset of
 // bounded numeric values from which uniform random samples can be drawn.
 //
-// Two implementations are provided:
+// Three implementations are provided:
 //
 //   - SliceGroup materializes its values in memory and supports exact
 //     sampling both with and without replacement. It backs the unit tests,
-//     the NEEDLETAIL engine, and every experiment small enough to hold.
+//     the tables of table.go, and every experiment small enough to hold.
+//   - BitmapGroup is the group over the rows a bitmap selects, whose
+//     values a caller's reader fetches — NEEDLETAIL's row store, which
+//     charges a simulated device per read. It draws through the same
+//     Sampler cursors, with and without replacement, as SliceGroup.
 //   - DistGroup is *virtual*: it is defined by a distribution and a nominal
 //     size. The paper's sample complexity is independent of group size
 //     (Theorem 3.6), so the 10⁹–10¹⁰-row sweeps of Figures 3 and 4 only need
@@ -19,14 +23,14 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/bitmap"
 	"repro/internal/xrand"
 )
 
 // Group is a named multiset of values in a bounded range that supports
 // uniform random sampling. The groups this package builds are immutable
 // after construction and safe for concurrent use: a run's draw state lives
-// in its Sampler, never in the group. Implementations that keep draw state
-// of their own (WithoutReplacementGroup) are not.
+// in its Sampler, never in the group.
 type Group interface {
 	// Name identifies the group (the x-axis label of its bar).
 	Name() string
@@ -37,19 +41,6 @@ type Group interface {
 	// TrueMean returns the exact average of the multiset. Algorithms must
 	// never call this; it exists for verification and difficulty analysis.
 	TrueMean() float64
-}
-
-// WithoutReplacementGroup is implemented by groups that support exact
-// sampling without replacement and keep the permutation state themselves
-// (table- and slice-backed groups leave it to the Sampler's cursors).
-type WithoutReplacementGroup interface {
-	Group
-	// DrawWithoutReplacement returns the next element of a uniformly random
-	// permutation of the multiset, and false once the group is exhausted.
-	DrawWithoutReplacement(r *xrand.RNG) (float64, bool)
-	// ResetDraws restarts without-replacement sampling from the group's
-	// initial arrangement: the same RNG stream then replays the same draws.
-	ResetDraws()
 }
 
 // BatchGroup is implemented by groups that can fill a whole block of
@@ -163,6 +154,43 @@ func (g *SliceGroup) Scan(fn func(v float64)) int64 {
 // over compressed segments have no backing slice and return nil — use Scan
 // (or Table.Column, which materializes) instead.
 func (g *SliceGroup) Values() []float64 { return g.values }
+
+// BitmapGroup is the group over the rows a bitmap selects, read one row
+// at a time by a caller's function: a population rank maps to its row by
+// bitmap select, exactly as a FilteredGroup's does, and the row's value is
+// whatever the reader returns. It draws through the staged pipeline like
+// every table group, so a run's permutation is its Sampler's.
+type BitmapGroup struct {
+	name string
+	mean func() float64
+	drawCore
+}
+
+// NewBitmapGroup returns a group over the rows bits selects (bits must
+// select at least one and must not change afterwards). fetch reads a
+// row's value — it may charge a cost model, as NEEDLETAIL's does, but must
+// be safe to call from concurrent runs — and mean computes the exact mean
+// for TrueMean. The constructor builds bits' rank index, so draws only
+// read the bitmap.
+func NewBitmapGroup(name string, bits *bitmap.Bitmap, fetch func(row int) float64, mean func() float64) *BitmapGroup {
+	bits.Index()
+	if bits.Count() == 0 {
+		panic(fmt.Sprintf("dataset: group %q selects no rows", name))
+	}
+	sel := &selection{count: bits.Count(), bits: bits}
+	g := &BitmapGroup{name: name, mean: mean, drawCore: newDrawCore(nil, nil, sel, nil)}
+	g.fetch = fetch
+	return g
+}
+
+// Name returns the group's name.
+func (g *BitmapGroup) Name() string { return g.name }
+
+// Size returns the number of selected rows.
+func (g *BitmapGroup) Size() int64 { return int64(g.total) }
+
+// TrueMean returns the exact mean — for verification only.
+func (g *BitmapGroup) TrueMean() float64 { return g.mean() }
 
 // DistGroup is a virtual group: a distribution plus a nominal size.
 // Draw samples from the distribution; because the nominal population is vast

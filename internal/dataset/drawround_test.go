@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/bitmap"
 	"repro/internal/conc"
 	"repro/internal/xrand"
 )
@@ -17,8 +18,9 @@ import (
 // (heap slices, table groups, mmapped and compressed segments and a sparse
 // permutation, each bare and under a bitmap and an index selection), a
 // mixed universe that puts virtual groups (no pipeline) among slice groups,
-// and a wide one whose single-draw phases span several staging chunks.
-// Groups are immutable, so every input draws from the same fixtures.
+// a wide one whose single-draw phases span several staging chunks, and
+// BitmapGroups reading their rows through a function. Groups are
+// immutable, so every input draws from the same fixtures.
 func drawRoundFixtures(tb testing.TB) []kernelCase {
 	return append(kernelCases(tb),
 		kernelCase{"mixed-virtual", func(testing.TB) *Universe {
@@ -36,6 +38,23 @@ func drawRoundFixtures(tb testing.TB) []kernelCase {
 					vals[j] = r.Float64() * 100
 				}
 				groups[i] = NewSliceGroup(fmt.Sprint(i), vals)
+			}
+			return NewUniverse(100, groups...)
+		}},
+		kernelCase{"bitmap-reader", func(testing.TB) *Universe {
+			// Three groups interleaved over one 900-row column, as a
+			// group-by index lays them out.
+			r := xrand.New(0xb17)
+			vals := make([]float64, 900)
+			bits := []*bitmap.Bitmap{bitmap.New(900), bitmap.New(900), bitmap.New(900)}
+			for row := range vals {
+				vals[row] = r.Float64() * 100
+				bits[r.Intn(3)].Set(row)
+			}
+			fetch := func(row int) float64 { return vals[row] }
+			groups := make([]Group, len(bits))
+			for i, b := range bits {
+				groups[i] = NewBitmapGroup(fmt.Sprint(i), b, fetch, func() float64 { return 0 })
 			}
 			return NewUniverse(100, groups...)
 		}},
@@ -182,7 +201,15 @@ func newDrawRefs(t testing.TB, name string, u *Universe, seed uint64) []drawRef 
 			if sel := bd.core().sel; sel != nil && (sel.idx != nil) != strings.HasSuffix(name, "-index") {
 				t.Fatalf("group %d: selection representation is not the one %s names", i, name)
 			}
-			g.(Scannable).Scan(func(v float64) { refs[i].pop = append(refs[i].pop, v) })
+			if sg, ok := g.(Scannable); ok {
+				sg.Scan(func(v float64) { refs[i].pop = append(refs[i].pop, v) })
+			} else { // a BitmapGroup: its rows, in rank order, through its reader
+				c := bd.core()
+				c.sel.bits.ForEach(func(row int) bool {
+					refs[i].pop = append(refs[i].pop, c.fetch(row))
+					return true
+				})
+			}
 			refs[i].perm = make([]int32, len(refs[i].pop))
 			for j := range refs[i].perm {
 				refs[i].perm[j] = int32(j)

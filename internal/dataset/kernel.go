@@ -1,7 +1,7 @@
 // The staged block-draw pipeline: the one draw path behind SliceGroup,
-// TableGroup and FilteredGroup, whatever the backing (heap slice, mmapped
-// segment chunk, compressed block window) and selection (none, bitmap,
-// index slice).
+// TableGroup, FilteredGroup and BitmapGroup, whatever the backing (heap
+// slice, mmapped segment chunk, compressed block window, caller's reader)
+// and selection (none, bitmap, index slice).
 //
 // A block of n > 1 draws runs as tight loops, each over the run's int32
 // row scratch:
@@ -93,15 +93,17 @@ func (p *drawPool) put(sc *drawScratch) {
 	}
 }
 
-// drawCore is the draw machinery SliceGroup and FilteredGroup embed: a
-// column accessor and an optional selection over it. Exactly one of values
-// and win is set. It is immutable after construction — the per-run draw
-// state is a cursor (below) — so concurrent runs share it freely.
+// drawCore is the draw machinery SliceGroup, FilteredGroup and
+// BitmapGroup embed: a column accessor and an optional selection over it.
+// Exactly one of values, win and fetch is set. It is immutable after
+// construction — the per-run draw state is a cursor (below) — so
+// concurrent runs share it freely.
 type drawCore struct {
-	values []float64    // the group's column segment, local row indexing
-	win    *blockWindow // compressed backing: reads decode through the block cache
-	sel    *selection   // nil: every row is in the population and rank == row
-	total  int          // population: the rows, or the selection's cardinality
+	values []float64             // the group's column segment, local row indexing
+	win    *blockWindow          // compressed backing: reads decode through the block cache
+	fetch  func(row int) float64 // caller's reader (BitmapGroup): one call per drawn row
+	sel    *selection            // nil: every row is in the population and rank == row
+	total  int                   // population: the rows, or the selection's cardinality
 	// seg marks values as an mmapped chunk: blocks gather span by span of
 	// DefaultBlockLen rows, so a round touches its O(batch) pages clustered
 	// instead of faulting them in random order. Windows gather by column
@@ -136,10 +138,13 @@ func newDrawCore(values []float64, win *blockWindow, sel *selection, pool *drawP
 // at reads one local row through whichever backing the group has; m
 // memoizes the compressed block last read.
 func (g *drawCore) at(m *blockMemo, row int) float64 {
-	if g.win != nil {
+	switch {
+	case g.values != nil:
+		return g.values[row]
+	case g.win != nil:
 		return g.win.at(m, row)
 	}
-	return g.values[row]
+	return g.fetch(row)
 }
 
 // value reads the row a population rank denotes.
@@ -310,6 +315,12 @@ func (c *cursor) gather(rows []int32, dst []float64) {
 				rows[i] = s.idx[rank]
 			}
 		}
+	}
+	if f := c.fetch; f != nil {
+		for i, row := range rows {
+			dst[i] = f(int(row))
+		}
+		return
 	}
 	vals, w := c.values, c.win
 	if w == nil && !c.seg {

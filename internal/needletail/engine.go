@@ -10,10 +10,13 @@ import (
 )
 
 // Engine binds a table to the sampling-algorithm layer: it exposes each
-// group of the table as a dataset.Group whose draws go through the bitmap
-// index and charge the simulated device, so any algorithm in internal/core
-// runs unmodified on NEEDLETAIL and its run can be costed in simulated I/O
-// and CPU seconds.
+// group of the table as a dataset.Group whose draws charge the simulated
+// device, so any algorithm in internal/core runs unmodified on NEEDLETAIL
+// and its run can be costed in simulated I/O and CPU seconds. A
+// materialized table's groups are dataset.BitmapGroups over its index
+// bitmaps: they draw through the dataset.Sampler like every table group,
+// with and without replacement, and hold no draw state, so any number of
+// runs may share one universe.
 type Engine struct {
 	table Table
 	col   int
@@ -44,10 +47,27 @@ func (e *Engine) Device() *disksim.Device { return e.table.Device() }
 func (e *Engine) Universe() *dataset.Universe {
 	names := e.table.GroupNames()
 	groups := make([]dataset.Group, len(names))
+	mt, materialized := e.table.(*MaterializedTable)
 	for code, name := range names {
-		groups[code] = &engineGroup{eng: e, code: code, name: name}
+		if materialized {
+			groups[code] = e.bitmapGroup(mt, name, mt.bitmaps[code])
+		} else {
+			groups[code] = &engineGroup{eng: e, code: code, name: name}
+		}
 	}
 	return dataset.NewUniverse(e.c, groups...)
+}
+
+// bitmapGroup is the group over the rows of mt that bits selects. Each
+// drawn row charges one sample's CPU and then its page read, as the
+// table's own SampleRow does; TrueMean scans the rows without charging.
+func (e *Engine) bitmapGroup(mt *MaterializedTable, name string, bits *bitmap.Bitmap) dataset.Group {
+	col := e.col
+	fetch := func(row int) float64 {
+		mt.device.ChargeSampleCPU(1)
+		return mt.readValue(int64(row), col)
+	}
+	return dataset.NewBitmapGroup(name, bits, fetch, func() float64 { return mt.meanOver(bits, col) })
 }
 
 // Scan runs the SCAN baseline on the engine's column and returns the exact
@@ -80,83 +100,13 @@ func (e *Engine) UniverseWhere(pred *bitmap.Bitmap) (*dataset.Universe, error) {
 		if bm.Count() == 0 {
 			continue
 		}
-		groups = append(groups, &predicateGroup{eng: e, table: mt, bits: bm, name: name})
+		groups = append(groups, e.bitmapGroup(mt, name, bm))
 	}
 	if len(groups) == 0 {
 		return nil, fmt.Errorf("needletail: predicate matches no rows")
 	}
 	return dataset.NewUniverse(e.c, groups...), nil
 }
-
-// predicateGroup samples uniformly from a precomputed (group ∩ predicate)
-// bitmap. It supports without-replacement draws via a rank permutation,
-// like engineGroup.
-type predicateGroup struct {
-	eng   *Engine
-	table *MaterializedTable
-	bits  *bitmap.Bitmap
-	name  string
-
-	perm []int32
-	next int
-}
-
-// Name returns the group's name.
-func (g *predicateGroup) Name() string { return g.name }
-
-// Size returns the number of matching rows.
-func (g *predicateGroup) Size() int64 { return int64(g.bits.Count()) }
-
-// Draw samples one matching row's value.
-func (g *predicateGroup) Draw(r *xrand.RNG) float64 {
-	g.table.device.ChargeSampleCPU(1)
-	pos, err := g.bits.Select(r.Intn(g.bits.Count()))
-	if err != nil {
-		panic(err)
-	}
-	return g.table.readValue(int64(pos), g.eng.col)
-}
-
-// TrueMean scans the matching rows — verification oracle only.
-func (g *predicateGroup) TrueMean() float64 {
-	sum, n := 0.0, 0
-	g.bits.ForEach(func(pos int) bool {
-		page := int64(pos) / int64(g.table.perPage)
-		off := (pos % g.table.perPage) * g.table.rowWidth
-		raw := g.table.pages[page][off+4+8*g.eng.col : off+4+8*g.eng.col+8]
-		sum += mathFloat64frombits(leUint64(raw))
-		n++
-		return true
-	})
-	return sum / float64(n)
-}
-
-// DrawWithoutReplacement consumes a random permutation of matching rows.
-func (g *predicateGroup) DrawWithoutReplacement(r *xrand.RNG) (float64, bool) {
-	count := g.bits.Count()
-	if g.next >= count {
-		return 0, false
-	}
-	if g.perm == nil {
-		g.perm = make([]int32, count)
-		for i := range g.perm {
-			g.perm[i] = int32(i)
-		}
-	}
-	j := g.next + r.Intn(count-g.next)
-	g.perm[g.next], g.perm[j] = g.perm[j], g.perm[g.next]
-	rank := int(g.perm[g.next])
-	g.next++
-	g.table.device.ChargeSampleCPU(1)
-	pos, err := g.bits.Select(rank)
-	if err != nil {
-		panic(err)
-	}
-	return g.table.readValue(int64(pos), g.eng.col), true
-}
-
-// ResetDraws restarts without-replacement sampling.
-func (g *predicateGroup) ResetDraws() { g.perm = nil; g.next = 0 }
 
 // FractionEstimator returns a dataset.FractionEstimator that estimates
 // group fractional sizes by membership sampling: draw a uniformly random
@@ -197,17 +147,14 @@ func (f *engineFractionEstimator) DrawFractionEstimate(i int, r *xrand.RNG) floa
 	return 0
 }
 
-// engineGroup adapts one table group to dataset.Group. Draws are with
-// replacement through the bitmap index; on materialized tables the group
-// additionally supports exact without-replacement sampling via a lazily
-// built permutation over the group's bitmap ranks.
+// engineGroup adapts one group of a virtual table to dataset.Group: its
+// draws are with replacement, one SampleRow each (a virtual group's
+// nominal population dwarfs any run, so without-replacement sampling would
+// be indistinguishable), and its TrueMean is the analytical mean.
 type engineGroup struct {
 	eng  *Engine
 	code int
 	name string
-
-	perm []int32
-	next int
 }
 
 // Name returns the group's name.
@@ -216,72 +163,12 @@ func (g *engineGroup) Name() string { return g.name }
 // Size returns the group's row count.
 func (g *engineGroup) Size() int64 { return g.eng.table.GroupSize(g.code) }
 
-// Draw samples one row of the group through the index.
+// Draw samples one row of the group.
 func (g *engineGroup) Draw(r *xrand.RNG) float64 {
 	return g.eng.table.SampleRow(g.code, g.eng.col, r)
 }
 
-// DrawWithoutReplacement consumes a uniform random permutation of the
-// group's rows, built lazily over the bitmap ranks so that consuming only a
-// few samples costs O(samples). On virtual tables it reports false, which
-// makes the sampler fall back to with-replacement draws (the statistically
-// indistinguishable regime virtual tables exist for).
-func (g *engineGroup) DrawWithoutReplacement(r *xrand.RNG) (float64, bool) {
-	mt, ok := g.eng.table.(*MaterializedTable)
-	if !ok {
-		return 0, false
-	}
-	count := int(mt.GroupSize(g.code))
-	if g.next >= count {
-		return 0, false
-	}
-	if g.perm == nil {
-		g.perm = make([]int32, count)
-		for i := range g.perm {
-			g.perm[i] = int32(i)
-		}
-	}
-	j := g.next + r.Intn(count-g.next)
-	g.perm[g.next], g.perm[j] = g.perm[j], g.perm[g.next]
-	rank := int(g.perm[g.next])
-	g.next++
-	mt.device.ChargeSampleCPU(1)
-	pos, err := mt.bitmaps[g.code].Select(rank)
-	if err != nil {
-		panic(err) // rank < count by construction
-	}
-	return mt.readValue(int64(pos), g.eng.col), true
-}
-
-// ResetDraws restarts without-replacement sampling.
-func (g *engineGroup) ResetDraws() { g.perm = nil; g.next = 0 }
-
-// TrueMean computes the exact mean — for verification only. On a
-// materialized table this scans the group's bitmap without charging the
-// device (it is an oracle, not a query); on a virtual table it is the
-// analytical mean.
+// TrueMean returns the group's analytical mean — for verification only.
 func (g *engineGroup) TrueMean() float64 {
-	switch t := g.eng.table.(type) {
-	case *MaterializedTable:
-		sum, n := 0.0, 0
-		t.bitmaps[g.code].ForEach(func(pos int) bool {
-			page := int64(pos) / int64(t.perPage)
-			off := (pos % t.perPage) * t.rowWidth
-			raw := t.pages[page][off+4+8*g.eng.col : off+4+8*g.eng.col+8]
-			sum += mathFloat64frombits(leUint64(raw))
-			n++
-			return true
-		})
-		return sum / float64(n)
-	case *VirtualTable:
-		return t.specs[g.code].Dists[g.eng.col].Mean()
-	default:
-		panic("needletail: unknown table type")
-	}
-}
-
-func leUint64(b []byte) uint64 {
-	_ = b[7]
-	return uint64(b[0]) | uint64(b[1])<<8 | uint64(b[2])<<16 | uint64(b[3])<<24 |
-		uint64(b[4])<<32 | uint64(b[5])<<40 | uint64(b[6])<<48 | uint64(b[7])<<56
+	return g.eng.table.(*VirtualTable).specs[g.code].Dists[g.eng.col].Mean()
 }

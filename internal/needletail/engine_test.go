@@ -2,6 +2,8 @@ package needletail
 
 import (
 	"math"
+	"slices"
+	"sync"
 	"testing"
 
 	"repro/internal/bitmap"
@@ -86,28 +88,33 @@ func TestEngineWithoutReplacementExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	u := eng.Universe()
-	g := u.Groups[0].(dataset.WithoutReplacementGroup)
-	r := xrand.New(23)
-	sum, n := 0.0, 0
-	for {
-		v, ok := g.DrawWithoutReplacement(r)
-		if !ok {
-			break
-		}
-		sum += v
-		n++
+	drainExact(t, eng.Universe(), 23)
+}
+
+// drainExact draws group 0 of u without replacement through a sampler:
+// its Size() draws give the exact mean, the next one marks it exhausted,
+// and a fresh sampler on the same seed repeats the first draw.
+func drainExact(t *testing.T, u *dataset.Universe, seed uint64) {
+	t.Helper()
+	g := u.Groups[0]
+	s := dataset.NewStreamSampler(u, seed, true)
+	first := s.Draw(0)
+	sum := first
+	for n := int64(1); n < g.Size(); n++ {
+		sum += s.Draw(0)
 	}
-	if int64(n) != u.Groups[0].Size() {
-		t.Fatalf("drew %d of %d", n, u.Groups[0].Size())
+	if s.Exhausted(0) {
+		t.Fatalf("exhausted after %d of %d draws", g.Size(), g.Size())
 	}
-	if math.Abs(sum/float64(n)-u.Groups[0].TrueMean()) > 1e-9 {
-		t.Fatal("full permutation mean not exact")
+	if got, want := sum/float64(g.Size()), g.TrueMean(); math.Abs(got-want) > 1e-9 {
+		t.Fatalf("permutation mean %v != oracle %v", got, want)
 	}
-	// Reset restarts.
-	g.ResetDraws()
-	if _, ok := g.DrawWithoutReplacement(r); !ok {
-		t.Fatal("reset did not restart")
+	s.Draw(0)
+	if !s.Exhausted(0) {
+		t.Fatal("draw past the population did not set Exhausted")
+	}
+	if again := dataset.NewStreamSampler(u, seed, true).Draw(0); again != first {
+		t.Fatalf("fresh sampler drew %v first, want %v", again, first)
 	}
 }
 
@@ -298,20 +305,51 @@ func TestPredicateGroupWithoutReplacement(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := u.Groups[0].(dataset.WithoutReplacementGroup)
-	sum, n := 0.0, 0
-	for {
-		v, ok := g.DrawWithoutReplacement(r)
-		if !ok {
-			break
+	drainExact(t, u, 33)
+}
+
+func TestConcurrentQueriesOverOneStore(t *testing.T) {
+	// Two runs at once over one universe's groups each match the serial
+	// run: the groups hold no draw state, so neither run consumes the
+	// other's permutation, and the bitmaps they select through are
+	// indexed before the groups are published.
+	table := buildEngineTable(t, 30_000)
+	eng, err := NewEngine(table, "v", 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	where, err := eng.UniverseWhere(table.PredicateBitmap(0, func(v float64) bool { return v > 40 }))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for ui, u := range []*dataset.Universe{eng.Universe(), where} {
+		for _, batch := range []int{1, core.BatchAuto} {
+			opts := core.DefaultOptions()
+			opts.BatchSize = batch
+			want, err := core.IFocus(u, xrand.New(5), opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got [2]*core.Result
+			var errs [2]error
+			var wg sync.WaitGroup
+			for j := range got {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					got[j], errs[j] = core.IFocus(u, xrand.New(5), opts)
+				}()
+			}
+			wg.Wait()
+			for j, res := range got {
+				if errs[j] != nil {
+					t.Fatal(errs[j])
+				}
+				if !slices.Equal(res.Estimates, want.Estimates) || !slices.Equal(res.SampleCounts, want.SampleCounts) {
+					t.Fatalf("universe %d batch=%d run %d: estimates %v counts %v, serial %v %v",
+						ui, batch, j, res.Estimates, res.SampleCounts, want.Estimates, want.SampleCounts)
+				}
+			}
 		}
-		sum += v
-		n++
-	}
-	if int64(n) != u.Groups[0].Size() {
-		t.Fatalf("drew %d of %d", n, u.Groups[0].Size())
-	}
-	if got, want := sum/float64(n), u.Groups[0].TrueMean(); math.Abs(got-want) > 1e-9 {
-		t.Fatalf("permutation mean %v != oracle %v", got, want)
 	}
 }

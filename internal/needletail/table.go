@@ -3,6 +3,7 @@ package needletail
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 
 	"repro/internal/bitmap"
 	"repro/internal/needletail/disksim"
@@ -120,7 +121,7 @@ func (b *TableBuilder) Append(group string, values ...float64) error {
 	b.buf = append(b.buf, enc[:]...)
 	var venc [8]byte
 	for _, v := range values {
-		binary.LittleEndian.PutUint64(venc[:], mathFloat64bits(v))
+		binary.LittleEndian.PutUint64(venc[:], math.Float64bits(v))
 		b.buf = append(b.buf, venc[:]...)
 	}
 	t.groupOf = append(t.groupOf, int32(code))
@@ -152,6 +153,7 @@ func (b *TableBuilder) Build() (*MaterializedTable, error) {
 	}
 	t.rleStats = make([]*bitmap.RLE, len(t.dict))
 	for c, bm := range t.bitmaps {
+		bm.Index() // group sizes and draws only read the bitmaps from here on
 		t.rleStats[c] = bitmap.Compress(bm)
 	}
 	return t, nil
@@ -190,11 +192,27 @@ func (t *MaterializedTable) CompressedIndexWords() (compressed, plain int) {
 // readValue decodes column col of the given row, charging a random block
 // read for the containing page (cached after first touch).
 func (t *MaterializedTable) readValue(row int64, col int) float64 {
-	page := row / int64(t.perPage)
-	t.device.ChargeBlockRead(page)
-	off := int(row%int64(t.perPage)) * t.rowWidth
-	raw := t.pages[page][off+4+8*col : off+4+8*col+8]
-	return mathFloat64frombits(binary.LittleEndian.Uint64(raw))
+	t.device.ChargeBlockRead(row / int64(t.perPage))
+	return t.value(row, col)
+}
+
+// value decodes column col of the given row without charging the device.
+func (t *MaterializedTable) value(row int64, col int) float64 {
+	off := int(row%int64(t.perPage))*t.rowWidth + 4 + 8*col
+	return math.Float64frombits(binary.LittleEndian.Uint64(t.pages[row/int64(t.perPage)][off:]))
+}
+
+// meanOver is the exact mean of column col over the rows bits selects:
+// a verification oracle, so it reads the pages without charging the
+// device.
+func (t *MaterializedTable) meanOver(bits *bitmap.Bitmap, col int) float64 {
+	sum, n := 0.0, 0
+	bits.ForEach(func(pos int) bool {
+		sum += t.value(int64(pos), col)
+		n++
+		return true
+	})
+	return sum / float64(n)
 }
 
 // SampleRow returns a uniformly random row's value from the group, via
@@ -234,10 +252,7 @@ func (t *MaterializedTable) PredicateBitmap(col int, pred func(v float64) bool) 
 	t.device.ChargeSeqBlocks(int64(len(t.pages)))
 	t.device.ChargeHashUpdates(t.numRows)
 	for row := int64(0); row < t.numRows; row++ {
-		page := row / int64(t.perPage)
-		off := int(row%int64(t.perPage)) * t.rowWidth
-		raw := t.pages[page][off+4+8*col : off+4+8*col+8]
-		if pred(mathFloat64frombits(binary.LittleEndian.Uint64(raw))) {
+		if pred(t.value(row, col)) {
 			bm.Set(int(row))
 		}
 	}
@@ -255,8 +270,7 @@ func (t *MaterializedTable) ScanAggregate(col int) ([]float64, []int64) {
 		page := row / int64(t.perPage)
 		off := int(row%int64(t.perPage)) * t.rowWidth
 		code := binary.LittleEndian.Uint32(t.pages[page][off : off+4])
-		raw := t.pages[page][off+4+8*col : off+4+8*col+8]
-		sums[code] += mathFloat64frombits(binary.LittleEndian.Uint64(raw))
+		sums[code] += t.value(row, col)
 		counts[code]++
 	}
 	return sums, counts

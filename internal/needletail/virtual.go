@@ -2,17 +2,10 @@ package needletail
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/needletail/disksim"
 	"repro/internal/xrand"
 )
-
-// mathFloat64bits/frombits isolate the one unsafe-looking conversion pair
-// used by row encoding; they are plain math.Float64bits wrappers kept here
-// so table.go stays free of a math import it otherwise would not need.
-func mathFloat64bits(v float64) uint64     { return math.Float64bits(v) }
-func mathFloat64frombits(b uint64) float64 { return math.Float64frombits(b) }
 
 // VirtualGroupSpec defines one group of a VirtualTable.
 type VirtualGroupSpec struct {
