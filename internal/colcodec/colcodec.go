@@ -50,6 +50,7 @@ import (
 	"math"
 	"math/bits"
 	"slices"
+	"sync"
 )
 
 // Codec identifies one block encoding.
@@ -133,6 +134,9 @@ func EncodeBlock(dst []byte, vals []float64) ([]byte, Codec) {
 		dst = appendDict(dst, vals, dict)
 	default:
 		dst = appendRaw(dst, vals)
+	}
+	if dict != nil {
+		putDictIndex(dict)
 	}
 	payload := dst[start+HeaderSize:]
 	if len(payload) != payloadLen {
@@ -559,19 +563,30 @@ func dictSize(n, card, w int) int { return 2 + 8*card + (n*w+7)/8 }
 
 // dictAnalysis scans for ≤ maxDictSize distinct bit patterns and returns
 // the dictionary index: each pattern's entry number, in first-appearance
-// order.
+// order. The index comes from dictIndexes; EncodeBlock hands it back.
 func dictAnalysis(vals []float64) (index map[uint64]uint8, ok bool) {
-	index = make(map[uint64]uint8, maxDictSize)
+	index = dictIndexes.Get().(map[uint64]uint8)
 	for _, v := range vals {
 		b := math.Float64bits(v)
 		if _, ok := index[b]; !ok {
 			if len(index) == maxDictSize {
+				putDictIndex(index)
 				return nil, false
 			}
 			index[b] = uint8(len(index))
 		}
 	}
 	return index, true
+}
+
+// dictIndexes recycles dictAnalysis's index maps, so a segment write
+// allocates a few of them rather than one per block.
+var dictIndexes = sync.Pool{New: func() any { return make(map[uint64]uint8, maxDictSize) }}
+
+// putDictIndex empties index and returns it to dictIndexes.
+func putDictIndex(index map[uint64]uint8) {
+	clear(index)
+	dictIndexes.Put(index)
 }
 
 // appendDict encodes vals against dictAnalysis's index of them.
