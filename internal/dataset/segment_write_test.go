@@ -143,10 +143,11 @@ func appendRows(tab *Table, dir string, opts SegmentOptions) error {
 }
 
 // TestSegmentFeedersAgree: every way of feeding the block writer — an
-// in-memory table's columns, StartGroup/Append rows, and a reopened v2
-// table's decoded blocks (recompression, across block lengths) — writes
-// the pinned CSV's rows to the bytes TestIngestFilesPinned pins, in every
-// format and however many workers write the columns.
+// in-memory table's columns, StartGroup/Append rows, a reopened v1 table's
+// mapped columns, and a reopened v2 table's decoded blocks (recompression,
+// across block lengths) — writes the pinned CSV's rows to the bytes
+// TestIngestFilesPinned pins, in every format and however many workers
+// write the columns.
 func TestSegmentFeedersAgree(t *testing.T) {
 	tab, err := ReadCSVWorkers(strings.NewReader(pinnedCSV()), 1)
 	if err != nil {
@@ -161,12 +162,22 @@ func TestSegmentFeedersAgree(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer reopened.Close()
+	srcV1 := filepath.Join(t.TempDir(), "src-v1")
+	if err := tab.WriteSegments(srcV1); err != nil {
+		t.Fatal(err)
+	}
+	reopenedV1, err := OpenSegments(srcV1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reopenedV1.Close()
 	feeders := []struct {
 		name  string
 		write func(dir string, opts SegmentOptions) error
 	}{
 		{"in-memory", tab.WriteSegmentsOptions},
 		{"append", func(dir string, opts SegmentOptions) error { return appendRows(tab, dir, opts) }},
+		{"rewrite-v1", reopenedV1.WriteSegmentsOptions},
 		{"recompress", reopened.WriteSegmentsOptions},
 	}
 	for _, procs := range []int{1, 2, 4} {
