@@ -33,8 +33,10 @@ func TestReusedGroupSetDeterminism(t *testing.T) {
 	}{
 		{"slice", func(*testing.T) []rapidviz.Group {
 			groups := make([]rapidviz.Group, tbl.K())
-			for i, name := range tbl.Names() {
-				groups[i] = rapidviz.GroupFromValues(name, tbl.Column(i))
+			for i, g := range tbl.Groups() {
+				var vals []float64
+				g.(dataset.Scannable).Scan(func(v float64) { vals = append(vals, v) })
+				groups[i] = rapidviz.GroupFromValues(g.Name(), vals)
 			}
 			return groups
 		}},

@@ -88,22 +88,24 @@ func main() {
 
 	// Ad-hoc selection predicate: among *long* flights only (elapsed >
 	// 2h), sample the arrival delay of one airline. The predicate bitmap
-	// is built with one sequential pass and then composes with the group
-	// index by bitwise AND.
-	elapsedCol := schema.ColumnIndex("elapsed")
-	delayCol := schema.ColumnIndex("arrdelay")
-	pred := table.PredicateBitmap(elapsedCol, func(v float64) bool { return v > 120 })
-	rng := xrand.New(77)
-	const probes = 2000
-	sum, got := 0.0, 0
-	for i := 0; i < probes; i++ {
-		if v, ok := table.SampleRowWhere(0, delayCol, pred, rng); ok {
-			sum += v
-			got++
-		}
+	// is built with one sequential pass and then composes with each group
+	// index by one bitwise AND.
+	pred := table.PredicateBitmap(schema.ColumnIndex("elapsed"), func(v float64) bool { return v > 120 })
+	where, err := store.UniverseWhere(pred)
+	if err != nil {
+		log.Fatal(err)
 	}
-	if got > 0 {
+	for _, g := range where.Groups {
+		if g.Name() != names[0] {
+			continue
+		}
+		rng := xrand.New(77)
+		const probes = 2000
+		sum := 0.0
+		for range probes {
+			sum += g.Draw(rng)
+		}
 		fmt.Printf("\npredicate demo: avg arrival delay of %s on flights >2h ≈ %.2f min (%d samples)\n",
-			names[0], sum/float64(got), got)
+			names[0], sum/probes, probes)
 	}
 }

@@ -1,10 +1,18 @@
-// Compressed column plumbing for v2 segments (DESIGN.md §14). A v2 column
-// file holds back-to-back colcodec blocks over the whole column (blocks are
-// global, blockLen rows each, so block boundaries line up row-wise across
-// every column of the table). Three layers serve reads:
+// Column storage: the one file that knows how a table's columns are
+// stored (DESIGN.md §5, §14). Every column of a Table is a blockColumn,
+// cut into blocks that line up row-wise across the table's columns:
 //
-//   - blockColumn: one column's raw encoded bytes, block offsets, and zone
-//     maps, plus the decode path.
+//   - resident: the column's float64s, a heap slice or a mapped v1
+//     segment file, in fixed residentBlockLen-row blocks;
+//   - encoded: a v2 segment file's back-to-back colcodec blocks (global,
+//     blockLen rows each) with their byte offsets and zone maps.
+//
+// Four methods serve the layers above, whatever the storage: zone (a
+// block's zone map), selectBlock (a conjunction's verdicts on a block,
+// compared in place), each (the column in row order, for writers and
+// VerifyChecksums) and group (an opened segment group). Draws read
+// encoded columns through two more layers:
+//
 //   - blockCache: a bounded LRU of decoded blocks shared by every column of
 //     one table. Decode runs outside the lock (duplicate decodes of a block
 //     are idempotent); decode failures are sticky and surface through
@@ -23,6 +31,7 @@ import (
 	"sync"
 
 	"repro/internal/colcodec"
+	"repro/internal/mmapfile"
 )
 
 // DefaultBlockLen is the values-per-block default for compressed segment
@@ -111,27 +120,161 @@ func (c *blockCache) Err() error {
 	return c.err
 }
 
-// blockColumn is one compressed column: the raw encoded bytes (an mmapped
-// region), the per-block byte offsets and zone maps from the manifest, and
-// the shared cache.
+// residentBlockLen is the block length of a resident column: the row span
+// of one filter step, a 64-word verdict string.
+const residentBlockLen = 1 << 12
+
+// blockColumn is one column of a table, the only column type there is. It
+// is either resident or encoded:
+//
+//   - resident: flat holds the whole column, a heap slice or a v1
+//     segment's mapped float64s (raw then holds their stored little-endian
+//     bytes), in residentBlockLen-row blocks with no zone maps;
+//   - encoded: raw holds a v2 segment's colcodec blocks, offs and zones
+//     the manifest's block index, and reads decode through the shared
+//     cache.
+//
+// Tables, filters, writers and VerifyChecksums read a column only through
+// its methods, so this file is the one that knows the storage.
 type blockColumn struct {
-	raw      []byte
-	offs     []int64 // len nblocks+1; block b occupies raw[offs[b]:offs[b+1]]
+	flat     []float64 // resident only
+	raw      []byte    // the stored bytes; nil for a heap column
+	offs     []int64   // encoded: len nblocks+1; block b occupies raw[offs[b]:offs[b+1]]
 	zones    []blockZone
 	rows     int64
 	blockLen int
-	colID    int
-	name     string // column name, for errors
-	cache    *blockCache
+	colID    int         // encoded only: the cache key's column
+	name     string      // encoded only: the column name, for errors
+	cache    *blockCache // encoded only
+}
+
+// newResidentColumn returns a resident column over vals; raw is their
+// stored little-endian bytes when they are mapped, else nil.
+func newResidentColumn(vals []float64, raw []byte) *blockColumn {
+	return &blockColumn{flat: vals, raw: raw, rows: int64(len(vals)), blockLen: residentBlockLen}
+}
+
+// openSegColumnData returns manifest column c over its data region: a
+// resident column over a v1 column's float64s, an encoded one over a v2
+// column's blocks, decoding through cache.
+func openSegColumnData(man *segManifest, c int, data []byte, cache *blockCache) (*blockColumn, error) {
+	if man.Version < segVersion2 {
+		vals, err := mmapfile.Float64s(data)
+		if err != nil {
+			return nil, err
+		}
+		return newResidentColumn(vals, data), nil
+	}
+	blocks := man.Columns[c].Blocks
+	bc := &blockColumn{
+		raw: data, offs: make([]int64, len(blocks)+1), zones: make([]blockZone, len(blocks)),
+		rows: man.Rows, blockLen: man.BlockLen, colID: c, name: man.colName(c), cache: cache,
+	}
+	for b, blk := range blocks {
+		bc.offs[b] = blk.Off
+		bc.zones[b] = blockZone{min: blk.Min, max: blk.Max, ok: !blk.NZ}
+	}
+	bc.offs[len(blocks)] = int64(len(data))
+	if last := bc.offs[len(blocks)-1]; last+colcodec.HeaderSize > int64(len(data)) {
+		return nil, fmt.Errorf("manifest places the last block at offset %d but the column holds %d data bytes (truncated?)",
+			last, len(data))
+	}
+	return bc, nil
+}
+
+// encoded reports whether the column is stored as compressed blocks.
+func (bc *blockColumn) encoded() bool { return bc.flat == nil }
+
+// err returns the first decode failure the column's cache recorded (nil
+// for a resident column, which has nothing to decode).
+func (bc *blockColumn) err() error {
+	if bc.cache == nil {
+		return nil
+	}
+	return bc.cache.Err()
 }
 
 // nblocks returns the column's block count.
-func (bc *blockColumn) nblocks() int { return len(bc.offs) - 1 }
+func (bc *blockColumn) nblocks() int {
+	return int((bc.rows + int64(bc.blockLen) - 1) / int64(bc.blockLen))
+}
 
 // blockRows returns how many rows block b holds (the last block may be
 // short).
 func (bc *blockColumn) blockRows(b int) int {
 	return int(min(bc.rows-int64(b)*int64(bc.blockLen), int64(bc.blockLen)))
+}
+
+// zone returns block b's zone map; a resident column has none, and its
+// unusable zone settles no predicate.
+func (bc *blockColumn) zone(b int) blockZone {
+	if !bc.encoded() {
+		return blockZone{}
+	}
+	return bc.zones[b]
+}
+
+// selectBlock writes into words the verdicts of the conjunction conj on
+// block b's rows, one bit per row, comparing in place on the stored form.
+func (bc *blockColumn) selectBlock(b int, conj []colcodec.Cmp, words []uint64) error {
+	if !bc.encoded() {
+		lo := b * bc.blockLen
+		colcodec.SelectFloats(conj, bc.flat[lo:lo+bc.blockRows(b)], words)
+		return nil
+	}
+	blk, err := bc.open(b)
+	if err != nil {
+		return err
+	}
+	blk.Select(conj, words)
+	return nil
+}
+
+// each hands fn the column in row order, bypassing the cache, with last
+// set on the final piece. A resident column comes in one piece, with its
+// stored little-endian bytes when it has them (le is nil otherwise); an
+// encoded one block by block, decoded into sc.dec, each block's zone map
+// proved against its values first.
+func (bc *blockColumn) each(sc *colScratch, fn func(vals []float64, le []byte, last bool) error) error {
+	if !bc.encoded() {
+		return fn(bc.flat, bc.raw, true)
+	}
+	for b := range bc.nblocks() {
+		vals, err := bc.decode(sc.dec[:0], b)
+		if err != nil {
+			return err
+		}
+		sc.dec = vals
+		if got, want := zoneOf(vals), bc.zones[b]; got != want {
+			return fmt.Errorf("dataset: segments: column %q block %d zone map mismatch (manifest [%v, %v] nz=%v, decoded [%v, %v] nz=%v)",
+				bc.name, b, want.min, want.max, !want.ok, got.min, got.max, !got.ok)
+		}
+		if err := fn(vals, nil, b == bc.nblocks()-1); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// group returns the group over rows [lo, lo+n) of an opened segment
+// column, with its manifest-recorded statistics — no construction scan, so
+// opening a table faults in zero data pages. A resident group draws from
+// its mapped slice, span by span of DefaultBlockLen rows; an encoded one
+// through a window on the shared block cache. A group past sparsePermGate
+// keeps its permutation sparse.
+func (bc *blockColumn) group(name string, lo int64, n int, mean, maxv float64) *SliceGroup {
+	if n == 0 {
+		panic(fmt.Sprintf("dataset: group %q has no values", name))
+	}
+	var core drawCore
+	if bc.encoded() {
+		core = newDrawCore(nil, &blockWindow{col: bc, lo: lo, n: n}, nil, nil)
+	} else {
+		core = newDrawCore(bc.flat[lo:lo+int64(n)], nil, nil, nil)
+		core.seg = true
+	}
+	core.sparse = core.total > sparsePermGate
+	return &SliceGroup{name: name, mean: mean, maxv: maxv, drawCore: core}
 }
 
 // open validates block b's encoding against the manifest layout (its
@@ -154,12 +297,12 @@ func (bc *blockColumn) open(b int) (colcodec.Block, error) {
 }
 
 // decode decodes block b directly (no cache).
-func (bc *blockColumn) decode(dst []float64, b int) ([]float64, colcodec.Codec, error) {
+func (bc *blockColumn) decode(dst []float64, b int) ([]float64, error) {
 	blk, err := bc.open(b)
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
-	return blk.Decode(dst), blk.Codec(), nil
+	return blk.Decode(dst), nil
 }
 
 // block returns block b's decoded values through the cache. Decode errors
@@ -171,7 +314,7 @@ func (bc *blockColumn) block(b int) []float64 {
 	if vals := bc.cache.get(key); vals != nil {
 		return vals
 	}
-	vals, _, err := bc.decode(nil, b)
+	vals, err := bc.decode(nil, b)
 	if err != nil {
 		bc.cache.fail(err)
 		vals = make([]float64, bc.blockRows(b))
@@ -186,10 +329,6 @@ type blockWindow struct {
 	col *blockColumn
 	lo  int64 // absolute row of the window's first row
 	n   int   // rows in the window
-}
-
-func newBlockWindow(col *blockColumn, lo int64, n int) *blockWindow {
-	return &blockWindow{col: col, lo: lo, n: n}
 }
 
 // blockMemo remembers the decoded block a reader last touched, so

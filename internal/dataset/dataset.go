@@ -97,33 +97,6 @@ func NewSliceGroup(name string, values []float64) *SliceGroup {
 	return g
 }
 
-// newSegmentSliceGroup returns a group over an mmapped column chunk whose
-// mean and max were recorded in the segment manifest at write time — no
-// construction scan, so opening a table faults in zero data pages. Block
-// draws gather such a column span by span of DefaultBlockLen rows, and a
-// group past sparsePermGate keeps its permutation sparse.
-func newSegmentSliceGroup(name string, values []float64, mean, maxv float64) *SliceGroup {
-	if len(values) == 0 {
-		panic(fmt.Sprintf("dataset: group %q has no values", name))
-	}
-	g := &SliceGroup{name: name, mean: mean, maxv: maxv, drawCore: newDrawCore(values, nil, nil, nil)}
-	g.seg = true
-	g.sparse = g.total > sparsePermGate
-	return g
-}
-
-// newBlockSliceGroup returns a group over a compressed column window
-// (manifest-recorded statistics, like newSegmentSliceGroup). Every read
-// decodes through the table's shared block cache.
-func newBlockSliceGroup(name string, win *blockWindow, mean, maxv float64) *SliceGroup {
-	if win.n == 0 {
-		panic(fmt.Sprintf("dataset: group %q has no values", name))
-	}
-	g := &SliceGroup{name: name, mean: mean, maxv: maxv, drawCore: newDrawCore(nil, win, nil, nil)}
-	g.sparse = g.total > sparsePermGate
-	return g
-}
-
 // Name returns the group's name.
 func (g *SliceGroup) Name() string { return g.name }
 
@@ -152,7 +125,7 @@ func (g *SliceGroup) Scan(fn func(v float64)) int64 {
 // Values exposes the backing slice for storage engines that materialize the
 // group into a table. Callers must not mutate the returned slice. Groups
 // over compressed segments have no backing slice and return nil — use Scan
-// (or Table.Column, which materializes) instead.
+// instead.
 func (g *SliceGroup) Values() []float64 { return g.values }
 
 // BitmapGroup is the group over the rows a bitmap selects, read one row

@@ -43,3 +43,34 @@ func drawBatchWithout(s *Sampler, i int, dst []float64) int {
 	s.DrawBatch(i, dst[:n])
 	return n
 }
+
+// column returns column c (0 the value column, 1+e extra e) in row order.
+func (t *Table) column(c int) []float64 { return t.columnRows(c, 0, t.NumRows()) }
+
+// groupColumn returns group i's values.
+func (t *Table) groupColumn(i int) []float64 {
+	return t.columnRows(0, t.offsets[i], t.offsets[i+1])
+}
+
+// extraColumn returns the named extra column, row-aligned with the value
+// column.
+func (t *Table) extraColumn(name string) ([]float64, bool) {
+	for e, n := range t.extraNames {
+		if n == name {
+			return t.column(1 + e), true
+		}
+	}
+	return nil, false
+}
+
+// columnRows returns rows [lo, hi) of column c: a resident column's own
+// slice, or an encoded one's rows decoded through the block cache.
+func (t *Table) columnRows(c, lo, hi int) []float64 {
+	bc := t.cols[c]
+	if !bc.encoded() {
+		return bc.flat[lo:hi]
+	}
+	out := make([]float64, 0, hi-lo)
+	(&blockWindow{col: bc, lo: int64(lo), n: hi - lo}).scan(func(v float64) { out = append(out, v) })
+	return out
+}

@@ -79,10 +79,10 @@ func definition(tab *Table, preds []Predicate) [][]int32 {
 					}
 					continue
 				}
-				v := tab.col[r]
+				v := tab.column(0)[r]
 				if p.Column != "" && p.Column != "value" {
 					e := slices.Index(tab.extraNames, p.Column)
-					v = tab.extras[e][r]
+					v = tab.column(1 + e)[r]
 				}
 				if !p.Op.codec().Eval(v, p.Value) {
 					continue rowLoop
@@ -197,11 +197,11 @@ func TestFilterLeavesBlockCacheUntouched(t *testing.T) {
 	var buf [64]float64
 	NewStreamSampler(NewUniverse(1, st.Groups()[1]), 1, false).DrawBatch(0, buf[:])
 	snapshot := func() ([]uint64, map[uint64]*float64) {
-		st.cache.mu.Lock()
-		defer st.cache.mu.Unlock()
+		st.cols[0].cache.mu.Lock()
+		defer st.cols[0].cache.mu.Unlock()
 		var order []uint64
 		vals := map[uint64]*float64{}
-		for e := st.cache.order.Front(); e != nil; e = e.Next() {
+		for e := st.cols[0].cache.order.Front(); e != nil; e = e.Next() {
 			b := e.Value.(*cachedBlock)
 			order = append(order, b.key)
 			vals[b.key] = &b.vals[0]
@@ -297,7 +297,7 @@ func TestViewStatsConcurrent(t *testing.T) {
 		}
 		sum, max := 0.0, 0.0
 		for _, r := range rows {
-			v := heap.col[heap.offsets[gi]+int(r)]
+			v := heap.column(0)[heap.offsets[gi]+int(r)]
 			sum += v
 			if v > max {
 				max = v

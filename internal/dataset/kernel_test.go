@@ -302,11 +302,11 @@ func prefiltered(t *testing.T, tab *Table, keep func(row int) bool) *Table {
 			if !keep(row) {
 				continue
 			}
-			extras := make([]float64, len(tab.extras))
-			for e, col := range tab.extras {
-				extras[e] = col[row]
+			extras := make([]float64, len(tab.extraNames))
+			for e := range extras {
+				extras[e] = tab.column(1 + e)[row]
 			}
-			if err := b.AddRow(name, tab.col[row], extras...); err != nil {
+			if err := b.AddRow(name, tab.column(0)[row], extras...); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -343,8 +343,8 @@ func TestViewsShareBaseDrawState(t *testing.T) {
 		pred Predicate
 		keep func(row int) bool
 	}{
-		{Predicate{Column: "delay", Op: OpLT, Value: 70}, func(row int) bool { return tab.col[row] < 70 }},
-		{Predicate{Column: "dist", Op: OpLT, Value: 300}, func(row int) bool { return tab.extras[0][row] < 300 }},
+		{Predicate{Column: "delay", Op: OpLT, Value: 70}, func(row int) bool { return tab.column(0)[row] < 70 }},
+		{Predicate{Column: "dist", Op: OpLT, Value: 300}, func(row int) bool { return tab.column(1)[row] < 300 }},
 	} {
 		v, err := tab.Filter(f.pred)
 		if err != nil {

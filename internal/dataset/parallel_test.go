@@ -124,9 +124,9 @@ func TestStreamSamplerOrderInvariance(t *testing.T) {
 func tableFingerprint(tb *Table) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "k=%d rows=%d min=%v max=%v names=%q offsets=%v value=%q col=%v",
-		tb.K(), tb.NumRows(), tb.MinValue(), tb.MaxValue(), tb.Names(), tb.offsets, tb.ValueColumnName(), tb.col)
+		tb.K(), tb.NumRows(), tb.MinValue(), tb.MaxValue(), tb.Names(), tb.offsets, tb.ValueColumnName(), tb.column(0))
 	for e, name := range tb.ExtraColumnNames() {
-		fmt.Fprintf(&b, " extra %q=%v", name, tb.extras[e])
+		fmt.Fprintf(&b, " extra %q=%v", name, tb.column(1+e))
 	}
 	return b.String()
 }

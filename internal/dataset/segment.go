@@ -10,7 +10,7 @@
 // Every .seg file is a 64-byte header followed by the column's float64
 // values in little-endian byte order, packed in the table's group order
 // (group i's rows occupy rows [offset_i, offset_i+rows_i), exactly like the
-// in-memory Table.col layout). The header is:
+// in-memory table's value column). The header is:
 //
 //	[0:8)   magic "RVSEGCOL"
 //	[8:12)  format version, uint32 LE
@@ -35,8 +35,11 @@
 // map. Group statistics and the per-group CRCs are computed over the
 // *decoded* values, so VerifyChecksums proves the decode end to end and v1
 // and v2 manifests stay comparable. Reads decode whole blocks through a
-// bounded LRU (blockcol.go); draw streams are bit-for-bit identical to the
-// v1 and in-memory paths. See DESIGN.md §14.
+// bounded LRU; draw streams are bit-for-bit identical to the v1 and
+// in-memory paths. Either way an opened column is a blockColumn, and
+// blockcol.go is the one file that knows which (DESIGN.md §14): this file
+// writes, maps and validates the files and reads a column only through
+// its methods.
 package dataset
 
 import (
@@ -566,9 +569,9 @@ func (t *Table) WriteSegments(dir string) error {
 // WriteSegmentsOptions is WriteSegments with an explicit format choice —
 // SegmentOptions{Compress: true} writes v2 block-compressed columns. It
 // declares the groups, then writes the columns in parallel, one worker per
-// column: an in-memory column goes to the block writer in one piece, a
-// compressed source's (a recompression pass) one decoded block at a time,
-// never fully materialized.
+// column, each as blockColumn.each hands it over: a resident column in one
+// piece, an encoded source's (a recompression pass) one decoded block at a
+// time, never fully materialized.
 func (t *Table) WriteSegmentsOptions(dir string, opts SegmentOptions) error {
 	w, err := CreateSegmentsOptions(dir, opts, t.valueName, t.extraNames...)
 	if err != nil {
@@ -582,26 +585,10 @@ func (t *Table) WriteSegmentsOptions(dir string, opts SegmentOptions) error {
 		w.cur.Rows = int64(t.offsets[gi+1] - t.offsets[gi])
 		w.man.Rows += w.cur.Rows
 	}
-	err = perColumn(len(w.cols), func(c int, sc *colScratch) error {
-		if t.bcols == nil {
-			col := t.col
-			if c > 0 {
-				col = t.extras[c-1]
-			}
-			return w.put(c, col, true, sc)
-		}
-		bc := t.bcols[c]
-		for b := range bc.nblocks() {
-			vals, _, err := bc.decode(sc.dec[:0], b)
-			if err != nil {
-				return err
-			}
-			sc.dec = vals
-			if err := w.put(c, vals, b == bc.nblocks()-1, sc); err != nil {
-				return err
-			}
-		}
-		return nil
+	err = perColumn(len(t.cols), func(c int, sc *colScratch) error {
+		return t.cols[c].each(sc, func(vals []float64, _ []byte, last bool) error {
+			return w.put(c, vals, last, sc)
+		})
 	})
 	if err != nil {
 		w.abort()
@@ -636,29 +623,22 @@ func perColumn(n int, fn func(c int, sc *colScratch) error) error {
 // all queries first.
 type SegmentTable struct {
 	*Table
-	dir   string
-	maps  []*mmapfile.Mapping
-	man   *segManifest
-	data  [][]byte    // raw column data regions, [0] = value, [1+e] = extra e
-	cache *blockCache // decoded-block LRU (compressed tables only)
+	dir  string
+	maps []*mmapfile.Mapping
+	man  *segManifest
 }
 
 // Dir returns the segment directory the table was opened from.
 func (st *SegmentTable) Dir() string { return st.dir }
 
 // Compressed reports whether the table serves v2 block-compressed columns.
-func (st *SegmentTable) Compressed() bool { return st.cache != nil }
+func (st *SegmentTable) Compressed() bool { return st.cols[0].encoded() }
 
 // Err returns the first block-decode failure encountered while serving
 // reads, if any. Draw paths have no error channel, so corruption discovered
 // mid-draw degrades those rows to zeros and surfaces here; check after
 // queries on untrusted segments, or run VerifyChecksums up front.
-func (st *SegmentTable) Err() error {
-	if st.cache == nil {
-		return nil
-	}
-	return st.cache.Err()
-}
+func (st *SegmentTable) Err() error { return st.cols[0].err() }
 
 // Mapped reports whether the columns are OS memory mappings (false means
 // the nommap read-at fallback copied them to the heap at open).
@@ -722,12 +702,13 @@ func (st *SegmentTable) AdviseRandom() error {
 // run; the error returned is the first in column order, whatever the
 // schedule.
 func (st *SegmentTable) VerifyChecksums() error {
-	return perColumn(len(st.data), st.verifyColumn)
+	return perColumn(len(st.cols), st.verifyColumn)
 }
 
-// verifyColumn is VerifyChecksums for column c. A v1 column's data already
-// is the little-endian bytes the group CRCs cover; a v2 column decodes
-// each block into sc, checks its zone map, and converts. Either way the
+// verifyColumn is VerifyChecksums for column c, read through
+// blockColumn.each. A v1 column hands over its stored bytes, which already
+// are the little-endian bytes the group CRCs cover; a v2 column's decoded
+// blocks, their zone maps checked, are converted in sc. Either way the
 // CRCs are the same decoded-byte CRCs, so v1 and v2 manifests agree.
 func (st *SegmentTable) verifyColumn(c int, sc *colScratch) error {
 	var gc groupCursor
@@ -747,25 +728,12 @@ func (st *SegmentTable) verifyColumn(c int, sc *colScratch) error {
 			return nil
 		})
 	}
-	if st.cache == nil {
-		return check(nil, st.data[c])
-	}
-	bc := st.Table.bcols[c]
-	for b := range bc.nblocks() {
-		vals, _, err := bc.decode(sc.dec[:0], b)
-		if err != nil {
-			return err
+	return st.cols[c].each(sc, func(vals []float64, le []byte, _ bool) error {
+		if le == nil {
+			return sc.eachLE(vals, check)
 		}
-		sc.dec = vals
-		if got, want := zoneOf(vals), bc.zones[b]; got != want {
-			return fmt.Errorf("dataset: segments: column %q block %d zone map mismatch (manifest [%v, %v] nz=%v, decoded [%v, %v] nz=%v)",
-				bc.name, b, want.min, want.max, !want.ok, got.min, got.max, !got.ok)
-		}
-		if err := sc.eachLE(vals, check); err != nil {
-			return err
-		}
-	}
-	return nil
+		return check(vals, le)
+	})
 }
 
 // readSegManifest loads and structurally validates manifest.json.
@@ -929,84 +897,42 @@ func OpenSegments(dir string) (*SegmentTable, error) {
 		return nil, err
 	}
 	st := &SegmentTable{dir: dir, man: man}
-	paths := []string{SegmentValuePath(dir)}
-	for e := range man.ExtraNames {
-		paths = append(paths, segExtraPath(dir, e))
-	}
-	for _, path := range paths {
-		m, data, err := openSegColumn(path, man.Version, man.Rows)
-		if err != nil {
-			st.Close()
-			return nil, err
-		}
-		st.maps = append(st.maps, m)
-		st.data = append(st.data, data)
-	}
-
 	t := &Table{
 		minV:       man.MinValue,
 		maxV:       man.MaxValue,
 		valueName:  man.ValueName,
 		extraNames: man.ExtraNames,
 	}
+	var cache *blockCache // v2: the decoded-block LRU every column shares
+	if man.Version >= segVersion2 {
+		cache = newBlockCache(man.BlockLen)
+	}
+	paths := []string{SegmentValuePath(dir)}
+	for e := range man.ExtraNames {
+		paths = append(paths, segExtraPath(dir, e))
+	}
+	for c, path := range paths {
+		m, data, err := openSegColumn(path, man.Version, man.Rows)
+		if err != nil {
+			st.Close()
+			return nil, err
+		}
+		st.maps = append(st.maps, m)
+		col, err := openSegColumnData(man, c, data, cache)
+		if err != nil {
+			st.Close()
+			return nil, fmt.Errorf("dataset: segments: %s: %w", path, err)
+		}
+		t.cols = append(t.cols, col)
+	}
+
 	t.offsets = make([]int, len(man.Groups)+1)
+	t.groups = make([]Group, len(man.Groups))
 	for gi, g := range man.Groups {
 		t.names = append(t.names, g.Name)
 		t.offsets[gi+1] = t.offsets[gi] + int(g.Rows)
-	}
-	t.groups = make([]Group, len(man.Groups))
-
-	if man.Version >= segVersion2 {
-		// v2: columns are encoded blocks served through a shared decoded-block
-		// LRU; groups draw through per-group block windows.
-		st.cache = newBlockCache(man.BlockLen)
-		t.bcols = make([]*blockColumn, len(st.data))
-		for c, data := range st.data {
-			blocks := man.Columns[c].Blocks
-			offs := make([]int64, len(blocks)+1)
-			zones := make([]blockZone, len(blocks))
-			for b, blk := range blocks {
-				offs[b] = blk.Off
-				zones[b] = blockZone{min: blk.Min, max: blk.Max, ok: !blk.NZ}
-			}
-			offs[len(blocks)] = int64(len(data))
-			if last := offs[len(blocks)-1]; last+colcodec.HeaderSize > int64(len(data)) {
-				st.Close()
-				return nil, fmt.Errorf("dataset: segments: %s: manifest places the last block at offset %d but the column holds %d data bytes (truncated?)",
-					paths[c], last, len(data))
-			}
-			t.bcols[c] = &blockColumn{
-				raw: data, offs: offs, zones: zones,
-				rows: man.Rows, blockLen: man.BlockLen, colID: c, cache: st.cache,
-				name: man.colName(c),
-			}
-		}
-		for gi, g := range man.Groups {
-			win := newBlockWindow(t.bcols[0], g.Offset, int(g.Rows))
-			t.groups[gi] = &TableGroup{
-				SliceGroup: *newBlockSliceGroup(g.Name, win, g.Mean, g.Max),
-				table:      t,
-				index:      gi,
-			}
-		}
-		st.Table = t
-		return st, nil
-	}
-
-	cols := make([][]float64, 0, len(st.data))
-	for c, data := range st.data {
-		col, err := mmapfile.Float64s(data)
-		if err != nil {
-			st.Close()
-			return nil, fmt.Errorf("dataset: segments: %s: %w", paths[c], err)
-		}
-		cols = append(cols, col)
-	}
-	t.col = cols[0]
-	t.extras = cols[1:]
-	for gi, g := range man.Groups {
 		t.groups[gi] = &TableGroup{
-			SliceGroup: *newSegmentSliceGroup(g.Name, t.col[t.offsets[gi]:t.offsets[gi+1]], g.Mean, g.Max),
+			SliceGroup: *t.cols[0].group(g.Name, g.Offset, int(g.Rows), g.Mean, g.Max),
 			table:      t,
 			index:      gi,
 		}

@@ -66,7 +66,7 @@ func TestSegmentRoundTrip(t *testing.T) {
 		if st.Names()[gi] != tab.Names()[gi] {
 			t.Fatalf("group %d name %q != %q", gi, st.Names()[gi], tab.Names()[gi])
 		}
-		got, want := st.Column(gi), tab.Column(gi)
+		got, want := st.groupColumn(gi), tab.groupColumn(gi)
 		if len(got) != len(want) {
 			t.Fatalf("group %d has %d rows, want %d", gi, len(got), len(want))
 		}
@@ -85,8 +85,8 @@ func TestSegmentRoundTrip(t *testing.T) {
 		}
 	}
 	for _, name := range tab.ExtraColumnNames() {
-		got, _ := st.ExtraColumn(name)
-		want, _ := tab.ExtraColumn(name)
+		got, _ := st.extraColumn(name)
+		want, _ := tab.extraColumn(name)
 		for i := range want {
 			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
 				t.Fatalf("extra %q row %d: %v != %v", name, i, got[i], want[i])

@@ -30,8 +30,8 @@ func TestCompressedSegmentRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	if !st.Compressed() || st.bcols[0].blockLen != 64 {
-		t.Fatalf("opened table: Compressed=%v BlockLen=%d, want true/64", st.Compressed(), st.bcols[0].blockLen)
+	if !st.Compressed() || st.cols[0].blockLen != 64 {
+		t.Fatalf("opened table: Compressed=%v BlockLen=%d, want true/64", st.Compressed(), st.cols[0].blockLen)
 	}
 	if err := st.VerifyChecksums(); err != nil {
 		t.Fatalf("VerifyChecksums on a clean compressed write: %v", err)
@@ -43,7 +43,7 @@ func TestCompressedSegmentRoundTrip(t *testing.T) {
 		t.Fatalf("range [%v,%v] != [%v,%v]", st.MinValue(), st.MaxValue(), tab.MinValue(), tab.MaxValue())
 	}
 	for gi := range tab.Names() {
-		got, want := st.Column(gi), tab.Column(gi)
+		got, want := st.groupColumn(gi), tab.groupColumn(gi)
 		if len(got) != len(want) {
 			t.Fatalf("group %d has %d rows, want %d", gi, len(got), len(want))
 		}
@@ -63,8 +63,8 @@ func TestCompressedSegmentRoundTrip(t *testing.T) {
 		}
 	}
 	for _, name := range tab.ExtraColumnNames() {
-		got, _ := st.ExtraColumn(name)
-		want, _ := tab.ExtraColumn(name)
+		got, _ := st.extraColumn(name)
+		want, _ := tab.extraColumn(name)
 		for i := range want {
 			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
 				t.Fatalf("extra %q row %d: %v != %v", name, i, got[i], want[i])
@@ -177,11 +177,11 @@ func TestCompressedCacheEviction(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	if st.cache.limit != 4 {
-		t.Fatalf("cache limit %d, want the 4-block floor", st.cache.limit)
+	if st.cols[0].cache.limit != 4 {
+		t.Fatalf("cache limit %d, want the 4-block floor", st.cols[0].cache.limit)
 	}
 	assertSameDraws(t, "evicting", tab.Groups(), st.Groups(), 300)
-	if got := len(st.cache.entries); got > 4 {
+	if got := len(st.cols[0].cache.entries); got > 4 {
 		t.Fatalf("cache holds %d blocks, budget is 4", got)
 	}
 }
@@ -278,9 +278,9 @@ func TestCompressedFilterSkipsBlocks(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), `column "distance" block 6: `) {
 		t.Fatalf("filter reading the damaged block: %v", err)
 	}
-	st.cache.mu.Lock()
-	decoded := len(st.cache.entries)
-	st.cache.mu.Unlock()
+	st.cols[0].cache.mu.Lock()
+	decoded := len(st.cols[0].cache.entries)
+	st.cols[0].cache.mu.Unlock()
 	if decoded != 0 {
 		t.Fatalf("filters decoded %d blocks into the cache; planning compares in place", decoded)
 	}
@@ -311,7 +311,7 @@ func TestCompressedRecompression(t *testing.T) {
 			t.Fatalf("rewritten (compress=%v) fails verify: %v", opts.Compress, err)
 		}
 		for gi := range tab.Names() {
-			got, want := st2.Column(gi), tab.Column(gi)
+			got, want := st2.groupColumn(gi), tab.groupColumn(gi)
 			for i := range want {
 				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
 					t.Fatalf("rewrite compress=%v group %d row %d: %v != %v", opts.Compress, gi, i, got[i], want[i])

@@ -125,16 +125,16 @@ func appendRows(tab *Table, dir string, opts SegmentOptions) error {
 	if err != nil {
 		return err
 	}
-	extras := make([]float64, len(tab.extras))
+	extras := make([]float64, len(tab.extraNames))
 	for gi, name := range tab.names {
 		if err := w.StartGroup(name); err != nil {
 			return err
 		}
 		for row := tab.offsets[gi]; row < tab.offsets[gi+1]; row++ {
 			for e := range extras {
-				extras[e] = tab.extras[e][row]
+				extras[e] = tab.column(1 + e)[row]
 			}
-			if err := w.Append(tab.col[row], extras...); err != nil {
+			if err := w.Append(tab.column(0)[row], extras...); err != nil {
 				return err
 			}
 		}

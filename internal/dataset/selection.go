@@ -3,10 +3,10 @@
 // density threshold (rank/select via internal/bitmap), a sorted index
 // slice below it — and wraps them in a View whose groups implement every
 // draw mode the unfiltered table groups do. Planning is one block loop over
-// every backing: zone maps settle whole blocks, the remaining predicates
-// compare in place on the stored bytes (colcodec.Block.Select, or
-// colcodec.SelectFloats on flat columns) into 64-verdict words, and the
-// words are ORed straight into each group's bitmap; no value is decoded
+// the table's columns, whatever their storage: zone maps settle whole
+// blocks, the remaining predicates compare in place on the stored form
+// (blockColumn.selectBlock) into 64-verdict words, and the words are ORed
+// straight into each group's bitmap; no value is decoded
 // and no value statistic is computed until something asks for one. A
 // filtered draw maps a uniform rank in [0, count) to a surviving row in
 // O(1) (index slice) or O(log r) (bitmap select); there is never a
@@ -136,10 +136,6 @@ func (v *View) Universe(c float64) (*Universe, error) {
 	return NewUniverse(c, v.groups...), nil
 }
 
-// filterChunkLen is the row span of one filter step on tables without
-// blocks (in-memory and v1): a 64-word verdict string.
-const filterChunkLen = 1 << 12
-
 // Filter evaluates the conjunction of preds and returns a View of the
 // surviving rows. Group-inclusion predicates answer from the table's group
 // index (the offsets) without reading any rows. Value predicates are
@@ -151,10 +147,8 @@ const filterChunkLen = 1 << 12
 // recorded a block-decode failure, Filter returns that error instead of
 // planning over known-corrupt data.
 func (t *Table) Filter(preds ...Predicate) (*View, error) {
-	if t.bcols != nil {
-		if err := t.bcols[0].cache.Err(); err != nil {
-			return nil, err
-		}
+	if err := t.cols[0].err(); err != nil {
+		return nil, err
 	}
 	valuePreds, include, err := t.validatePredicates(preds)
 	if err != nil {
@@ -213,11 +207,11 @@ func (v *View) addWhole(t *Table, gi int) {
 
 // selectRows evaluates the value predicates into one survivor bitmap per
 // included group (nil for excluded groups), in local row coordinates. It
-// walks the table in blocks — the compressed blocks of a v2 table,
-// filterChunkLen-row chunks of a flat column — skipping blocks no included
-// group overlaps. Per block, verdicts writes the conjunction's verdict
-// string, which is ORed into every included group the block overlaps: a
-// block can span group boundaries, so each group takes its own bit range.
+// walks the table in its columns' blocks (blockcol.go), skipping blocks no
+// included group overlaps. Per block, verdicts writes the conjunction's
+// verdict string, which is ORed into every included group the block
+// overlaps: a block can span group boundaries, so each group takes its own
+// bit range.
 func (t *Table) selectRows(preds []resolvedPredicate, include map[int]bool) ([]*bitmap.Bitmap, error) {
 	slices.SortStableFunc(preds, func(a, b resolvedPredicate) int { return cmp.Compare(a.col, b.col) })
 	sels := make([]*bitmap.Bitmap, len(t.names))
@@ -226,10 +220,7 @@ func (t *Table) selectRows(preds []resolvedPredicate, include map[int]bool) ([]*
 			sels[gi] = bitmap.New(t.offsets[gi+1] - t.offsets[gi])
 		}
 	}
-	bl := filterChunkLen
-	if t.bcols != nil {
-		bl = t.bcols[0].blockLen
-	}
+	bl := t.cols[0].blockLen
 	words := make([]uint64, (bl+63)/64)
 	scratch := make([]uint64, len(words))
 	first := 0 // first group ending after the current block's start
@@ -246,7 +237,7 @@ func (t *Table) selectRows(preds []resolvedPredicate, include map[int]bool) ([]*
 		if !need {
 			continue
 		}
-		ok, err := t.verdicts(lo/bl, lo, hi, preds, words, scratch)
+		ok, err := t.verdicts(lo/bl, hi-lo, preds, words, scratch)
 		if err != nil {
 			return nil, err
 		}
@@ -264,26 +255,24 @@ func (t *Table) selectRows(preds []resolvedPredicate, include map[int]bool) ([]*
 	return sels, nil
 }
 
-// verdicts writes into words the conjunction's verdicts for rows [lo, hi),
+// verdicts writes into words the conjunction's verdicts for the n rows of
 // block b of the table, one bit per row; it reports false when a zone map
 // proves no row of the block matches. preds come sorted by column. Zone
 // maps settle predicates whole blocks at a time; each column's remaining
 // predicates compare in place as one conjunction, and the columns' verdict
 // strings are ANDed into words.
-func (t *Table) verdicts(b, lo, hi int, preds []resolvedPredicate, words, scratch []uint64) (bool, error) {
-	nw := (hi - lo + 63) / 64
+func (t *Table) verdicts(b, n int, preds []resolvedPredicate, words, scratch []uint64) (bool, error) {
+	nw := (n + 63) / 64
 	words, scratch = words[:nw], scratch[:nw]
-	if t.bcols != nil {
-		for _, p := range preds {
-			if t.bcols[1+p.col].zones[b].relate(p.op, p.c) == zoneNone {
-				return false, nil
-			}
+	for _, p := range preds {
+		if t.cols[1+p.col].zone(b).relate(p.op, p.c) == zoneNone {
+			return false, nil
 		}
 	}
 	for i := range words {
 		words[i] = ^uint64(0)
 	}
-	if r := (hi - lo) % 64; r != 0 {
+	if r := n % 64; r != 0 {
 		words[nw-1] = 1<<r - 1
 	}
 	conj := make([]colcodec.Cmp, 0, 8)
@@ -292,25 +281,15 @@ func (t *Table) verdicts(b, lo, hi int, preds []resolvedPredicate, words, scratc
 		conj = conj[:0]
 		for ; i < len(preds) && preds[i].col == col; i++ {
 			p := preds[i]
-			if t.bcols == nil || t.bcols[1+col].zones[b].relate(p.op, p.c) != zoneAll {
+			if t.cols[1+col].zone(b).relate(p.op, p.c) != zoneAll {
 				conj = append(conj, colcodec.Cmp{Op: p.op.codec(), C: p.c})
 			}
 		}
 		if len(conj) == 0 {
 			continue
 		}
-		if t.bcols != nil {
-			blk, err := t.bcols[1+col].open(b)
-			if err != nil {
-				return false, err
-			}
-			blk.Select(conj, scratch)
-		} else {
-			vals := t.col
-			if col >= 0 {
-				vals = t.extras[col]
-			}
-			colcodec.SelectFloats(conj, vals[lo:hi], scratch)
+		if err := t.cols[1+col].selectBlock(b, conj, scratch); err != nil {
+			return false, err
 		}
 		for k := range words {
 			words[k] &= scratch[k]

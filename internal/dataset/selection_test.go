@@ -233,7 +233,7 @@ func TestFilterAllPassKeepsZeroCopyViews(t *testing.T) {
 		if !ok {
 			t.Fatalf("all-pass group is %T, want *TableGroup", g)
 		}
-		if &tg.Values()[0] != &tab.Column(i)[0] {
+		if &tg.Values()[0] != &tab.groupColumn(i)[0] {
 			t.Fatal("all-pass group copied the column")
 		}
 	}
@@ -312,14 +312,14 @@ func TestTableExtraColumnsIngestion(t *testing.T) {
 	}
 	// Extras pack row-aligned with the value column: group a = rows 0,1
 	// (values 1,3), group b = row 2 (value 2).
-	dist, ok := tab.ExtraColumn("dist")
+	dist, ok := tab.extraColumn("dist")
 	if !ok {
 		t.Fatal("dist column missing")
 	}
 	if dist[0] != 100 || dist[1] != 300 || dist[2] != 200 {
 		t.Fatalf("dist packing %v, want [100 300 200]", dist)
 	}
-	if _, ok := tab.ExtraColumn("nosuch"); ok {
+	if _, ok := tab.extraColumn("nosuch"); ok {
 		t.Fatal("phantom extra column")
 	}
 	// The value column may be addressed by its ingested name.
@@ -404,12 +404,12 @@ func TestReadCSVExtraColumnsShardedIdentical(t *testing.T) {
 		if !equalStrings(par.ExtraColumnNames(), seq.ExtraColumnNames()) {
 			t.Fatalf("workers=%d: extra names %v vs %v", workers, par.ExtraColumnNames(), seq.ExtraColumnNames())
 		}
-		for e := range seq.extras {
-			if len(par.extras[e]) != len(seq.extras[e]) {
+		for e := range seq.extraNames {
+			if len(par.column(1+e)) != len(seq.column(1+e)) {
 				t.Fatalf("workers=%d: extra %d length differs", workers, e)
 			}
-			for i := range seq.extras[e] {
-				if par.extras[e][i] != seq.extras[e][i] {
+			for i := range seq.column(1 + e) {
+				if par.column(1 + e)[i] != seq.column(1 + e)[i] {
 					t.Fatalf("workers=%d: extra %d row %d differs", workers, e, i)
 				}
 			}

@@ -1,10 +1,12 @@
 // Columnar (group, value) storage. A Table packs every group's values
-// contiguously into one dense column so the batched draw path runs over
-// cache-friendly memory, and carries the GroupBy bookkeeping (first-seen
-// group order, offsets, value range) that ingestion from raw rows or CSV
-// needs. Tables are the bridge between real workloads — log lines, query
-// results, CSV exports — and the sampling algorithms, which consume them
-// as zero-copy SliceGroup views over column segments.
+// contiguously into one value column, plus any extra filterable columns,
+// each a blockColumn (blockcol.go) — resident in memory for a built table,
+// resident or encoded for one served from segments — and carries the
+// GroupBy bookkeeping (first-seen group order, offsets, value range) that
+// ingestion from raw rows or CSV needs. Tables are the bridge between real
+// workloads — log lines, query results, CSV exports — and the sampling
+// algorithms, which consume them as zero-copy SliceGroup views over
+// column segments.
 //
 // Ingestion is sharded: BuildTable and ReadCSV split their input into
 // per-worker shards, work on the shards in parallel, and lay the shards'
@@ -39,66 +41,36 @@ type Row struct {
 }
 
 // Table is a columnar (group, value) store: the values of group i occupy
-// col[offsets[i]:offsets[i+1]], groups ordered by first appearance in the
-// ingested rows. A table may additionally carry named extra numeric
-// columns, row-aligned with the value column and packed in the same group
-// order; they exist to be filtered on (Filter / Query.Where), never
-// aggregated. Construct with a TableBuilder, BuildTable, or ReadCSV.
+// rows [offsets[i], offsets[i+1]) of the value column, groups ordered by
+// first appearance in the ingested rows. A table may additionally carry
+// named extra numeric columns, row-aligned with the value column and
+// packed in the same group order; they exist to be filtered on (Filter /
+// Query.Where), never aggregated. Construct with a TableBuilder,
+// BuildTable, or ReadCSV.
 type Table struct {
 	names   []string
-	col     []float64
 	offsets []int
 	groups  []Group
 	minV    float64
 	maxV    float64
 
-	valueName  string      // ingested name of the value column ("value" default)
-	extraNames []string    // extra column names, in ingestion order
-	extras     [][]float64 // extras[e] is row-aligned with col
+	valueName  string   // ingested name of the value column ("value" default)
+	extraNames []string // extra column names, in ingestion order
 
-	// bcols replaces col/extras for compressed (v2) segment tables:
-	// bcols[0] is the value column, bcols[1+e] extra e, all decoding
-	// through one shared block cache. Column and ExtraColumn materialize
-	// on demand; draw paths read through per-group block windows.
-	bcols []*blockColumn
+	// cols[0] is the value column and cols[1+e] extra e; draw paths read
+	// them through the groups, everything else through blockcol.go.
+	cols []*blockColumn
 }
 
 // K returns the number of distinct groups.
 func (t *Table) K() int { return len(t.names) }
 
 // NumRows returns the total number of ingested rows.
-func (t *Table) NumRows() int {
-	if t.col == nil && len(t.offsets) > 0 {
-		return t.offsets[len(t.offsets)-1]
-	}
-	return len(t.col)
-}
+func (t *Table) NumRows() int { return t.offsets[len(t.offsets)-1] }
 
 // Names returns the group labels in first-seen order. The slice is owned
 // by the table.
 func (t *Table) Names() []string { return t.names }
-
-// Column returns group i's packed values. On plain tables the slice
-// aliases the table's column storage (callers must not mutate it); on
-// compressed segment tables it is materialized by decoding the group's
-// blocks, so each call allocates — tooling and verification use it, draw
-// paths never do.
-func (t *Table) Column(i int) []float64 {
-	if t.bcols != nil {
-		return t.materializeRange(t.bcols[0], t.offsets[i], t.offsets[i+1])
-	}
-	return t.col[t.offsets[i]:t.offsets[i+1]]
-}
-
-// materializeRange decodes rows [lo, hi) of a compressed column into a
-// fresh slice. Corrupt blocks degrade to zeros and surface through
-// SegmentTable.Err, like every cache read.
-func (t *Table) materializeRange(bc *blockColumn, lo, hi int) []float64 {
-	out := make([]float64, 0, hi-lo)
-	w := newBlockWindow(bc, int64(lo), hi-lo)
-	w.scan(func(v float64) { out = append(out, v) })
-	return out
-}
 
 // MinValue and MaxValue bound the ingested values (both 0 for an empty
 // table, which builders reject anyway).
@@ -115,21 +87,6 @@ func (t *Table) ValueColumnName() string { return t.valueName }
 // ExtraColumnNames returns the names of the table's extra numeric columns,
 // in ingestion order. The slice is owned by the table.
 func (t *Table) ExtraColumnNames() []string { return t.extraNames }
-
-// ExtraColumn returns the named extra column, row-aligned with the packed
-// value column (group i's rows occupy the same offsets). The slice aliases
-// table storage; callers must not mutate it.
-func (t *Table) ExtraColumn(name string) ([]float64, bool) {
-	for e, n := range t.extraNames {
-		if n == name {
-			if t.bcols != nil {
-				return t.materializeRange(t.bcols[1+e], 0, t.NumRows()), true
-			}
-			return t.extras[e], true
-		}
-	}
-	return nil, false
-}
 
 // Groups returns one sampling group per distinct label, in first-seen
 // order. The groups are zero-copy views over the table's column and are
@@ -259,10 +216,10 @@ func (b *TableBuilder) Build() (*Table, error) {
 // table needs. Every stage of one ingestion shares the same column schema
 // (value name plus extra names), fixed at construction.
 type tableStage struct {
-	index  map[string]int
-	names  []string
-	cols   [][]float64
-	extras [][][]float64 // [group][extra][row], parallel to cols
+	index     map[string]int
+	names     []string
+	cols      [][]float64
+	extraCols [][][]float64 // [group][extra][row], parallel to cols
 	valueRange
 
 	valueName  string
@@ -290,12 +247,12 @@ func (s *tableStage) add(group string, value float64, extras []float64) {
 		s.names = append(s.names, group)
 		s.cols = append(s.cols, nil)
 		if len(s.extraNames) > 0 {
-			s.extras = append(s.extras, make([][]float64, len(s.extraNames)))
+			s.extraCols = append(s.extraCols, make([][]float64, len(s.extraNames)))
 		}
 	}
 	s.cols[i] = append(s.cols[i], value)
 	for e, v := range extras {
-		s.extras[i][e] = append(s.extras[i][e], v)
+		s.extraCols[i][e] = append(s.extraCols[i][e], v)
 	}
 	s.valueRange.add(value)
 }
@@ -402,11 +359,7 @@ func mergeStages(stages []*tableStage, workers int) (*Table, error) {
 		}
 	}
 	dst := t.placeGroups(names, counts)
-	t.col = make([]float64, vr.rows)
-	t.extras = make([][]float64, len(t.extraNames))
-	for e := range t.extras {
-		t.extras[e] = make([]float64, vr.rows)
-	}
+	cols := newColumns(1+len(t.extraNames), vr.rows)
 
 	// Copy every (shard, local group) segment to its destination in
 	// parallel: the destinations are disjoint by construction, so the fan-
@@ -422,13 +375,22 @@ func mergeStages(stages []*tableStage, workers int) (*Table, error) {
 		sg := segs[j]
 		s := stages[sg.si]
 		at := dst[sg.si][sg.li]
-		copy(t.col[at:], s.cols[sg.li])
-		for e := range t.extras {
-			copy(t.extras[e][at:], s.extras[sg.li][e])
+		copy(cols[0][at:], s.cols[sg.li])
+		for e, col := range cols[1:] {
+			copy(col[at:], s.extraCols[sg.li][e])
 		}
 	})
-	t.buildGroups(workers)
+	t.setColumns(cols, workers)
 	return t, nil
+}
+
+// newColumns allocates n columns of rows values each.
+func newColumns(n, rows int) [][]float64 {
+	cols := make([][]float64, n)
+	for c := range cols {
+		cols[c] = make([]float64, rows)
+	}
+	return cols
 }
 
 // placeGroups lays out the groups of input-ordered shards, given each
@@ -473,13 +435,18 @@ func (t *Table) placeGroups(names [][]string, counts [][]int) [][]int {
 	return locals
 }
 
-// buildGroups makes the group views over the packed value column, in
-// parallel: every group owns a disjoint column slice.
-func (t *Table) buildGroups(workers int) {
+// setColumns makes the packed columns — cols[0] the value column, cols[1+e]
+// extra e — the table's resident columns, and builds the group views over
+// the value column in parallel: every group owns a disjoint column slice.
+func (t *Table) setColumns(cols [][]float64, workers int) {
+	t.cols = make([]*blockColumn, len(cols))
+	for c, col := range cols {
+		t.cols[c] = newResidentColumn(col, nil)
+	}
 	t.groups = make([]Group, len(t.names))
 	par.For(len(t.names), workers, func(gi int) {
 		t.groups[gi] = &TableGroup{
-			SliceGroup: *NewSliceGroup(t.names[gi], t.col[t.offsets[gi]:t.offsets[gi+1]]),
+			SliceGroup: *NewSliceGroup(t.names[gi], cols[0][t.offsets[gi]:t.offsets[gi+1]]),
 			table:      t,
 			index:      gi,
 		}
@@ -824,13 +791,8 @@ func readCSVSharded(data []byte, workers int) (*Table, bool) {
 	if rows == 0 {
 		return nil, false
 	}
-	t.col = make([]float64, rows)
-	t.extras = make([][]float64, len(extraNames))
-	for e := range t.extras {
-		t.extras[e] = make([]float64, rows)
-	}
-
-	par.For(len(shards), workers, func(si int) { shards[si].ok = shards[si].parse(t, dst[si], extraFields) })
+	cols := newColumns(1+len(extraNames), rows)
+	par.For(len(shards), workers, func(si int) { shards[si].ok = shards[si].parse(cols, dst[si], extraFields) })
 	var vr valueRange
 	for si := range shards {
 		if !shards[si].ok {
@@ -839,7 +801,7 @@ func readCSVSharded(data []byte, workers int) (*Table, bool) {
 		vr.merge(shards[si].valueRange)
 	}
 	t.minV, t.maxV = vr.minV, vr.maxV
-	t.buildGroups(workers)
+	t.setColumns(cols, workers)
 	return t, true
 }
 
@@ -935,11 +897,12 @@ func (s *csvShard) count() bool {
 	return true
 }
 
-// parse is pass 2: it parses the shard's value and extra fields into t's
-// columns, next[li] being the row where local group li's next value goes.
+// parse is pass 2: it parses the shard's value and extra fields into cols
+// (cols[0] the value column, cols[1+e] extra e), next[li] being the row
+// where local group li's next value goes.
 // It fails on a field that does not parse, a record missing a declared
 // extra field, or a value checkValue rejects.
-func (s *csvShard) parse(t *Table, next []int, extraFields []int) bool {
+func (s *csvShard) parse(cols [][]float64, next []int, extraFields []int) bool {
 	for rest := s.data; len(rest) > 0; {
 		var line []byte
 		if line, rest = cutLine(rest); len(line) == 0 {
@@ -955,7 +918,7 @@ func (s *csvShard) parse(t *Table, next []int, extraFields []int) bool {
 		s.valueRange.add(v)
 		row := next[li]
 		next[li]++
-		t.col[row] = v
+		cols[0][row] = v
 		f := 1 // index of field
 		for e, want := range extraFields {
 			for ; f < want; f++ {
@@ -968,7 +931,7 @@ func (s *csvShard) parse(t *Table, next []int, extraFields []int) bool {
 			if err != nil {
 				return false
 			}
-			t.extras[e][row] = x
+			cols[1+e][row] = x
 		}
 	}
 	return true

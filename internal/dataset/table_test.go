@@ -27,7 +27,7 @@ func TestTableBuilderGroupsByFirstSeen(t *testing.T) {
 	if tab.K() != 3 || tab.NumRows() != 5 {
 		t.Fatalf("k=%d rows=%d, want 3/5", tab.K(), tab.NumRows())
 	}
-	east := tab.Column(0)
+	east := tab.groupColumn(0)
 	if len(east) != 2 || east[0] != 3 || east[1] != 7 {
 		t.Fatalf("east column %v, want [3 7]", east)
 	}
@@ -53,7 +53,7 @@ func TestTableGroupsAreColumnViews(t *testing.T) {
 		t.Fatalf("group a mean %v, want 2", sg.TrueMean())
 	}
 	// Zero copy: the group's backing storage is the table column.
-	if &sg.Values()[0] != &tab.Column(0)[0] {
+	if &sg.Values()[0] != &tab.groupColumn(0)[0] {
 		t.Fatal("group values are a copy, want a view over the table column")
 	}
 	// The groups draw through the staged pipeline.
@@ -110,7 +110,7 @@ JB,5
 	if names := tab.Names(); names[0] != "AA" || names[1] != "JB" || names[2] != "DL" {
 		t.Fatalf("names %v", names)
 	}
-	if aa := tab.Column(0); aa[0] != 12.5 || aa[1] != 7.5 {
+	if aa := tab.groupColumn(0); aa[0] != 12.5 || aa[1] != 7.5 {
 		t.Fatalf("AA column %v", aa)
 	}
 }

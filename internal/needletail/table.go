@@ -228,22 +228,6 @@ func (t *MaterializedTable) SampleRow(code, col int, rng *xrand.RNG) float64 {
 	return t.readValue(int64(pos), col)
 }
 
-// SampleRowWhere samples uniformly from the rows of the group that also
-// satisfy the given predicate bitmap (selection predicates, §6.3.3). It
-// returns false if no row qualifies.
-func (t *MaterializedTable) SampleRowWhere(code, col int, pred *bitmap.Bitmap, rng *xrand.RNG) (float64, bool) {
-	bm := t.bitmaps[code].And(pred)
-	if bm.Count() == 0 {
-		return 0, false
-	}
-	t.device.ChargeSampleCPU(1)
-	pos, err := bm.Select(rng.Intn(bm.Count()))
-	if err != nil {
-		panic(err)
-	}
-	return t.readValue(int64(pos), col), true
-}
-
 // PredicateBitmap builds a bitmap of the rows whose column col satisfies
 // pred. Building it costs one sequential pass, charged to the device
 // (an ad-hoc predicate has no precomputed index).

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/dataset"
 	"repro/internal/needletail/disksim"
 	"repro/internal/xrand"
 )
@@ -141,15 +142,29 @@ func TestPredicateBitmapAndSampleWhere(t *testing.T) {
 	if pred.Count() != want {
 		t.Fatalf("predicate selected %d rows, want %d", pred.Count(), want)
 	}
-	// Sampling blue under the predicate yields nothing.
-	r := xrand.New(11)
-	if _, ok := table.SampleRowWhere(code["blue"], 0, pred, r); ok {
+	// Restricted to the predicate, blue has no rows left and is dropped.
+	eng, err := NewEngine(table, "x", 50)
+	if err != nil {
+		t.Fatal(err)
+	}
+	u, err := eng.UniverseWhere(pred)
+	if err != nil {
+		t.Fatal(err)
+	}
+	groups := map[string]dataset.Group{}
+	for _, g := range u.Groups {
+		groups[g.Name()] = g
+	}
+	if _, ok := groups["blue"]; ok {
 		t.Fatal("blue row satisfied an unsatisfiable predicate")
 	}
-	// Sampling red under the predicate yields red x-values.
-	v, ok := table.SampleRowWhere(code["red"], 0, pred, r)
-	if !ok || v < 10 || v >= 11 {
-		t.Fatalf("red predicate sample %v ok=%v", v, ok)
+	// Drawing red under the predicate yields red x-values.
+	red, ok := groups["red"]
+	if !ok {
+		t.Fatal("red has no rows under the predicate")
+	}
+	if v := red.Draw(xrand.New(11)); v < 10 || v >= 11 {
+		t.Fatalf("red predicate sample %v", v)
 	}
 }
 
