@@ -337,15 +337,6 @@ func load64(p []byte, off uint) uint64 {
 	return x
 }
 
-// BlockCount reads just the value count from a block header (0 and an error
-// on truncated input).
-func BlockCount(blk []byte) (int, error) {
-	if len(blk) < HeaderSize {
-		return 0, fmt.Errorf("colcodec: block is %d bytes, shorter than the %d-byte header (truncated?)", len(blk), HeaderSize)
-	}
-	return int(binary.LittleEndian.Uint32(blk[4:8])), nil
-}
-
 // --- raw ---
 
 func rawSize(vals []float64) int { return 8 * len(vals) }

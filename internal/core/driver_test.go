@@ -411,6 +411,8 @@ func TestIRefineCappedWidthIsEarned(t *testing.T) {
 // and at BatchAuto, each over a universe that settles in R rounds and one
 // that takes about 4R, allocates the same per run. The slack covers the
 // scratch pools refilling after a collection, never a per-round cost.
+// Under -race only the round counts are checked: the race runtime's
+// sync.Pool drops items at random, so the pools refill at random too.
 func TestRunAllocsIndependentOfRounds(t *testing.T) {
 	universe := func(gap float64) *dataset.Universe {
 		r := xrand.New(3)
@@ -434,18 +436,23 @@ func TestRunAllocsIndependentOfRounds(t *testing.T) {
 		var allocs [2]float64
 		for j, gap := range []float64{tc.near, tc.far} {
 			u := universe(gap)
-			allocs[j] = testing.AllocsPerRun(10, func() {
+			run := func() {
 				res, err := IFocus(u, xrand.New(1), opts)
 				if err != nil {
 					t.Fatal(err)
 				}
 				rounds[j] = res.Rounds
-			})
+			}
+			if raceEnabled {
+				run()
+			} else {
+				allocs[j] = testing.AllocsPerRun(10, run)
+			}
 		}
 		if rounds[1] < 3*rounds[0] {
 			t.Fatalf("batch %s: the universes settle in %d and %d rounds; the fixture needs about 4×", batchLabel(tc.batch), rounds[0], rounds[1])
 		}
-		if allocs[1] > allocs[0]+2 {
+		if !raceEnabled && allocs[1] > allocs[0]+2 {
 			t.Errorf("batch %s: %v allocations per run over %d rounds, %v over %d", batchLabel(tc.batch), allocs[0], rounds[0], allocs[1], rounds[1])
 		}
 	}

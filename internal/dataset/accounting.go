@@ -163,10 +163,6 @@ func (s *Sampler) drawBatch(i int, dst []float64) {
 		return
 	}
 	g := s.u.Groups[i]
-	if bg, ok := g.(BatchGroup); ok {
-		bg.DrawBatch(r, dst)
-		return
-	}
 	for j := range dst {
 		dst[j] = g.Draw(r)
 	}

@@ -68,8 +68,9 @@ func TestSliceGroupBatchWithoutReplacementMatchesScalar(t *testing.T) {
 	}
 }
 
-// TestDistGroupDrawBatchMatchesScalar covers every bulk fast path plus the
-// generic fallback.
+// TestDistGroupDrawBatchMatchesScalar: the sampler's block draws from a
+// virtual group replay exactly the stream its distribution's scalar
+// Sample produces from the same generator, for every distribution kind.
 func TestDistGroupDrawBatchMatchesScalar(t *testing.T) {
 	dists := map[string]xrand.Dist{
 		"uniform":   xrand.Uniform{Lo: 5, Hi: 25},
@@ -82,14 +83,15 @@ func TestDistGroupDrawBatchMatchesScalar(t *testing.T) {
 	}
 	for name, d := range dists {
 		t.Run(name, func(t *testing.T) {
-			g := NewDistGroup("g", d, 1000)
-			r1, r2 := xrand.New(11), xrand.New(11)
+			block := NewStreamSampler(NewUniverse(100, NewDistGroup("g", d, 1000)), 11, false)
+			r := xrand.Stream(11, 0)
 			want := make([]float64, 64)
 			for i := range want {
-				want[i] = d.Sample(r1)
+				want[i] = d.Sample(&r)
 			}
 			got := make([]float64, 64)
-			g.DrawBatch(r2, got)
+			block.DrawBatch(0, got[:23])
+			block.DrawBatch(0, got[23:])
 			for i := range want {
 				if got[i] != want[i] {
 					t.Fatalf("draw %d: block %v, scalar %v", i, got[i], want[i])

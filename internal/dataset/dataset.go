@@ -43,16 +43,6 @@ type Group interface {
 	TrueMean() float64
 }
 
-// BatchGroup is implemented by groups that can fill a whole block of
-// with-replacement samples in one call, amortizing dispatch, bounds
-// checks, and accounting over the block. DrawBatch must produce exactly
-// the stream that len(dst) successive Draw calls would.
-type BatchGroup interface {
-	Group
-	// DrawBatch fills dst with uniform random elements (with replacement).
-	DrawBatch(r *xrand.RNG, dst []float64)
-}
-
 // Scannable is implemented by groups whose full contents can be visited,
 // enabling the SCAN baseline.
 type Scannable interface {
@@ -196,12 +186,6 @@ func (g *DistGroup) TrueMean() float64 { return g.dist.Mean() }
 
 // Draw samples from the backing distribution.
 func (g *DistGroup) Draw(r *xrand.RNG) float64 { return g.dist.Sample(r) }
-
-// DrawBatch fills dst through the distribution's bulk sampler, paying one
-// dispatch per block instead of one per sample.
-func (g *DistGroup) DrawBatch(r *xrand.RNG, dst []float64) {
-	xrand.SampleInto(g.dist, r, dst)
-}
 
 // Dist returns the backing distribution.
 func (g *DistGroup) Dist() xrand.Dist { return g.dist }

@@ -176,9 +176,6 @@ func (t *MaterializedTable) GroupSize(code int) int64 {
 // Device returns the simulated device.
 func (t *MaterializedTable) Device() *disksim.Device { return t.device }
 
-// GroupBitmap exposes a group's index bitmap (for predicate composition).
-func (t *MaterializedTable) GroupBitmap(code int) *bitmap.Bitmap { return t.bitmaps[code] }
-
 // CompressedIndexWords reports the total RLE-compressed index size in
 // 64-bit words, alongside the uncompressed size.
 func (t *MaterializedTable) CompressedIndexWords() (compressed, plain int) {

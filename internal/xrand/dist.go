@@ -20,48 +20,6 @@ type Dist interface {
 	Max() float64
 }
 
-// BulkDist is implemented by distributions that can fill a whole block of
-// samples in one call. SampleInto must produce exactly the stream that
-// len(dst) successive Sample calls would, so block and scalar sampling are
-// interchangeable bit for bit.
-type BulkDist interface {
-	Dist
-	// SampleInto fills dst with independent draws.
-	SampleInto(r *RNG, dst []float64)
-}
-
-// SampleInto fills dst with independent draws from d. The common bounded
-// distributions are special-cased into tight loops so block draws pay one
-// dispatch per block instead of one per sample; every path produces the
-// same stream as len(dst) successive d.Sample(r) calls.
-func SampleInto(d Dist, r *RNG, dst []float64) {
-	switch t := d.(type) {
-	case Uniform:
-		span := t.Hi - t.Lo
-		for i := range dst {
-			dst[i] = t.Lo + span*r.Float64()
-		}
-	case Bernoulli:
-		for i := range dst {
-			if r.Float64() < t.P {
-				dst[i] = t.Hi
-			} else {
-				dst[i] = t.Lo
-			}
-		}
-	case Point:
-		for i := range dst {
-			dst[i] = float64(t)
-		}
-	case BulkDist:
-		t.SampleInto(r, dst)
-	default:
-		for i := range dst {
-			dst[i] = d.Sample(r)
-		}
-	}
-}
-
 // Point is a degenerate distribution concentrated at a single value.
 type Point float64
 

@@ -190,31 +190,3 @@ func TestTruncNormalDeepTail(t *testing.T) {
 	d2 := TruncNormal{Mu: -400, Sigma: 45, Lo: 0, Hi: 1440}
 	checkDist(t, d2, 0.1)
 }
-
-func TestSampleIntoMatchesScalar(t *testing.T) {
-	dists := map[string]Dist{
-		"uniform":   Uniform{Lo: -3, Hi: 9},
-		"bernoulli": Bernoulli{Lo: 1, Hi: 5, P: 0.25},
-		"point":     Point(42),
-		"truncnorm": TruncNormal{Mu: 10, Sigma: 4, Lo: 0, Hi: 20},
-		"mixture": NewMixture(
-			[]Dist{Uniform{Lo: 0, Hi: 1}, Uniform{Lo: 10, Hi: 11}},
-			[]float64{3, 1}),
-	}
-	for name, d := range dists {
-		t.Run(name, func(t *testing.T) {
-			r1, r2 := New(17), New(17)
-			want := make([]float64, 100)
-			for i := range want {
-				want[i] = d.Sample(r1)
-			}
-			got := make([]float64, 100)
-			SampleInto(d, r2, got)
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("%s draw %d: bulk %v, scalar %v", name, i, got[i], want[i])
-				}
-			}
-		})
-	}
-}
