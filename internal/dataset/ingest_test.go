@@ -1,6 +1,7 @@
 package dataset
 
 import (
+	"bytes"
 	"fmt"
 	"hash/crc32"
 	"math"
@@ -8,6 +9,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -92,6 +94,11 @@ func TestIngestFilesPinned(t *testing.T) {
 		{"v2-block1000", SegmentOptions{Compress: true, BlockLen: 1000}, map[string]uint32{
 			"extra.0.seg": 0x6d03f5f2, "extra.1.seg": 0x7b59aaa6, "manifest.json": 0x3d549004, "value.seg": 0xe1cb33c5,
 		}},
+	}
+	// The sharded parser must serve this input itself: a fallback to the
+	// sequential parser would pass every check below.
+	if _, ok := readCSVSharded([]byte(payload), 4); !ok {
+		t.Fatal("sharded parser fell back on the pinned input")
 	}
 	for _, workers := range []int{0, 1, 2, 4} {
 		tab, err := ReadCSVWorkers(strings.NewReader(payload), workers)
@@ -248,6 +255,14 @@ func FuzzReadCSV(f *testing.F) {
 		"a\n", "a,\n", ",1\n", "", "\n", "group,value\n", "a,1,\n",
 		"a,0x1p-2\nb,1_0\nc,1e3\n",
 		"a,-0\nb,0\n",
+		// parseDecimal's edges: what it reads, and what it leaves to
+		// strconv.
+		"g,v,x\na,1,-0\nb,+1.5,.5\nc,5.,+0.0\n",
+		"a,.\n", "a,1,.\n", "g,v,x\na,1,.\n", "a,-\n", "a,1..2\n",
+		"g,v,x\na,9007199254740992,9007199254740993\nb,900719925474099.3,-9007199254740993\n",
+		"g,v,x\na,0.000000000000000001,1234567890123456789\nb,12345678901234567890,0.0000000000000000001\n",
+		"g,v,x\na,1,0.0000000000000000000001\nb,1,0.00000000000000000000001\n",
+		"g,v,x\na, 1,2 \nb,1\t,3\r\n",
 	} {
 		f.Add(seed)
 	}
@@ -267,6 +282,44 @@ func FuzzReadCSV(f *testing.F) {
 					t.Fatalf("workers=%d: table\n%s\nsequential\n%s", workers, g, w)
 				}
 			}
+		}
+	})
+}
+
+// FuzzParseDecimal: whatever parseDecimal accepts is one field up to the
+// first ',' or the end, and its value has the bits strconv.ParseFloat
+// gives that field.
+func FuzzParseDecimal(f *testing.F) {
+	for _, seed := range []string{
+		"-0", "+1.5", ".5", "5.", ".", "-", "+", "", "1..2", "1,2",
+		"9007199254740992", "9007199254740993", "-9007199254740993",
+		"900719925474099.3", "0.9007199254740993",
+		"1234567890123456789", "0.000000000000000001", "1000000000000000000",
+		"12345678901234567890", "0.0000000000000000001",
+		"0.0000000000000000000001", "0.00000000000000000000001",
+		"1e3", "0x1p-2", "1_0", "inf", "NaN",
+		" 1", "1 ", "1\r", "1\n",
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, text []byte) {
+		v, n, ok := parseDecimal(text)
+		if !ok {
+			return
+		}
+		end := bytes.IndexByte(text, ',')
+		if end < 0 {
+			end = len(text)
+		}
+		if n != end {
+			t.Fatalf("parseDecimal(%q) read %d bytes, want up to the first ','", text, n)
+		}
+		want, err := strconv.ParseFloat(string(text[:n]), 64)
+		if err != nil {
+			t.Fatalf("parseDecimal(%q) = %v, strconv rejects it: %v", text[:n], v, err)
+		}
+		if math.Float64bits(v) != math.Float64bits(want) {
+			t.Fatalf("parseDecimal(%q) = %v (%#x), strconv %v (%#x)", text[:n], v, math.Float64bits(v), want, math.Float64bits(want))
 		}
 	})
 }

@@ -392,6 +392,11 @@ func TestReadCSVExtraColumnsShardedIdentical(t *testing.T) {
 		sb.WriteString("\n")
 	}
 	payload := sb.String()
+	// The sharded parser must serve this input itself: a fallback to the
+	// sequential parser would pass every check below.
+	if _, ok := readCSVSharded([]byte(payload), 4); !ok {
+		t.Fatal("sharded parser fell back on the extra-column input")
+	}
 	seq, err := ReadCSVWorkers(strings.NewReader(payload), 1)
 	if err != nil {
 		t.Fatal(err)

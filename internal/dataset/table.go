@@ -218,8 +218,8 @@ func (b *TableBuilder) Build() (*Table, error) {
 type tableStage struct {
 	index     map[string]int
 	names     []string
-	cols      [][]float64
-	extraCols [][][]float64 // [group][extra][row], parallel to cols
+	cols      []stagedCol
+	extraCols [][]stagedCol // [group][extra], parallel to cols
 	valueRange
 
 	valueName  string
@@ -245,16 +245,48 @@ func (s *tableStage) add(group string, value float64, extras []float64) {
 		i = len(s.names)
 		s.index[group] = i
 		s.names = append(s.names, group)
-		s.cols = append(s.cols, nil)
+		s.cols = append(s.cols, stagedCol{})
 		if len(s.extraNames) > 0 {
-			s.extraCols = append(s.extraCols, make([][]float64, len(s.extraNames)))
+			s.extraCols = append(s.extraCols, make([]stagedCol, len(s.extraNames)))
 		}
 	}
-	s.cols[i] = append(s.cols[i], value)
+	s.cols[i].add(value)
 	for e, v := range extras {
-		s.extraCols[i][e] = append(s.extraCols[i][e], v)
+		s.extraCols[i][e].add(v)
 	}
 	s.valueRange.add(value)
+}
+
+// stagedCol is one group's column while it is staged: full chunks, then
+// the one being filled. Chunks double from one value up to stageChunk and
+// stay there, so growing the column allocates one chunk and copies nothing
+// — an append-grown slice allocates and copies about five times the final
+// column on the way — and a group of few rows stays small.
+type stagedCol struct {
+	full [][]float64
+	cur  []float64
+	n    int // values in full
+}
+
+const stageChunk = 8192 // values: 64 KiB
+
+func (c *stagedCol) add(v float64) {
+	if len(c.cur) == cap(c.cur) && c.cur != nil {
+		c.full = append(c.full, c.cur)
+		c.n += len(c.cur)
+		c.cur = make([]float64, 0, min(2*cap(c.cur), stageChunk))
+	}
+	c.cur = append(c.cur, v)
+}
+
+func (c *stagedCol) len() int { return c.n + len(c.cur) }
+
+// copyTo copies the column's values, in order, to the front of dst.
+func (c *stagedCol) copyTo(dst []float64) {
+	for _, chunk := range c.full {
+		dst = dst[copy(dst, chunk):]
+	}
+	copy(dst, c.cur)
 }
 
 // valueRange folds a value column's row count, range and first invalid
@@ -354,8 +386,8 @@ func mergeStages(stages []*tableStage, workers int) (*Table, error) {
 	for si, s := range stages {
 		names[si] = s.names
 		counts[si] = make([]int, len(s.cols))
-		for li, c := range s.cols {
-			counts[si][li] = len(c)
+		for li := range s.cols {
+			counts[si][li] = s.cols[li].len()
 		}
 	}
 	dst := t.placeGroups(names, counts)
@@ -375,9 +407,9 @@ func mergeStages(stages []*tableStage, workers int) (*Table, error) {
 		sg := segs[j]
 		s := stages[sg.si]
 		at := dst[sg.si][sg.li]
-		copy(cols[0][at:], s.cols[sg.li])
+		s.cols[sg.li].copyTo(cols[0][at:])
 		for e, col := range cols[1:] {
-			copy(col[at:], s.extraCols[sg.li][e])
+			s.extraCols[sg.li][e].copyTo(col[at:])
 		}
 	})
 	t.setColumns(cols, workers)
@@ -853,6 +885,66 @@ func parseField(field []byte) (float64, error) {
 	return strconv.ParseFloat(string(bytes.TrimSpace(field)), 64)
 }
 
+// numField parses the numeric field at the start of a record's remaining
+// text and splits it off: cutField and parseField in one, with a plain
+// decimal read in a single scan (parseDecimal) and anything else left to
+// parseField.
+func numField(text []byte) (v float64, rest []byte, more, ok bool) {
+	if v, n, ok := parseDecimal(text); ok {
+		if n < len(text) {
+			return v, text[n+1:], true, true
+		}
+		return v, nil, false, true
+	}
+	field, rest, more := cutField(text)
+	v, err := parseField(field)
+	return v, rest, more, err == nil
+}
+
+// pow10 holds the powers of ten a float64 holds exactly.
+var pow10 = [...]float64{1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10,
+	1e11, 1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22}
+
+// parseDecimal reads a plain decimal — an optional sign, then digits with
+// at most one '.' among them — from the start of text up to the first ','
+// or the end, and returns its value and its length. It reports ok=false
+// for any other field (an exponent, hex, inf or nan, underscores, spaces,
+// no digit) and for a decimal of more than 19 digits or a mantissa above
+// 2^53. Otherwise the value is m / 10^k with m < 2^53 and k ≤ 19 ≤ 22, both
+// exactly representable, and one IEEE division rounds it correctly, so v
+// is bit for bit what strconv.ParseFloat returns (Clinger's fast path,
+// strconv's own atof64exact).
+func parseDecimal(text []byte) (v float64, n int, ok bool) {
+	i, neg := 0, false
+	if len(text) > 0 && (text[0] == '-' || text[0] == '+') {
+		neg, i = text[0] == '-', 1
+	}
+	var m uint64
+	digits, dot := 0, -1 // dot: digits before the '.', -1 before one is seen
+	for ; i < len(text) && text[i] != ','; i++ {
+		switch c := text[i]; {
+		case c-'0' < 10:
+			m = m*10 + uint64(c-'0')
+			digits++
+		case c == '.' && dot < 0:
+			dot = digits
+		default:
+			return 0, 0, false
+		}
+	}
+	if digits == 0 || digits > 19 || m > 1<<53 {
+		return 0, 0, false
+	}
+	v = float64(m)
+	if dot >= 0 {
+		v /= pow10[digits-dot]
+	}
+	if neg {
+		v = -v
+	}
+	return v, i, true
+}
+
 // csvShard is one shard of readCSVSharded: its bytes, its groups in local
 // first-seen order with their row counts, and its value range.
 type csvShard struct {
@@ -910,27 +1002,27 @@ func (s *csvShard) parse(cols [][]float64, next []int, extraFields []int) bool {
 		}
 		comma := bytes.IndexByte(line, ',')
 		li := s.group(line[:comma], false)
-		field, tail, more := cutField(line[comma+1:])
-		v, err := parseField(field)
-		if err != nil || !validValue(v) {
+		v, tail, more, ok := numField(line[comma+1:])
+		if !ok || !validValue(v) {
 			return false
 		}
 		s.valueRange.add(v)
 		row := next[li]
 		next[li]++
 		cols[0][row] = v
-		f := 1 // index of field
+		f := 2 // index of the field tail starts with, if more
 		for e, want := range extraFields {
-			for ; f < want; f++ {
-				if !more {
-					return false
-				}
-				field, tail, more = cutField(tail)
+			for ; f < want && more; f++ {
+				_, tail, more = cutField(tail)
 			}
-			x, err := parseField(field)
-			if err != nil {
+			if !more {
 				return false
 			}
+			var x float64
+			if x, tail, more, ok = numField(tail); !ok {
+				return false
+			}
+			f++
 			cols[1+e][row] = x
 		}
 	}

@@ -41,6 +41,17 @@ func benchCSV(interleaved bool) []byte {
 	return buf
 }
 
+// TestBenchCSVIsSharded: the sharded parser serves both benchmark inputs
+// itself, so BenchmarkReadCSV times it rather than a fallback to the
+// sequential parser.
+func TestBenchCSVIsSharded(t *testing.T) {
+	for _, interleaved := range []bool{false, true} {
+		if _, ok := readCSVSharded(benchCSV(interleaved), 2); !ok {
+			t.Errorf("interleaved=%v: sharded parser fell back", interleaved)
+		}
+	}
+}
+
 // BenchmarkReadCSV measures CSV ingestion of a 300 000-row, four-column
 // file with a header, group-contiguous and interleaved, sequential
 // (workers=1), on two shards, and in auto mode (workers=0, every CPU).

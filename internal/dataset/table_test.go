@@ -1,6 +1,9 @@
 package dataset
 
 import (
+	"fmt"
+	"math"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -60,6 +63,40 @@ func TestTableGroupsAreColumnViews(t *testing.T) {
 	if _, ok := groups[0].(blockDrawer); !ok {
 		t.Fatal("table groups should draw through the block pipeline")
 	}
+}
+
+// TestBuildAllocatesLittleOverItsColumns: staging rows with AddRow and
+// building the table allocates at most 2.5 times the table's column bytes —
+// one staged copy and the packed columns, with a little slack — rather
+// than paying for every step of append growth.
+func TestBuildAllocatesLittleOverItsColumns(t *testing.T) {
+	const rows, groups = 300_000, 10
+	names := make([]string, groups)
+	for g := range names {
+		names[g] = fmt.Sprint("g", g)
+	}
+	best := uint64(math.MaxUint64)
+	for trial := 0; trial < 3; trial++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		b := NewTableBuilderColumns("v", "x", "y")
+		for i := 0; i < rows; i++ {
+			if err := b.AddRow(names[i%groups], float64(i%1000), float64(i), float64(i%7)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := b.Build(); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		best = min(best, after.TotalAlloc-before.TotalAlloc)
+	}
+	cols := uint64(rows * 3 * 8)
+	if limit := cols * 5 / 2; best > limit {
+		t.Fatalf("building %d rows × 3 columns allocated %d B, %.2f× the %d B of columns; want at most 2.5×",
+			rows, best, float64(best)/float64(cols), cols)
+	}
+	t.Logf("allocated %.2f× the column bytes", float64(best)/float64(cols))
 }
 
 func TestTableUniverse(t *testing.T) {
