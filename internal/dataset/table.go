@@ -879,16 +879,10 @@ func cutField(text []byte) (field, rest []byte, more bool) {
 	return text, nil, false
 }
 
-// parseField parses one numeric field, spaces around it ignored, as the
-// sequential parser does.
-func parseField(field []byte) (float64, error) {
-	return strconv.ParseFloat(string(bytes.TrimSpace(field)), 64)
-}
-
 // numField parses the numeric field at the start of a record's remaining
-// text and splits it off: cutField and parseField in one, with a plain
-// decimal read in a single scan (parseDecimal) and anything else left to
-// parseField.
+// text and splits it off as cutField does. A plain decimal is read in a
+// single scan (parseDecimal); any other field goes to strconv.ParseFloat
+// with the spaces around it ignored, as the sequential parser does.
 func numField(text []byte) (v float64, rest []byte, more, ok bool) {
 	if v, n, ok := parseDecimal(text); ok {
 		if n < len(text) {
@@ -897,20 +891,21 @@ func numField(text []byte) (v float64, rest []byte, more, ok bool) {
 		return v, nil, false, true
 	}
 	field, rest, more := cutField(text)
-	v, err := parseField(field)
+	v, err := strconv.ParseFloat(string(bytes.TrimSpace(field)), 64)
 	return v, rest, more, err == nil
 }
 
-// pow10 holds the powers of ten a float64 holds exactly.
-var pow10 = [...]float64{1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10,
-	1e11, 1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22}
+// pow10 holds 10^k for the k ≤ 19 parseDecimal divides by; a float64
+// holds every power of ten up to 10^22 exactly.
+var pow10 = [...]float64{1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9,
+	1e10, 1e11, 1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19}
 
 // parseDecimal reads a plain decimal — an optional sign, then digits with
 // at most one '.' among them — from the start of text up to the first ','
 // or the end, and returns its value and its length. It reports ok=false
 // for any other field (an exponent, hex, inf or nan, underscores, spaces,
 // no digit) and for a decimal of more than 19 digits or a mantissa above
-// 2^53. Otherwise the value is m / 10^k with m < 2^53 and k ≤ 19 ≤ 22, both
+// 2^53. Otherwise the value is m / 10^k with m ≤ 2^53 and k ≤ 19, both
 // exactly representable, and one IEEE division rounds it correctly, so v
 // is bit for bit what strconv.ParseFloat returns (Clinger's fast path,
 // strconv's own atof64exact).
