@@ -409,14 +409,14 @@ func newRunBound(u *dataset.Universe, opts *Options) conc.Bound {
 }
 
 // maxActiveSize returns max_{i active} n_i, the population bound Algorithm 1
-// feeds into the Serfling term. Returns 0 when any active size is unknown.
-func maxActiveSize(u *dataset.Universe, active []bool) int64 {
+// feeds into the Serfling term, from the groups' sizes. Returns 0 when any
+// active size is unknown.
+func maxActiveSize(sizes []int64, active []bool) int64 {
 	var max int64
-	for i, g := range u.Groups {
+	for i, n := range sizes {
 		if !active[i] {
 			continue
 		}
-		n := g.Size()
 		if n == 0 {
 			return 0
 		}

@@ -126,6 +126,7 @@ type roundLoop struct {
 // group counts, so recycling the per-run slices takes the driver's
 // steady-state allocation rate to near zero.
 type loopScratch struct {
+	sizes     []int64 // every group's Size, read once per run
 	active    []bool
 	isolated  []bool
 	drained   []bool    // keepExhaustedActive mode: drawing stopped
@@ -181,6 +182,10 @@ const (
 func newRoundLoop(u *dataset.Universe, rng *xrand.RNG, opts *Options, algo roundAlgo) *roundLoop {
 	k := u.K()
 	sc := loopScratchPool.Get().(*loopScratch)
+	sc.sizes = zeroed(sc.sizes, k)
+	for i, g := range u.Groups {
+		sc.sizes[i] = g.Size()
+	}
 	sc.active = zeroed(sc.active, k)
 	sc.isolated = zeroed(sc.isolated, k)
 	sc.drained = zeroed(sc.drained, k)
@@ -260,7 +265,7 @@ func (lp *roundLoop) run() (*Result, error) {
 		if lp.epsG == nil && lp.m > 1 {
 			var maxN int64
 			if !lp.opts.WithReplacement {
-				maxN = maxActiveSize(lp.u, lp.active)
+				maxN = maxActiveSize(lp.sizes, lp.active)
 			}
 			lp.eps = lp.sched.EpsilonN(lp.cum+fresh, maxN) / lp.opts.HeuristicFactor
 		}
@@ -328,7 +333,7 @@ func (lp *roundLoop) earnedWidth() {
 	}
 	var maxN int64
 	if !lp.opts.WithReplacement {
-		maxN = maxActiveSize(lp.u, lp.active)
+		maxN = maxActiveSize(lp.sizes, lp.active)
 	}
 	lp.eps = lp.sched.EpsilonN(int(n), maxN) / lp.opts.HeuristicFactor
 }
@@ -351,7 +356,7 @@ func (lp *roundLoop) updateRadii() {
 		if lp.bound != nil {
 			var n int64
 			if !lp.opts.WithReplacement {
-				n = lp.u.Groups[i].Size()
+				n = lp.sizes[i]
 			}
 			lp.epsG[i] = lp.bound.Radius(int(lp.sampler.Count(i)), n, lp.sampler.MomentsFor(i)) / lp.opts.HeuristicFactor
 		}
@@ -477,7 +482,7 @@ func (lp *roundLoop) land(i int, count int64, v float64) bool {
 // group's size is unknown).
 func (lp *roundLoop) remaining(i int) int {
 	if !lp.opts.WithReplacement {
-		if sz := lp.u.Groups[i].Size(); sz > 0 {
+		if sz := lp.sizes[i]; sz > 0 {
 			return int(max(sz-lp.sampler.Count(i), 0))
 		}
 	}

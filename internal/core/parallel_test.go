@@ -99,10 +99,11 @@ func TestWorkersValidation(t *testing.T) {
 // TestWorkerInvarianceWideScalar: with more than 1024 groups at
 // BatchSize=1, a one-sample-per-group round clears DrawRound's volume gate
 // and fans out one group at a time; that must agree bit for bit with the
-// inline phase staged across the groups, under the default Hoeffding
-// schedule and the variance-adaptive Bernstein bound alike. Groups of 24–40
-// rows exhaust without replacement, so the run ends and the fanned rounds
-// give way to inline ones as groups settle.
+// inline phase, under the default Hoeffding schedule and the
+// variance-adaptive Bernstein bound alike. Either way each take is handed
+// a value its group staged. Groups of 24–40 rows exhaust without
+// replacement, so the run ends and the fanned rounds give way to inline
+// ones as groups settle.
 func TestWorkerInvarianceWideScalar(t *testing.T) {
 	build := func() *dataset.Universe {
 		r := xrand.New(0x5ca1a)

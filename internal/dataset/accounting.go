@@ -23,13 +23,15 @@ import (
 // path produces the same stream for the same number of samples, so a run
 // can batch freely without changing its statistics.
 //
-// Concurrency: all accounting (counts, total, exhausted flags) is atomic,
-// so distinct groups of one sampler may be drawn from concurrently — the
-// discipline of DrawRound, which fans a phase's takes across a worker
-// pool. Draw state itself (a group's cursor, its RNG stream) is
-// still per group and unsynchronized: at most one goroutine may draw from
-// a given group at a time. The sampler owns all of it — the groups are
-// immutable — so samplers over one group set never interfere.
+// Concurrency: distinct groups of one sampler may be drawn from
+// concurrently — the discipline of DrawRound, which fans a phase's takes
+// across a worker pool. Everything but the total is group-owned and
+// unsynchronized, like the group's RNG stream and cursor: its count, its
+// exhaustion flag and its moments, so at most one goroutine may draw from
+// a given group at a time. The total is the one shared counter: each call
+// adds its draws to it once, atomically (DrawRound after its barrier). The
+// sampler owns all of it — the groups are immutable — so samplers over one
+// group set never interfere.
 type Sampler struct {
 	u *Universe
 	// streams holds the per-group generators as one contiguous value slice
@@ -38,8 +40,8 @@ type Sampler struct {
 	without bool
 
 	counts    []int64
-	total     int64
-	exhausted []atomic.Bool
+	total     atomic.Int64
+	exhausted []bool
 
 	// moments, when enabled, holds one Welford accumulator per group —
 	// the sufficient statistics behind variance-adaptive bounds — folded
@@ -90,7 +92,7 @@ func NewStreamSampler(u *Universe, base uint64, withoutReplacement bool) *Sample
 		streams:   streams,
 		without:   withoutReplacement,
 		counts:    make([]int64, u.K()),
-		exhausted: make([]atomic.Bool, u.K()),
+		exhausted: make([]bool, u.K()),
 		cursors:   cursors,
 	}
 }
@@ -98,9 +100,20 @@ func NewStreamSampler(u *Universe, base uint64, withoutReplacement bool) *Sample
 // Draw samples once from group i and records the draw: a phase of one
 // single draw.
 func (s *Sampler) Draw(i int) float64 {
-	t := [1]Take{{I: i, N: 1}}
-	s.drawEach(t[:])
-	return t[0].Sum
+	v := s.drawOne(i)
+	s.total.Add(1)
+	return v
+}
+
+// drawOne is Draw without the total: one sample from group i, counted and
+// folded into its moments.
+func (s *Sampler) drawOne(i int) float64 {
+	v := s.draw(i)
+	s.counts[i]++
+	if s.moments != nil {
+		s.moments[i].Add(v)
+	}
+	return v
 }
 
 // read samples group i once with replacement on r, without accounting:
@@ -114,18 +127,28 @@ func (s *Sampler) read(i int, r *xrand.RNG) float64 {
 	return s.u.Groups[i].Draw(r)
 }
 
-// draw takes one sample from group i, without accounting: the next
-// permutation element while the population lasts (without replacement),
-// a uniform element otherwise.
+// draw takes one sample from group i, without accounting: the cursor's
+// next staged value, or the first of a block it stages; a group that reads
+// through a caller's function takes the next permutation element instead.
+// Once a without-replacement population is spent, and always for virtual
+// groups, the draw is a uniform element.
 func (s *Sampler) draw(i int) float64 {
 	r := &s.streams[i]
-	if c := &s.cursors[i]; s.without && c.drawCore != nil {
-		if c.next < c.total {
-			return c.read(int(c.permStep(r)))
-		}
-		s.exhausted[i].Store(true)
+	c := &s.cursors[i]
+	if v, ok := c.unstage(); ok {
+		return v
 	}
-	return s.read(i, r)
+	switch {
+	case c.drawCore == nil:
+		return s.u.Groups[i].Draw(r)
+	case s.without && c.next >= c.total:
+		s.exhausted[i] = true
+	case c.fetch == nil:
+		return c.stage(r, s.without)
+	case s.without:
+		return c.read(int(c.permStep(r)))
+	}
+	return c.read(r.Intn(c.total))
 }
 
 // DrawBatch fills dst with samples from group i and records them. One call
@@ -138,25 +161,38 @@ func (s *Sampler) DrawBatch(i int, dst []float64) {
 	if len(dst) == 0 {
 		return
 	}
+	s.fill(i, dst)
+	s.total.Add(int64(len(dst)))
+}
+
+// fill is DrawBatch without the total.
+func (s *Sampler) fill(i int, dst []float64) {
 	s.drawBatch(i, dst)
 	if s.moments != nil {
 		s.moments[i].AddAll(dst)
 	}
 }
 
-// drawBatch is DrawBatch without the moments fold.
+// drawBatch fills dst with group i's next samples and counts them: the
+// cursor's staged values first, then a fresh block.
 func (s *Sampler) drawBatch(i int, dst []float64) {
-	atomic.AddInt64(&s.counts[i], int64(len(dst)))
-	atomic.AddInt64(&s.total, int64(len(dst)))
+	s.counts[i] += int64(len(dst))
 	r := &s.streams[i]
 	if c := &s.cursors[i]; c.drawCore != nil {
+		if sc := c.sc; sc != nil && sc.pos < len(sc.staged) {
+			n := copy(dst, sc.staged[sc.pos:])
+			sc.pos += n
+			if dst = dst[n:]; len(dst) == 0 {
+				return
+			}
+		}
 		if s.without {
 			rows := c.stageWithoutReplacement(r, len(dst))
 			c.gather(rows, dst[:len(rows)])
 			if len(rows) == len(dst) {
 				return
 			}
-			s.exhausted[i].Store(true)
+			s.exhausted[i] = true
 			dst = dst[len(rows):]
 		}
 		c.gather(c.stageWithReplacement(r, len(dst)), dst)
@@ -174,13 +210,13 @@ func (s *Sampler) drawBatch(i int, dst []float64) {
 func (s *Sampler) Counts() []int64 { return s.counts }
 
 // Count returns m_i for group i.
-func (s *Sampler) Count(i int) int64 { return atomic.LoadInt64(&s.counts[i]) }
+func (s *Sampler) Count(i int) int64 { return s.counts[i] }
 
 // Total returns the total sample complexity C = Σ m_i so far.
-func (s *Sampler) Total() int64 { return atomic.LoadInt64(&s.total) }
+func (s *Sampler) Total() int64 { return s.total.Load() }
 
 // Exhausted reports whether group i ran out of without-replacement samples.
-func (s *Sampler) Exhausted(i int) bool { return s.exhausted[i].Load() }
+func (s *Sampler) Exhausted(i int) bool { return s.exhausted[i] }
 
 // EnableMoments switches on per-group moment accounting: one Welford
 // accumulator per group, maintained incrementally. Every value a draw

@@ -66,7 +66,7 @@ func (b *Broker) Fill(i int, from int64, dst []float64) {
 			g.prefix = grown
 		}
 		g.prefix = g.prefix[:need]
-		b.sampler.drawBatch(i, g.prefix[cur:need])
+		b.sampler.DrawBatch(i, g.prefix[cur:need])
 	}
 	copy(dst, g.prefix[from:need])
 	g.mu.Unlock()

@@ -18,9 +18,10 @@ import (
 // (heap slices, table groups, mmapped and compressed segments and a sparse
 // permutation, each bare and under a bitmap and an index selection), a
 // mixed universe that puts virtual groups (no pipeline) among slice groups,
-// a wide one whose single-draw phases span several staging chunks, and
-// BitmapGroups reading their rows through a function. Groups are
-// immutable, so every input draws from the same fixtures.
+// a wide one of 197 groups of 1–17 rows, each of which stages its whole
+// population at once, and BitmapGroups reading their rows through a
+// function, which never stage. Groups are immutable, so every input draws
+// from the same fixtures.
 func drawRoundFixtures(tb testing.TB) []kernelCase {
 	return append(kernelCases(tb),
 		kernelCase{"mixed-virtual", func(testing.TB) *Universe {
@@ -31,7 +32,7 @@ func drawRoundFixtures(tb testing.TB) []kernelCase {
 		}},
 		kernelCase{"wide", func(testing.TB) *Universe {
 			r := xrand.New(0x1de)
-			groups := make([]Group, 3*eachChunk+5)
+			groups := make([]Group, 197)
 			for i := range groups {
 				vals := make([]float64, 1+i%17)
 				for j := range vals {
@@ -85,18 +86,26 @@ type drawRoundSeed struct {
 // stage a step targeting its own slot and two steps sharing a slot, and
 // draw every population past its end; a with-replacement seed at Workers 4
 // must fan a phase out; and a pick seed reads every backing with
-// replacement through the landing.
+// replacement through the landing. Wherever groups stage one-sample draws,
+// a block take must straddle a partly handed-out staged block; on the
+// smallest populations a without-replacement seed must also stage a block
+// the population cuts short (TestStagedDrawsStayInvisible does on all).
 func drawRoundSeeds(fixtures []kernelCase) []drawRoundSeed {
 	var seeds []drawRoundSeed
 	for _, fx := range fixtures {
-		without := []string{"self", "shared", "crossing", "exhausted"}
-		wr := []string{"parallel"}
+		without := []string{"self", "shared", "crossing", "exhausted", "straddle"}
+		wr := []string{"parallel", "straddle"}
+		if strings.HasSuffix(fx.name, "-index") {
+			without = append(without, "short-stage")
+		}
 		switch fx.name {
 		case "mixed-virtual":
-			without = []string{"fallback", "exhausted"}
+			without = []string{"fallback", "exhausted", "straddle", "short-stage"}
 		case "wide":
-			without = []string{"chunks", "fallback", "exhausted"}
-			wr = []string{"chunks", "parallel"}
+			without = []string{"fallback", "exhausted", "short-stage"}
+		case "bitmap-reader":
+			without = []string{"self", "shared", "crossing", "exhausted", "fallback"}
+			wr = []string{"parallel", "fallback"}
 		}
 		seeds = append(seeds,
 			drawRoundSeed{fx.name + "-without", fx.name, drWithout | drMoments, without},
@@ -107,7 +116,7 @@ func drawRoundSeeds(fixtures []kernelCase) []drawRoundSeed {
 	return append(seeds,
 		drawRoundSeed{"table-units", "table", drUnits | drMoments | drWorkers, []string{"parallel", "inactive"}},
 		drawRoundSeed{"sparse-without-workers", "sparse", drWithout | drWorkers, []string{"parallel", "crossing", "exhausted"}},
-		drawRoundSeed{"wide-without-workers", "wide", drWithout | drMoments | drWorkers, []string{"chunks", "exhausted"}},
+		drawRoundSeed{"wide-without-workers", "wide", drWithout | drMoments | drWorkers, []string{"short-stage", "exhausted"}},
 	)
 }
 
@@ -123,7 +132,8 @@ const drawRoundPhases = 64
 // Fisher–Yates permutation of the group's rows give on a copy of every
 // stream: each take's sum (its values in draw order), every value a
 // wrapper or a landing returns, counts, total, exhaustion flags, moments
-// and every stream's final RNG state.
+// and every stream's RNG state, advanced past the values a group has staged
+// and not yet handed out.
 //
 // The arguments pick a fixture, the mode bits, the plan's seed and the
 // number of phases.
@@ -261,6 +271,32 @@ func checkDrawRound(t *testing.T, name string, u *Universe, mode uint8, seed uin
 	if k > 8 {
 		sizes = []int{1, 2, 3, 17, 64}
 	}
+	// mark records what drawing n from group i is about to exercise: a
+	// block straddling a partly handed-out staged block, the Fisher–Yates
+	// hazards of the fresh block that follows it or of the block a
+	// one-sample draw stages, a staged block its population cuts short, and
+	// a one-sample draw that stages nothing.
+	mark := func(i, n int) {
+		c := &s.cursors[i]
+		if c.drawCore == nil {
+			reached["fallback"] = reached["fallback"] || n == 1
+			return
+		}
+		p := c.pending()
+		reached["straddle"] = reached["straddle"] || p > 0 && n > p
+		switch {
+		case n <= p:
+		case n == 1 && (c.fetch != nil || without && c.next >= c.total):
+			reached["fallback"] = true
+		case !without:
+		case n == 1:
+			left := c.total - c.next
+			reached["short-stage"] = reached["short-stage"] || left < stageLen
+			markHazards(reached, s.streams[i], c.next, c.total, min(left, stageLen))
+		default:
+			markHazards(reached, s.streams[i], c.next, c.total, n-p)
+		}
+	}
 	planRNG := xrand.New(seed ^ uint64(mode)<<32)
 	var plan []Take
 	buf := make([]float64, 4096)
@@ -309,9 +345,7 @@ func checkDrawRound(t *testing.T, name string, u *Universe, mode uint8, seed uin
 		} else if kind == 2 {
 			// One group through the bench-facing wrappers, value by value.
 			i, n := planRNG.Intn(k), sizes[planRNG.Intn(len(sizes))]
-			if d := &refs[i]; without && d.pop != nil && n > 1 {
-				markHazards(reached, d.r, d.next, len(d.pop), n)
-			}
+			mark(i, n)
 			if n == 1 {
 				buf[0] = s.Draw(i)
 			} else {
@@ -338,18 +372,9 @@ func checkDrawRound(t *testing.T, name string, u *Universe, mode uint8, seed uin
 				plan = append(plan, Take{I: i, N: n})
 				draws += n
 			}
-			if kind == 0 && len(plan) > eachChunk {
-				reached["chunks"] = true
-			}
 			reached["parallel"] = reached["parallel"] || s.workers > 1 && len(plan) > 1 && draws >= minParallelRoundDraws
 			for _, tk := range plan {
-				d := &refs[tk.I]
-				if kind == 0 && (d.pop == nil || s.cursors[tk.I].sparse || without && d.next >= len(d.pop)) {
-					reached["fallback"] = true
-				}
-				if without && d.pop != nil && tk.N > 1 {
-					markHazards(reached, d.r, d.next, len(d.pop), tk.N)
-				}
+				mark(tk.I, tk.N)
 			}
 			s.DrawRound(plan)
 			for _, tk := range plan {
@@ -377,8 +402,11 @@ func checkDrawRound(t *testing.T, name string, u *Universe, mode uint8, seed uin
 	return reached
 }
 
-// checkRefs fails t unless s's counts, exhaustion flags, streams, moments
-// and total, after phase, are the references'.
+// checkRefs fails t unless s's counts, exhaustion flags, moments and
+// total, after phase, are the references' — so no staged value is in them
+// — and each group's stream is the reference's advanced past the draws its
+// cursor has staged and not handed out: one Intn per staged step, and,
+// without replacement, a permutation position that many steps ahead.
 func checkRefs(t testing.TB, s *Sampler, refs []drawRef, phase int) {
 	t.Helper()
 	var total int64
@@ -388,7 +416,21 @@ func checkRefs(t testing.TB, s *Sampler, refs []drawRef, phase int) {
 		if s.Count(i) != d.count || s.Exhausted(i) != d.exhausted {
 			t.Fatalf("phase %d group %d: count %d/%d, exhausted %v/%v", phase, i, s.Count(i), d.count, s.Exhausted(i), d.exhausted)
 		}
-		if s.streams[i] != d.r {
+		r := d.r
+		if c := &s.cursors[i]; c.drawCore != nil {
+			p := c.pending()
+			if c.total != len(d.pop) || s.without && c.next != d.next+p {
+				t.Fatalf("phase %d group %d: cursor at %d of %d with %d staged, reference at %d of %d", phase, i, c.next, c.total, p, d.next, len(d.pop))
+			}
+			for step := 0; step < p; step++ {
+				if s.without {
+					r.Intn(c.total - d.next - step)
+				} else {
+					r.Intn(c.total)
+				}
+			}
+		}
+		if s.streams[i] != r {
 			t.Fatalf("phase %d group %d: RNG streams diverge", phase, i)
 		}
 		if m := s.MomentsFor(i); m != nil && *m != d.mom {
@@ -486,8 +528,8 @@ func TestKernelMatchesGenericPath(t *testing.T) {
 	}
 }
 
-// TestDrawEachMatchesDraw holds DrawRound's phases of single draws, which
-// are staged across the groups, to one-at-a-time draws: one sample from
+// TestDrawEachMatchesDraw holds DrawRound's phases of single draws, each
+// handed a value its group staged, to one-at-a-time draws: one sample from
 // each of a random subset of groups per phase must give exactly what
 // Group.Draw and a Fisher–Yates permutation give on a copy of every stream
 // — the same values bit for bit, counts, total, exhaustion flags, moments
@@ -495,7 +537,7 @@ func TestKernelMatchesGenericPath(t *testing.T) {
 // replacement, moments on and off, until every group has run out of its
 // population and fallen back to with-replacement draws. Beside the kernel
 // cases, a mixed universe puts virtual groups (no pipeline) among slice
-// groups, and a wide one spans several staging chunks in one phase.
+// groups, and a wide one stages whole populations at once.
 func TestDrawEachMatchesDraw(t *testing.T) {
 	for _, tc := range drawRoundFixtures(t) {
 		for _, without := range []bool{true, false} {
@@ -542,6 +584,109 @@ func TestDrawEachMatchesDraw(t *testing.T) {
 					}
 				})
 			}
+		}
+	}
+}
+
+// TestStagedDrawsStayInvisible holds one-sample staging to its invariant on
+// every backing and selection, with and without replacement: single draws,
+// blocks (DrawBatch or DrawBlockSum) that straddle or fall inside a staged
+// block, and single draws again, on past the population's end and through
+// a staged block the population cuts short, give exactly the one-at-a-time
+// values, and Count, Total, Exhausted and the moments never include a value
+// a cursor has staged but not handed out (checkRefs). Groups that read
+// through a function never stage. Three runs share one group set: the
+// first draws once from each group and is released with the rest of the
+// block staged, and the two after it must each match the reference, so a
+// released scratch carries nothing over.
+func TestStagedDrawsStayInvisible(t *testing.T) {
+	for _, tc := range drawRoundFixtures(t) {
+		for _, without := range []bool{true, false} {
+			t.Run(fmt.Sprintf("%s/without=%v", tc.name, without), func(t *testing.T) {
+				u := tc.build(t)
+				buf := make([]float64, 4096)
+				for run := 0; run < 3; run++ {
+					s := NewStreamSampler(u, 0x5eed, without)
+					s.EnableMoments(true)
+					refs := newDrawRefs(t, tc.name, u, 0x5eed)
+					ops := xrand.New(0x57a6)
+					reached := map[string]bool{}
+					for gi, g := range u.Groups {
+						c, d := &s.cursors[gi], &refs[gi]
+						stages := c.drawCore != nil && c.fetch == nil
+						want := func() float64 {
+							v := d.draw(without)
+							d.count++
+							d.mom.Add(v)
+							return v
+						}
+						for step := 0; s.Count(gi) < g.Size()+2*stageLen; step++ {
+							if run == 0 && step == 1 {
+								break // one single draw, its block left staged
+							}
+							p := c.pending()
+							if ops.Intn(3) != 0 || run == 0 {
+								left := 0
+								if stages {
+									left = c.total - c.next
+								}
+								if v, w := s.Draw(gi), want(); math.Float64bits(v) != math.Float64bits(w) {
+									t.Fatalf("run %d group %d step %d: Draw %v, one at a time %v", run, gi, step, v, w)
+								}
+								wantPending := max(p-1, 0)
+								if p == 0 && stages && (!without || left > 0) {
+									wantPending = min(left, stageLen) - 1
+									if !without {
+										wantPending = stageLen - 1
+									}
+									reached["short"] = reached["short"] || without && left < stageLen
+								}
+								if c.pending() != wantPending {
+									t.Fatalf("run %d group %d step %d: %d staged after a single draw, want %d", run, gi, step, c.pending(), wantPending)
+								}
+							} else {
+								n := 1 + ops.Intn(p+9)
+								reached["straddle"] = reached["straddle"] || p > 0 && n > p
+								reached["inside"] = reached["inside"] || n < p
+								if ops.Intn(2) == 0 {
+									sum, _ := s.DrawBlockSum(gi, n)
+									w := 0.0
+									for j := 0; j < n; j++ {
+										w += want()
+									}
+									if math.Float64bits(sum) != math.Float64bits(w) {
+										t.Fatalf("run %d group %d step %d (n=%d): block sum %v, one at a time %v", run, gi, step, n, sum, w)
+									}
+								} else {
+									s.DrawBatch(gi, buf[:n])
+									for j, v := range buf[:n] {
+										if w := want(); math.Float64bits(v) != math.Float64bits(w) {
+											t.Fatalf("run %d group %d step %d (n=%d) draw %d: %v, one at a time %v", run, gi, step, n, j, v, w)
+										}
+									}
+								}
+								if c.pending() != max(p-n, 0) {
+									t.Fatalf("run %d group %d step %d: %d staged after a block of %d, want %d", run, gi, step, c.pending(), n, max(p-n, 0))
+								}
+							}
+							checkRefs(t, s, refs, step)
+						}
+						reached["staged"] = reached["staged"] || c.pending() > 0
+						reached["exhausted"] = reached["exhausted"] || d.exhausted
+					}
+					switch {
+					case run == 0:
+						if staging := reached["staged"]; staging != (tc.name != "bitmap-reader") {
+							t.Fatalf("values staged at release: %v", staging)
+						}
+					case reached["staged"] && !(reached["straddle"] && reached["inside"] && reached["short"] == without):
+						t.Fatalf("run %d missed a case: straddling, inside or short staged blocks (reached %v)", run, reached)
+					case without && !reached["exhausted"]:
+						t.Fatalf("run %d never exhausted a population (reached %v)", run, reached)
+					}
+					s.Release()
+				}
+			})
 		}
 	}
 }

@@ -25,10 +25,20 @@ func soloSampler(g Group, seed uint64) *Sampler {
 	return NewStreamSampler(NewUniverse(1, g), seed, true)
 }
 
+// pending returns how many values the cursor has staged and not yet handed
+// out.
+func (c *cursor) pending() int {
+	if c.sc == nil {
+		return 0
+	}
+	return len(c.sc.staged) - c.sc.pos
+}
+
 // drawWithout takes group i's next without-replacement draw through s,
 // reporting false — without drawing — once the population is exhausted.
+// Staged values are still part of the population.
 func drawWithout(s *Sampler, i int) (float64, bool) {
-	if c := &s.cursors[i]; c.next >= c.total {
+	if c := &s.cursors[i]; c.next >= c.total && c.pending() == 0 {
 		return 0, false
 	}
 	return s.Draw(i), true
@@ -39,7 +49,7 @@ func drawWithout(s *Sampler, i int) (float64, bool) {
 // fewer than len(dst) only when the population runs out.
 func drawBatchWithout(s *Sampler, i int, dst []float64) int {
 	c := &s.cursors[i]
-	n := min(len(dst), c.total-c.next)
+	n := min(len(dst), c.total-c.next+c.pending())
 	s.DrawBatch(i, dst[:n])
 	return n
 }

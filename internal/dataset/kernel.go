@@ -22,12 +22,15 @@
 // a target depends on (total, next, t) only, never on the permutation's
 // contents — so every stream is bit for bit what the scalar path produces.
 //
-// Sampler.DrawRound is the round driver's one entry point: it takes a
-// whole draw phase, one take per group. A phase of one sample per group
-// has no block to overlap within, so it runs the same loops across the
-// groups instead. On the benchmark's round_bound workload (BatchSize=1,
-// 20 groups of 50 k rows) that took the query p50 from 35.5 to 17.9 ms
-// (2-vCPU Xeon, ten pairs).
+// A one-sample take has no block to overlap within, so it runs the same
+// loops one block ahead: a group's drawn sequence depends only on its own
+// stream and population, so the cursor draws its next stageLen samples as
+// one block into its scratch and hands one out per take. Every draw path
+// drains those staged values before it draws afresh, and a staged value
+// stays invisible — no count, total, moment or exhaustion flag — until a
+// take hands it out. Groups that read through a caller's function
+// (BitmapGroup's fetch) never stage, so they read exactly the rows they
+// are charged for.
 //
 // Groups hold no draw state: a run's position in each group's permutation
 // is a cursor its Sampler owns, so any number of runs may draw from one
@@ -35,13 +38,13 @@
 // cursor's permutation and staging buffers live in a drawScratch taken
 // from a free list every run over the group shares — runs over the
 // group's filtered views included — and handed back, the permutation
-// restored to the identity, when the run ends (Sampler.Release).
+// restored to the identity and the staged values dropped, when the run
+// ends (Sampler.Release).
 package dataset
 
 import (
 	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/par"
 	"repro/internal/xrand"
@@ -53,6 +56,10 @@ type drawScratch struct {
 	rows  []int32   // a block's targets, then drawn ranks, then rows — draw order
 	order []int32   // the block-bucketed gather's slots by block, then its bucket ends
 	vals  []float64 // a block's values, draw order (DrawBlockSum)
+	// staged holds the cursor's next one-sample draws, staged[pos:] not yet
+	// handed out; empty whenever pooled.
+	staged []float64
+	pos    int
 }
 
 // drawPool is the free list of draw scratch every run over one group
@@ -177,7 +184,7 @@ type cursor struct {
 	*drawCore // nil for groups that do not draw through the pipeline
 
 	// next counts the permutation's consumed prefix: perm[0..next) have been
-	// drawn. The permutation is built by an inside-out Fisher–Yates so that
+	// drawn or staged. The permutation is built by an inside-out Fisher–Yates so that
 	// consuming a few samples from a huge group costs O(samples), not O(n).
 	next int
 	disp map[int32]int32
@@ -380,13 +387,45 @@ func blockOrder(rows []int32, off, span int, order, ends []int32) {
 	}
 }
 
+// stageLen is how many draws a one-sample take stages at once: one block
+// of the pipeline, its misses overlapped, in a scratch that stays in L1.
+const stageLen = 64
+
+// unstage hands out the cursor's next staged value, if it has one.
+func (c *cursor) unstage() (float64, bool) {
+	sc := c.sc
+	if sc == nil || sc.pos == len(sc.staged) {
+		return 0, false
+	}
+	sc.pos++
+	return sc.staged[sc.pos-1], true
+}
+
+// stage draws the cursor's next stageLen samples — fewer only when a
+// without-replacement population runs out first — as one pipeline block
+// into its staged buffer, and hands out the first.
+func (c *cursor) stage(r *xrand.RNG, without bool) float64 {
+	var rows []int32
+	if without {
+		rows = c.stageWithoutReplacement(r, stageLen)
+	} else {
+		rows = c.stageWithReplacement(r, stageLen)
+	}
+	sc := c.sc
+	sc.staged = grow(&sc.staged, len(rows))
+	c.gather(rows, sc.staged)
+	sc.pos = 1
+	return sc.staged[0]
+}
+
 // release ends the run's use of the cursor: the permutation goes back to
-// the identity and the scratch to the group's pool. Restoring costs
-// O(draws), not O(rows): a consumed prefix [0, next) displaces exactly the
-// suffix slots {perm[t] : t < next, perm[t] ≥ next} — a slot leaves the
-// identity only by being a step's target, which moves its own index into
-// the prefix for good — so one pass over the prefix repairs both. It
-// touches no slot past total, the tail a view of fewer rows never uses.
+// the identity, the staged values are dropped and the scratch goes to the
+// group's pool. Restoring costs O(draws), not O(rows): a consumed prefix
+// [0, next) displaces exactly the suffix slots {perm[t] : t < next,
+// perm[t] ≥ next} — a slot leaves the identity only by being a step's
+// target, which moves its own index into the prefix for good — so one
+// pass over the prefix repairs both. It touches no slot past total, the
+// tail a view of fewer rows never uses.
 func (c *cursor) release() {
 	if c.sc == nil {
 		return
@@ -400,15 +439,16 @@ func (c *cursor) release() {
 			}
 		}
 	}
+	c.sc.staged, c.sc.pos = c.sc.staged[:0], 0
 	c.pool.put(c.sc)
 	c.sc = nil
 }
 
 // Release ends the run's use of its draw state: every cursor's
-// permutation is restored to the identity, in O(draws), and handed with
-// its staging buffers back to the pool every run over the group shares,
-// so the next query over the same rows allocates O(batch) rather than
-// 4 B × rows. The sampler must not draw afterwards. A sampler nobody
+// permutation is restored to the identity, in O(draws), its staged values
+// are dropped, and it is handed with its staging buffers back to the pool
+// every run over the group shares, so the next query over the same rows
+// allocates O(batch) rather than 4 B × rows. The sampler must not draw afterwards. A sampler nobody
 // releases loses nothing but the recycling.
 func (s *Sampler) Release() {
 	for i := range s.cursors {
@@ -424,13 +464,8 @@ func (s *Sampler) EnableBlockKernels() {}
 // DrawBlockSum is DrawBatch into the cursor's own value scratch — the same
 // stream, accounting, moments fold and fall-back to with-replacement when
 // the population runs out mid-block — returning the block's sum,
-// accumulated in draw order on one running total. A block larger than
-// blockSumChunk streams through the scratch chunk by chunk on that same
-// running total, so the scratch stays bounded and the sum is bit for bit
-// that of one pass. Groups that do not draw through the pipeline (virtual
-// distributions) have no cursor scratch and stream the same chunks of
-// DrawBatch through a pooled buffer. ok is false, and nothing is drawn,
-// when n < 1.
+// accumulated in draw order on one running total. ok is false, and nothing
+// is drawn, when n < 1.
 //
 // Like every draw path, at most one goroutine may call it for a given
 // group at a time; distinct groups may be drawn concurrently.
@@ -438,6 +473,19 @@ func (s *Sampler) DrawBlockSum(i, n int) (sum float64, ok bool) {
 	if n <= 0 {
 		return 0, false
 	}
+	sum = s.blockSum(i, n)
+	s.total.Add(int64(n))
+	return sum, true
+}
+
+// blockSum draws n samples from group i, counted and folded into its
+// moments but not into the total, and returns their sum. A block larger
+// than blockSumChunk streams through the scratch chunk by chunk on one
+// running total, so the scratch stays bounded and the sum is bit for bit
+// that of one pass. Groups that do not draw through the pipeline (virtual
+// distributions) have no cursor scratch and stream the same chunks through
+// a pooled buffer.
+func (s *Sampler) blockSum(i, n int) (sum float64) {
 	c := &s.cursors[i]
 	var buf *[]float64
 	if c.drawCore != nil {
@@ -447,7 +495,7 @@ func (s *Sampler) DrawBlockSum(i, n int) (sum float64, ok bool) {
 	}
 	for n > 0 {
 		vals := grow(buf, min(n, blockSumChunk))
-		s.DrawBatch(i, vals)
+		s.fill(i, vals)
 		for _, v := range vals {
 			sum += v
 		}
@@ -456,7 +504,7 @@ func (s *Sampler) DrawBlockSum(i, n int) (sum float64, ok bool) {
 	if c.drawCore == nil {
 		blockSumPool.Put(buf)
 	}
-	return sum, true
+	return sum
 }
 
 // blockSumChunk bounds DrawBlockSum's value scratch: the largest block the
@@ -466,11 +514,6 @@ const blockSumChunk = 4096
 // blockSumPool holds DrawBlockSum's chunk buffers for groups without a
 // cursor scratch.
 var blockSumPool = sync.Pool{New: func() any { return new([]float64) }}
-
-// eachChunk is how many groups a phase of single draws stages at once:
-// far more misses in flight than the memory system overlaps, in staging
-// that fits the stack.
-const eachChunk = 64
 
 // minParallelRoundDraws is the phase volume below which DrawRound always
 // runs inline: dispatching the pool costs on the order of microseconds, so
@@ -523,100 +566,48 @@ func NewRoundSampler(u *Universe, base uint64, withoutReplacement bool, workers 
 }
 
 // DrawRound draws one phase of a round: every take of plan, each group (or
-// unit) listed at most once. It picks the strategy: a phase of single
-// draws is staged across the groups, 64 at a time, so their cache misses
-// overlap rather than queue; any other phase draws each take through the
-// staged block pipeline; a scatter sampler lands each unit's tuples. A
-// phase of at least minParallelRoundDraws draws over more than one take
-// fans the takes across the sampler's workers. Counts, the total and the
-// moments are kept as the values are drawn. Every group's stream, and so
-// every value and Sum, is the same whichever way the phase runs; a Fold
-// call runs on the goroutine that draws its unit, in the unit's draw
-// order.
+// unit) listed at most once. A one-sample take is handed the group's next
+// staged value, any other take draws through the staged block pipeline,
+// and a scatter sampler lands each unit's tuples. A phase of at least
+// minParallelRoundDraws draws over more than one take fans the takes
+// across the sampler's workers. Counts and moments are kept by each take,
+// on the goroutine that draws its group; the phase's draws join the total
+// once, after the barrier. Every group's stream, and so every value and
+// Sum, is the same whichever way the phase runs; a Fold call runs on the
+// goroutine that draws its unit, in the unit's draw order.
 func (s *Sampler) DrawRound(plan []Take) {
 	draws := 0
 	for _, t := range plan {
 		draws += t.N
 	}
-	switch {
-	case s.workers > 1 && len(plan) > 1 && draws >= minParallelRoundDraws:
+	if s.workers > 1 && len(plan) > 1 && draws >= minParallelRoundDraws {
 		par.For(len(plan), s.workers, func(j int) { s.take(&plan[j]) })
-	case s.scatter == nil && draws == len(plan):
-		for j := 0; j < len(plan); j += eachChunk {
-			s.drawEach(plan[j:min(j+eachChunk, len(plan))])
-		}
-	default:
+	} else {
 		for j := range plan {
 			s.take(&plan[j])
 		}
 	}
+	s.total.Add(int64(draws))
 }
 
-// take draws one take of a phase.
+// take draws one take of a phase, leaving the total to DrawRound.
 func (s *Sampler) take(t *Take) {
-	if s.scatter != nil {
+	switch {
+	case s.scatter != nil:
 		s.land(t.I, t.N)
-		return
+	case t.N == 1:
+		t.Sum = s.drawOne(t.I)
+	default:
+		t.Sum = s.blockSum(t.I, t.N)
 	}
-	t.Sum, _ = s.DrawBlockSum(t.I, t.N)
-}
-
-// drawEach draws one sample for each of at most eachChunk takes into their
-// Sums. It runs the pipeline's loops across the groups: stage every target
-// (or WR rank) from each group's own stream, swap every permutation slot,
-// read every value, then account and fold moments. Groups with no
-// pipeline, a sparse permutation, or an exhausted population take their
-// one draw through draw.
-func (s *Sampler) drawEach(plan []Take) {
-	var curBuf [eachChunk]*cursor
-	var ranks [eachChunk]int32 // targets, then drawn ranks
-	curs := curBuf[:len(plan)] // nil where draw served the group
-	for t := range plan {
-		i := plan[t].I
-		c := &s.cursors[i]
-		if c.drawCore == nil || c.sparse || s.without && c.next >= c.total {
-			plan[t].Sum = s.draw(i)
-			continue
-		}
-		r := &s.streams[i]
-		if s.without {
-			ranks[t] = int32(c.next + r.Intn(c.total-c.next))
-		} else {
-			ranks[t] = int32(r.Intn(c.total))
-		}
-		curs[t] = c
-	}
-	if s.without {
-		for t, c := range curs {
-			if c != nil {
-				perm := c.densePerm()
-				next, j := c.next, ranks[t]
-				perm[next], perm[j] = perm[j], perm[next]
-				ranks[t] = perm[next]
-				c.next++
-			}
-		}
-	}
-	for t, c := range curs {
-		if c != nil {
-			plan[t].Sum = c.read(int(ranks[t]))
-		}
-	}
-	for _, t := range plan {
-		atomic.AddInt64(&s.counts[t.I], 1)
-		if s.moments != nil {
-			s.moments[t.I].Add(t.Sum)
-		}
-	}
-	atomic.AddInt64(&s.total, int64(len(plan)))
 }
 
 // land draws n tuples from scatter unit u on the stream of its first
-// group. Each is counted for the group it lands in and handed to Fold.
+// group. Each is counted for the group it lands in and handed to Fold; the
+// total is DrawRound's.
 func (s *Sampler) land(u, n int) {
 	sc := s.scatter
 	r := &s.streams[u*(len(s.streams)/sc.Units)]
-	atomic.AddInt64(&s.total, int64(n))
 	for ; n > 0; n-- {
 		var i int
 		var v float64
@@ -626,7 +617,8 @@ func (s *Sampler) land(u, n int) {
 		} else {
 			i, v = sc.Draw(u, r)
 		}
-		if sc.Fold(i, atomic.AddInt64(&s.counts[i], 1), v) && s.moments != nil {
+		s.counts[i]++
+		if sc.Fold(i, s.counts[i], v) && s.moments != nil {
 			s.moments[i].Add(v)
 		}
 	}

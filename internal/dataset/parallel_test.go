@@ -27,12 +27,13 @@ func hammerUniverse(k, n int) *Universe {
 	return NewUniverse(float64(k)+1, groups...)
 }
 
-// TestSamplerConcurrentGroupDraws is the race regression for the atomic
-// accounting: one sampler over one universe is hammered by a goroutine per
-// group — single-draw phases, block phases and the Draw and DrawBatch
-// wrappers, each phase a DrawRound call of its own — while whole-universe
-// phases fan out across the sampler's workers in between, and the shared
-// counters must reconcile exactly. Run with -race this pins the
+// TestSamplerConcurrentGroupDraws is the race regression for the
+// sampler's accounting — group-owned counts, exhaustion flags and staged
+// draws, one atomic total: one sampler over one universe is hammered by a
+// goroutine per group — single-draw phases, block phases and the Draw and
+// DrawBatch wrappers, each phase a DrawRound call of its own — while
+// whole-universe phases fan out across the sampler's workers in between,
+// and the counters must reconcile exactly. Run with -race this pins the
 // concurrency contract of the round driver: distinct groups of one sampler
 // may be drawn concurrently.
 func TestSamplerConcurrentGroupDraws(t *testing.T) {
